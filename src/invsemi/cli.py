@@ -20,7 +20,7 @@ from . import formats, germs as germs_mod, symbolic
 from .action import left_translation_action
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
 from .report import RunReport, file_digest
-from .semigroup import FiniteInverseSemigroup, verify_inverse_semigroup
+from .semigroup import FiniteInverseSemigroup, is_closure_of, verify_inverse_semigroup
 from .symbolic import atomflip, graphs, munn
 
 EXIT_OK = 0
@@ -126,8 +126,12 @@ def close(input_file, fmt, budget, verify, timing):
         for i in S.elements():
             report.line(f"  {i}: {S.label_str(i)}")
     if verify:
-        again = formats.load_semigroup(input_file, budget=budget)
-        report.verified = again.mul == S.mul
+        generators = formats.load_generators(input_file)
+        if generators is None:
+            again = formats.load_semigroup(input_file, budget=budget)
+            report.verified = again.mul == S.mul
+        else:
+            report.verified = is_closure_of(S, generators)
     return report
 
 

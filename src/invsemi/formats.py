@@ -69,8 +69,26 @@ def load_semigroup(path: str | Path, budget: int | None = None) -> FiniteInverse
     raise ParseError(f"{path}: 'kind' must be 'generators' or 'table', got {kind!r}")
 
 
+def load_generators(path: str | Path) -> list[PartialBijection] | None:
+    """The generator list of a `generators` file; None for any other kind."""
+    path = Path(path)
+    data = _load_json(path)
+    _check_version(data, path)
+    return _parse_generators(data, path) if data.get("kind") == "generators" else None
+
+
 def _semigroup_from_generators(data: dict, path: Path,
                                budget: int | None) -> FiniteInverseSemigroup:
+    gens = _parse_generators(data, path)
+    try:
+        return close(gens, budget=budget)
+    except BudgetExceeded:
+        raise
+    except ContractViolation as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _parse_generators(data: dict, path: Path) -> list[PartialBijection]:
     try:
         ground = data["ground_size"]
         raw_gens = data["generators"]
@@ -84,12 +102,7 @@ def _semigroup_from_generators(data: dict, path: Path,
             gens.append(PartialBijection(ground, [(int(x), int(y)) for x, y in pairs]))
         except (ContractViolation, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: generator {i} invalid: {exc}") from None
-    try:
-        return close(gens, budget=budget)
-    except BudgetExceeded:
-        raise
-    except ContractViolation as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return gens
 
 
 def _semigroup_from_table(data: dict, path: Path) -> FiniteInverseSemigroup:

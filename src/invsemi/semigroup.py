@@ -281,10 +281,23 @@ def close(generators: Sequence[PartialBijection],
           budget: int | None = None) -> FiniteInverseSemigroup:
     """Close partial-bijection generators under composition and inverses.
 
-    Breadth-first: generators in the given order, then their inverses,
-    then products explored in (left index, right index) order, so equal
-    generator lists always yield identical element indexing.  Raises
-    `BudgetExceeded` if the closure would pass `budget` elements.
+    The *letters* (the generators in the given order, then their
+    inverses, first occurrences only) come first.  Then every element
+    appears in shortlex order of its least word over the letters, so
+    equal generator lists always yield identical element indexing;
+    action files rely on it.  Raises `BudgetExceeded` if the closure
+    would pass `budget` elements.
+
+    Froidure-Pin: expand the elements in index order, right-multiplying
+    each by every letter; this records each new element's parent and
+    last letter and the right Cayley graph `right`.  Each table row is
+    then filled by integer lookups, s t = (s parent(t)) last(t).  Cost:
+    m k composes for m elements and k letters, plus O(m^2) lookups.
+
+    Why the indexing is that of the all-pairs search it replaced
+    (`pairwise_close` in the test oracles): a prefix or a suffix of a
+    least word is least, so both searches meet each element first
+    through its least word, in shortlex order.
     """
     if not generators:
         raise ContractViolation("need at least one generator")
@@ -297,34 +310,55 @@ def close(generators: Sequence[PartialBijection],
 
     elements: list[PartialBijection] = []
     index: dict[PartialBijection, int] = {}
+    words: list[tuple[int, int] | None] = []  # (parent, last letter) per element
+    right: list[list[int]] = []
 
-    def add(el: PartialBijection) -> None:
-        if el not in index:
+    def add(el: PartialBijection, word: tuple[int, int] | None) -> int:
+        t = index.get(el)
+        if t is None:
             if len(elements) >= budget:
                 raise BudgetExceeded(
-                    f"closure exceeded element budget {budget}", budget)
-            index[el] = len(elements)
+                    f"close: exceeded element budget {budget} after expanding "
+                    f"{len(right)} of {len(elements)} elements", budget)
+            t = index[el] = len(elements)
             elements.append(el)
+            words.append(word)
+        return t
 
-    for g in generators:
-        add(g)
-    for g in generators:
-        add(g.invert())
+    for g in [*generators, *(g.invert() for g in generators)]:
+        add(g, None)
+    letters = elements[:]
+    while len(right) < len(elements):
+        s = len(right)
+        right.append([add(elements[s].compose(a), (s, k)) for k, a in enumerate(letters)])
 
-    frontier_start = 0
-    while frontier_start < len(elements):
-        known = len(elements)
-        # products with at least one factor in the new frontier
-        for i in range(known):
-            for j in range(known):
-                if i < frontier_start and j < frontier_start:
-                    continue
-                add(elements[i].compose(elements[j]))
-        frontier_start = known
-
-    mul = [[index[elements[i].compose(elements[j])] for j in range(len(elements))]
-           for i in range(len(elements))]
+    products = words[len(letters):]
+    mul = []
+    for row in right:
+        row = row[:]  # s times each letter, which are elements 0..k-1
+        for p, a in products:
+            row.append(right[row[p]][a])
+        mul.append(tuple(row))
     return FiniteInverseSemigroup(mul, labels=elements)
+
+
+def is_closure_of(S: FiniteInverseSemigroup,
+                  generators: Sequence[PartialBijection]) -> bool:
+    """Check the table of `S` against its labels by direct composition.
+
+    True when the labels are pairwise distinct, the letters of
+    `generators` (the generators, then their inverses, first occurrences
+    only) are the first elements, and every cell satisfies
+    labels[mul[i][j]] == labels[i].compose(labels[j]).  Shares no code
+    with `close`; costs m^2 composes.
+    """
+    labels = S.labels
+    letters = list(dict.fromkeys([*generators, *(g.invert() for g in generators)]))
+    if (labels is None or list(labels[:len(letters)]) != letters
+            or len(set(labels)) != S.order):
+        return False
+    return all(labels[p] == a.compose(b)
+               for a, row in zip(labels, S.mul) for b, p in zip(labels, row))
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

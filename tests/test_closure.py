@@ -1,0 +1,130 @@
+"""`close` against the all-pairs oracle: same table, same indexing, less work."""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from invsemi import (
+    BudgetExceeded,
+    FiniteInverseSemigroup,
+    PartialBijection,
+    all_partial_bijections,
+    close,
+)
+from invsemi import formats
+from invsemi.cli import main
+from invsemi.semigroup import is_closure_of
+from oracles import pairwise_close
+
+DATA = Path(__file__).parent / "data"
+
+
+def symmetric_generators(n):
+    """A transposition, an n-cycle and a rank n-1 partial identity generate I_n."""
+    swap = {0: 1, 1: 0, **{x: x for x in range(2, n)}}
+    cycle = {x: (x + 1) % n for x in range(n)}
+    return [PartialBijection(n, swap), PartialBijection(n, cycle),
+            PartialBijection.identity(n, range(1, n))]
+
+
+def letters_of(gens):
+    return list(dict.fromkeys([*gens, *(g.invert() for g in gens)]))
+
+
+CASES = {
+    **{f"I_{n}": list(all_partial_bijections(n)) for n in range(1, 5)},
+    "I_4 from three generators": symmetric_generators(4),
+    "Z_2": [PartialBijection(2, {0: 1, 1: 0})],
+    "Z_3": [PartialBijection(3, {0: 1, 1: 2, 2: 0})],
+    "i2_gens.json": formats.load_generators(DATA / "i2_gens.json"),
+}
+
+
+def assert_same_closure(gens):
+    fast, slow = close(gens), pairwise_close(gens)
+    assert fast.mul == slow.mul
+    assert fast.labels == slow.labels
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_close_matches_pairwise_oracle(name):
+    assert_same_closure(CASES[name])
+
+
+@st.composite
+def partial_bijections(draw, n):
+    domain = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    image = draw(st.permutations(range(n)))
+    return PartialBijection(n, dict(zip(domain, image)))
+
+
+@st.composite
+def generator_lists(draw):
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(partial_bijections(n), min_size=1, max_size=4))
+    if draw(st.booleans()):  # repeat one generator
+        gens.append(draw(st.sampled_from(gens)))
+    if draw(st.booleans()):  # a self-inverse generator: an idempotent
+        gens.append(PartialBijection.identity(n, draw(st.sets(st.integers(0, n - 1)))))
+    return gens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_lists())
+def test_close_matches_pairwise_oracle_random(gens):
+    assert_same_closure(gens)
+
+
+def test_close_budget_boundary():
+    gens = symmetric_generators(3)
+    m = close(gens).order
+    assert close(gens, budget=m).order == m
+    with pytest.raises(BudgetExceeded) as exc:
+        close(gens, budget=m - 1)
+    assert exc.value.budget == m - 1
+    assert str(exc.value).startswith(f"close: exceeded element budget {m - 1} after expanding ")
+
+
+def test_close_composes_at_most_m_times_letters(monkeypatch):
+    gens = symmetric_generators(4)
+    calls = 0
+    compose = PartialBijection.compose
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(PartialBijection, "compose", counting)
+    S = close(gens)
+    assert S.order == 209
+    assert calls <= S.order * len(letters_of(gens))
+
+
+def test_is_closure_of_accepts_close_and_rejects_a_bad_cell():
+    gens = symmetric_generators(3)
+    S = close(gens)
+    assert is_closure_of(S, gens)
+    mul = [list(row) for row in S.mul]
+    mul[5][7] = (mul[5][7] + 1) % S.order
+    assert not is_closure_of(FiniteInverseSemigroup(mul, labels=S.labels), gens)
+    assert not is_closure_of(S, gens[1:])  # letters no longer first
+
+
+def test_cli_close_verify_catches_corrupted_cell(monkeypatch):
+    load = formats.load_semigroup
+
+    def corrupted(path, budget=None):
+        S = load(path, budget=budget)
+        mul = [list(row) for row in S.mul]
+        mul[1][2] = (mul[1][2] + 1) % S.order
+        return FiniteInverseSemigroup(mul, labels=S.labels)
+
+    monkeypatch.setattr(formats, "load_semigroup", corrupted)
+    result = CliRunner().invoke(main, ["close", str(DATA / "i2_gens.json"), "--verify",
+                                       "--format", "structured"])
+    assert result.exit_code == 4, result.output
+    assert json.loads(result.stdout)["verified"] is False
