@@ -22,7 +22,7 @@ class FiniteAction:
     really is an action (homomorphism plus per-element bijectivity).
     """
 
-    __slots__ = ("semigroup", "space_size", "domain_of", "table")
+    __slots__ = ("semigroup", "space_size", "domain_of", "table", "_idempotents_at")
 
     def __init__(self, semigroup: FiniteInverseSemigroup, space_size: int,
                  domain_of: Mapping[int, frozenset[int]],
@@ -41,10 +41,16 @@ class FiniteAction:
                 if not (0 <= x < space_size):
                     raise ContractViolation(f"domain point {x} outside space of size {space_size}")
             doms[e] = pts
+        at: dict[int, list[int]] = {}
+        for e in sorted(doms):
+            for x in doms[e]:
+                at.setdefault(x, []).append(e)
         object.__setattr__(self, "semigroup", semigroup)
         object.__setattr__(self, "space_size", space_size)
         object.__setattr__(self, "domain_of", doms)
         object.__setattr__(self, "table", dict(table))
+        object.__setattr__(self, "_idempotents_at",
+                           {x: tuple(es) for x, es in at.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAction is immutable")
@@ -73,10 +79,9 @@ class FiniteAction:
         return [(s, x) for s in self.semigroup.elements()
                 for x in sorted(self.domain(s))]
 
-    def idempotents_at(self, x: int) -> list[int]:
+    def idempotents_at(self, x: int) -> tuple[int, ...]:
         """Idempotents whose domain contains x, sorted."""
-        return [e for e in sorted(self.semigroup.idempotents)
-                if x in self.domain_of[e]]
+        return self._idempotents_at.get(x, ())
 
     def validate(self) -> None:
         """Raise ContractViolation unless the data defines an action."""

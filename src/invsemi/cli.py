@@ -85,8 +85,11 @@ def main():
     """Finite inverse semigroups, germ groupoids, and cover criteria."""
 
 
-def _semigroup_summary(S: FiniteInverseSemigroup) -> dict:
-    check = verify_inverse_semigroup(S)
+def _semigroup_summary(S: FiniteInverseSemigroup, check=None) -> dict:
+    """Order, zero and the verifier's outcome; pass `check` when the
+    caller already ran `verify_inverse_semigroup` on S."""
+    if check is None:
+        check = verify_inverse_semigroup(S)
     return {
         "order": S.order,
         "idempotent_count": len(S.idempotents),
@@ -256,7 +259,7 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
         raise ParseError(f"{input_file}: not an inverse semigroup "
                          f"({check.reason}, certificate {check.certificate})")
     report = RunReport(command="criterion", input_digest=file_digest(input_file))
-    report.semigroup = _semigroup_summary(S)
+    report.semigroup = _semigroup_summary(S, check)
     report.line(f"criterion {input_file}")
     rows = []
     verified = True
@@ -304,7 +307,10 @@ def _symbolic_report(command, family, element_expr, truncation, rank,
                      graph_file, verify) -> RunReport:
     if family == "atomflip":
         element = atomflip.parse(element_expr)
-        rep = atomflip.criterion(element, truncation_atoms=truncation)
+        try:
+            rep = atomflip.criterion(element, truncation_atoms=truncation)
+        except ContractViolation as exc:  # --truncation negative or too small
+            raise ParseError(str(exc)) from None
     elif family == "munn":
         word_rank, word = munn.parse_word(element_expr)
         element = munn.MunnTreeElement.from_word(max(word_rank, rank), word)

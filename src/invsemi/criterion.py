@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
-from .semigroup import DOWN, FiniteInverseSemigroup
+from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask
 
 HAUSDORFF_WITNESS = "HAUSDORFF_WITNESS"
 REFUTED = "REFUTED"
@@ -211,25 +211,32 @@ def hausdorff_criterion(S: FiniteInverseSemigroup, s: int) -> CriterionVerdict:
     ideal-cover form (union of f S over F equals union of e S over J_s).
     Both always succeed at finite scale; a mismatch would be a bug and
     raises InvariantViolation.
+
+    Everything is read off the order bitmasks.  For an idempotent e,
+    e <= s iff s e*e = s e = e, so J_s = down(s) & E.  An e in J_s is
+    maximal iff up(e) & J_s = {e}, and the downward closure of F is the
+    union of down(f) over F.
     """
-    jset = S.j_set(s)
-    witness = S.maximal_elements(jset)
-    down = S.up_set(witness, DOWN)
-    if down != jset:
-        raise InvariantViolation(
-            f"downward closure of maximal elements {witness} is {sorted(down)}, "
-            f"expected J_s = {sorted(jset)}")
-    cover_f: set[int] = set()
+    S._check_index(s)
+    up, down = S._require_up_masks(), S._require_down_masks()
+    members = [e for e in _bits(down[s]) if e in S.idempotents]
+    jmask = _set_to_mask(members)
+    witness = tuple(e for e in members if up[e] & jmask == 1 << e)
+    closure = 0
     for f in witness:
-        cover_f |= S.right_ideal(f)
-    cover_j: set[int] = set()
-    for e in jset:
-        cover_j |= S.right_ideal(e)
+        closure |= down[f]
+    if closure != jmask:
+        raise InvariantViolation(
+            f"downward closure of maximal elements {witness} is {sorted(_bits(closure))}, "
+            f"expected J_s = {members}")
+    rows = S.mul
+    cover_f = set().union(*(rows[f] for f in witness))
+    cover_j = set().union(*(rows[e] for e in members))
     if cover_f != cover_j:
         raise InvariantViolation(
             f"ideal cover mismatch for s={s}: witness ideals {sorted(cover_f)} "
             f"vs J_s ideals {sorted(cover_j)}")
-    return CriterionVerdict(subject=s, j_set=jset, witness=witness,
+    return CriterionVerdict(subject=s, j_set=frozenset(members), witness=witness,
                             verdict=HAUSDORFF_WITNESS, ideal_cover_verified=True)
 
 

@@ -111,6 +111,10 @@ def _semigroup_from_table(data: dict, path: Path) -> FiniteInverseSemigroup:
     except KeyError:
         raise ParseError(f"{path}: missing field 'mul_table'") from None
     labels = data.get("labels")
+    if not isinstance(table, list) or not table:
+        raise ParseError(f"{path}: 'mul_table' must be a non-empty list of rows")
+    if labels is not None and not isinstance(labels, list):
+        raise ParseError(f"{path}: 'labels' must be a list")
     try:
         return FiniteInverseSemigroup(table, labels=labels)
     except (ContractViolation, TypeError) as exc:
@@ -128,6 +132,10 @@ def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
         raw_action = data["action"]
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
+    if not isinstance(sg_ref, str):
+        raise ParseError(f"{path}: 'semigroup' must be a path string")
+    if type(space_size) is not int:
+        raise ParseError(f"{path}: 'space_size' must be an integer, got {space_size!r}")
     sg_path = Path(sg_ref)
     if not sg_path.is_absolute():
         sg_path = path.parent / sg_path

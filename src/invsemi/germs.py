@@ -17,24 +17,6 @@ from .errors import ContractViolation, InvariantViolation
 from .semigroup import FiniteInverseSemigroup
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            x, p[x] = p[x], p[p[x]]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 @dataclass(frozen=True)
 class Germ:
     """One germ class: its canonical representative and class id."""
@@ -45,68 +27,65 @@ class Germ:
 
 
 class GermGroupoid:
-    """Arrows, structure maps, and sparse composition of a germ groupoid.
+    """Arrows, structure maps, and on-demand composition of a germ groupoid.
 
     Classes are indexed 0..n-1 in lexicographic order of their smallest
     (element, point) member, which makes reports reproducible.
+
+    Each class is found in closed form.  Let e_x be the product of the
+    idempotents whose domain holds x; it holds x itself (checked), so it
+    is the least such idempotent.  Then (s, x) ~ (t, x) iff
+    s e_x = t e_x: e_x is a witness, and a witness e has e_x = e_x e, so
+    s e = t e gives s e_x = t e_x.  The pair (s, x) is therefore keyed by
+    (s e_x, x), and scanning the pairs in (s, x) order meets each class
+    first at its smallest member.
     """
 
     __slots__ = ("action", "classes", "class_of", "reps", "points",
-                 "source", "target", "units", "inverse", "composition")
+                 "source", "target", "units", "inverse", "_composition")
 
     def __init__(self, action: FiniteAction):
         S = action.semigroup
-        omega = action.germ_pairs()
-        index = {pair: i for i, pair in enumerate(omega)}
-        uf = _UnionFind(len(omega))
-        # (s, x) ~ (s e, x) for every idempotent e whose domain holds x;
-        # this generates the full germ equivalence because the witness
-        # relation is already transitive.
-        for i, (s, x) in enumerate(omega):
-            row = S.mul[s]
-            for e in action.idempotents_at(x):
-                uf.union(i, index[(row[e], x)])
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, pair in enumerate(omega):
-            groups.setdefault(uf.find(i), []).append(pair)
-        classes = sorted((tuple(sorted(g)) for g in groups.values()),
-                         key=lambda g: g[0])
-        class_of = {pair: cid for cid, group in enumerate(classes) for pair in group}
+        mul, idempotents = S.mul, S.idempotents
+        least: dict[int, int] = {}
+        class_by_key: dict[tuple[int, int], int] = {}
+        groups: list[list[tuple[int, int]]] = []
+        class_of: dict[tuple[int, int], int] = {}
+        units = set()
+        for pair in action.germ_pairs():
+            s, x = pair
+            e = least.get(x)
+            if e is None:
+                e = least[x] = _least_idempotent_at(action, x)
+            key = (mul[s][e], x)
+            cid = class_by_key.get(key)
+            if cid is None:
+                cid = class_by_key[key] = len(groups)
+                groups.append([])
+            groups[cid].append(pair)
+            class_of[pair] = cid
+            if s in idempotents:
+                units.add(cid)
 
-        n = len(classes)
-        reps = tuple(group[0] for group in classes)
-        points = tuple(group[0][1] for group in classes)
-        units = frozenset(cid for cid, group in enumerate(classes)
-                          if any(s in S.idempotents for s, _ in group))
+        reps = tuple(group[0] for group in groups)
         source, target, inverse = [], [], []
         for s, x in reps:
-            ss = S.mul[S.inv[s]][s]
+            ss = mul[S.inv[s]][s]
             source.append(class_of[(ss, x)])
             y = action.act(s, x)
-            target.append(class_of[(S.mul[s][S.inv[s]], y)])
+            target.append(class_of[(mul[s][S.inv[s]], y)])
             inverse.append(class_of[(S.inv[s], y)])
 
-        at_point: dict[int, list[int]] = {}
-        for cid, x in enumerate(points):
-            at_point.setdefault(x, []).append(cid)
-        composition: dict[tuple[int, int], int] = {}
-        for c2 in range(n):
-            t, x = reps[c2]
-            y = action.act(t, x)
-            for c1 in at_point.get(y, ()):
-                s, _ = reps[c1]
-                composition[(c1, c2)] = class_of[(S.mul[s][t], x)]
-
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "classes", tuple(map(tuple, groups)))
         object.__setattr__(self, "class_of", class_of)
         object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", tuple(x for _, x in reps))
         object.__setattr__(self, "source", tuple(source))
         object.__setattr__(self, "target", tuple(target))
-        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "units", frozenset(units))
         object.__setattr__(self, "inverse", tuple(inverse))
-        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "_composition", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GermGroupoid is immutable")
@@ -124,13 +103,43 @@ class GermGroupoid:
         return Germ(rep_s, rep_x, cid)
 
     def compose(self, c1: int, c2: int) -> int:
-        try:
-            return self.composition[(c1, c2)]
-        except KeyError:
-            raise ContractViolation(f"classes {c1} and {c2} are not composable") from None
+        """[s, y] [t, x] = [s t, x] on representatives, when y = act(t, x)."""
+        c12 = self._product(c1, c2)
+        if c12 is None:
+            raise ContractViolation(f"classes {c1} and {c2} are not composable")
+        return c12
 
     def composable(self, c1: int, c2: int) -> bool:
-        return (c1, c2) in self.composition
+        return self._product(c1, c2) is not None
+
+    @property
+    def composition(self) -> dict[tuple[int, int], int]:
+        """Every composable pair and its product; built on first read.
+
+        Its size is the sum over points y of (classes at y) x (classes
+        landing at y), far more than the classes themselves, so nothing
+        else reads it.
+        """
+        if self._composition is None:
+            at_point: dict[int, list[int]] = {}
+            for cid, x in enumerate(self.points):
+                at_point.setdefault(x, []).append(cid)
+            composition = {}
+            for c2, (t, x) in enumerate(self.reps):
+                for c1 in at_point.get(self.action.act(t, x), ()):
+                    composition[(c1, c2)] = self._product(c1, c2)
+            object.__setattr__(self, "_composition", composition)
+        return self._composition
+
+    def _product(self, c1: int, c2: int) -> int | None:
+        n = len(self.classes)
+        if not (0 <= c1 < n and 0 <= c2 < n):
+            return None
+        s, y = self.reps[c1]
+        t, x = self.reps[c2]
+        if self.action.act(t, x) != y:
+            return None
+        return self.class_of[(self.action.semigroup.mul[s][t], x)]
 
     def unit_of_point(self, x: int) -> int:
         """The unit class sitting over the point x."""
@@ -172,6 +181,20 @@ class GermGroupoid:
 
 def build_germs(action: FiniteAction) -> GermGroupoid:
     return GermGroupoid(action)
+
+
+def _least_idempotent_at(action: FiniteAction, x: int) -> int:
+    """e_x, the least idempotent whose domain holds x (see GermGroupoid)."""
+    mul = action.semigroup.mul
+    at = action.idempotents_at(x)
+    e = at[0]
+    for f in at[1:]:
+        e = mul[e][f]
+    if x not in action.domain_of[e]:
+        raise ContractViolation(
+            f"point {x} lies in the domains of {list(at)} but not of their "
+            f"product {e}; the domains do not come from an action")
+    return e
 
 
 def germ_equiv_oracle(action: FiniteAction, s: int, t: int, x: int) -> bool:

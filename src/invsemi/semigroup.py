@@ -26,58 +26,48 @@ class FiniteInverseSemigroup:
     """Multiplication-table model of a finite inverse semigroup.
 
     Immutable after construction; all queries are pure, so instances can
-    be shared freely between threads.
+    be shared freely between threads.  (The down-masks of the natural
+    order are built on first use; a race only builds them twice.)
     """
 
     __slots__ = ("mul", "order", "labels", "inv", "idempotents", "zero",
-                 "_inverse_sets", "_up_masks")
+                 "_up_masks", "_down_masks")
 
-    def __init__(self, mul: Sequence[Sequence[int]], labels: Sequence | None = None):
+    def __init__(self, mul: Sequence[Sequence[int]], labels: Sequence | None = None,
+                 *, _inverse: Sequence[int] | None = None):
+        """`_inverse` is for `close` only: the inverse map it already
+        knows from the labels.  Any other table gets the exhaustive scan
+        for generalized inverses, and `inv` is None unless each element
+        has exactly one."""
         table = tuple(tuple(row) for row in mul)
         m = len(table)
         for i, row in enumerate(table):
             if len(row) != m:
                 raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
-            for v in row:
-                if not (0 <= v < m):
-                    raise ContractViolation(f"table entry {v} out of range [0, {m})")
+            if min(row) < 0 or max(row) >= m:
+                v = next(v for v in row if not 0 <= v < m)
+                raise ContractViolation(f"table entry {v} out of range [0, {m})")
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
+        idempotents = frozenset(e for e in range(m) if table[e][e] == e)
+        if _inverse is None:
+            _inverse = []
+            for s in range(m):
+                cands = inverse_candidates(table, s)
+                if len(cands) != 1:
+                    _inverse = None
+                    break
+                _inverse.append(cands[0])
+        inv = tuple(_inverse) if _inverse is not None else None
         object.__setattr__(self, "mul", table)
         object.__setattr__(self, "order", m)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
-        object.__setattr__(self, "idempotents",
-                           frozenset(e for e in range(m) if table[e][e] == e))
-        # Generalized inverses per element; the structure is inverse only
-        # when every set below is a singleton.
-        inverse_sets = tuple(
-            frozenset(t for t in range(m)
-                      if table[table[s][t]][s] == s and table[table[t][s]][t] == t)
-            for s in range(m))
-        object.__setattr__(self, "_inverse_sets", inverse_sets)
-        if all(len(c) == 1 for c in inverse_sets):
-            inv = tuple(next(iter(c)) for c in inverse_sets)
-        else:
-            inv = None
+        object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", inv)
-        zero = None
-        for z in range(m):
-            if all(table[z][x] == z and table[x][z] == z for x in range(m)):
-                zero = z
-                break
-        object.__setattr__(self, "zero", zero)
-        if inv is not None:
-            up_masks = []
-            for s in range(m):
-                ss = table[inv[s]][s]
-                mask = 0
-                for t in range(m):
-                    if table[t][ss] == s:
-                        mask |= 1 << t
-                up_masks.append(mask)
-            object.__setattr__(self, "_up_masks", tuple(up_masks))
-        else:
-            object.__setattr__(self, "_up_masks", None)
+        object.__setattr__(self, "zero", _find_zero(table, idempotents))
+        object.__setattr__(self, "_up_masks",
+                           _up_masks(table, inv) if inv is not None else None)
+        object.__setattr__(self, "_down_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteInverseSemigroup is immutable")
@@ -127,8 +117,7 @@ class FiniteInverseSemigroup:
     def lower_set(self, s: int) -> frozenset[int]:
         """All t with t <= s."""
         self._check_index(s)
-        masks = self._require_up_masks()
-        return frozenset(t for t in range(self.order) if masks[t] >> s & 1)
+        return _mask_to_set(self._require_down_masks()[s])
 
     def up_set(self, subset: Iterable[int], relation: str = UP) -> frozenset[int]:
         """A^rel = {b : a rel b for some a in A}, rel one of "leq"/"geq".
@@ -141,26 +130,27 @@ class FiniteInverseSemigroup:
         for a in members:
             self._check_index(a)
         if relation == UP:
-            out: set[int] = set()
             masks = self._require_up_masks()
-            for a in members:
-                out |= _mask_to_set(masks[a])
-            return frozenset(out)
-        if relation == DOWN:
-            out = set()
-            for a in members:
-                out |= self.lower_set(a)
-            return frozenset(out)
-        raise ContractViolation(f"relation must be {UP!r} or {DOWN!r}, got {relation!r}")
+        elif relation == DOWN:
+            masks = self._require_down_masks()
+        else:
+            raise ContractViolation(f"relation must be {UP!r} or {DOWN!r}, got {relation!r}")
+        out = 0
+        for a in members:
+            out |= masks[a]
+        return _mask_to_set(out)
 
     def maximal_elements(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """Members of `subset` not strictly below another member; sorted."""
+        """Members of `subset` not strictly below another member; sorted.
+
+        a is maximal iff the up-set of a meets `subset` in a alone.
+        """
         members = sorted(set(subset))
-        out = []
         for a in members:
-            if not any(b != a and self.leq(a, b) for b in members):
-                out.append(a)
-        return tuple(out)
+            self._check_index(a)
+        masks = self._require_up_masks()
+        inside = _set_to_mask(members)
+        return tuple(a for a in members if masks[a] & inside == 1 << a)
 
     # -- derived sets ------------------------------------------------------
 
@@ -188,6 +178,17 @@ class FiniteInverseSemigroup:
         if self._up_masks is None:
             raise ContractViolation("table is not an inverse semigroup; order undefined")
         return self._up_masks
+
+    def _require_down_masks(self):
+        """The transpose of the up-masks, built on first use in time
+        linear in the size of the order relation."""
+        if self._down_masks is None:
+            down = [0] * self.order
+            for s, mask in enumerate(self._require_up_masks()):
+                for t in _bits(mask):
+                    down[t] |= 1 << s
+            object.__setattr__(self, "_down_masks", tuple(down))
+        return self._down_masks
 
     def __len__(self) -> int:
         return self.order
@@ -248,6 +249,8 @@ def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
     """Check associativity and uniqueness of generalized inverses.
 
     Exhaustive over all triples/pairs, so intended for desk-scale tables.
+    Reads only `S.mul`: the certificate never depends on what the
+    constructor derived.
     """
     mul = S.mul
     m = S.order
@@ -259,9 +262,9 @@ def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
                 if mul[ab][c] != row_a[mul[b][c]]:
                     return VerificationResult(False, "associativity", (a, b, c))
     for s in range(m):
-        cands = S._inverse_sets[s]
+        cands = inverse_candidates(mul, s)
         if len(cands) != 1:
-            return VerificationResult(False, "inverse-uniqueness", (s, tuple(sorted(cands))))
+            return VerificationResult(False, "inverse-uniqueness", (s, cands))
     return VerificationResult(True)
 
 
@@ -339,7 +342,10 @@ def close(generators: Sequence[PartialBijection],
         for p, a in products:
             row.append(right[row[p]][a])
         mul.append(tuple(row))
-    return FiniteInverseSemigroup(mul, labels=elements)
+    # The closure is an inverse subsemigroup of I_n, so the inverse of
+    # each element is the element labelled by its inverse map.
+    return FiniteInverseSemigroup(mul, labels=elements,
+                                  _inverse=[index[el.invert()] for el in elements])
 
 
 def is_closure_of(S: FiniteInverseSemigroup,
@@ -361,12 +367,59 @@ def is_closure_of(S: FiniteInverseSemigroup,
                for a, row in zip(labels, S.mul) for b, p in zip(labels, row))
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    t = 0
+def inverse_candidates(mul: Sequence[Sequence[int]], s: int) -> tuple[int, ...]:
+    """All t with s t s = s and t s t = t, by a scan over the table."""
+    return tuple(t for t, st in enumerate(mul[s])
+                 if mul[st][s] == s and mul[mul[t][s]][t] == t)
+
+
+def _find_zero(table, idempotents) -> int | None:
+    """The absorbing element, if any.
+
+    A zero is idempotent and absorbs every product it enters, so it is
+    the product z of all idempotents (in any order); one check of z
+    decides.
+    """
+    z = None
+    for e in idempotents:
+        z = e if z is None else table[z][e]
+    if z is None or any(v != z for v in table[z]) or any(row[z] != z for row in table):
+        return None
+    return z
+
+
+def _up_masks(table, inv) -> tuple[int, ...]:
+    """Bit t of the s-th mask is set iff s <= t.
+
+    s <= t iff s s* t = s, so the up-set of s is where s occurs in the
+    row of s s*: C-level scans of one stored row per element, not a
+    Python loop over all m elements.
+    """
+    up = []
+    for s in range(len(table)):
+        row = table[table[s][inv[s]]]
+        mask, t = 0, -1
+        for _ in range(row.count(s)):
+            t = row.index(s, t + 1)
+            mask |= 1 << t
+        up.append(mask)
+    return tuple(up)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, ascending."""
     while mask:
-        if mask & 1:
-            out.append(t)
-        mask >>= 1
-        t += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _set_to_mask(members: Iterable[int]) -> int:
+    mask = 0
+    for a in members:
+        mask |= 1 << a
+    return mask
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(_bits(mask))

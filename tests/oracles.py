@@ -3,7 +3,9 @@
 Everything here recomputes results by a different route than the
 implementation under test: set-semantics fixpoint closure, all-pairs
 indexed closure, order scans
-from the defining identities, brute-force least upper bounds, bounded
+from the defining identities, brute-force least upper bounds, the
+exhaustive table scans, finite-cover criterion and union-find germ
+classes that the package replaced by structural computations, bounded
 word-rewriting for free inverse monoids, and evaluation of words under
 homomorphisms into small symmetric inverse monoids.
 """
@@ -11,6 +13,7 @@ homomorphisms into small symmetric inverse monoids.
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 from invsemi import (
     BudgetExceeded,
@@ -118,6 +121,125 @@ def union_join(S: FiniteInverseSemigroup, members) -> int | None:
         if el == target:
             return i
     return None
+
+
+# -- table derivation, criterion and germ scans -----------------------------
+
+def inverse_sets_scan(mul):
+    """Generalized inverses of every element: all t with s t s = s and t s t = t."""
+    m = len(mul)
+    return tuple(
+        frozenset(t for t in range(m)
+                  if mul[mul[s][t]][s] == s and mul[mul[t][s]][t] == t)
+        for s in range(m))
+
+
+def zero_scan(mul):
+    """The first element absorbing every product, or None."""
+    m = len(mul)
+    for z in range(m):
+        if all(mul[z][x] == z and mul[x][z] == z for x in range(m)):
+            return z
+    return None
+
+
+def up_masks_scan(S: FiniteInverseSemigroup):
+    """Bit t of mask s set iff t s* s = s, testing every t for every s."""
+    table, m = S.mul, S.order
+    out = []
+    for s in range(m):
+        ss = table[S.inv[s]][s]
+        mask = 0
+        for t in range(m):
+            if table[t][ss] == s:
+                mask |= 1 << t
+        out.append(mask)
+    return tuple(out)
+
+
+def leq_scan(S: FiniteInverseSemigroup, s: int, t: int) -> bool:
+    """s <= t iff t s* s = s, read off the table."""
+    return S.mul[t][S.mul[S.inv[s]][s]] == s
+
+
+def lower_set_scan(S: FiniteInverseSemigroup, s: int) -> frozenset[int]:
+    return frozenset(t for t in range(S.order) if leq_scan(S, t, s))
+
+
+def maximal_elements_scan(S: FiniteInverseSemigroup, subset) -> tuple[int, ...]:
+    """Members not strictly below another member, by testing every pair."""
+    members = sorted(set(subset))
+    return tuple(a for a in members
+                 if not any(b != a and leq_scan(S, a, b) for b in members))
+
+
+def hausdorff_scan(S: FiniteInverseSemigroup, s: int):
+    """(J_s, maximal elements of J_s, their downward closure), by scans:
+    J_s as the idempotents e with s e = e, the order by `leq_scan`."""
+    jset = frozenset(e for e in S.idempotents if S.mul[s][e] == e)
+    witness = maximal_elements_scan(S, jset)
+    down = frozenset().union(*(lower_set_scan(S, f) for f in witness))
+    return jset, witness, down
+
+
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            x, p[x] = p[x], p[p[x]]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def germ_groupoid_scan(action):
+    """Germ classes by union-find, plus the structure maps and every
+    composable pair; the same numbering as `invsemi.build_germs`.
+
+    (s, x) is joined to (s e, x) for every idempotent e whose domain
+    holds x; the idempotents at x are found by scanning all domains.
+    """
+    S = action.semigroup
+    omega = action.germ_pairs()
+    index = {pair: i for i, pair in enumerate(omega)}
+    uf = _UnionFind(len(omega))
+    for i, (s, x) in enumerate(omega):
+        for e in sorted(S.idempotents):
+            if x in action.domain_of[e]:
+                uf.union(i, index[(S.mul[s][e], x)])
+    groups: dict[int, list] = {}
+    for i, pair in enumerate(omega):
+        groups.setdefault(uf.find(i), []).append(pair)
+    classes = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+    class_of = {pair: cid for cid, group in enumerate(classes) for pair in group}
+    reps = [group[0] for group in classes]
+    source, target, inverse = [], [], []
+    for s, x in reps:
+        y = action.act(s, x)
+        source.append(class_of[(S.mul[S.inv[s]][s], x)])
+        target.append(class_of[(S.mul[s][S.inv[s]], y)])
+        inverse.append(class_of[(S.inv[s], y)])
+    at_point: dict[int, list[int]] = {}
+    for cid, (_, x) in enumerate(reps):
+        at_point.setdefault(x, []).append(cid)
+    composition = {}
+    for c2, (t, x) in enumerate(reps):
+        for c1 in at_point.get(action.act(t, x), ()):
+            composition[(c1, c2)] = class_of[(S.mul[reps[c1][0]][t], x)]
+    return SimpleNamespace(
+        classes=tuple(classes), class_of=class_of,
+        units=frozenset(cid for cid, group in enumerate(classes)
+                        if any(s in S.idempotents for s, _ in group)),
+        source=tuple(source), target=tuple(target), inverse=tuple(inverse),
+        composition=composition)
 
 
 # -- free inverse monoid oracles (rank 1) --------------------------------
