@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import ContractViolation
-from .semigroup import FiniteInverseSemigroup
+from .semigroup import FiniteInverseSemigroup, generating_set, is_associative
 
 
 class FiniteAction:
@@ -105,17 +105,45 @@ class FiniteAction:
                 if self.table[(e, x)] != x:
                     raise ContractViolation(
                         f"idempotent {e} must act as the identity on its domain")
+        maps, mul = self._maps(), S.mul
+        gens = generating_set(mul)
+        # Generators suffice when S is associative (see `_homomorphic_at`);
+        # otherwise, or on a fault, the scan over all pairs names the first.
+        if is_associative(mul, gens) and all(_homomorphic_at(maps, mul, s) for s in gens):
+            return
         for s in S.elements():
             for t in S.elements():
-                st = S.mul[s][t]
-                dom_s = self.domain(s)
-                composite = {x: self.table[(s, self.table[(t, x)])]
-                             for x in self.domain(t)
-                             if self.table[(t, x)] in dom_s}
-                direct = {x: self.table[(st, x)] for x in self.domain(st)}
-                if composite != direct:
-                    raise ContractViolation(
-                        f"action is not a homomorphism at ({s}, {t})")
+                if maps[mul[s][t]] != _compose(maps[s], maps[t]):
+                    raise ContractViolation(f"action is not a homomorphism at ({s}, {t})")
+
+    def _maps(self) -> list[tuple[int, ...]]:
+        """Each element as a tuple of n + 1 images, -1 where undefined;
+        the last entry is -1, so looking up -1 again yields -1."""
+        n = self.space_size
+        maps = []
+        for s in self.semigroup.elements():
+            image = [-1] * (n + 1)
+            for x in self.domain(s):
+                image[x] = self.table[(s, x)]
+            maps.append(tuple(image))
+        return maps
+
+
+def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The partial map f after g, in the -1-padded form of `_maps`."""
+    return tuple(map(f.__getitem__, g))
+
+
+def _homomorphic_at(maps, mul, s: int) -> bool:
+    """phi(s t) = phi(s) phi(t) for every t.
+
+    If S is associative, checking this for s in a generating set is
+    enough: the set H of such s is closed under products, since for
+    a, b in H, phi((a b) t) = phi(a (b t)) = phi(a) phi(b t)
+    = phi(a) phi(b) phi(t) = phi(a b) phi(t).
+    """
+    f, row = maps[s], mul[s]
+    return all(maps[row[t]] == _compose(f, g) for t, g in enumerate(maps))
 
 
 def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:

@@ -101,6 +101,15 @@ def _semigroup_summary(S: FiniteInverseSemigroup, check=None) -> dict:
     }
 
 
+def _require_inverse_semigroup(S: FiniteInverseSemigroup, input_file):
+    """The verifier's outcome on S; a ParseError unless it passed."""
+    check = verify_inverse_semigroup(S)
+    if not check.ok:
+        raise ParseError(f"{input_file}: not an inverse semigroup "
+                         f"({check.reason}, certificate {check.certificate})")
+    return check
+
+
 def _summary_lines(report: RunReport, stats: dict) -> None:
     zero = stats["zero"] if stats["zero"] is not None else "none"
     report.line(f"order={stats['order']} idempotents={stats['idempotent_count']} "
@@ -187,6 +196,8 @@ def germs(input_file, self_action, fmt, budget, verify, timing):
     """Build the germ groupoid of an action (action file, or --self)."""
     if self_action:
         S = formats.load_semigroup(input_file, budget=budget)
+        if S.inv is None:  # left translation needs the inverse map
+            _require_inverse_semigroup(S, input_file)
         action = left_translation_action(S)
     else:
         action = formats.load_action(input_file, budget=budget)
@@ -254,10 +265,7 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
         return _symbolic_report("criterion", family, element_expr, truncation,
                                 rank, graph_file, verify)
     S = formats.load_semigroup(input_file, budget=budget)
-    check = verify_inverse_semigroup(S)
-    if not check.ok:
-        raise ParseError(f"{input_file}: not an inverse semigroup "
-                         f"({check.reason}, certificate {check.certificate})")
+    check = _require_inverse_semigroup(S, input_file)
     report = RunReport(command="criterion", input_digest=file_digest(input_file))
     report.semigroup = _semigroup_summary(S, check)
     report.line(f"criterion {input_file}")

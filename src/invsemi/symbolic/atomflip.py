@@ -93,13 +93,25 @@ def _elements(n_atoms: int) -> tuple[AtomFlipElement, ...]:
 
 
 def truncation(n_atoms: int) -> FiniteInverseSemigroup:
-    """The finite inverse semigroup on ZERO, FLIP, SQUARE and n atoms."""
+    """The finite inverse semigroup on ZERO, FLIP, SQUARE and n atoms.
+
+    Indices 0, 1, 2 are ZERO, FLIP, SQUARE and 2 + i is atom:i.  The
+    rows follow the rules of `multiply`: ZERO times anything is ZERO,
+    SQUARE times t is t, FLIP times t is t except FLIP FLIP = SQUARE
+    and FLIP SQUARE = FLIP, and atom a times FLIP, SQUARE or a is a,
+    times anything else ZERO.  Every element is its own inverse.
+    """
     if n_atoms < 0:
         raise ContractViolation("atom count must be non-negative")
-    els = _elements(n_atoms)
-    index = {el: i for i, el in enumerate(els)}
-    mul = [[index[multiply(a, b)] for b in els] for a in els]
-    return FiniteInverseSemigroup(mul, labels=els)
+    m = n_atoms + 3
+    flip = list(range(m))
+    flip[1], flip[2] = 2, 1
+    mul = [[0] * m, flip, range(m)]
+    for a in range(3, m):
+        row = [0] * m
+        row[1] = row[2] = row[a] = a
+        mul.append(row)
+    return FiniteInverseSemigroup(mul, labels=_elements(n_atoms), _inverse=range(m))
 
 
 def criterion(s: AtomFlipElement, truncation_atoms: int | None = None) -> SymbolicCriterionReport:

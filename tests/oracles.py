@@ -4,8 +4,10 @@ Everything here recomputes results by a different route than the
 implementation under test: set-semantics fixpoint closure, all-pairs
 indexed closure, order scans
 from the defining identities, brute-force least upper bounds, the
-exhaustive table scans, finite-cover criterion and union-find germ
-classes that the package replaced by structural computations, bounded
+exhaustive table scans, finite-cover criterion, union-find germ
+classes, all-triples associativity and all-pairs homomorphism checks
+and the multiply-every-pair atom-flip truncation that the package
+replaced by structural computations, bounded
 word-rewriting for free inverse monoids, and evaluation of words under
 homomorphisms into small symmetric inverse monoids.
 """
@@ -23,6 +25,7 @@ from invsemi import (
     all_partial_bijections,
 )
 from invsemi.semigroup import DEFAULT_CLOSE_BUDGET
+from invsemi.symbolic.atomflip import FLIP, SQUARE, ZERO, atom, multiply
 
 
 def brute_close(generators):
@@ -327,3 +330,77 @@ def separated_by_interpretations(u, v, max_ground: int = 4) -> bool:
 def agree_under_all_interpretations(u, v, ground: int) -> bool:
     return all(evaluate_word(u, image) == evaluate_word(v, image)
                for image in all_partial_bijections(ground))
+
+
+# -- verification scans -----------------------------------------------------
+
+def verify_scan(S: FiniteInverseSemigroup):
+    """`verify_inverse_semigroup` by the exhaustive scans it replaced:
+    every triple for associativity, then every pair for inverses.
+    Returns (ok, reason, certificate)."""
+    mul = S.mul
+    m = S.order
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return False, "associativity", (a, b, c)
+    for s, cands in enumerate(inverse_sets_scan(mul)):
+        if len(cands) != 1:
+            return False, "inverse-uniqueness", (s, tuple(sorted(cands)))
+    return True, None, None
+
+
+def validate_scan(action) -> None:
+    """`FiniteAction.validate` with the homomorphism law checked on
+    every pair (s, t) as dicts of the partial maps."""
+    S = action.semigroup
+    table = action.table
+    defined = set(table)
+    expected = {(s, x) for s in S.elements() for x in action.domain(s)}
+    if defined != expected:
+        stray = sorted(defined ^ expected)[:5]
+        raise ContractViolation(f"action table domain mismatch near {stray}")
+    for s in S.elements():
+        dom, cod = action.domain(s), action.codomain(s)
+        image = {table[(s, x)] for x in dom}
+        if len(image) != len(dom) or not image <= cod:
+            raise ContractViolation(
+                f"element {s} does not act as a bijection D_s*s -> D_ss*")
+        if image != cod:
+            raise ContractViolation(
+                f"element {s} does not act onto D_ss*")
+    for e in S.idempotents:
+        for x in action.domain_of[e]:
+            if table[(e, x)] != x:
+                raise ContractViolation(
+                    f"idempotent {e} must act as the identity on its domain")
+    for s in S.elements():
+        for t in S.elements():
+            st = S.mul[s][t]
+            dom_s = action.domain(s)
+            composite = {x: table[(s, table[(t, x)])]
+                         for x in action.domain(t) if table[(t, x)] in dom_s}
+            direct = {x: table[(st, x)] for x in action.domain(st)}
+            if composite != direct:
+                raise ContractViolation(
+                    f"action is not a homomorphism at ({s}, {t})")
+
+
+def generated_scan(mul, gens) -> frozenset[int]:
+    """Everything the products of `gens` reach, by a set fixpoint over
+    all products of reached elements."""
+    reached = set(gens)
+    while True:
+        grown = reached | {mul[a][b] for a in reached for b in reached}
+        if grown == reached:
+            return frozenset(reached)
+        reached = grown
+
+
+def atomflip_truncation_scan(n_atoms: int) -> FiniteInverseSemigroup:
+    """The atom-flip truncation by multiplying every pair of elements."""
+    els = (ZERO, FLIP, SQUARE) + tuple(atom(i) for i in range(1, n_atoms + 1))
+    index = {el: i for i, el in enumerate(els)}
+    return FiniteInverseSemigroup([[index[multiply(a, b)] for b in els] for a in els],
+                                  labels=els)

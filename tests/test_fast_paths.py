@@ -1,9 +1,13 @@
-"""Table derivation, the finite-cover criterion and germ classes against
-the exhaustive scans they replaced (kept in `oracles`).
+"""Table derivation, the finite-cover criterion, germ classes, the
+generator-local verify and action checks and the closed-form atom-flip
+truncation against the exhaustive scans they replaced (kept in
+`oracles`).
 
 Each check runs on I_1-I_4, on the atom-flip truncations F_0-F_8 and on
 seeded random closures, for both the left-translation action and the
-natural action of a closure on its ground set.
+natural action of a closure on its ground set; the verify and action
+checks also run on random magma tables and on fixtures with one entry
+corrupted.
 """
 
 import json
@@ -18,25 +22,32 @@ from invsemi import (
     FiniteAction,
     FiniteInverseSemigroup,
     ParseError,
+    PartialBijection,
     all_partial_bijections,
     build_germs,
     close,
     hausdorff_criterion,
     left_translation_action,
+    verify_inverse_semigroup,
 )
+from invsemi import action as action_mod
 from invsemi import cli, semigroup
 from invsemi.formats import load_semigroup
 from invsemi.symbolic import atomflip
 from oracles import (
+    atomflip_truncation_scan,
+    generated_scan,
     germ_groupoid_scan,
     hausdorff_scan,
     inverse_sets_scan,
     lower_set_scan,
     maximal_elements_scan,
     up_masks_scan,
+    validate_scan,
+    verify_scan,
     zero_scan,
 )
-from test_closure import generator_lists, symmetric_generators
+from test_closure import generator_lists, partial_bijections, symmetric_generators
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,3 +222,253 @@ def test_degenerate_table_files_are_parse_errors(tmp_path, doc):
     with pytest.raises(ParseError):
         load_semigroup(path)
     assert exit_code("close", str(path))[0] == 2
+
+
+# -- generator-local verify and action checks --------------------------------
+
+@st.composite
+def magma_tables(draw):
+    m = draw(st.integers(1, 5))
+    return [draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+            for _ in range(m)]
+
+
+@st.composite
+def small_generator_lists(draw):
+    """Generators on at most 3 points: closures small enough for the
+    O(m^3) scan."""
+    n = draw(st.integers(1, 3))
+    return draw(st.lists(partial_bijections(n), min_size=1, max_size=4))
+
+
+SMALL = {**{f"I_{n}": list(all_partial_bijections(n)) for n in range(1, 4)},
+         "Z_3": symmetric_generators(3)[1:2]}
+SMALL_FIXTURES = [*SMALL, "F_0", "F_1", "F_4", "F_8"]
+
+
+def small_fixture(name):
+    if name in SMALL:
+        return close(SMALL[name])
+    return atomflip.truncation(int(name[2:]))
+
+
+def check_verify(mul):
+    """Verify agrees with the scan in verdict, reason and certificate;
+    the generating set reaches every element."""
+    S = FiniteInverseSemigroup(mul)
+    result = verify_inverse_semigroup(S)
+    expected = verify_scan(S)
+    assert (result.ok, result.reason, result.certificate) == expected
+    gens = semigroup.generating_set(S.mul)
+    assert generated_scan(S.mul, gens) == frozenset(range(S.order))
+    assert semigroup.is_associative(S.mul, gens) == (expected[1] != "associativity")
+
+
+def corrupted(mul, i, j, value):
+    rows = [list(row) for row in mul]
+    rows[i][j] = value
+    return rows
+
+
+def test_verify_on_one_element_table():
+    assert semigroup.generating_set([[0]]) == (0,)
+    assert semigroup.is_associative([[0]], (0,))
+    check_verify([[0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(magma_tables())
+def test_verify_matches_scan_on_random_magmas(mul):
+    check_verify(mul)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_FIXTURES), st.data())
+def test_verify_matches_scan_with_one_cell_corrupted(name, data):
+    mul = small_fixture(name).mul
+    m = len(mul)
+    i, j, value = (data.draw(st.integers(0, m - 1)) for _ in range(3))
+    check_verify(corrupted(mul, i, j, value))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_generator_lists())
+def test_verify_matches_scan_on_random_closures(gens):
+    check_verify(close(gens).mul)
+
+
+TABLES = {"left_zero": [[0, 0], [1, 1]],
+          "chain_5": [[max(i, j) for j in range(5)] for i in range(5)]}
+
+
+# I_4 is left to the guard below: the scan over 209^3 triples is slow.
+@pytest.mark.parametrize("name", [*(f for f in FIXTURES if f != "I_4"), *TABLES])
+def test_verify_matches_scan_on_fixtures(name):
+    check_verify(TABLES[name] if name in TABLES else fixture(name).mul)
+
+
+def test_verify_never_scans_triples_on_i4(monkeypatch):
+    def refuse(mul):
+        raise AssertionError("exhaustive associativity scan")
+
+    S = close(symmetric_generators(4))
+    table = FiniteInverseSemigroup(S.mul)
+    monkeypatch.setattr(semigroup, "first_non_associative_triple", refuse)
+    assert verify_inverse_semigroup(S).ok and verify_inverse_semigroup(table).ok
+    assert generated_scan(S.mul, semigroup.generating_set(S.mul)) == set(S.elements())
+    with pytest.raises(AssertionError):
+        verify_inverse_semigroup(FiniteInverseSemigroup(corrupted(S.mul, 208, 208, 0)))
+
+
+def test_generating_set_sizes():
+    # Reaching too little is safe but costly: the counts pin the greedy pass.
+    assert all(len(semigroup.generating_set(atomflip.truncation(n).mul)) == n + 1
+               for n in (2, 3, 8, 64))
+    els = list(all_partial_bijections(4))
+    index = {el: i for i, el in enumerate(els)}
+    table = [[index[a.compose(b)] for b in els] for a in els]
+    assert len(semigroup.generating_set(table)) == 5
+    assert len(semigroup.generating_set(close(symmetric_generators(4)).mul)) == 3
+
+
+def validate_message(action):
+    try:
+        action.validate()
+    except ContractViolation as exc:
+        return str(exc)
+    return None
+
+
+def scan_message(action):
+    try:
+        validate_scan(action)
+    except ContractViolation as exc:
+        return str(exc)
+    return None
+
+
+def with_table(action, table):
+    return FiniteAction(action.semigroup, action.space_size, action.domain_of, table)
+
+
+def actions_of(S):
+    yield left_translation_action(S)
+    if S.labels and hasattr(S.labels[0], "ground_size"):
+        yield natural_action(S)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_FIXTURES), st.booleans(), st.data())
+def test_validate_matches_scan_with_one_entry_corrupted(name, natural, data):
+    actions = list(actions_of(small_fixture(name)))
+    action = actions[-1] if natural else actions[0]
+    assert validate_message(action) is scan_message(action) is None
+    keys = sorted(action.table)
+    if not keys:
+        return
+    table = dict(action.table)
+    s, x = data.draw(st.sampled_from(keys))
+    if data.draw(st.booleans()):
+        # any value: mostly caught by the bijection checks
+        table[(s, x)] = data.draw(st.integers(0, action.space_size))
+    else:
+        # swap two images of s: still a bijection, so the idempotent or
+        # homomorphism check has to catch it
+        y = data.draw(st.sampled_from(sorted(action.domain(s))))
+        table[(s, x)], table[(s, y)] = table[(s, y)], table[(s, x)]
+    broken = with_table(action, table)
+    assert validate_message(broken) == scan_message(broken)
+
+
+@pytest.mark.parametrize("name", ["I_2", "I_3", "F_4"])
+def test_validate_names_the_first_non_homomorphic_pair(name):
+    S = small_fixture(name)
+    action = left_translation_action(S)
+    s = next(s for s in S.elements() if s not in S.idempotents and len(action.domain(s)) > 1)
+    x, y = sorted(action.domain(s))[:2]
+    table = dict(action.table)
+    table[(s, x)], table[(s, y)] = table[(s, y)], table[(s, x)]
+    broken = with_table(action, table)
+    message = validate_message(broken)
+    assert message == scan_message(broken)
+    assert message.startswith("action is not a homomorphism at ")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_generator_lists())
+def test_validate_accepts_actions_of_random_closures(gens):
+    for action in actions_of(close(gens)):
+        assert validate_message(action) is scan_message(action) is None
+
+
+def test_validate_checks_every_pair_on_a_non_associative_table():
+    # idempotents 0 and 1 with unique inverses, but (2 2) 1 != 2 (2 1)
+    S = FiniteInverseSemigroup([[0, 2, 2], [2, 1, 2], [1, 0, 1]])
+    assert S.inv is not None
+    assert not semigroup.is_associative(S.mul, semigroup.generating_set(S.mul))
+    action = FiniteAction(S, 1, {0: {0}, 1: set()}, {(0, 0): 0})
+    # the law holds at every generator, so only the all-pairs loop sees the fault
+    maps = action._maps()
+    assert all(action_mod._homomorphic_at(maps, S.mul, s)
+               for s in semigroup.generating_set(S.mul))
+    assert validate_message(action) == scan_message(action) \
+        == "action is not a homomorphism at (2, 1)"
+
+
+def test_validate_checks_only_generators_on_i4(monkeypatch):
+    calls = []
+    compose = action_mod._compose
+
+    def counting(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    S = close(symmetric_generators(4))
+    monkeypatch.setattr(action_mod, "_compose", counting)
+    left_translation_action(S).validate()
+    natural_action(S).validate()
+    assert len(calls) <= 2 * len(semigroup.generating_set(S.mul)) * S.order
+
+
+@pytest.mark.parametrize("n", [*range(65), 2048])
+def test_truncation_matches_pairwise_products(n):
+    S, O = atomflip.truncation(n), atomflip_truncation_scan(n)
+    assert S.mul == O.mul and S.labels == O.labels and S.inv == O.inv
+    assert (S.zero, S.idempotents, S._up_masks) == (O.zero, O.idempotents, O._up_masks)
+
+
+def test_cli_reports_the_scan_certificates(tmp_path):
+    table = corrupted(close(SMALL["I_2"]).mul, 3, 4, 0)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"version": 1, "kind": "table", "mul_table": table}))
+    ok, reason, certificate = verify_scan(FiniteInverseSemigroup(table))
+    assert not ok and reason == "associativity"
+    code, output = exit_code("close", str(path))
+    assert code == 0
+    assert f"verifier: FAILED (associativity) certificate={list(certificate)}" in output
+
+    # Z_3 = {g, g^2, 1}, both g and g^2 acting as one transposition
+    S = close([PartialBijection(3, {0: 1, 1: 2, 2: 0})])
+    images = {s: {0: 0, 1: 1, 2: 2} if s in S.idempotents else {0: 1, 1: 0, 2: 2}
+              for s in S.elements()}
+    action = FiniteAction(S, 3, {e: range(3) for e in S.idempotents},
+                          {(s, x): y for s, image in images.items() for x, y in image.items()})
+    message = scan_message(action)
+    assert message.startswith("action is not a homomorphism at ")
+    (tmp_path / "z3.json").write_text(json.dumps(
+        {"version": 1, "kind": "generators", "ground_size": 3,
+         "generators": [[[0, 1], [1, 2], [2, 0]]]}))
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({
+        "version": 1, "semigroup": "z3.json", "space_size": 3,
+        "domains": [[e, [0, 1, 2]] for e in sorted(S.idempotents)],
+        "action": [[s, sorted(image.items())] for s, image in images.items()]}))
+    code, output = exit_code("germs", str(path))
+    assert code == 2 and output.rstrip().endswith(f"invalid action: {message}")
+
+
+def test_germs_of_a_table_without_unique_inverses_is_a_parse_error():
+    code, output = exit_code("germs", str(DATA / "left_zero.json"), "--self")
+    assert code == 2
+    assert output.endswith("not an inverse semigroup "
+                           "(inverse-uniqueness, certificate (0, (0, 1)))\n")
