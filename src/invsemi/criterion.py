@@ -10,10 +10,11 @@ interesting refutations live in the `symbolic` families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
-from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask
+from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask, generating_set
 
 HAUSDORFF_WITNESS = "HAUSDORFF_WITNESS"
 REFUTED = "REFUTED"
@@ -75,10 +76,15 @@ def _join_unchecked(S: FiniteInverseSemigroup, members: Sequence[int]) -> int | 
     ub = masks[members[0]]
     for a in members[1:]:
         ub &= masks[a]
+    return _least(ub, masks)
+
+
+def _least(ub: int, up: Sequence[int]) -> int | None:
+    """The least element of the set of common upper bounds `ub`, if any."""
     probe = ub
     while probe:
         u = (probe & -probe).bit_length() - 1
-        if ub & ~masks[u] == 0:
+        if ub & ~up[u] == 0:
             return u
         probe &= probe - 1
     return None
@@ -88,9 +94,10 @@ def _join_unchecked(S: FiniteInverseSemigroup, members: Sequence[int]) -> int | 
 class CompletenessResult:
     """Outcome of the complete + infinitely-distributive check.
 
-    `certificate` on failure is ("join", A) when a compatible set A has
-    no least upper bound, or ("left"/"right", s, A) when a distributive
-    identity fails for s over A.
+    `certificate` on failure is ("join", A) when a compatible set A (a
+    pair, or a triple) has no least upper bound, or ("left"/"right", g,
+    (a, b)) when g(a v b) != ga v gb, or (a v b)g != ag v bg.
+    `subsets_checked` counts the compatible pairs examined.
     """
 
     ok: bool
@@ -101,78 +108,92 @@ class CompletenessResult:
         return self.ok
 
 
+def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
+    """Bit t of the s-th mask is set iff s and t are compatible.
+
+    s* t is read off the row of s*, and s t* off the column of s*, since
+    s t* is idempotent iff its inverse t s* is.  Each row becomes a
+    string of idempotent flags by one C-level lookup; the columns are
+    strided slices of the rows laid end to end.
+    """
+    m = S.order
+    flags = bytes(b"01"[e in S.idempotents] for e in range(m))  # ASCII digits
+    # A one-index itemgetter returns a scalar; the one-element table is [[0]].
+    rows = [bytes(itemgetter(*row)(flags)) for row in S.mul] if m > 1 else [flags] * m
+    table = b"".join(rows)
+    return tuple(int(rows[x][::-1], 2) & int(table[x::m][::-1], 2) for x in S.inv)
+
+
 def is_complete_and_distributive(S: FiniteInverseSemigroup,
                                  budget: int | None = None) -> CompletenessResult:
-    """Exhaust all nonempty pairwise-compatible subsets (up to `budget`).
+    """Does every compatible subset A of S have a join vA, with
+    s(vA) = v(sA) and (vA)s = v(As) for every s?  S must be an inverse
+    semigroup (as `verify_inverse_semigroup` decides).
 
-    For each such subset A: the join must exist, and for every s the
-    translates s(vA) and (vA)s must equal the joins of sA and As.
-    Budget counts enumerated subsets; exceeding it raises BudgetExceeded
-    since a partial scan proves nothing.
+    Decided on compatible pairs a < b, with a v b their join:
+      (i)   every compatible pair has a join;
+      (ii)  every c compatible with a and b is compatible with a v b;
+      (iii) g(a v b) = ga v gb and (a v b)g = ag v bg for every g in
+            `generating_set`.
+    (i) and (ii) run over all pairs before (iii), so a missing join is
+    found before any translate is taken.  Budget counts the pairs
+    examined by (i) and (ii); exceeding it raises BudgetExceeded, since
+    a partial check proves nothing.
+
+    This is the scan over every nonempty pairwise-compatible subset,
+    which lives on as `oracles.completeness_scan`:
+    - Elements below a common bound w are compatible (x*y = x*x w*w y*y
+      and x y* = w x*x y*y w* are idempotent; Lawson, Inverse
+      Semigroups, 1998, §1.4).  So if {a, b, c} has a join, it lies
+      above a v b and c, and a failure of (ii) is a triple with no join.
+    - Conversely, by induction on |A|, every clique A has a join, and
+      every c compatible with all of A is compatible with vA: for
+      A = A' + {a}, both a and c are compatible with vA', so (i) gives
+      w = (vA') v a, which is the join of A, and (ii) gives c ~ w.
+    - Compatibility survives multiplication (s a ~ s b when a ~ b), so
+      the g with g(a v b) = ga v gb for all pairs are closed under
+      products: (gh)(a v b) = g(ha v hb) = gha v ghb.  (iii) over
+      generators thus holds for every s, and the same induction turns
+      s((vA') v a) = s(vA') v sa into s(vA) = v(sA); likewise on the
+      right.
     """
     if budget is None:
         budget = DEFAULT_SUBSET_BUDGET
-    m = S.order
-    mul = S.mul
-    comp_masks = []
-    for s in range(m):
-        mask = 0
-        for t in range(m):
-            if compatible(S, s, t):
-                mask |= 1 << t
-        comp_masks.append(mask)
-
+    m, mul = S.order, S.mul
+    up = S._require_up_masks()
+    comp = _compatibility_masks(S)
+    joins: dict[tuple[int, int], int] = {}
     checked = 0
-
-    def extend(members: list[int], allowed: int):
-        nonlocal checked
-        probe = allowed
-        while probe:
-            c = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            members.append(c)
+    for a in range(m):
+        comp_a = comp[a]
+        for b in _bits(comp_a >> (a + 1) << (a + 1)):
             checked += 1
             if checked > budget:
-                raise BudgetExceeded(
-                    f"completeness scan exceeded subset budget {budget}", budget)
-            result = _check_clique(S, mul, comp_masks, members)
-            if result is not None:
-                return result
-            higher = allowed & comp_masks[c] & ~((1 << (c + 1)) - 1)
-            result = extend(members, higher)
-            if result is not None:
-                return result
-            members.pop()
-        return None
+                total = sum((mask >> (s + 1)).bit_count() for s, mask in enumerate(comp))
+                raise BudgetExceeded(f"completeness: exceeded pair budget {budget} "
+                                     f"of {total} compatible pairs", budget)
+            v = _least(up[a] & up[b], up)
+            if v is None:
+                return CompletenessResult(False, ("join", (a, b)), checked)
+            stray = comp_a & comp[b] & ~comp[v]
+            if stray:
+                c = (stray & -stray).bit_length() - 1
+                return CompletenessResult(False, ("join", tuple(sorted((a, b, c)))), checked)
+            joins[a, b] = v
 
-    cert = extend([], (1 << m) - 1)
-    if cert is not None:
-        return CompletenessResult(False, cert, checked)
+    def pair_join(x: int, y: int) -> int | None:
+        return x if x == y else joins.get((x, y) if x < y else (y, x))
+
+    gens = generating_set(mul)
+    for (a, b), v in joins.items():
+        row_a, row_b, row_v = mul[a], mul[b], mul[v]
+        for g in gens:
+            row_g = mul[g]
+            if row_g[v] != pair_join(row_g[a], row_g[b]):
+                return CompletenessResult(False, ("left", g, (a, b)), checked)
+            if row_v[g] != pair_join(row_a[g], row_b[g]):
+                return CompletenessResult(False, ("right", g, (a, b)), checked)
     return CompletenessResult(True, None, checked)
-
-
-def _mask_compatible(comp_masks, members) -> bool:
-    return all(comp_masks[a] >> b & 1 for i, a in enumerate(members)
-               for b in members[i + 1:])
-
-
-def _check_clique(S, mul, comp_masks, members):
-    v = _join_unchecked(S, members)
-    if v is None:
-        return ("join", tuple(members))
-    for s in range(S.order):
-        row = mul[s]
-        left = sorted({row[a] for a in members})
-        lj = (_join_unchecked(S, left)
-              if _mask_compatible(comp_masks, left) else None)
-        if lj != row[v]:
-            return ("left", s, tuple(members))
-        right = sorted({mul[a][s] for a in members})
-        rj = (_join_unchecked(S, right)
-              if _mask_compatible(comp_masks, right) else None)
-        if rj != mul[v][s]:
-            return ("right", s, tuple(members))
-    return None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ from the defining identities, brute-force least upper bounds, the
 exhaustive table scans, finite-cover criterion, union-find germ
 classes, all-triples associativity and all-pairs homomorphism checks
 and the multiply-every-pair atom-flip truncation that the package
-replaced by structural computations, bounded
+replaced by structural computations, the clique scan for completeness
+(kept in `invsemi.oracles`, where `props --verify` uses it), bounded
 word-rewriting for free inverse monoids, and evaluation of words under
 homomorphisms into small symmetric inverse monoids.
 """
@@ -24,6 +25,7 @@ from invsemi import (
     PartialBijection,
     all_partial_bijections,
 )
+from invsemi.oracles import completeness_scan  # noqa: F401  (re-exported)
 from invsemi.semigroup import DEFAULT_CLOSE_BUDGET
 from invsemi.symbolic.atomflip import FLIP, SQUARE, ZERO, atom, multiply
 

@@ -1,7 +1,7 @@
 """Table derivation, the finite-cover criterion, germ classes, the
-generator-local verify and action checks and the closed-form atom-flip
-truncation against the exhaustive scans they replaced (kept in
-`oracles`).
+generator-local verify and action checks, the closed-form atom-flip
+truncation and the completeness check by pairs against the exhaustive
+scans they replaced (kept in `oracles`).
 
 Each check runs on I_1-I_4, on the atom-flip truncations F_0-F_8 and on
 seeded random closures, for both the left-translation action and the
@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from invsemi import (
+    BudgetExceeded,
     ContractViolation,
     FiniteAction,
     FiniteInverseSemigroup,
@@ -26,20 +27,25 @@ from invsemi import (
     all_partial_bijections,
     build_germs,
     close,
+    compatible,
     hausdorff_criterion,
+    is_complete_and_distributive,
     left_translation_action,
     verify_inverse_semigroup,
 )
 from invsemi import action as action_mod
 from invsemi import cli, semigroup
-from invsemi.formats import load_semigroup
+from invsemi.criterion import CompletenessResult
+from invsemi.formats import load_semigroup, semigroup_to_dict
 from invsemi.symbolic import atomflip
 from oracles import (
     atomflip_truncation_scan,
+    completeness_scan,
     generated_scan,
     germ_groupoid_scan,
     hausdorff_scan,
     inverse_sets_scan,
+    join_brute,
     lower_set_scan,
     maximal_elements_scan,
     up_masks_scan,
@@ -472,3 +478,101 @@ def test_germs_of_a_table_without_unique_inverses_is_a_parse_error():
     assert code == 2
     assert output.endswith("not an inverse semigroup "
                            "(inverse-uniqueness, certificate (0, (0, 1)))\n")
+
+
+# -- completeness by pairs against the clique scan --------------------------
+
+def chain(n):
+    return FiniteInverseSemigroup([[max(i, j) for j in range(n)] for i in range(n)])
+
+
+def check_completeness(S):
+    """The pair check decides as the clique scan does, and a failing
+    certificate is re-checked by brute-force joins."""
+    result = is_complete_and_distributive(S)
+    assert result.ok == completeness_scan(S).ok
+    if result.ok:
+        assert result.certificate is None
+        return result
+    kind, *rest = result.certificate
+    if kind == "join":
+        (members,) = rest
+        assert len(members) in (2, 3) and list(members) == sorted(set(members))
+        assert all(compatible(S, a, b) for a in members for b in members)
+        assert join_brute(S, members) is None
+    else:
+        g, (a, b) = rest
+        assert compatible(S, a, b)
+        mul, v = S.mul, join_brute(S, (a, b))
+        if kind == "left":
+            assert mul[g][v] != join_brute(S, {mul[g][a], mul[g][b]})
+        else:
+            assert kind == "right"
+            assert mul[v][g] != join_brute(S, {mul[a][g], mul[b][g]})
+    return result
+
+
+COMPLETENESS_FIXTURES = [*(f"I_{n}" for n in range(1, 4)), *(f"F_{n}" for n in range(7))]
+
+
+@pytest.mark.parametrize("name", COMPLETENESS_FIXTURES)
+def test_completeness_matches_scan_on_fixtures(name):
+    result = check_completeness(fixture(name))
+    assert result.ok == (name.startswith("I") or name in ("F_0", "F_1"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_completeness_matches_scan_on_chains(n):
+    result = check_completeness(chain(n))
+    assert result.ok and result.subsets_checked == n * (n - 1) // 2
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(generator_lists())
+def test_completeness_matches_scan_on_random_closures(gens):
+    S = close(gens)
+    assume(S.order <= 60)  # the clique scan is exponential in the clique size
+    check_completeness(S)
+
+
+def test_completeness_pair_budget_boundary_on_i3():
+    S = fixture("I_3")
+    assert is_complete_and_distributive(S, budget=159).subsets_checked == 159
+    with pytest.raises(BudgetExceeded):
+        is_complete_and_distributive(S, budget=158)
+
+
+def test_completeness_finds_the_missing_atom_join_in_f1024():
+    # The clique scan recursed once per clique member (RecursionError
+    # here) and never finished on F_64: every set of atoms joins to FLIP.
+    result = is_complete_and_distributive(atomflip.truncation(1024))
+    assert not result.ok and result.certificate == ("join", (3, 4))
+    assert result.subsets_checked == 3 * 1025  # (0, *), (1, *), (2, *), then (3, 4)
+
+
+def test_cli_props_on_f64(tmp_path):
+    path = tmp_path / "f64.json"
+    path.write_text(json.dumps(semigroup_to_dict(atomflip.truncation(64))))
+    code, output = exit_code("props", str(path))
+    assert code == 0
+    assert "complete+distributive: no (subsets checked: 195)" in output
+
+
+def test_cli_props_verify_runs_the_clique_scan(tmp_path, monkeypatch):
+    path = tmp_path / "i3.json"
+    path.write_text(json.dumps(semigroup_to_dict(fixture("I_3"))))
+    assert exit_code("props", str(path), "--verify")[0] == 0
+    # 159 pairs decide I_3, but the scan needs 1507 subsets
+    code, output = exit_code("props", str(path), "--verify", "--budget", "1000")
+    assert code == 3 and "completeness scan exceeded subset budget 1000" in output
+    monkeypatch.setattr(cli.oracles, "completeness_scan",
+                        lambda S, budget: CompletenessResult(False))
+    assert exit_code("props", str(path), "--verify")[0] == 4
+
+
+def test_action_copies_a_table_passed_in():
+    S = close(SMALL["I_2"])
+    table = dict(natural_action(S).table)
+    action = FiniteAction(S, 2, {e: S.labels[e].domain for e in S.idempotents}, table)
+    table.clear()
+    assert action.table and action.validate() is None
