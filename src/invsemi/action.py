@@ -26,10 +26,7 @@ class FiniteAction:
 
     def __init__(self, semigroup: FiniteInverseSemigroup, space_size: int,
                  domain_of: Mapping[int, frozenset[int]],
-                 table: Mapping[tuple[int, int], int], *, _fresh_table: bool = False):
-        """`_fresh_table` says the caller built `table` as a dict for this
-        action alone (`left_translation_action`, `formats.load_action`);
-        it is then kept rather than copied."""
+                 table: Mapping[tuple[int, int], int]):
         if semigroup.inv is None:
             raise ContractViolation("actions need a genuine inverse semigroup")
         if space_size < 0:
@@ -51,7 +48,7 @@ class FiniteAction:
         object.__setattr__(self, "semigroup", semigroup)
         object.__setattr__(self, "space_size", space_size)
         object.__setattr__(self, "domain_of", doms)
-        object.__setattr__(self, "table", table if _fresh_table else dict(table))
+        object.__setattr__(self, "table", dict(table))
         object.__setattr__(self, "_idempotents_at",
                            {x: tuple(es) for x, es in at.items()})
 
@@ -157,4 +154,4 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
         ss = S.mul[S.inv[s]][s]
         for x in domains[ss]:
             table[(s, x)] = S.mul[s][x]
-    return FiniteAction(S, S.order, domains, table, _fresh_table=True)
+    return FiniteAction(S, S.order, domains, table)

@@ -48,7 +48,8 @@ def common_options(f):
                   default="human", show_default=True, help="Report rendering.")
     @click.option("--budget", type=int, default=None, envvar="INVSEMI_BUDGET",
                   help="Resource budget: closure elements, and compatible pairs "
-                       "examined by props (subsets for the --verify oracles).")
+                       "examined by props, whose translate checks cost at most two "
+                       "per generator and pair (subsets for the --verify oracles).")
     @click.option("--verify", is_flag=True, default=False,
                   help="Re-run the independent oracles and require agreement.")
     @click.option("--timing", is_flag=True, default=False,

@@ -138,7 +138,12 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     (i) and (ii) run over all pairs before (iii), so a missing join is
     found before any translate is taken.  Budget counts the pairs
     examined by (i) and (ii); exceeding it raises BudgetExceeded, since
-    a partial check proves nothing.
+    a partial check proves nothing.  (iii) runs over those same pairs
+    only, with two translates per generator, so its cost is at most
+    2 k times the budget for k generators.  It skips comparable pairs:
+    if a <= b then a v b = b and ga <= gb, so g(a v b) = gb = ga v gb
+    (and likewise on the right).  A chain, whose generating set is
+    every element, therefore takes no translate at all.
 
     This is the scan over every nonempty pairwise-compatible subset,
     which lives on as `oracles.completeness_scan`:
@@ -172,7 +177,12 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
                 total = sum((mask >> (s + 1)).bit_count() for s, mask in enumerate(comp))
                 raise BudgetExceeded(f"completeness: exceeded pair budget {budget} "
                                      f"of {total} compatible pairs", budget)
-            v = _least(up[a] & up[b], up)
+            if up[a] >> b & 1:  # a <= b
+                v = b
+            elif up[b] >> a & 1:
+                v = a
+            else:
+                v = _least(up[a] & up[b], up)
             if v is None:
                 return CompletenessResult(False, ("join", (a, b)), checked)
             stray = comp_a & comp[b] & ~comp[v]
@@ -184,8 +194,9 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     def pair_join(x: int, y: int) -> int | None:
         return x if x == y else joins.get((x, y) if x < y else (y, x))
 
-    gens = generating_set(mul)
-    for (a, b), v in joins.items():
+    spans = [(a, b, v) for (a, b), v in joins.items() if v != a and v != b]
+    gens = generating_set(mul) if spans else ()
+    for a, b, v in spans:
         row_a, row_b, row_v = mul[a], mul[b], mul[v]
         for g in gens:
             row_g = mul[g]

@@ -156,7 +156,7 @@ def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed domains/action: {exc}") from None
     try:
-        action = FiniteAction(S, space_size, domains, table, _fresh_table=True)
+        action = FiniteAction(S, space_size, domains, table)
         action.validate()
     except ContractViolation as exc:
         raise ParseError(f"{path}: invalid action: {exc}") from None

@@ -576,3 +576,16 @@ def test_action_copies_a_table_passed_in():
     action = FiniteAction(S, 2, {e: S.labels[e].domain for e in S.idempotents}, table)
     table.clear()
     assert action.table and action.validate() is None
+
+
+def test_completeness_takes_no_translate_on_a_long_chain(monkeypatch):
+    # Every element of a chain is a generator, so (iii) over all pairs
+    # would cost about 2 * 400 translates per pair; comparable pairs
+    # need none, and a chain has only comparable pairs.
+    from invsemi import criterion
+    monkeypatch.setattr(criterion, "generating_set", lambda mul: pytest.fail("translated"))
+    pairs = 400 * 399 // 2
+    result = is_complete_and_distributive(chain(400), budget=pairs)
+    assert result.ok and result.subsets_checked == pairs
+    with pytest.raises(BudgetExceeded):
+        is_complete_and_distributive(chain(400), budget=pairs - 1)
