@@ -53,9 +53,6 @@ from .semigroup import (
     IdempotentSet,
     VerificationResult,
     close,
-    j_set,
-    natural_leq,
-    up_set,
     verify_inverse_semigroup,
 )
 from .symbolic import (
@@ -107,11 +104,8 @@ __all__ = [
     "ideal_cover_agrees_with_order_cover",
     "is_complete_and_distributive",
     "is_e_star_unitary",
-    "j_set",
     "join",
     "left_translation_action",
-    "natural_leq",
     "truncate",
-    "up_set",
     "verify_inverse_semigroup",
 ]

@@ -43,12 +43,23 @@ class FiniteInverseSemigroup:
         `inv` is None unless each element has exactly one."""
         table = tuple(tuple(row) for row in mul)
         m = len(table)
-        for i, row in enumerate(table):
-            if len(row) != m:
-                raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
-            if min(row) < 0 or max(row) >= m:
-                v = next(v for v in row if not 0 <= v < m)
-                raise ContractViolation(f"table entry {v} out of range [0, {m})")
+        try:
+            # One pass over the cells: every row has length m and every
+            # entry is one of 0..m-1.  In place, so the transient is one
+            # set of at most the distinct entries.
+            stray = set().union(*table)
+            stray.difference_update(range(m))
+            in_range = not stray and all(len(row) == m for row in table)
+        except TypeError:  # an unhashable entry
+            in_range = False
+        if not in_range:
+            # The row-by-row check names the first bad row or entry.
+            for i, row in enumerate(table):
+                if len(row) != m:
+                    raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
+                if min(row) < 0 or max(row) >= m:
+                    v = next(v for v in row if not 0 <= v < m)
+                    raise ContractViolation(f"table entry {v} out of range [0, {m})")
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
         idempotents = frozenset(e for e in range(m) if table[e][e] == e)
@@ -253,13 +264,33 @@ def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
     Associativity is decided by Light's test over `generating_set`
     (O(k m^2) for k generators); only a table that fails it pays the
     exhaustive triple scan, which names the first violating triple
-    (a, b, c) in lexicographic order.  Inverses cost one O(m) scan per
-    element.  Reads only `S.mul`: the certificate never depends on what
-    the constructor derived.
+    (a, b, c) in lexicographic order.
+
+    Inverses are then decided from the generators: the table is an
+    inverse semigroup when every generator g is regular (has some t
+    with g t g = g and t g t = t; an idempotent is its own) and the
+    idempotents commute.  Proof: every element is a product
+    ((g1 g2) ...) gn of generators.  If s and g are regular with
+    inverses s' and g', and idempotents commute, then g' s' is an
+    inverse of s g: the idempotents g g' and s' s commute, so
+    (s g)(g' s')(s g) = s (g g')(s' s) g = s (s' s)(g g') g = s g  and
+    (g' s')(s g)(g' s') = g' (s' s)(g g') s' = g' (g g')(s' s) s' = g' s'.
+    So every element is regular, and a regular semigroup whose
+    idempotents commute is inverse (Lawson, Inverse Semigroups, 1998,
+    Thm 1.1.3): each element has exactly one inverse.  This costs one
+    O(m) scan per non-idempotent generator and |E|^2 / 2 lookups for
+    the idempotents E.  Only when it fails does every element get its
+    O(m) scan, which names the first element without exactly one
+    inverse.  Reads only `S.mul`: the certificate never depends on
+    what the constructor derived.
     """
     mul = S.mul
-    if not is_associative(mul, generating_set(mul)):
+    gens = generating_set(mul)
+    if not is_associative(mul, gens):
         return VerificationResult(False, "associativity", first_non_associative_triple(mul))
+    regular = all(mul[g][g] == g or inverse_candidates(mul, g) for g in gens)
+    if regular and _idempotents_commute(mul):
+        return VerificationResult(True)
     for s in range(S.order):
         cands = inverse_candidates(mul, s)
         if len(cands) != 1:
@@ -336,18 +367,6 @@ def first_non_associative_triple(mul: Sequence[Sequence[int]]) -> tuple[int, int
     return None
 
 
-def natural_leq(S: FiniteInverseSemigroup, s: int, t: int) -> bool:
-    return S.leq(s, t)
-
-
-def j_set(S: FiniteInverseSemigroup, s: int) -> frozenset[int]:
-    return S.j_set(s)
-
-
-def up_set(S: FiniteInverseSemigroup, subset: Iterable[int], relation: str = UP) -> frozenset[int]:
-    return S.up_set(subset, relation)
-
-
 def close(generators: Sequence[PartialBijection],
           budget: int | None = None) -> FiniteInverseSemigroup:
     """Close partial-bijection generators under composition and inverses.
@@ -361,9 +380,12 @@ def close(generators: Sequence[PartialBijection],
 
     Froidure-Pin: expand the elements in index order, right-multiplying
     each by every letter; this records each new element's parent and
-    last letter and the right Cayley graph `right`.  Each table row is
-    then filled by integer lookups, s t = (s parent(t)) last(t).  Cost:
-    m k composes for m elements and k letters, plus O(m^2) lookups.
+    last letter and the right Cayley graph `right`.  The k letter rows
+    are filled by integer lookups, a t = (a parent(t)) last(t).  Every
+    other element t = p a (parent p, last letter a) has row
+    t x = p (a x): row p read through row a, one C-level gather.
+    Cost: m k composes for m elements and k letters, k m lookups, and
+    m - k row gathers of m entries each.
 
     Why the indexing is that of the all-pairs search it replaced
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
@@ -405,11 +427,17 @@ def close(generators: Sequence[PartialBijection],
 
     products = words[len(letters):]
     mul = []
-    for row in right:
-        row = row[:]  # s times each letter, which are elements 0..k-1
-        for p, a in products:
-            row.append(right[row[p]][a])
+    for row in right[:len(letters)]:
+        row = row[:]  # a times each letter, which are elements 0..k-1
+        for p, b in products:
+            row.append(right[row[p]][b])
         mul.append(tuple(row))
+    # Rows of one entry exist only when m = 1; then there are no
+    # products, and the one-index itemgetter (which returns a scalar,
+    # not a row) is never called.
+    through = [itemgetter(*row) for row in mul]
+    for p, a in products:
+        mul.append(through[a](mul[p]))
     # The closure is an inverse subsemigroup of I_n, so the inverse of
     # each element is the element labelled by its inverse map.
     return FiniteInverseSemigroup(mul, labels=elements,
@@ -422,23 +450,51 @@ def is_closure_of(S: FiniteInverseSemigroup,
 
     True when the labels are pairwise distinct, the letters of
     `generators` (the generators, then their inverses, first occurrences
-    only) are the first elements, and every cell satisfies
-    labels[mul[i][j]] == labels[i].compose(labels[j]).  Shares no code
-    with `close`; costs m^2 composes.
+    only) are the first elements, every letter column satisfies
+    labels[mul[s][a]] == labels[s].compose(labels[a]), the letters reach
+    every element by right multiplication in the table, and Light's
+    test over the letters passes.  Shares no code with `close`; costs
+    k m composes and O(k m^2) lookups for k letters.
+
+    Why that is every cell: write L for the labels.  The letters reach
+    t, so t = u a in the table for a letter a and an element u reached
+    by a shorter word (or t is a letter: the column check).  The table
+    is associative (Light's test over a generating set), so by
+    induction on the word length
+    L[s t] = L[(s u) a] = L[s u] L[a] = (L[s] L[u]) L[a]
+           = L[s] (L[u] L[a]) = L[s] L[t],
+    composition of partial bijections being associative.
     """
     labels = S.labels
     letters = list(dict.fromkeys([*generators, *(g.invert() for g in generators)]))
     if (labels is None or list(labels[:len(letters)]) != letters
             or len(set(labels)) != S.order):
         return False
-    return all(labels[p] == a.compose(b)
-               for a, row in zip(labels, S.mul) for b, p in zip(labels, row))
+    mul = S.mul
+    if not all(labels[row[j]] == s.compose(a)
+               for s, row in zip(labels, mul) for j, a in enumerate(letters)):
+        return False
+    reached = set(range(len(letters)))
+    frontier = list(reached)
+    while frontier:
+        row = mul[frontier.pop()]
+        for j in range(len(letters)):
+            if row[j] not in reached:
+                reached.add(row[j])
+                frontier.append(row[j])
+    return len(reached) == S.order and is_associative(mul, range(len(letters)))
 
 
 def inverse_candidates(mul: Sequence[Sequence[int]], s: int) -> tuple[int, ...]:
     """All t with s t s = s and t s t = t, by a scan over the table."""
     return tuple(t for t, st in enumerate(mul[s])
                  if mul[st][s] == s and mul[mul[t][s]][t] == t)
+
+
+def _idempotents_commute(mul) -> bool:
+    """e f == f e for all idempotents e, f (the diagonal fixpoints)."""
+    idem = [e for e, row in enumerate(mul) if row[e] == e]
+    return all(mul[e][f] == mul[f][e] for i, e in enumerate(idem) for f in idem[:i])
 
 
 def _find_zero(table, idempotents) -> int | None:

@@ -2,9 +2,9 @@
 
 Everything here recomputes results by a different route than the
 implementation under test: set-semantics fixpoint closure, all-pairs
-indexed closure, order scans
-from the defining identities, brute-force least upper bounds, the
-exhaustive table scans, finite-cover criterion, union-find germ
+indexed closure, the cell-by-cell table fill and all-cells closure
+check, order scans from the defining identities, brute-force least
+upper bounds, the exhaustive table scans, finite-cover criterion, union-find germ
 classes, all-triples associativity and all-pairs homomorphism checks
 and the multiply-every-pair atom-flip truncation that the package
 replaced by structural computations, the clique scan for completeness
@@ -88,6 +88,53 @@ def pairwise_close(generators, budget=None) -> FiniteInverseSemigroup:
     mul = [[index[elements[i].compose(elements[j])] for j in range(len(elements))]
            for i in range(len(elements))]
     return FiniteInverseSemigroup(mul, labels=elements)
+
+
+def lookup_fill_table(generators) -> tuple[tuple[int, ...], ...]:
+    """The table of `invsemi.close` by the cell-by-cell fill it replaced.
+
+    The same Froidure-Pin search (letters first, then each element
+    right-multiplied by every letter in index order), but every cell of
+    every row is an integer lookup, s t = (s parent(t)) last(t): O(m^2)
+    Python-level lookups, and no row is read through another.
+    """
+    letters = list(dict.fromkeys([*generators, *(g.invert() for g in generators)]))
+    elements = letters[:]
+    index = {el: i for i, el in enumerate(elements)}
+    words: list[tuple[int, int] | None] = [None] * len(letters)
+    right: list[list[int]] = []
+    while len(right) < len(elements):
+        s = len(right)
+        row = []
+        for k, a in enumerate(letters):
+            el = elements[s].compose(a)
+            if el not in index:
+                index[el] = len(elements)
+                elements.append(el)
+                words.append((s, k))
+            row.append(index[el])
+        right.append(row)
+    products = words[len(letters):]
+    mul = []
+    for row in right:
+        row = row[:]
+        for p, a in products:
+            row.append(right[row[p]][a])
+        mul.append(tuple(row))
+    return tuple(mul)
+
+
+def closure_cells_scan(S: FiniteInverseSemigroup, generators) -> bool:
+    """`is_closure_of` by the all-cells check it replaced: distinct
+    labels, the letters first, and labels[mul[i][j]] equal to
+    labels[i].compose(labels[j]) for every cell, m^2 composes."""
+    labels = S.labels
+    letters = list(dict.fromkeys([*generators, *(g.invert() for g in generators)]))
+    if (labels is None or list(labels[:len(letters)]) != letters
+            or len(set(labels)) != S.order):
+        return False
+    return all(labels[p] == a.compose(b)
+               for a, row in zip(labels, S.mul) for b, p in zip(labels, row))
 
 
 def leq_via_idempotent(S: FiniteInverseSemigroup, s: int, t: int) -> bool:

@@ -1,4 +1,6 @@
-"""`close` against the all-pairs oracle: same table, same indexing, less work."""
+"""`close` against the all-pairs oracle and the cell-by-cell fill: same
+table, same indexing, less work; `is_closure_of` against the all-cells
+check."""
 
 import json
 from pathlib import Path
@@ -17,7 +19,7 @@ from invsemi import (
 from invsemi import formats
 from invsemi.cli import main
 from invsemi.semigroup import is_closure_of
-from oracles import pairwise_close
+from oracles import closure_cells_scan, lookup_fill_table, pairwise_close
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,13 +47,30 @@ CASES = {
 
 def assert_same_closure(gens):
     fast, slow = close(gens), pairwise_close(gens)
-    assert fast.mul == slow.mul
+    assert fast.mul == slow.mul == lookup_fill_table(gens)
     assert fast.labels == slow.labels
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_close_matches_pairwise_oracle(name):
     assert_same_closure(CASES[name])
+
+
+SWAP = PartialBijection(2, {0: 1, 1: 0})
+EDGES = {  # name: (generators, order m, number of letters k)
+    "I_5": (symmetric_generators(5), 1546, 4),
+    "m = 1, the empty map": ([PartialBijection(2, {})], 1, 1),
+    "m = k": ([SWAP, PartialBijection.identity(2, range(2))], 2, 2),
+    "one idempotent generator": ([PartialBijection.identity(3, {0, 2})], 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_close_matches_lookup_fill(name):
+    gens, m, k = EDGES[name]
+    S = close(gens)
+    assert (S.order, len(letters_of(gens))) == (m, k)
+    assert S.mul == lookup_fill_table(gens)
 
 
 @st.composite
@@ -112,6 +131,38 @@ def test_is_closure_of_accepts_close_and_rejects_a_bad_cell():
     mul[5][7] = (mul[5][7] + 1) % S.order
     assert not is_closure_of(FiniteInverseSemigroup(mul, labels=S.labels), gens)
     assert not is_closure_of(S, gens[1:])  # letters no longer first
+
+
+def assert_closure_checks_agree(gens, i, j, shift):
+    S = close(gens)
+    assert is_closure_of(S, gens) and closure_cells_scan(S, gens)
+    mul = [list(row) for row in S.mul]
+    mul[i][j] = (mul[i][j] + shift) % S.order
+    bad = FiniteInverseSemigroup(mul, labels=S.labels)
+    assert is_closure_of(bad, gens) == closure_cells_scan(bad, gens) == (shift % S.order == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_is_closure_of_matches_cells_scan(n):
+    gens = CASES[f"I_{n}"]
+    m = close(gens).order
+    for i, j in {(0, 0), (m - 1, 0), (0, m - 1), (m - 1, m - 1), (m // 2, m // 3)}:
+        assert_closure_checks_agree(gens, i, j, 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_lists(), st.data())
+def test_is_closure_of_matches_cells_scan_random(gens, data):
+    m = close(gens).order
+    cell = st.integers(0, m - 1)
+    assert_closure_checks_agree(gens, data.draw(cell), data.draw(cell), data.draw(cell))
+
+
+def test_is_closure_of_rejects_elements_the_letters_do_not_reach():
+    # every cell of this table is right, but {0: 0} is not generated by the swap
+    S = close([SWAP, PartialBijection(2, {0: 0})])
+    assert S.labels[0] == SWAP and closure_cells_scan(S, [SWAP])
+    assert not is_closure_of(S, [SWAP])
 
 
 def test_cli_close_verify_catches_corrupted_cell(monkeypatch):

@@ -326,6 +326,42 @@ def test_verify_never_scans_triples_on_i4(monkeypatch):
         verify_inverse_semigroup(FiniteInverseSemigroup(corrupted(S.mul, 208, 208, 0)))
 
 
+def count_inverse_scans(monkeypatch):
+    calls = []
+    scan = semigroup.inverse_candidates
+
+    def counting(mul, s):
+        calls.append(s)
+        return scan(mul, s)
+
+    monkeypatch.setattr(semigroup, "inverse_candidates", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_scans_only_generators_for_inverses(monkeypatch, n):
+    S = close(symmetric_generators(n))
+    calls = count_inverse_scans(monkeypatch)
+    assert verify_inverse_semigroup(S).ok
+    assert 0 < len(calls) <= len(semigroup.generating_set(S.mul))
+
+
+@pytest.mark.parametrize("table, certificate", [
+    (load_semigroup(DATA / "left_zero.json").mul, (0, (0, 1))),
+    # left zero {a, b} with an identity adjoined: idempotents a b = a != b = b a
+    ([[0, 1, 2], [1, 1, 1], [2, 2, 2]], (1, (1, 2))),
+])
+def test_verify_scans_every_element_when_idempotents_do_not_commute(
+        monkeypatch, table, certificate):
+    S = FiniteInverseSemigroup(table)
+    calls = count_inverse_scans(monkeypatch)
+    result = verify_inverse_semigroup(S)
+    assert (result.ok, result.reason, result.certificate) == verify_scan(S)
+    assert result.certificate == certificate
+    # every element is idempotent, so only the element-by-element scan ran
+    assert calls == list(range(certificate[0] + 1))
+
+
 def test_generating_set_sizes():
     # Reaching too little is safe but costly: the counts pin the greedy pass.
     assert all(len(semigroup.generating_set(atomflip.truncation(n).mul)) == n + 1

@@ -257,6 +257,25 @@ def test_cli_missing_version_exit_2(runner, tmp_path):
     run(runner, "props", str(f), expect=2)
 
 
+@pytest.mark.parametrize("table, message", [
+    ([[0, "a"], [1, 0]], "'<' not supported between instances of 'str' and 'int'"),
+    ([[0, [1]], [1, 0]], "'<' not supported between instances of 'list' and 'int'"),
+    ([[None, 1], [1, 0]], "'<' not supported between instances of 'int' and 'NoneType'"),
+    ([[0, 5], [1]], "table entry 5 out of range [0, 2)"),
+    # the range fault in row 0 is named before the length fault in row 1
+    ([[0, -1, 2], [0, 1], [2, 2, 2]], "table entry -1 out of range [0, 3)"),
+    ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+])
+@pytest.mark.parametrize("command", ["close", "criterion"])
+def test_cli_bad_table_names_first_fault(tmp_path, table, message, command):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"version": 1, "kind": "table", "mul_table": table}))
+    result = CliRunner().invoke(main, [command, str(f)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {f}: bad table: {message}\n"
+
+
 def test_cli_budget_exit_3(runner):
     run(runner, "close", str(DATA / "i2_gens.json"), "--budget", "3", expect=3)
 
