@@ -10,7 +10,6 @@ atom-flip family).
 from .action import FiniteAction, left_translation_action
 from .criterion import (
     HAUSDORFF_WITNESS,
-    INCONCLUSIVE,
     REFUTED,
     CompletenessResult,
     CriterionVerdict,
@@ -77,7 +76,6 @@ __all__ = [
     "Germ",
     "GermGroupoid",
     "HAUSDORFF_WITNESS",
-    "INCONCLUSIVE",
     "IdempotentSet",
     "InvariantViolation",
     "InvsemiError",

@@ -18,7 +18,6 @@ from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask, genera
 
 HAUSDORFF_WITNESS = "HAUSDORFF_WITNESS"
 REFUTED = "REFUTED"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 DEFAULT_SUBSET_BUDGET = 200_000
 

@@ -29,7 +29,7 @@ import json
 from pathlib import Path
 
 from .action import FiniteAction
-from .errors import BudgetExceeded, ContractViolation, ParseError
+from .errors import ContractViolation, ParseError
 from .partial_bijection import PartialBijection
 from .semigroup import FiniteInverseSemigroup, close
 from .symbolic.graphs import DirectedGraph
@@ -82,8 +82,6 @@ def _semigroup_from_generators(data: dict, path: Path,
     gens = _parse_generators(data, path)
     try:
         return close(gens, budget=budget)
-    except BudgetExceeded:
-        raise
     except ContractViolation as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -46,10 +46,6 @@ class PartialBijection:
         raise AttributeError("PartialBijection is immutable")
 
     @classmethod
-    def empty(cls, ground_size: int) -> "PartialBijection":
-        return cls(ground_size)
-
-    @classmethod
     def identity(cls, ground_size: int, domain: Iterable[int] | None = None) -> "PartialBijection":
         pts = range(ground_size) if domain is None else domain
         return cls(ground_size, {x: x for x in pts})
@@ -88,10 +84,6 @@ class PartialBijection:
 
     def is_idempotent(self) -> bool:
         return all(x == y for x, y in self.pairs)
-
-    def restrict(self, points: Iterable[int]) -> "PartialBijection":
-        keep = set(points)
-        return PartialBijection(self.ground_size, {x: y for x, y in self._map.items() if x in keep})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PartialBijection)

@@ -2,8 +2,7 @@
 
 The structured rendering is canonical JSON (sorted keys, fixed
 separators, trailing newline) and never contains volatile data, so a
-fixed input and flag set always produces identical bytes.  Timing is
-kept on the report object for the CLI to surface on stderr.
+fixed input and flag set always produces identical bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ class RunReport:
     groupoid: dict | None = None
     symbolic: dict | None = None
     verified: bool | None = None
-    timing_ms: float | None = None
     _text_lines: list = field(default_factory=list)
 
     def line(self, text: str = "") -> None:

@@ -87,11 +87,6 @@ class FiniteInverseSemigroup:
 
     # -- basic arithmetic ------------------------------------------------
 
-    def product(self, s: int, t: int) -> int:
-        self._check_index(s)
-        self._check_index(t)
-        return self.mul[s][t]
-
     def inverse(self, s: int) -> int:
         self._check_index(s)
         if self.inv is None:
@@ -121,11 +116,6 @@ class FiniteInverseSemigroup:
         self._check_index(s)
         self._check_index(t)
         return bool(self._require_up_masks()[s] >> t & 1)
-
-    def upper_set(self, s: int) -> frozenset[int]:
-        """All t with s <= t."""
-        self._check_index(s)
-        return _mask_to_set(self._require_up_masks()[s])
 
     def lower_set(self, s: int) -> frozenset[int]:
         """All t with t <= s."""
@@ -216,11 +206,6 @@ class IdempotentSet:
 
     parent: FiniteInverseSemigroup
     members: frozenset[int]
-
-    def meet(self, e: int, f: int) -> int:
-        self._check(e)
-        self._check(f)
-        return self.parent.mul[e][f]
 
     def leq(self, e: int, f: int) -> bool:
         """On idempotents the natural order reduces to e f = e."""

@@ -71,10 +71,6 @@ def multiply(a: AtomFlipElement, b: AtomFlipElement) -> AtomFlipElement:
     return a if a.index == b.index else ZERO
 
 
-def invert(a: AtomFlipElement) -> AtomFlipElement:
-    return a
-
-
 def parse(text: str) -> AtomFlipElement:
     text = text.strip().lower()
     if text in ("zero", "flip", "square"):

@@ -150,10 +150,6 @@ def multiply(a: PathPairElement, b: PathPairElement) -> PathPairElement:
     return PathPairElement.zero(a.graph)
 
 
-def invert(a: PathPairElement) -> PathPairElement:
-    return a.inverse()
-
-
 def criterion(s: PathPairElement) -> SymbolicCriterionReport:
     """Finite-cover verdict: an idempotent covers itself; a nonzero
     non-idempotent fixes no idempotent but zero, so zero covers."""
@@ -208,18 +204,19 @@ def fixture_graph() -> DirectedGraph:
 
 def parse_path(graph: DirectedGraph, text: str) -> Path:
     text = text.strip()
-    if text.startswith("v") and text[1:].isdigit():
-        return Path(graph, int(text[1:]), ())
     seq = []
-    for token in text.split("."):
-        token = token.strip()
-        if not (token.startswith("e") and token[1:].isdigit() and int(token[1:]) >= 1):
-            raise ParseError(f"bad path component {token!r}; use e<k> (1-based) or v<j>")
-        seq.append(int(token[1:]) - 1)
-    try:
-        start = graph.edge_source(seq[0])
-    except IndexError:
-        raise ParseError(f"edge index in {text!r} outside the graph") from None
+    if text.startswith("v") and text[1:].isdigit():
+        start = int(text[1:])
+    else:
+        for token in text.split("."):
+            token = token.strip()
+            if not (token.startswith("e") and token[1:].isdigit() and int(token[1:]) >= 1):
+                raise ParseError(f"bad path component {token!r}; use e<k> (1-based) or v<j>")
+            seq.append(int(token[1:]) - 1)
+        try:
+            start = graph.edge_source(seq[0])
+        except IndexError:
+            raise ParseError(f"edge index in {text!r} outside the graph") from None
     try:
         return Path(graph, start, tuple(seq))
     except ContractViolation as exc:

@@ -11,6 +11,7 @@ zero-free form: an idempotent below s forces s idempotent.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..criterion import HAUSDORFF_WITNESS
@@ -39,20 +40,23 @@ def invert_word(word: Word) -> Word:
     return tuple(-ltr for ltr in reversed(word))
 
 
+@dataclass(frozen=True, slots=True)
 class MunnTreeElement:
     """A rooted subtree of the free-group Cayley graph plus an endpoint."""
 
-    __slots__ = ("rank", "vertices", "endpoint")
+    rank: int
+    vertices: frozenset[Word]
+    endpoint: Word
 
-    def __init__(self, rank: int, vertices: Iterable[Word], endpoint: Word):
-        if rank < 1:
+    def __post_init__(self):
+        if self.rank < 1:
             raise ContractViolation("rank must be at least 1")
-        verts = frozenset(tuple(v) for v in vertices)
-        endpoint = tuple(endpoint)
+        verts = frozenset(tuple(v) for v in self.vertices)
+        endpoint = tuple(self.endpoint)
         for w in verts:
             for ltr in w:
-                if ltr == 0 or abs(ltr) > rank:
-                    raise ContractViolation(f"letter {ltr} outside rank {rank}")
+                if ltr == 0 or abs(ltr) > self.rank:
+                    raise ContractViolation(f"letter {ltr} outside rank {self.rank}")
             if reduce_word(w) != w:
                 raise ContractViolation(f"vertex {w} is not a reduced word")
             if w and w[:-1] not in verts:
@@ -61,12 +65,8 @@ class MunnTreeElement:
             raise ContractViolation("tree must contain the root")
         if endpoint not in verts:
             raise ContractViolation("endpoint must be a vertex")
-        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "endpoint", endpoint)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MunnTreeElement is immutable")
 
     @classmethod
     def identity(cls, rank: int) -> "MunnTreeElement":
@@ -110,15 +110,6 @@ class MunnTreeElement:
         """s <= t via the defining identity t (s* s) = s."""
         return other.multiply(self.inverse().multiply(self)) == self
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MunnTreeElement)
-                and self.rank == other.rank
-                and self.vertices == other.vertices
-                and self.endpoint == other.endpoint)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.vertices, self.endpoint))
-
     def sort_key(self):
         return (len(self.vertices), sorted(self.vertices), self.endpoint)
 
@@ -129,14 +120,6 @@ class MunnTreeElement:
     def __str__(self) -> str:
         word = format_word(self.endpoint, self.rank)
         return f"{word or '1'} on [{','.join(format_word(w, self.rank) or '1' for w in sorted(self.vertices))}]"
-
-
-def multiply(a: MunnTreeElement, b: MunnTreeElement) -> MunnTreeElement:
-    return a.multiply(b)
-
-
-def invert(a: MunnTreeElement) -> MunnTreeElement:
-    return a.inverse()
 
 
 def criterion(s: MunnTreeElement) -> SymbolicCriterionReport:

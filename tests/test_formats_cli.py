@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from invsemi import ParseError
 from invsemi.cli import main
 from invsemi.formats import load_action, load_graph, load_semigroup, semigroup_to_dict
+from invsemi.symbolic.atomflip import AtomFlipElement
 
 DATA = Path(__file__).parent / "data"
 
@@ -285,6 +286,56 @@ def test_cli_budget_env_var(runner):
         expect=3)
 
 
+@pytest.mark.parametrize("table, via_action", [
+    ([[0, 0, 0], [0, 0, 2], [0, 1, 0]], False),  # s* s = 1 is not idempotent for s = 1
+    ([[0, 0, 0], [0, 1, 0], [0, 2, 2]], False),  # (2 1) 2 != 2 (1 2)
+    ([[0, 0, 0], [0, 1, 0], [0, 2, 2]], True),
+])
+def test_cli_germs_refuses_non_inverse_semigroup(tmp_path, table, via_action):
+    f = tmp_path / "table.json"
+    f.write_text(json.dumps({"version": 1, "kind": "table", "mul_table": table}))
+    args = ["germs", str(f), "--self"]
+    if via_action:
+        a = tmp_path / "action.json"
+        a.write_text(json.dumps({"version": 1, "semigroup": f.name, "space_size": 0,
+                                 "domains": [[e, []] for e in range(3)], "action": []}))
+        args = ["germs", str(a)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "not an inverse semigroup" in result.stderr
+
+
+def test_cli_symbolic_verify_is_independent(runner, monkeypatch):
+    """A truncation verdict whose witness misses an atom fails --verify,
+    which checks the cover by multiplying elements."""
+    import dataclasses
+
+    from invsemi import criterion as crit_mod
+    from invsemi.symbolic import atomflip
+
+    honest = crit_mod.hausdorff_criterion
+
+    def short(S, s):
+        verdict = honest(S, s)
+        return dataclasses.replace(verdict, witness=verdict.witness[:-1])
+
+    for module in (crit_mod, atomflip):
+        monkeypatch.setattr(module, "hausdorff_criterion", short)
+    run(runner, "symbolic", "atomflip", "flip", "--truncation", "4", "--verify", expect=4)
+
+
+@pytest.mark.parametrize("member", [
+    AtomFlipElement("atom", 1),  # repeated, so not pairwise orthogonal
+    AtomFlipElement("flip"),     # not an idempotent
+])
+def test_cli_symbolic_verify_checks_antichain(runner, monkeypatch, member):
+    from invsemi.symbolic import atomflip
+
+    monkeypatch.setattr(atomflip, "atom", lambda i: member)
+    run(runner, "symbolic", "atomflip", "flip", "--verify", expect=4)
+
+
 def test_cli_verify_failure_exit_4(runner, monkeypatch):
     import invsemi.cli as cli_mod
 
@@ -302,6 +353,7 @@ def test_cli_bad_symbolic_element_exit_2(runner):
     run(runner, "symbolic", "atomflip", "blorp", expect=2)
     run(runner, "symbolic", "munn", "q q", expect=2)
     run(runner, "symbolic", "graph", "p=e9,q=e1", expect=2)
+    run(runner, "symbolic", "graph", "v9", expect=2)
 
 
 # -- determinism -----------------------------------------------------------
