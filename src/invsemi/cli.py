@@ -309,6 +309,8 @@ def symbolic_cmd(family, element_expr, truncation, rank, graph_file,
 
 def _symbolic_report(command, family, element_expr, truncation, rank,
                      graph_file, verify) -> RunReport:
+    if truncation is not None and family != "atomflip":
+        raise ParseError("--truncation applies only to atomflip")
     if family == "atomflip":
         element = atomflip.parse(element_expr)
         try:
@@ -368,7 +370,7 @@ def _verify_symbolic(family, element, rep, truncation) -> bool:
     if family == "atomflip" and truncation is not None:
         cover = set(rep.witness)  # e in it covers itself: e = e e
         return all(e in cover or any(f * e == e for f in rep.witness)
-                   for e in symbolic.truncate(family, truncation).elements
+                   for e in atomflip.elements(truncation)
                    if element * e == e == e * e)
     return True
 

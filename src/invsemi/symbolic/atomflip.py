@@ -84,7 +84,8 @@ def parse(text: str) -> AtomFlipElement:
                      "expected zero, flip, square or atom:<i>")
 
 
-def _elements(n_atoms: int) -> tuple[AtomFlipElement, ...]:
+def elements(n_atoms: int) -> tuple[AtomFlipElement, ...]:
+    """The elements of the truncation with n atoms, in table order."""
     return (ZERO, FLIP, SQUARE) + tuple(atom(i) for i in range(1, n_atoms + 1))
 
 
@@ -102,12 +103,14 @@ def truncation(n_atoms: int) -> FiniteInverseSemigroup:
     m = n_atoms + 3
     flip = list(range(m))
     flip[1], flip[2] = 2, 1
-    mul = [[0] * m, flip, range(m)]
+    # Tuple rows, which the constructor keeps as they are: no list copy
+    # of the table lives next to the stored one.
+    mul = [(0,) * m, tuple(flip), tuple(range(m))]
     for a in range(3, m):
         row = [0] * m
         row[1] = row[2] = row[a] = a
-        mul.append(row)
-    return FiniteInverseSemigroup(mul, labels=_elements(n_atoms), _inverse=range(m))
+        mul.append(tuple(row))
+    return FiniteInverseSemigroup(mul, labels=elements(n_atoms), _inverse=range(m))
 
 
 def criterion(s: AtomFlipElement, truncation_atoms: int | None = None) -> SymbolicCriterionReport:

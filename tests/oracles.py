@@ -4,11 +4,12 @@ Everything here recomputes results by a different route than the
 implementation under test: set-semantics fixpoint closure, all-pairs
 indexed closure, the cell-by-cell table fill and all-cells closure
 check, order scans from the defining identities, brute-force least
-upper bounds, the exhaustive table scans, finite-cover criterion, union-find germ
-classes, all-triples associativity and all-pairs homomorphism checks
-and the multiply-every-pair atom-flip truncation that the package
-replaced by structural computations, the clique scan for completeness
-(kept in `invsemi.oracles`, where `props --verify` uses it), bounded
+upper bounds, the exhaustive table scans, finite-cover criterion,
+union-find germ classes, all-triples associativity, Light's test over
+every row and all-pairs homomorphism checks and the
+multiply-every-pair atom-flip truncation that the package replaced by
+structural computations, the clique scan for completeness (kept in
+`invsemi.oracles`, where `props --verify` uses it), bounded
 word-rewriting for free inverse monoids, and evaluation of words under
 homomorphisms into small symmetric inverse monoids.
 """
@@ -398,6 +399,14 @@ def verify_scan(S: FiniteInverseSemigroup):
         if len(cands) != 1:
             return False, "inverse-uniqueness", (s, tuple(sorted(cands)))
     return True, None, None
+
+
+def light_scan(mul, gens) -> bool:
+    """Light's test cell by cell: (x a) y = x (a y) for every a in
+    `gens` and every x and y, with no rows skipped."""
+    m = len(mul)
+    return all(mul[mul[x][a]][y] == mul[x][mul[a][y]]
+               for a in gens for x in range(m) for y in range(m))
 
 
 def validate_scan(action) -> None:

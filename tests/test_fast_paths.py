@@ -46,6 +46,7 @@ from oracles import (
     hausdorff_scan,
     inverse_sets_scan,
     join_brute,
+    light_scan,
     lower_set_scan,
     maximal_elements_scan,
     up_masks_scan,
@@ -211,11 +212,24 @@ def test_action_file_fields_of_the_wrong_type_are_parse_errors(tmp_path, field, 
     ["symbolic", "atomflip", "atom:9", "--truncation", "3"],
     ["symbolic", "atomflip", "flip", "--truncation", "-1"],
     ["criterion", "--family", "atomflip", "--element", "atom:9", "--truncation", "3"],
+    # --truncation bounds only the atom-flip family
+    ["symbolic", "munn", "x y", "--truncation", "-1", "--verify"],
+    ["symbolic", "graph", "e1", "--truncation", "4"],
+    ["criterion", "--family", "munn", "--element", "x y", "--truncation", "4"],
+    ["criterion", "--family", "graph", "--element", "e1", "--truncation", "-1", "--verify"],
 ])
 def test_symbolic_inputs_outside_the_truncation_are_parse_errors(args):
     code, output = exit_code(*args)
     assert code == 2, output
     assert output.startswith("error: ") and output.count("\n") == 1
+
+
+def test_symbolic_truncation_verify_builds_one_table(monkeypatch):
+    built = []
+    truncation = atomflip.truncation
+    monkeypatch.setattr(atomflip, "truncation", lambda n: built.append(n) or truncation(n))
+    assert exit_code("symbolic", "atomflip", "flip", "--truncation", "4", "--verify")[0] == 0
+    assert built == [4]
 
 
 @pytest.mark.parametrize("doc", [
@@ -360,6 +374,84 @@ def test_verify_scans_every_element_when_idempotents_do_not_commute(
     assert result.certificate == certificate
     # every element is idempotent, so only the element-by-element scan ran
     assert calls == list(range(certificate[0] + 1))
+
+
+def per_generator_light(mul, gens):
+    """Light's test and its oracle, generator by generator, on the
+    table with tuple rows, as `FiniteInverseSemigroup` stores it."""
+    mul = tuple(map(tuple, mul))
+    assert ([semigroup.is_associative(mul, [a]) for a in gens]
+            == [light_scan(mul, [a]) for a in gens])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_light_matches_scan_on_random_magmas(data):
+    # Entries below k < m leave the elements >= k outside every aS, so
+    # the rows get keyed by Z = aS ∪ {a} with a outside aS.
+    m = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, m))
+    mul = [data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+           for _ in range(m)]
+    per_generator_light(mul, range(m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(8, 40), st.data())
+def test_light_matches_scan_on_corrupted_truncations(n, data):
+    m = n + 3
+    i, j, value = (data.draw(st.integers(0, m - 1)) for _ in range(3))
+    mul = corrupted(atomflip.truncation(n).mul, i, j, value)
+    per_generator_light(mul, semigroup.generating_set(mul))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_generator_lists(), st.data())
+def test_light_matches_scan_on_corrupted_closures(gens, data):
+    mul = close(gens).mul
+    m = len(mul)
+    i, j, value = (data.draw(st.integers(0, m - 1)) for _ in range(3))
+    mul = corrupted(mul, i, j, value)
+    per_generator_light(mul, semigroup.generating_set(mul))
+
+
+def row_comparisons(mul, a):
+    """Light's test at the one generator a, counting the full-row
+    comparisons it makes."""
+    count = []
+
+    class Row(tuple):
+        def __ne__(self, other):
+            count.append(1)
+            return tuple.__ne__(self, other)
+
+    assert semigroup.is_associative([Row(row) for row in mul], [a])
+    return len(count)
+
+
+def test_light_keys_atoms_and_scans_units():
+    # F_n: an atom a has aS ∪ {a} = {zero, a} and two keys, so at most
+    # 2 rows each; FLIP permutes the table, so every row is compared.
+    mul = atomflip.truncation(256).mul
+    gens = semigroup.generating_set(mul)
+    assert len(gens) == 257
+    assert all(row_comparisons(mul, a) <= (2 if a >= 3 else len(mul)) for a in gens)
+    S = close(symmetric_generators(4))
+    units = [g for g in semigroup.generating_set(S.mul) if len(set(S.mul[g])) == S.order]
+    assert units and all(row_comparisons(S.mul, g) == S.order for g in units)
+
+
+def test_verify_f1024_table_file():
+    S = FiniteInverseSemigroup(atomflip.truncation(1024).mul)
+    assert verify_inverse_semigroup(S).ok
+
+
+@pytest.mark.parametrize("i, j, value", [(5, 0, 5), (66, 66, 0), (1, 40, 3), (40, 1, 0)])
+def test_verify_corrupted_f64_matches_scan(i, j, value):
+    S = FiniteInverseSemigroup(corrupted(atomflip.truncation(64).mul, i, j, value))
+    result = verify_inverse_semigroup(S)
+    assert not result.ok
+    assert (result.ok, result.reason, result.certificate) == verify_scan(S)
 
 
 def test_generating_set_sizes():
