@@ -36,7 +36,6 @@ from .germs import (
     build_germs,
     check_fixed_point_germ_laws,
     check_fixed_points_are_ideal_union,
-    check_trivially_fixed_closed,
     fixed_sets,
     germ_equiv_oracle,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "build_germs",
     "check_fixed_point_germ_laws",
     "check_fixed_points_are_ideal_union",
-    "check_trivially_fixed_closed",
     "close",
     "compatible",
     "count_partial_bijections",

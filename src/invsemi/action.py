@@ -147,7 +147,16 @@ def _homomorphic_at(maps, mul, s: int) -> bool:
 
 
 def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
-    """S acting on itself: s sends t to s t, defined on the ideal s*S."""
+    """S acting on itself: s sends t to s t, defined on the ideal s*S.
+
+    For finite S, beta S = S, so the germ groupoid of this action is the
+    paper's S x| beta S, and it is always principal, effective and
+    essentially principal: the finite case of "Hausdorff iff principal
+    iff effective".  The domain of e is eS, and x lies in eS iff e x = x
+    iff xx* <= e, so e_x = xx* (see `GermGroupoid`): the germs number
+    the sum over x of |L_{xx*}|, 126,526 on I_5.  Isotropy is trivial:
+    u x = x with u*u = xx* gives u = u xx* = (u x) x* = xx*, a unit.
+    """
     domains = {e: frozenset(S.right_ideal(e)) for e in S.idempotents}
     table = {}
     for s in S.elements():

@@ -3,8 +3,8 @@
 Subcommands: close, props, germs, criterion, symbolic.  Reports render
 as human text by default or canonical JSON with --format structured;
 both are byte-deterministic for a fixed input and flag set.  Exit
-codes: 0 success, 2 parse error, 3 budget exhausted, 4 internal
-invariant or --verify failure.
+codes: 0 success, 2 parse error, 3 budget or memory exhausted, 4
+internal invariant or --verify failure.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ def common_options(f):
             sys.exit(EXIT_PARSE)
         except BudgetExceeded as exc:
             click.echo(f"inconclusive: {exc}", err=True)
+            sys.exit(EXIT_BUDGET)
+        except MemoryError:
+            click.echo("inconclusive: out of memory", err=True)
             sys.exit(EXIT_BUDGET)
         except (InvariantViolation, ContractViolation) as exc:
             click.echo(f"invariant failure: {exc}", err=True)
@@ -226,15 +229,13 @@ def germs(input_file, self_action, fmt, budget, verify, timing):
 
 
 def _verify_germ_classes(action, G) -> bool:
-    pairs = action.germ_pairs()
     by_point: dict[int, list] = {}
-    for s, x in pairs:
-        by_point.setdefault(x, []).append(s)
-    for x, ss in by_point.items():
-        for i, s in enumerate(ss):
-            for t in ss[i + 1:]:
-                same = G.class_of[(s, x)] == G.class_of[(t, x)]
-                if same != germs_mod.germ_equiv_oracle(action, s, t, x):
+    for s, x in action.germ_pairs():
+        by_point.setdefault(x, []).append((s, G.germ(s, x).class_id))
+    for x, classed in by_point.items():
+        for i, (s, c) in enumerate(classed):
+            for t, d in classed[i + 1:]:
+                if (c == d) != germs_mod.germ_equiv_oracle(action, s, t, x):
                     return False
     return True
 

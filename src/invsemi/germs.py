@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import FiniteAction, left_translation_action
-from .errors import ContractViolation, InvariantViolation
+from .errors import ContractViolation
 from .semigroup import FiniteInverseSemigroup
 
 
@@ -29,74 +29,76 @@ class Germ:
 class GermGroupoid:
     """Arrows, structure maps, and on-demand composition of a germ groupoid.
 
-    Classes are indexed 0..n-1 in lexicographic order of their smallest
-    (element, point) member, which makes reports reproducible.
+    Precondition: the action is validated and its semigroup passes
+    `verify_inverse_semigroup`, as the CLI checks before it builds germs.
 
-    Each class is found in closed form.  Let e_x be the product of the
-    idempotents whose domain holds x; it holds x itself (checked), so it
-    is the least such idempotent.  Then (s, x) ~ (t, x) iff
-    s e_x = t e_x: e_x is a witness, and a witness e has e_x = e_x e, so
-    s e = t e gives s e_x = t e_x.  The pair (s, x) is therefore keyed by
-    (s e_x, x), and scanning the pairs in (s, x) order meets each class
-    first at its smallest member.
+    Each class is found in closed form.  Idempotents act as identities
+    and the action is a homomorphism, so D_{ef} = D_e & D_f, and e <= f
+    gives D_e <= D_f.  Let e_x be the product of the idempotents whose
+    domain holds x; it holds x itself (checked), so it is the least
+    such idempotent, and x lies in D_{s*s} iff e_x <= s*s.  Then:
+
+    - (s, x) ~ (t, x) iff s e_x = t e_x: e_x is a witness, and a
+      witness e has e_x = e_x e, so s e = t e gives s e_x = t e_x.
+    - The classes at x are the L-class L_{e_x} = {u : u*u = e_x}: the
+      class of (s, x) is (u, x) with u = s e_x, u*u = s*s e_x = e_x,
+      and each u in L_{e_x} keys the class of (u, x), as u e_x = u.
+    - Its members are the (s, x) with u <= s, so its smallest member is
+      (min up(u), x).  Classes are numbered in order of that member, as
+      a scan of the pairs in (s, x) order first meets them.
+    - The source of (u, x) is (e_x, x), its target (uu*, u.x) and its
+      inverse (u*, u.x), for e_{u.x} = uu*: an idempotent f whose domain
+      holds u.x has x in D_{u*fu}, so e_x <= u*fu and uu* <= f.
+    - [v, u.x][u, x] = [vu, x], with (vu)*(vu) = u* uu* u = e_x.
+
+    Nothing is stored per pair: the cost is O(points + elements +
+    classes), and `germ(s, x)` finds a pair's class by (s e_x, x).
     """
 
-    __slots__ = ("action", "classes", "class_of", "reps", "points",
-                 "source", "target", "units", "inverse", "_composition")
+    __slots__ = ("action", "reps", "points", "source", "target", "units",
+                 "inverse", "_least", "_index", "_composition")
 
     def __init__(self, action: FiniteAction):
         S = action.semigroup
-        mul, idempotents = S.mul, S.idempotents
-        least: dict[int, int] = {}
-        class_by_key: dict[tuple[int, int], int] = {}
-        groups: list[list[tuple[int, int]]] = []
-        class_of: dict[tuple[int, int], int] = {}
-        units = set()
-        for pair in action.germ_pairs():
-            s, x = pair
-            e = least.get(x)
-            if e is None:
-                e = least[x] = _least_idempotent_at(action, x)
-            key = (mul[s][e], x)
-            cid = class_by_key.get(key)
-            if cid is None:
-                cid = class_by_key[key] = len(groups)
-                groups.append([])
-            groups[cid].append(pair)
-            class_of[pair] = cid
-            if s in idempotents:
-                units.add(cid)
-
-        reps = tuple(group[0] for group in groups)
+        mul, inv, up = S.mul, S.inv, S._require_up_masks()
+        least = {x: _least_idempotent_at(action, x)
+                 for x in range(action.space_size) if action.idempotents_at(x)}
+        l_classes: dict[int, list[int]] = {}
+        for u in S.elements():
+            l_classes.setdefault(mul[inv[u]][u], []).append(u)
+        keys = sorted(((up[u] & -up[u]).bit_length() - 1, x, u)
+                      for x, e in least.items() for u in l_classes[e])
+        index = {(u, x): cid for cid, (_, x, u) in enumerate(keys)}
         source, target, inverse = [], [], []
-        for s, x in reps:
-            ss = mul[S.inv[s]][s]
-            source.append(class_of[(ss, x)])
-            y = action.act(s, x)
-            target.append(class_of[(mul[s][S.inv[s]], y)])
-            inverse.append(class_of[(S.inv[s], y)])
+        for _, x, u in keys:
+            y = action.act(u, x)
+            source.append(index[(least[x], x)])
+            target.append(index[(mul[u][inv[u]], y)])
+            inverse.append(index[(inv[u], y)])
 
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "classes", tuple(map(tuple, groups)))
-        object.__setattr__(self, "class_of", class_of)
-        object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "points", tuple(x for _, x in reps))
+        object.__setattr__(self, "reps", tuple((s, x) for s, x, _ in keys))
+        object.__setattr__(self, "points", tuple(x for _, x, _ in keys))
         object.__setattr__(self, "source", tuple(source))
         object.__setattr__(self, "target", tuple(target))
-        object.__setattr__(self, "units", frozenset(units))
+        object.__setattr__(self, "units", frozenset(source))
         object.__setattr__(self, "inverse", tuple(inverse))
+        object.__setattr__(self, "_least", least)
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_composition", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GermGroupoid is immutable")
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.reps)
 
     def germ(self, s: int, x: int) -> Germ:
         """The class of the pair (s, x); x must lie in D_{s*s}."""
+        S = self.action.semigroup
+        S._check_index(s)
         try:
-            cid = self.class_of[(s, x)]
+            cid = self._index[(S.mul[s][self._least[x]], x)]
         except KeyError:
             raise ContractViolation(f"({s}, {x}) is not a germ pair") from None
         rep_s, rep_x = self.reps[cid]
@@ -132,24 +134,24 @@ class GermGroupoid:
         return self._composition
 
     def _product(self, c1: int, c2: int) -> int | None:
-        n = len(self.classes)
+        n = len(self)
         if not (0 <= c1 < n and 0 <= c2 < n):
             return None
         s, y = self.reps[c1]
         t, x = self.reps[c2]
         if self.action.act(t, x) != y:
             return None
-        return self.class_of[(self.action.semigroup.mul[s][t], x)]
+        return self.germ(self.action.semigroup.mul[s][t], x).class_id
 
     def unit_of_point(self, x: int) -> int:
         """The unit class sitting over the point x."""
         for e in self.action.idempotents_at(x):
-            return self.class_of[(e, x)]
+            return self.germ(e, x).class_id
         raise ContractViolation(f"point {x} lies in no idempotent domain")
 
     def isotropy(self) -> frozenset[int]:
         """Classes whose source and target units agree."""
-        return frozenset(c for c in range(len(self.classes))
+        return frozenset(c for c in range(len(self))
                          if self.source[c] == self.target[c])
 
     def is_principal(self) -> bool:
@@ -176,7 +178,7 @@ class GermGroupoid:
         U = frozenset(points)
         if not U <= self.action.domain(s):
             raise ContractViolation("slice points must lie in the domain of s")
-        return frozenset(self.class_of[(s, x)] for x in U)
+        return frozenset(self.germ(s, x).class_id for x in U)
 
 
 def build_germs(action: FiniteAction) -> GermGroupoid:
@@ -228,7 +230,7 @@ def check_fixed_point_germ_laws(action: FiniteAction) -> tuple[bool, tuple | Non
         if not tf_s <= f_s:
             return False, (s, min(tf_s - f_s))
         for x in action.domain(s):
-            cid = G.class_of[(s, x)]
+            cid = G.germ(s, x).class_id
             if (x in f_s) != (cid in iso):
                 return False, (s, x)
             if (x in tf_s) != (cid in G.units):
@@ -248,17 +250,3 @@ def check_fixed_points_are_ideal_union(S: FiniteInverseSemigroup) -> bool:
             return False
     return True
 
-
-def check_trivially_fixed_closed(action: FiniteAction, s: int) -> bool:
-    """Closedness of TF_s relative to the closure of the domain of s.
-
-    Discrete hook: every subset of a finite discrete space is closed, so
-    this returns True after asserting TF_s <= F_s <= D_{s*s}; a
-    non-discrete topology would plug its real check in here.
-    """
-    f_s, tf_s = fixed_sets(action, s)
-    if not tf_s <= f_s:
-        raise InvariantViolation(f"TF_{s} escapes F_{s}")
-    if not f_s <= action.domain(s):
-        raise InvariantViolation(f"F_{s} escapes the domain of {s}")
-    return True

@@ -338,8 +338,11 @@ def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
     then are the rows keyed.  An atom of the atom-flip truncation F_n
     has Z = {zero, atom} and two keys, so F_n costs about 2 m^2 lookups
     instead of m^3.  With about |Z| keys a generator costs
-    O(min(m, 2 |Z|) m), and never more than 3 m^2 / 2 lookups.
+    O(min(m, 2 |Z|) m), and never more than 3 m^2 / 2 lookups.  Rows
+    are compared as tuples, so other rows are converted once, here.
     """
+    if not all(isinstance(row, tuple) for row in mul):
+        mul = tuple(map(tuple, mul))
     m = len(mul)
     if m == 1:
         # itemgetter of one index returns a scalar; [[0]] is associative

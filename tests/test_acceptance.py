@@ -187,11 +187,11 @@ def test_criterion_9_germ_oracle_equivalence(all_fixtures):
             for i, s in enumerate(elements):
                 for t in elements[i + 1:]:
                     pair_count += 1
-                    same = G.class_of[(s, x)] == G.class_of[(t, x)]
+                    same = G.germ(s, x) == G.germ(t, x)
                     assert same == germ_equiv_oracle(action, s, t, x), (name, s, t, x)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    conclude(9, f"union-find classes match the witness-search oracle on "
+    conclude(9, f"closed-form germ classes match the witness-search oracle on "
                 f"{pair_count} germ pairs", elapsed)
 
 

@@ -6,7 +6,6 @@ from invsemi import (
     build_germs,
     check_fixed_point_germ_laws,
     check_fixed_points_are_ideal_union,
-    check_trivially_fixed_closed,
     fixed_sets,
     germ_equiv_oracle,
     left_translation_action,
@@ -99,18 +98,19 @@ def test_chain_groupoid_collapses_to_units():
     assert len(G) == 2
     assert G.units == frozenset(range(2))
     # the pairs (e0 acting on e1) and (e1 acting on e1) share a germ
-    assert G.class_of[(0, 1)] == G.class_of[(1, 1)]
+    assert G.germ(0, 1) == G.germ(1, 1)
 
 
 def test_germ_lookup(z2):
     G = build_germs(left_translation_action(z2))
     for s, x in left_translation_action(z2).germ_pairs():
         germ = G.germ(s, x)
-        assert germ.class_id == G.class_of[(s, x)]
         assert (germ.rep_element, germ.point) == G.reps[germ.class_id]
         assert germ.point == x
     with pytest.raises(ContractViolation):
         G.germ(0, 99)
+    with pytest.raises(ContractViolation):
+        G.germ(-1, 0)  # not read as the last element
 
 
 def test_germ_equiv_oracle_examples(z2):
@@ -136,7 +136,7 @@ def test_union_find_matches_oracle(all_fixtures):
         for x, elements in by_point.items():
             for i, s in enumerate(elements):
                 for t in elements[i + 1:]:
-                    same = G.class_of[(s, x)] == G.class_of[(t, x)]
+                    same = G.germ(s, x) == G.germ(t, x)
                     assert same == germ_equiv_oracle(action, s, t, x), (name, s, t, x)
 
 
@@ -168,21 +168,20 @@ def test_germ_structure_identities(all_fixtures):
         G = build_germs(action)
         for t, x in action.germ_pairs():
             y = action.act(t, x)
-            c_tx = G.class_of[(t, x)]
-            assert G.inverse[c_tx] == G.class_of[(S.inv[t], y)]
+            c_tx = G.germ(t, x).class_id
+            assert G.inverse[c_tx] == G.germ(S.inv[t], y).class_id
             for s in S.elements():
                 if y in action.domain(s):
-                    left = G.class_of[(s, y)]
-                    assert G.compose(left, c_tx) == G.class_of[(S.mul[s][t], x)], name
+                    left = G.germ(s, y).class_id
+                    assert G.compose(left, c_tx) == G.germ(S.mul[s][t], x).class_id, name
 
 
 def test_unit_identification(all_fixtures):
     for name, S in all_fixtures.items():
         action = left_translation_action(S)
         G = build_germs(action)
-        for cid, group in enumerate(G.classes):
-            has_idem = any(s in S.idempotents for s, _ in group)
-            assert (cid in G.units) == has_idem
+        assert G.units == {G.germ(s, x).class_id for s, x in action.germ_pairs()
+                           if s in S.idempotents}
         covered = {x for x in range(action.space_size)
                    if action.idempotents_at(x)}
         assert {G.unit_of_point(x) for x in covered} == set(G.units)
@@ -196,7 +195,7 @@ def test_principal_filter_collapse(all_fixtures):
         G = build_germs(action)
         for s, x in action.germ_pairs():
             if action.act(s, x) == x:
-                assert G.class_of[(s, x)] in G.units, (name, s, x)
+                assert G.germ(s, x).class_id in G.units, (name, s, x)
 
 
 def test_fixed_sets_examples(z2):
@@ -241,13 +240,6 @@ def test_fixed_points_are_ideal_union(all_fixtures):
         assert check_fixed_points_are_ideal_union(S), name
 
 
-def test_trivially_fixed_closed_hook(all_fixtures):
-    for name, S in all_fixtures.items():
-        action = left_translation_action(S)
-        for s in S.elements():
-            assert check_trivially_fixed_closed(action, s)
-
-
 def test_principal_effective_essential(all_fixtures):
     for name, S in all_fixtures.items():
         G = build_germs(left_translation_action(S))
@@ -283,7 +275,7 @@ def test_slice(all_fixtures, i2):
     assert G.slice(0, []) == frozenset()
     assert G.slice(0, {1}) == {G.unit_of_point(1)}
     full = G.slice(0, action.domain(0))
-    assert full == {G.class_of[(0, x)] for x in action.domain(0)}
+    assert full == {G.germ(0, x).class_id for x in action.domain(0)}
     with pytest.raises(ContractViolation):
         G.slice(1, {0})
 

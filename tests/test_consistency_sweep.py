@@ -49,11 +49,13 @@ def test_composition_is_representative_independent():
     S = close(list(all_partial_bijections(2)))
     action = natural_action(S, 2)
     G = build_germs(action)
-    for (c1, c2), c12 in G.composition.items():
-        for s, y in G.classes[c1]:
-            for t, x in G.classes[c2]:
-                if action.act(t, x) == y:
-                    assert G.class_of[(S.mul[s][t], x)] == c12
+    pairs = action.germ_pairs()
+    for t, x in pairs:
+        c2, tx = G.germ(t, x).class_id, action.act(t, x)
+        for s, y in pairs:
+            if y == tx:
+                c12 = G.composition[(G.germ(s, y).class_id, c2)]
+                assert G.germ(S.mul[s][t], x).class_id == c12
 
 
 def random_pb(n, rng):

@@ -11,6 +11,7 @@ corrupted.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,9 +35,9 @@ from invsemi import (
     verify_inverse_semigroup,
 )
 from invsemi import action as action_mod
-from invsemi import cli, semigroup
+from invsemi import cli, germs, semigroup
 from invsemi.criterion import CompletenessResult
-from invsemi.formats import load_semigroup, semigroup_to_dict
+from invsemi.formats import load_action, load_semigroup, semigroup_to_dict
 from invsemi.symbolic import atomflip
 from oracles import (
     atomflip_truncation_scan,
@@ -108,8 +109,9 @@ def check_criterion(S, subsets=()):
 
 def check_germs(action):
     G, O = build_germs(action), germ_groupoid_scan(action)
-    assert G.classes == O.classes
-    assert G.class_of == O.class_of
+    assert len(G) == len(O.classes)
+    assert all(G.germ(s, x).class_id == cid for (s, x), cid in O.class_of.items())
+    assert G.reps == tuple(group[0] for group in O.classes)
     assert G.units == O.units
     assert (G.source, G.target, G.inverse) == (O.source, O.target, O.inverse)
     assert G.composition == O.composition
@@ -120,6 +122,7 @@ def check_germs(action):
     for x in range(action.space_size):
         assert action.idempotents_at(x) == tuple(
             e for e in sorted(action.semigroup.idempotents) if x in action.domain_of[e])
+    return G
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -148,8 +151,35 @@ def test_fast_paths_match_scans_on_random_closures(gens, data):
     subsets = [data.draw(st.sets(st.sampled_from(range(S.order)))) for _ in range(3)]
     check_derivation(S)
     check_criterion(S, subsets)
-    check_germs(left_translation_action(S))
+    G = check_germs(left_translation_action(S))
     check_germs(natural_action(S))
+    # left translation: the classes at x are L_{xx*}, and isotropy is trivial
+    l_sizes = Counter(S.mul[S.inv[u]][u] for u in S.elements())
+    assert len(G) == sum(l_sizes[S.mul[x][S.inv[x]]] for x in S.elements())
+    assert G.isotropy() == G.units
+
+
+def test_germs_store_nothing_per_pair(monkeypatch):
+    def refuse(self):
+        raise AssertionError("germ pair scan while building germs")
+
+    monkeypatch.setattr(FiniteAction, "germ_pairs", refuse)
+    for action in (left_translation_action(close(symmetric_generators(4))),
+                   load_action(DATA / "z2_point_action.json")):
+        G = build_germs(action)
+        assert len(G) > 0
+        assert not hasattr(G, "class_of") and not hasattr(G, "classes")
+
+
+def test_cli_out_of_memory_is_inconclusive(monkeypatch):
+    def exhaust(action):
+        raise MemoryError
+
+    monkeypatch.setattr(germs, "build_germs", exhaust)
+    result = CliRunner().invoke(cli.main, ["germs", str(DATA / "i2_gens.json"), "--self"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "inconclusive: out of memory\n"
 
 
 def test_closure_never_scans_for_inverses(monkeypatch):
@@ -378,10 +408,12 @@ def test_verify_scans_every_element_when_idempotents_do_not_commute(
 
 def per_generator_light(mul, gens):
     """Light's test and its oracle, generator by generator, on the
-    table with tuple rows, as `FiniteInverseSemigroup` stores it."""
-    mul = tuple(map(tuple, mul))
-    assert ([semigroup.is_associative(mul, [a]) for a in gens]
-            == [light_scan(mul, [a]) for a in gens])
+    table with tuple rows, as `FiniteInverseSemigroup` stores it, and
+    with list rows."""
+    rows = tuple(map(tuple, mul))
+    expected = [light_scan(rows, [a]) for a in gens]
+    for table in (rows, [list(row) for row in mul]):
+        assert [semigroup.is_associative(table, [a]) for a in gens] == expected
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
