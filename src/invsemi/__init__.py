@@ -53,12 +53,7 @@ from .semigroup import (
     close,
     verify_inverse_semigroup,
 )
-from .symbolic import (
-    AntichainWitness,
-    FamilyTruncation,
-    SymbolicCriterionReport,
-    truncate,
-)
+from .symbolic import AntichainWitness, SymbolicCriterionReport
 
 __version__ = "0.1.0"
 
@@ -69,7 +64,6 @@ __all__ = [
     "ContractViolation",
     "CriterionVerdict",
     "DOWN",
-    "FamilyTruncation",
     "FiniteAction",
     "FiniteInverseSemigroup",
     "Germ",
@@ -102,6 +96,5 @@ __all__ = [
     "is_e_star_unitary",
     "join",
     "left_translation_action",
-    "truncate",
     "verify_inverse_semigroup",
 ]

@@ -7,7 +7,7 @@ clopen, so every `FiniteAction` is a clopen action by construction.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import ContractViolation
 from .semigroup import FiniteInverseSemigroup, generating_set, is_associative
@@ -16,17 +16,26 @@ from .semigroup import FiniteInverseSemigroup, generating_set, is_associative
 class FiniteAction:
     """An inverse semigroup acting by partial bijections on {0, ..., n-1}.
 
-    `domain_of` maps each idempotent index to its domain; `table` maps
-    (element, point) to the image point and is defined exactly on
-    {(s, x) : x in D_{s*s}}.  Call `validate()` to confirm the data
-    really is an action (homomorphism plus per-element bijectivity).
+    `domain_of` maps each idempotent index to its domain, and `rows[s][x]`
+    is the image of x under s for x in D_{s*s}; entries outside D_{s*s}
+    are never read.  The images come in as `table`, a map from (element,
+    point) to the image point defined exactly on {(s, x) : x in D_{s*s}};
+    the constructor checks that once and lays the table into rows padded
+    with -1, and the `table` attribute rebuilds the map when read.  Call
+    `validate()` to confirm the data really is an action (homomorphism
+    plus per-element bijectivity).
     """
 
-    __slots__ = ("semigroup", "space_size", "domain_of", "table", "_idempotents_at")
+    __slots__ = ("semigroup", "space_size", "domain_of", "rows", "_idempotents_at")
 
     def __init__(self, semigroup: FiniteInverseSemigroup, space_size: int,
                  domain_of: Mapping[int, frozenset[int]],
-                 table: Mapping[tuple[int, int], int]):
+                 table: Mapping[tuple[int, int], int] | None, *,
+                 _rows: Sequence[Sequence[int]] | None = None):
+        """`_rows` are the image rows, for a caller that has them by
+        construction (`left_translation_action` passes the semigroup's
+        own table); they are trusted, not checked, and `table` is then
+        not read."""
         if semigroup.inv is None:
             raise ContractViolation("actions need a genuine inverse semigroup")
         if space_size < 0:
@@ -48,12 +57,31 @@ class FiniteAction:
         object.__setattr__(self, "semigroup", semigroup)
         object.__setattr__(self, "space_size", space_size)
         object.__setattr__(self, "domain_of", doms)
-        object.__setattr__(self, "table", dict(table))
+        object.__setattr__(self, "rows", _rows if _rows is not None else self._lay(table))
         object.__setattr__(self, "_idempotents_at",
                            {x: tuple(es) for x, es in at.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAction is immutable")
+
+    def _lay(self, table: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+        """The pair table as rows, once its keys are exactly the pairs."""
+        S = self.semigroup
+        defined = set(table)
+        expected = {(s, x) for s in S.elements() for x in self.domain(s)}
+        if defined != expected:
+            stray = sorted(defined ^ expected)[:5]
+            raise ContractViolation(f"action table domain mismatch near {stray}")
+        rows = [[-1] * self.space_size for _ in S.elements()]
+        for (s, x), y in table.items():
+            rows[s][x] = y
+        return tuple(map(tuple, rows))
+
+    @property
+    def table(self) -> dict[tuple[int, int], int]:
+        """Every image as {(s, x): s.x}, in (s, x) order; built when read."""
+        rows = self.rows
+        return {(s, x): rows[s][x] for s, x in self.germ_pairs()}
 
     def domain(self, s: int) -> frozenset[int]:
         """D_{s*s}, where the action of s is defined."""
@@ -68,11 +96,9 @@ class FiniteAction:
         return self.domain_of[S.mul[s][S.inv[s]]]
 
     def act(self, s: int, x: int) -> int:
-        try:
-            return self.table[(s, x)]
-        except KeyError:
-            raise ContractViolation(
-                f"action of element {s} undefined at point {x}") from None
+        if not (0 <= s < self.semigroup.order and x in self.domain(s)):
+            raise ContractViolation(f"action of element {s} undefined at point {x}")
+        return self.rows[s][x]
 
     def germ_pairs(self) -> list[tuple[int, int]]:
         """The pair space {(s, x) : x in D_{s*s}} in (s, x) order."""
@@ -85,15 +111,10 @@ class FiniteAction:
 
     def validate(self) -> None:
         """Raise ContractViolation unless the data defines an action."""
-        S = self.semigroup
-        defined = set(self.table)
-        expected = {(s, x) for s in S.elements() for x in self.domain(s)}
-        if defined != expected:
-            stray = sorted(defined ^ expected)[:5]
-            raise ContractViolation(f"action table domain mismatch near {stray}")
+        S, rows = self.semigroup, self.rows
         for s in S.elements():
-            dom, cod = self.domain(s), self.codomain(s)
-            image = {self.table[(s, x)] for x in dom}
+            dom, cod, row = self.domain(s), self.codomain(s), rows[s]
+            image = {row[x] for x in dom}
             if len(image) != len(dom) or not image <= cod:
                 raise ContractViolation(
                     f"element {s} does not act as a bijection D_s*s -> D_ss*")
@@ -101,8 +122,9 @@ class FiniteAction:
                 raise ContractViolation(
                     f"element {s} does not act onto D_ss*")
         for e in S.idempotents:
+            row = rows[e]
             for x in self.domain_of[e]:
-                if self.table[(e, x)] != x:
+                if row[x] != x:
                     raise ContractViolation(
                         f"idempotent {e} must act as the identity on its domain")
         maps, mul = self._maps(), S.mul
@@ -122,9 +144,9 @@ class FiniteAction:
         n = self.space_size
         maps = []
         for s in self.semigroup.elements():
-            image = [-1] * (n + 1)
+            image, row = [-1] * (n + 1), self.rows[s]
             for x in self.domain(s):
-                image[x] = self.table[(s, x)]
+                image[x] = row[x]
             maps.append(tuple(image))
         return maps
 
@@ -156,11 +178,8 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
     iff xx* <= e, so e_x = xx* (see `GermGroupoid`): the germs number
     the sum over x of |L_{xx*}|, 126,526 on I_5.  Isotropy is trivial:
     u x = x with u*u = xx* gives u = u xx* = (u x) x* = xx*, a unit.
+    The image rows are the rows of the table itself: nothing is stored
+    per pair.
     """
     domains = {e: frozenset(S.right_ideal(e)) for e in S.idempotents}
-    table = {}
-    for s in S.elements():
-        ss = S.mul[S.inv[s]][s]
-        for x in domains[ss]:
-            table[(s, x)] = S.mul[s][x]
-    return FiniteAction(S, S.order, domains, table)
+    return FiniteAction(S, S.order, domains, None, _rows=S.mul)

@@ -60,7 +60,7 @@ class GermGroupoid:
 
     def __init__(self, action: FiniteAction):
         S = action.semigroup
-        mul, inv, up = S.mul, S.inv, S._require_up_masks()
+        mul, inv, up, rows = S.mul, S.inv, S._require_up_masks(), action.rows
         least = {x: _least_idempotent_at(action, x)
                  for x in range(action.space_size) if action.idempotents_at(x)}
         l_classes: dict[int, list[int]] = {}
@@ -71,7 +71,7 @@ class GermGroupoid:
         index = {(u, x): cid for cid, (_, x, u) in enumerate(keys)}
         source, target, inverse = [], [], []
         for _, x, u in keys:
-            y = action.act(u, x)
+            y = rows[u][x]  # x lies in D_{u*u}, as u*u = e_x
             source.append(index[(least[x], x)])
             target.append(index[(mul[u][inv[u]], y)])
             inverse.append(index[(inv[u], y)])
@@ -126,9 +126,9 @@ class GermGroupoid:
             at_point: dict[int, list[int]] = {}
             for cid, x in enumerate(self.points):
                 at_point.setdefault(x, []).append(cid)
-            composition = {}
+            composition, rows = {}, self.action.rows
             for c2, (t, x) in enumerate(self.reps):
-                for c1 in at_point.get(self.action.act(t, x), ()):
+                for c1 in at_point.get(rows[t][x], ()):
                     composition[(c1, c2)] = self._product(c1, c2)
             object.__setattr__(self, "_composition", composition)
         return self._composition
@@ -139,7 +139,7 @@ class GermGroupoid:
             return None
         s, y = self.reps[c1]
         t, x = self.reps[c2]
-        if self.action.act(t, x) != y:
+        if self.action.rows[t][x] != y:
             return None
         return self.germ(self.action.semigroup.mul[s][t], x).class_id
 

@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import ContractViolation
-from ..semigroup import FiniteInverseSemigroup
-
 
 @dataclass(frozen=True)
 class AntichainWitness:
@@ -45,49 +42,5 @@ class SymbolicCriterionReport:
         return tuple(str(w) for w in self.witness)
 
 
-@dataclass(frozen=True)
-class FamilyTruncation:
-    """A bounded slice of a countable family.
-
-    Only the atom-flip truncations are closed under multiplication and
-    carry a genuine table; Munn and graph bounds yield element pools for
-    oracle testing, and asking for those as a semigroup is an error.
-    """
-
-    family: str
-    bound: int
-    elements: tuple
-    semigroup: FiniteInverseSemigroup | None
-
-    @property
-    def closed(self) -> bool:
-        return self.semigroup is not None
-
-    def as_semigroup(self) -> FiniteInverseSemigroup:
-        if self.semigroup is None:
-            raise ContractViolation(
-                f"the {self.family} truncation is an element pool, not a closed "
-                "semigroup; use .elements for oracle testing")
-        return self.semigroup
-
-
 FAMILIES = ("atomflip", "munn", "graph")
 
-
-def truncate(family: str, bound: int, *, rank: int = 2, graph=None) -> FamilyTruncation:
-    """Bounded slice of a family: atom count, vertex count, or path length."""
-    from . import atomflip as _atomflip
-    from . import graphs as _graphs
-    from . import munn as _munn
-
-    if family == "atomflip":
-        S = _atomflip.truncation(bound)
-        return FamilyTruncation(family, bound, tuple(S.labels), S)
-    if family == "munn":
-        return FamilyTruncation(family, bound,
-                                _munn.element_pool(rank, bound), None)
-    if family == "graph":
-        g = graph if graph is not None else _graphs.fixture_graph()
-        return FamilyTruncation(family, bound,
-                                _graphs.element_pool(g, bound), None)
-    raise ContractViolation(f"unknown family {family!r}; expected one of {FAMILIES}")

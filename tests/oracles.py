@@ -409,6 +409,20 @@ def light_scan(mul, gens) -> bool:
                for a in gens for x in range(m) for y in range(m))
 
 
+def left_translation_table_scan(S):
+    """{(s, x): s x} on x in D_{s*s}, cell by cell from the table:
+    x lies in s*s S iff s*s x = x."""
+    mul = S.mul
+    return {(s, x): mul[s][x] for s in S.elements() for x in S.elements()
+            if mul[mul[S.inv[s]][s]][x] == x}
+
+
+def natural_table_scan(S):
+    """{(s, x): s(x)} for a closure of partial bijections acting on its
+    ground set, from each label's (source, target) pairs."""
+    return {(s, x): y for s, f in enumerate(S.labels) for x, y in f.pairs}
+
+
 def validate_scan(action) -> None:
     """`FiniteAction.validate` with the homomorphism law checked on
     every pair (s, t) as dicts of the partial maps."""

@@ -43,6 +43,30 @@ def test_left_translation_zero_domain(i2):
     assert action.domain_of[i2.zero] == frozenset({i2.zero})
 
 
+def test_act_rejects_pairs_outside_the_domain(i2):
+    action = left_translation_action(i2)
+    # the row of s has an entry at every x, but only x in D_{s*s} is read
+    s, x = next((s, x) for s in i2.elements() for x in i2.elements()
+                if x not in action.domain(s))
+    with pytest.raises(ContractViolation, match="undefined at point"):
+        action.act(s, x)
+    for s in (-1, i2.order):
+        with pytest.raises(ContractViolation, match="undefined at point"):
+            action.act(s, 0)
+
+
+def test_pair_table_must_match_the_domains_exactly(z2):
+    e = next(iter(z2.idempotents))
+    g = next(s for s in z2.elements() if s != e)
+    domains = {e: frozenset({0})}
+    for table, stray in (({(e, 0): 0, (g, 0): 0, (g, 1): 1}, [(g, 1)]),
+                         ({(e, 0): 0}, [(g, 0)]),
+                         ({(e, 0): 0, (g, 0): 0, (2, 0): 0}, [(2, 0)])):
+        with pytest.raises(ContractViolation) as exc:
+            FiniteAction(z2, 2, domains, table)
+        assert str(exc.value) == f"action table domain mismatch near {stray}"
+
+
 def test_all_fixture_actions_validate(all_fixtures):
     for name, S in all_fixtures.items():
         left_translation_action(S).validate()

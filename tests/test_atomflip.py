@@ -7,7 +7,7 @@ from invsemi import (
     hausdorff_criterion,
     verify_inverse_semigroup,
 )
-from invsemi.symbolic import atomflip, truncate
+from invsemi.symbolic import atomflip
 from invsemi.symbolic.atomflip import FLIP, SQUARE, ZERO, atom
 
 
@@ -117,14 +117,6 @@ def test_cross_family_table_agreement():
             assert S.mul[index[a]][index[b]] == index[a * b]
         assert S.inv[index[a]] == index[a.inverse()]
         assert (index[a] in S.idempotents) == a.is_idempotent()
-
-
-def test_truncate_dispatch():
-    tr = truncate("atomflip", 2)
-    assert tr.closed
-    assert tr.as_semigroup().order == 5
-    with pytest.raises(ContractViolation):
-        truncate("nonsense", 2)
 
 
 def test_element_outside_truncation_rejected():

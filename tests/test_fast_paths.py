@@ -47,9 +47,11 @@ from oracles import (
     hausdorff_scan,
     inverse_sets_scan,
     join_brute,
+    left_translation_table_scan,
     light_scan,
     lower_set_scan,
     maximal_elements_scan,
+    natural_table_scan,
     up_masks_scan,
     validate_scan,
     verify_scan,
@@ -151,8 +153,11 @@ def test_fast_paths_match_scans_on_random_closures(gens, data):
     subsets = [data.draw(st.sets(st.sampled_from(range(S.order)))) for _ in range(3)]
     check_derivation(S)
     check_criterion(S, subsets)
-    G = check_germs(left_translation_action(S))
-    check_germs(natural_action(S))
+    left, natural = left_translation_action(S), natural_action(S)
+    assert left.table == left_translation_table_scan(S)
+    assert natural.table == natural_table_scan(S)
+    G = check_germs(left)
+    check_germs(natural)
     # left translation: the classes at x are L_{xx*}, and isotropy is trivial
     l_sizes = Counter(S.mul[S.inv[u]][u] for u in S.elements())
     assert len(G) == sum(l_sizes[S.mul[x][S.inv[x]]] for x in S.elements())
@@ -161,14 +166,19 @@ def test_fast_paths_match_scans_on_random_closures(gens, data):
 
 def test_germs_store_nothing_per_pair(monkeypatch):
     def refuse(self):
-        raise AssertionError("germ pair scan while building germs")
+        raise AssertionError("germ pair scan or pair table while building germs")
 
+    S = close(symmetric_generators(4))
+    assert left_translation_action(S).rows is S.mul
     monkeypatch.setattr(FiniteAction, "germ_pairs", refuse)
-    for action in (left_translation_action(close(symmetric_generators(4))),
+    monkeypatch.setattr(FiniteAction, "table", property(refuse))
+    for action in (left_translation_action(S),
                    load_action(DATA / "z2_point_action.json")):
         G = build_germs(action)
         assert len(G) > 0
         assert not hasattr(G, "class_of") and not hasattr(G, "classes")
+    result = CliRunner().invoke(cli.main, ["germs", str(DATA / "i2_gens.json"), "--self"])
+    assert result.exit_code == 0, result.output
 
 
 def test_cli_out_of_memory_is_inconclusive(monkeypatch):

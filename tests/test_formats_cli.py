@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -342,6 +343,93 @@ def test_cli_verify_failure_exit_4(runner, monkeypatch):
     monkeypatch.setattr(cli_mod, "_verify_germ_classes", lambda action, G: False)
     result = runner.invoke(main, ["germs", str(DATA / "z2.json"), "--self", "--verify"])
     assert result.exit_code == 4
+
+
+I3_GENS = {"version": 1, "kind": "generators", "ground_size": 3,
+           "generators": [[[0, 1], [1, 0], [2, 2]], [[0, 1], [1, 2], [2, 0]],
+                          [[1, 1], [2, 2]]]}
+
+
+def _merged(honest):
+    def germ(self, s, x):
+        g = honest(self, s, x)
+        return dataclasses.replace(g, class_id=0) if g.class_id == 1 else g
+    return germ
+
+
+def _split(honest):
+    # under left translation every pair at the zero is in one class
+    def germ(self, s, x):
+        g = honest(self, s, x)
+        if x == self.action.semigroup.zero and (s, x) != self.reps[g.class_id]:
+            return dataclasses.replace(g, class_id=len(self))
+        return g
+    return germ
+
+
+def _swapped(honest):
+    def germ(self, s, x):
+        g = honest(self, s, x)
+        return dataclasses.replace(g, class_id={0: 1, 1: 0}.get(g.class_id, g.class_id))
+    return germ
+
+
+@pytest.mark.parametrize("fault", [_merged, _split, _swapped])
+def test_cli_germs_verify_catches_wrong_classes(runner, monkeypatch, tmp_path, fault):
+    from invsemi.germs import GermGroupoid
+
+    f = tmp_path / "i3.json"
+    f.write_text(json.dumps(I3_GENS))
+    run(runner, "germs", str(f), "--self", "--verify")
+    monkeypatch.setattr(GermGroupoid, "germ", fault(GermGroupoid.germ))
+    result = runner.invoke(main, ["germs", str(f), "--self", "--verify"])
+    assert result.exit_code == 4
+    assert result.stderr == "verification failed: oracle disagreement\n"
+
+
+@pytest.mark.parametrize("moved", [True, False])
+def test_germs_verify_catches_a_copied_representative(moved):
+    """A class's representative is copied as a class of its own.  If a
+    pair of the class moves there, every pair is still ~ its class's
+    representative, and only the check that pairs with equal s e share a
+    class sees the fault; if none moves, the new class holds no pair."""
+    from invsemi import build_germs, left_translation_action
+    from invsemi.cli import _verify_germ_classes
+
+    action = left_translation_action(load_semigroup(DATA / "i2_gens.json"))
+    G = build_germs(action)
+    assert _verify_germ_classes(action, G)
+    s, x = next((s, x) for s, x in action.germ_pairs()
+                if G.reps[G.germ(s, x).class_id] != (s, x))
+
+    class Copied:
+        reps = (*G.reps, G.reps[G.germ(s, x).class_id])
+
+        def __len__(self):
+            return len(self.reps)
+
+        def germ(self, t, y):
+            g = G.germ(t, y)
+            return dataclasses.replace(g, class_id=len(G)) if moved and (t, y) == (s, x) else g
+
+    assert not _verify_germ_classes(action, Copied())
+
+
+@pytest.mark.parametrize("name, space_size, action, stray", [
+    ("stray", 2, [[0, [[0, 0], [1, 1]]], [1, [[0, 0]]]], "(0, 1)"),
+    ("missing", 1, [[0, [[0, 0]]]], "(1, 0)"),
+    ("out_of_range", 1, [[0, [[0, 0]]], [1, [[0, 0]]], [5, [[0, 0]]]], "(5, 0)"),
+])
+def test_cli_action_pairs_must_match_the_domains(tmp_path, name, space_size, action, stray):
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps({"version": 1, "semigroup": str(DATA / "z2.json"),
+                             "space_size": space_size, "domains": [[1, [0]]],
+                             "action": action}))
+    result = CliRunner().invoke(main, ["germs", str(f)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == \
+        f"error: {f}: invalid action: action table domain mismatch near [{stray}]\n"
 
 
 def test_cli_criterion_usage_errors(runner):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invsemi import ContractViolation, HAUSDORFF_WITNESS
-from invsemi.symbolic import munn, truncate
+from invsemi.symbolic import munn
 from oracles import (
     agree_under_all_interpretations,
     invert_word,
@@ -177,14 +177,6 @@ def test_pool_sizes():
 
 def test_pool_deterministic():
     assert munn.element_pool(2, 3) == munn.element_pool(2, 3)
-
-
-def test_truncate_pool_is_not_a_semigroup():
-    tr = truncate("munn", 1, rank=1)
-    assert not tr.closed
-    assert len(tr.elements) == 1
-    with pytest.raises(ContractViolation):
-        tr.as_semigroup()
 
 
 def test_tree_invariants_enforced():

@@ -11,6 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from invsemi.formats import load_semigroup
+from oracles import left_translation_table_scan
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -47,3 +50,5 @@ def test_traced_layers_are_found():
     metrics = result["metrics"]
     for name in ("symbolic.criterion.s", "germs.build.s", "criterion.oracle.s"):
         assert metrics[name] > 0, name
+    # the pair count of I_2 acting on itself, sum over s of |D_{s*s}|
+    assert metrics["germs.pairs"] == len(left_translation_table_scan(load_semigroup(i2))) == 27
