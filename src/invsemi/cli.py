@@ -195,7 +195,7 @@ def props(input_file, fmt, budget, verify, timing):
               help="INPUT is a semigroup file; act on itself by left translation.")
 @common_options
 def germs(input_file, self_action, fmt, budget, verify, timing):
-    """Build the germ groupoid of an action (action file, or --self)."""
+    """Germ groupoid counts of an action (action file, or --self)."""
     if self_action:
         S = formats.load_semigroup(input_file, budget=budget)
     else:
@@ -204,18 +204,18 @@ def germs(input_file, self_action, fmt, budget, verify, timing):
     check = _require_inverse_semigroup(S, input_file)
     if self_action:
         action = left_translation_action(S)
-    G = germs_mod.build_germs(action)
-    iso = G.isotropy()
+    counts = germs_mod.germ_counts(action)
+    principal = counts[2] == counts[1]  # and so effective, essentially principal
     report = RunReport(command="germs", input_digest=file_digest(input_file))
     report.semigroup = _semigroup_summary(S, check)
     report.groupoid = {
         "space_size": action.space_size,
-        "germ_count": len(G),
-        "unit_count": len(G.units),
-        "isotropy_count": len(iso),
-        "principal": G.is_principal(),
-        "effective": G.is_effective(),
-        "essentially_principal": G.is_essentially_principal(),
+        "germ_count": counts[0],
+        "unit_count": counts[1],
+        "isotropy_count": counts[2],
+        "principal": principal,
+        "effective": principal,
+        "essentially_principal": principal,
     }
     report.line(f"germs {input_file}{' --self' if self_action else ''}")
     g = report.groupoid
@@ -224,7 +224,12 @@ def germs(input_file, self_action, fmt, budget, verify, timing):
     report.line(f"principal={_yn(g['principal'])} effective={_yn(g['effective'])} "
                 f"essentially_principal={_yn(g['essentially_principal'])}")
     if verify:
-        report.verified = _verify_germ_classes(action, G)
+        G = germs_mod.build_germs(action)
+        report.verified = (
+            counts == (len(G), len(G.units), len(G.isotropy()))
+            and (principal,) * 3 == (G.is_principal(), G.is_effective(),
+                                     G.is_essentially_principal())
+            and _verify_germ_classes(action, G))
     return report
 
 
@@ -242,15 +247,12 @@ def _verify_germ_classes(action, G) -> bool:
     x, this costs k_x oracle calls and k_x |idempotents at x| lookups
     per point, not C(k_x, 2) oracle calls.
     """
-    S = action.semigroup
-    mul, inv = S.mul, S.inv
-    l_classes: dict[int, list[int]] = {}
-    for s in S.elements():
-        l_classes.setdefault(mul[inv[s]][s], []).append(s)
+    mul = action.semigroup.mul
+    l_classes = germs_mod._l_classes(action.semigroup)
     seen = set()
     for x in range(action.space_size):
         at = action.idempotents_at(x)
-        classed = [(s, G.germ(s, x).class_id) for e in at for s in l_classes[e]]
+        classed = [(s, G.class_of(s, x)) for e in at for s in l_classes[e]]
         for s, c in classed:
             if not 0 <= c < len(G):
                 return False

@@ -151,6 +151,8 @@ def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
                 if key in table:
                     raise ParseError(f"{path}: duplicate action entry for {key}")
                 table[key] = int(y)
+    except ParseError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed domains/action: {exc}") from None
     try:

@@ -52,7 +52,7 @@ class GermGroupoid:
     - [v, u.x][u, x] = [vu, x], with (vu)*(vu) = u* uu* u = e_x.
 
     Nothing is stored per pair: the cost is O(points + elements +
-    classes), and `germ(s, x)` finds a pair's class by (s e_x, x).
+    classes), and `class_of(s, x)` finds a pair's class by (s e_x, x).
     """
 
     __slots__ = ("action", "reps", "points", "source", "target", "units",
@@ -61,11 +61,8 @@ class GermGroupoid:
     def __init__(self, action: FiniteAction):
         S = action.semigroup
         mul, inv, up, rows = S.mul, S.inv, S._require_up_masks(), action.rows
-        least = {x: _least_idempotent_at(action, x)
-                 for x in range(action.space_size) if action.idempotents_at(x)}
-        l_classes: dict[int, list[int]] = {}
-        for u in S.elements():
-            l_classes.setdefault(mul[inv[u]][u], []).append(u)
+        least = _least_idempotents(action)
+        l_classes = _l_classes(S)
         keys = sorted(((up[u] & -up[u]).bit_length() - 1, x, u)
                       for x, e in least.items() for u in l_classes[e])
         index = {(u, x): cid for cid, (_, x, u) in enumerate(keys)}
@@ -93,16 +90,19 @@ class GermGroupoid:
     def __len__(self) -> int:
         return len(self.reps)
 
-    def germ(self, s: int, x: int) -> Germ:
-        """The class of the pair (s, x); x must lie in D_{s*s}."""
+    def class_of(self, s: int, x: int) -> int:
+        """The class id of the pair (s, x); x must lie in D_{s*s}."""
         S = self.action.semigroup
         S._check_index(s)
         try:
-            cid = self._index[(S.mul[s][self._least[x]], x)]
+            return self._index[(S.mul[s][self._least[x]], x)]
         except KeyError:
             raise ContractViolation(f"({s}, {x}) is not a germ pair") from None
-        rep_s, rep_x = self.reps[cid]
-        return Germ(rep_s, rep_x, cid)
+
+    def germ(self, s: int, x: int) -> Germ:
+        """The class of the pair (s, x), with its representative."""
+        cid = self.class_of(s, x)
+        return Germ(*self.reps[cid], cid)
 
     def compose(self, c1: int, c2: int) -> int:
         """[s, y] [t, x] = [s t, x] on representatives, when y = act(t, x)."""
@@ -141,12 +141,12 @@ class GermGroupoid:
         t, x = self.reps[c2]
         if self.action.rows[t][x] != y:
             return None
-        return self.germ(self.action.semigroup.mul[s][t], x).class_id
+        return self.class_of(self.action.semigroup.mul[s][t], x)
 
     def unit_of_point(self, x: int) -> int:
         """The unit class sitting over the point x."""
         for e in self.action.idempotents_at(x):
-            return self.germ(e, x).class_id
+            return self.class_of(e, x)
         raise ContractViolation(f"point {x} lies in no idempotent domain")
 
     def isotropy(self) -> frozenset[int]:
@@ -178,11 +178,44 @@ class GermGroupoid:
         U = frozenset(points)
         if not U <= self.action.domain(s):
             raise ContractViolation("slice points must lie in the domain of s")
-        return frozenset(self.germ(s, x).class_id for x in U)
+        return frozenset(self.class_of(s, x) for x in U)
 
 
 def build_germs(action: FiniteAction) -> GermGroupoid:
     return GermGroupoid(action)
+
+
+def germ_counts(action: FiniteAction) -> tuple[int, int, int]:
+    """(germs, units, isotropy) of the germ groupoid, without building it.
+
+    By `GermGroupoid`, the classes at a point x in some domain are the
+    (u, x), u in L_{e_x}, with unit (e_x, x); (u, x) is isotropy iff its
+    target (uu*, u.x) = (e_{u.x}, u.x) is its source, iff u.x = x.  Units
+    are isotropy, so the groupoid is principal iff the counts agree; on a
+    finite discrete space so are effective and essentially principal.
+    """
+    least, rows = _least_idempotents(action), action.rows
+    l_classes = _l_classes(action.semigroup)
+    germs = isotropy = 0
+    for x, e in least.items():
+        members = l_classes[e]
+        germs += len(members)
+        isotropy += [rows[u][x] for u in members].count(x)
+    return germs, len(least), isotropy
+
+
+def _l_classes(S: FiniteInverseSemigroup) -> dict[int, list[int]]:
+    """The L-classes L_e = {u : u*u = e} of S, keyed by e, in index order."""
+    l_classes: dict[int, list[int]] = {}
+    for u in S.elements():
+        l_classes.setdefault(S.mul[S.inv[u]][u], []).append(u)
+    return l_classes
+
+
+def _least_idempotents(action: FiniteAction) -> dict[int, int]:
+    """{x: e_x} over the points that lie in some domain."""
+    return {x: _least_idempotent_at(action, x)
+            for x in range(action.space_size) if action.idempotents_at(x)}
 
 
 def _least_idempotent_at(action: FiniteAction, x: int) -> int:
@@ -230,7 +263,7 @@ def check_fixed_point_germ_laws(action: FiniteAction) -> tuple[bool, tuple | Non
         if not tf_s <= f_s:
             return False, (s, min(tf_s - f_s))
         for x in action.domain(s):
-            cid = G.germ(s, x).class_id
+            cid = G.class_of(s, x)
             if (x in f_s) != (cid in iso):
                 return False, (s, x)
             if (x in tf_s) != (cid in G.units):

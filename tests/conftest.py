@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from invsemi import FiniteInverseSemigroup, PartialBijection, all_partial_bijections, close
+from invsemi import (FiniteInverseSemigroup, PartialBijection, all_partial_bijections,
+                     build_germs, close)
+from invsemi.germs import germ_counts
 from invsemi.symbolic import atomflip
 
 
@@ -14,6 +16,17 @@ def make_chain(length: int) -> FiniteInverseSemigroup:
     return FiniteInverseSemigroup(
         [[max(i, j) for j in range(length)] for i in range(length)],
         labels=[f"e{i}" for i in range(length)])
+
+
+def check_germ_counts(action, G=None):
+    """`germ_counts` against the built groupoid: the three sizes, and
+    principal = effective = essentially principal = (isotropy == units)."""
+    G = build_germs(action) if G is None else G
+    counts = germ_counts(action)
+    assert counts == (len(G), len(G.units), len(G.isotropy()))
+    assert (counts[2] == counts[1],) * 3 == (
+        G.is_principal(), G.is_effective(), G.is_essentially_principal())
+    return counts
 
 
 @pytest.fixture(scope="session")

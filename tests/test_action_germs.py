@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from invsemi import (
@@ -10,7 +12,8 @@ from invsemi import (
     germ_equiv_oracle,
     left_translation_action,
 )
-from conftest import make_chain
+from conftest import check_germ_counts, make_chain
+from invsemi.formats import load_action
 from invsemi.symbolic import atomflip
 
 
@@ -266,10 +269,12 @@ def test_fixed_points_are_ideal_union(all_fixtures):
 
 def test_principal_effective_essential(all_fixtures):
     for name, S in all_fixtures.items():
-        G = build_germs(left_translation_action(S))
+        action = left_translation_action(S)
+        G = build_germs(action)
         assert G.is_principal(), name
         assert G.is_effective(), name
         assert G.is_essentially_principal(), name
+        assert check_germ_counts(action, G) == (len(G), S.order, S.order), name
 
 
 def test_isotropy_equals_units_for_self_actions(all_fixtures):
@@ -290,6 +295,10 @@ def test_non_principal_point_action(z2):
     assert not G.is_effective()
     assert not G.is_essentially_principal()
     assert G.isotropy() == frozenset(range(2))
+    assert check_germ_counts(action, G) == (2, 1, 2)
+    # the same action as a file
+    path = Path(__file__).parent / "data" / "z2_point_action.json"
+    assert check_germ_counts(load_action(path)) == (2, 1, 2)
 
 
 def test_slice(all_fixtures, i2):
@@ -330,6 +339,7 @@ def test_empty_domain_elements_contribute_no_germs():
     assert action.germ_pairs() == [(0, 0)]
     G = build_germs(action)
     assert len(G) == 1 and G.units == frozenset({0})
+    assert check_germ_counts(action, G) == (1, 1, 1)
 
 
 def test_empty_action_empty_groupoid(z2):
@@ -340,3 +350,4 @@ def test_empty_action_empty_groupoid(z2):
     G = build_germs(action)
     assert len(G) == 0
     assert G.is_principal() and G.is_effective() and G.is_essentially_principal()
+    assert check_germ_counts(action, G) == (0, 0, 0)

@@ -15,6 +15,7 @@ from invsemi import (
     left_translation_action,
     verify_inverse_semigroup,
 )
+from conftest import check_germ_counts
 from invsemi.germs import build_germs
 
 
@@ -41,6 +42,7 @@ def test_natural_action_is_the_pair_groupoid():
         assert len(G) == n * n
         assert len(G.units) == n
         assert G.is_principal()
+        assert check_germ_counts(natural_action(S, n), G) == (n * n, n, n)
         ok, certificate = check_fixed_point_germ_laws(natural_action(S, n))
         assert ok, certificate
 
@@ -79,6 +81,8 @@ def test_random_closure_sweep():
         action = left_translation_action(S)
         G = build_germs(action)
         assert G.is_principal() and G.is_effective() and G.is_essentially_principal()
+        check_germ_counts(action, G)
+        check_germ_counts(natural_action(S, n))
         ok, certificate = check_fixed_point_germ_laws(action)
         assert ok, (trial, certificate)
         assert check_fixed_points_are_ideal_union(S)

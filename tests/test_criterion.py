@@ -1,10 +1,15 @@
+import json
+
 import pytest
+from click.testing import CliRunner
 
 from invsemi import (
     DOWN,
     HAUSDORFF_WITNESS,
     BudgetExceeded,
     ContractViolation,
+    FiniteInverseSemigroup,
+    InvariantViolation,
     PartialBijection,
     close,
     compatible,
@@ -17,6 +22,7 @@ from invsemi import (
     join,
 )
 from conftest import element_index, make_chain
+from invsemi import cli, formats
 from invsemi.symbolic import atomflip
 from oracles import join_brute, union_join
 
@@ -191,7 +197,7 @@ def test_hausdorff_criterion_atomflip_truncation():
     verdict = hausdorff_criterion(S, flip)
     atoms = {i for i, el in enumerate(S.labels) if el.kind == "atom"}
     assert set(verdict.witness) == atoms
-    assert verdict.ideal_cover_verified
+    assert covers_by_ideals(S, flip, verdict.witness)
 
 
 def test_hausdorff_criterion_always_witnesses(all_fixtures):
@@ -201,6 +207,42 @@ def test_hausdorff_criterion_always_witnesses(all_fixtures):
             assert verdict.verdict == HAUSDORFF_WITNESS, name
             assert set(verdict.witness) == set(S.maximal_elements(S.j_set(s)))
             assert S.up_set(verdict.witness, DOWN) == verdict.j_set
+
+
+def with_a_hole_below_a_witness(S):
+    """A copy of S whose down-mask of some witness member f of some J_s
+    (s != f) misses an e < f in J_s that no other member covers; J_s,
+    read off down(s), keeps e.  Returns (copy, s)."""
+    down = S._require_down_masks()
+    for s in S.elements():
+        witness = hausdorff_criterion(S, s).witness
+        for f in witness:
+            others = 0
+            for g in witness:
+                if g != f:
+                    others |= down[g]
+            e = next((e for e in S.j_set(s) if e != f and down[f] >> e & 1
+                      and not others >> e & 1), None)
+            if f != s and e is not None:
+                T = FiniteInverseSemigroup(S.mul, labels=S.labels)
+                holed = list(T._require_down_masks())
+                holed[f] &= ~(1 << e)
+                object.__setattr__(T, "_down_masks", tuple(holed))
+                return T, s
+    raise AssertionError("no witness with a non-maximal element below it")
+
+
+def test_downward_closure_check_fires(i3, monkeypatch, tmp_path):
+    T, s = with_a_hole_below_a_witness(i3)
+    with pytest.raises(InvariantViolation):
+        hausdorff_criterion(T, s)
+
+    f = tmp_path / "i3.json"
+    f.write_text(json.dumps(formats.semigroup_to_dict(i3)))
+    monkeypatch.setattr(cli.formats, "load_semigroup", lambda path, budget=None: T)
+    result = CliRunner().invoke(cli.main, ["criterion", str(f)])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("invariant failure: downward closure")
 
 
 def test_witness_covers_both_ways(all_fixtures):

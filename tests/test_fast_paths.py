@@ -29,6 +29,7 @@ from invsemi import (
     build_germs,
     close,
     compatible,
+    covers_by_ideals,
     hausdorff_criterion,
     is_complete_and_distributive,
     left_translation_action,
@@ -57,6 +58,7 @@ from oracles import (
     verify_scan,
     zero_scan,
 )
+from conftest import check_germ_counts
 from test_closure import generator_lists, partial_bijections, symmetric_generators
 
 DATA = Path(__file__).parent / "data"
@@ -102,7 +104,7 @@ def check_criterion(S, subsets=()):
         jset, witness, down = hausdorff_scan(S, s)
         assert verdict.j_set == jset == down
         assert verdict.witness == witness
-        assert verdict.ideal_cover_verified
+        assert covers_by_ideals(S, s, verdict.witness)
         assert S.lower_set(s) == lower_set_scan(S, s)
         assert S.maximal_elements(jset) == witness
     for subset in subsets:
@@ -124,6 +126,7 @@ def check_germs(action):
     for x in range(action.space_size):
         assert action.idempotents_at(x) == tuple(
             e for e in sorted(action.semigroup.idempotents) if x in action.domain_of[e])
+    check_germ_counts(action, G)
     return G
 
 
@@ -176,20 +179,26 @@ def test_germs_store_nothing_per_pair(monkeypatch):
                    load_action(DATA / "z2_point_action.json")):
         G = build_germs(action)
         assert len(G) > 0
-        assert not hasattr(G, "class_of") and not hasattr(G, "classes")
-    result = CliRunner().invoke(cli.main, ["germs", str(DATA / "i2_gens.json"), "--self"])
-    assert result.exit_code == 0, result.output
+        assert callable(G.class_of) and not hasattr(G, "classes")
+    for verify in ([], ["--verify"]):
+        result = CliRunner().invoke(
+            cli.main, ["germs", str(DATA / "i2_gens.json"), "--self", *verify])
+        assert result.exit_code == 0, result.output
 
 
 def test_cli_out_of_memory_is_inconclusive(monkeypatch):
     def exhaust(action):
         raise MemoryError
 
-    monkeypatch.setattr(germs, "build_germs", exhaust)
-    result = CliRunner().invoke(cli.main, ["germs", str(DATA / "i2_gens.json"), "--self"])
-    assert result.exit_code == 3
-    assert result.stdout == ""
-    assert result.stderr == "inconclusive: out of memory\n"
+    # the report reads the counts; --verify builds the groupoid too
+    for name, verify in (("germ_counts", []), ("build_germs", ["--verify"])):
+        with monkeypatch.context() as m:
+            m.setattr(germs, name, exhaust)
+            result = CliRunner().invoke(
+                cli.main, ["germs", str(DATA / "i2_gens.json"), "--self", *verify])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "inconclusive: out of memory\n"
 
 
 def test_closure_never_scans_for_inverses(monkeypatch):

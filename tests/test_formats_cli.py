@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -345,33 +344,45 @@ def test_cli_verify_failure_exit_4(runner, monkeypatch):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("delta", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+def test_cli_germs_verify_checks_the_counts(runner, monkeypatch, delta):
+    """A report whose counts disagree with the built groupoid fails --verify."""
+    from invsemi import germs as germs_mod
+
+    honest = germs_mod.germ_counts
+    monkeypatch.setattr(germs_mod, "germ_counts", lambda action: tuple(
+        c + d for c, d in zip(honest(action), delta)))
+    run(runner, "germs", str(DATA / "z2.json"), "--self")
+    run(runner, "germs", str(DATA / "z2.json"), "--self", "--verify", expect=4)
+
+
 I3_GENS = {"version": 1, "kind": "generators", "ground_size": 3,
            "generators": [[[0, 1], [1, 0], [2, 2]], [[0, 1], [1, 2], [2, 0]],
                           [[1, 1], [2, 2]]]}
 
 
 def _merged(honest):
-    def germ(self, s, x):
-        g = honest(self, s, x)
-        return dataclasses.replace(g, class_id=0) if g.class_id == 1 else g
-    return germ
+    def class_of(self, s, x):
+        c = honest(self, s, x)
+        return 0 if c == 1 else c
+    return class_of
 
 
 def _split(honest):
     # under left translation every pair at the zero is in one class
-    def germ(self, s, x):
-        g = honest(self, s, x)
-        if x == self.action.semigroup.zero and (s, x) != self.reps[g.class_id]:
-            return dataclasses.replace(g, class_id=len(self))
-        return g
-    return germ
+    def class_of(self, s, x):
+        c = honest(self, s, x)
+        if x == self.action.semigroup.zero and (s, x) != self.reps[c]:
+            return len(self)
+        return c
+    return class_of
 
 
 def _swapped(honest):
-    def germ(self, s, x):
-        g = honest(self, s, x)
-        return dataclasses.replace(g, class_id={0: 1, 1: 0}.get(g.class_id, g.class_id))
-    return germ
+    def class_of(self, s, x):
+        c = honest(self, s, x)
+        return {0: 1, 1: 0}.get(c, c)
+    return class_of
 
 
 @pytest.mark.parametrize("fault", [_merged, _split, _swapped])
@@ -381,7 +392,7 @@ def test_cli_germs_verify_catches_wrong_classes(runner, monkeypatch, tmp_path, f
     f = tmp_path / "i3.json"
     f.write_text(json.dumps(I3_GENS))
     run(runner, "germs", str(f), "--self", "--verify")
-    monkeypatch.setattr(GermGroupoid, "germ", fault(GermGroupoid.germ))
+    monkeypatch.setattr(GermGroupoid, "class_of", fault(GermGroupoid.class_of))
     result = runner.invoke(main, ["germs", str(f), "--self", "--verify"])
     assert result.exit_code == 4
     assert result.stderr == "verification failed: oracle disagreement\n"
@@ -399,18 +410,16 @@ def test_germs_verify_catches_a_copied_representative(moved):
     action = left_translation_action(load_semigroup(DATA / "i2_gens.json"))
     G = build_germs(action)
     assert _verify_germ_classes(action, G)
-    s, x = next((s, x) for s, x in action.germ_pairs()
-                if G.reps[G.germ(s, x).class_id] != (s, x))
+    s, x = next((s, x) for s, x in action.germ_pairs() if G.reps[G.class_of(s, x)] != (s, x))
 
     class Copied:
-        reps = (*G.reps, G.reps[G.germ(s, x).class_id])
+        reps = (*G.reps, G.reps[G.class_of(s, x)])
 
         def __len__(self):
             return len(self.reps)
 
-        def germ(self, t, y):
-            g = G.germ(t, y)
-            return dataclasses.replace(g, class_id=len(G)) if moved and (t, y) == (s, x) else g
+        def class_of(self, t, y):
+            return len(G) if moved and (t, y) == (s, x) else G.class_of(t, y)
 
     assert not _verify_germ_classes(action, Copied())
 
@@ -432,6 +441,22 @@ def test_cli_action_pairs_must_match_the_domains(tmp_path, name, space_size, act
         f"error: {f}: invalid action: action table domain mismatch near [{stray}]\n"
 
 
+@pytest.mark.parametrize("domains, action, message", [
+    ([[1, [0]]], [[0, [[0, 0]]], [1, [[0, 0]]], [1, [[0, 0]]]],
+     "duplicate action entry for (1, 0)"),
+    ([[1, [0]], [1, [0]]], [[0, [[0, 0]]], [1, [[0, 0]]]],
+     "duplicate domain entry for idempotent 1"),
+])
+def test_cli_action_duplicates_name_the_file_once(tmp_path, domains, action, message):
+    f = tmp_path / "bad_dup.json"
+    f.write_text(json.dumps({"version": 1, "semigroup": str(DATA / "z2.json"),
+                             "space_size": 1, "domains": domains, "action": action}))
+    result = CliRunner().invoke(main, ["germs", str(f)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {f}: {message}\n"
+
+
 def test_cli_criterion_usage_errors(runner):
     run(runner, "criterion", expect=2)  # neither input nor family
     run(runner, "criterion", "--family", "munn", expect=2)  # missing --element
@@ -445,6 +470,24 @@ def test_cli_bad_symbolic_element_exit_2(runner):
 
 
 # -- determinism -----------------------------------------------------------
+
+GOLDEN = [(command, name, fmt)
+          for command, names in (("criterion", ("i2_gens", "z2_table", "chain2_table")),
+                                 ("germs_self", ("i2_gens", "z2_table", "chain2_table")),
+                                 ("germs", ("z2_point_action",)))
+          for name in names for fmt in ("human", "structured")]
+
+
+@pytest.mark.parametrize("command, name, fmt", GOLDEN)
+def test_reports_match_golden(runner, monkeypatch, command, name, fmt):
+    """Reports are pinned byte for byte in data/golden, run from data/."""
+    monkeypatch.chdir(DATA)
+    args = [command.removesuffix("_self"), f"{name}.json", "--format", fmt]
+    if command.endswith("_self"):
+        args.append("--self")
+    out = run(runner, *args)
+    assert out == (DATA / "golden" / f"{command}_{name}_{fmt}.out").read_text()
+
 
 def test_reports_byte_identical_across_runs(runner):
     invocations = [

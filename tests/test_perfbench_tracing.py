@@ -38,7 +38,7 @@ def test_traced_layers_are_found():
     i2 = str(ROOT / "tests" / "data" / "i2_gens.json")
     commands = [
         ["symbolic", "atomflip", "flip", "--truncation", "4", "--verify"],
-        ["germs", i2, "--self"],
+        ["germs", i2, "--self", "--verify"],  # the report alone builds no groupoid
         ["criterion", i2, "--verify"],
     ]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
