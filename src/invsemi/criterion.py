@@ -10,7 +10,8 @@ interesting refutations live in the `symbolic` families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
@@ -107,7 +108,44 @@ class CompletenessResult:
 
 
 def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
-    """Bit t of the s-th mask is set iff s and t are compatible.
+    """Bit t of the s-th mask is set iff s and t are compatible: read
+    off the ground cells when S has them (see `FiniteInverseSemigroup`),
+    else off the table rows."""
+    if S._cells is None:
+        return _compatibility_from_rows(S)
+    return _compatibility_from_cells(S.labels, S._cells, S.order)
+
+
+def _compatibility_from_cells(labels, cells, m: int) -> tuple[int, ...]:
+    """compat(s) = NOT (the OR of conflict(x, y) over the pairs (x, y)
+    of s), where conflict(x, y) = (row(x) | col(y)) & ~cell[x, y], with
+    row(x) the elements defined at x and col(y) those with y in their
+    image.
+
+    Proof.  S lies in I_n with its products and inverses, and its
+    idempotents are the partial identities in S, so s ~ t in S iff
+    s* t and s t* are partial identities.  s* t sends x to s^-1(t(x))
+    wherever t(x) lies in the image of s, so it is a partial identity
+    iff s and t have the same preimage at every point of both images;
+    s t* likewise iff they have the same image at every point of both
+    domains.  Together: s ~ t iff no pair (x, y) of s meets a pair
+    (x, y') of t with y' != y or a pair (x', y) of t with x' != x, and
+    t has such a pair iff t is defined at x or has y in its image but
+    does not hold (x, y), that is, iff t is in conflict(x, y).
+    """
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    for (x, y), cell in cells.items():
+        rows[x] = rows.get(x, 0) | cell
+        cols[y] = cols.get(y, 0) | cell
+    conflict = {(x, y): (rows[x] | cols[y]) & ~cell for (x, y), cell in cells.items()}
+    full = (1 << m) - 1
+    return tuple(full ^ reduce(or_, map(conflict.__getitem__, f.pairs), 0) for f in labels)
+
+
+def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:
+    """Compatibility masks from the table: s ~ t iff s* t and s t* are
+    idempotent.
 
     s* t is read off the row of s*, and s t* off the column of s*, since
     s t* is idempotent iff its inverse t s* is.  Each row becomes a

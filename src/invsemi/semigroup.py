@@ -11,7 +11,8 @@ certificate on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
@@ -29,16 +30,36 @@ class FiniteInverseSemigroup:
     Immutable after construction; all queries are pure, so instances can
     be shared freely between threads.  (The down-masks of the natural
     order are built on first use; a race only builds them twice.)
+
+    The natural order is kept as up-masks, bit t of the s-th set iff
+    s <= t, on one of two paths chosen here and nowhere else:
+    - *Ground cells*, when the caller vouches for the table: the labels
+      are `PartialBijection`s and `_inverse` was given, as for every
+      `close` result.  Then S is an inverse subsemigroup of I_n, and
+      `_cells[x, y]` is the mask of the elements whose graph holds the
+      pair (x, y).  In I_n, t s*s is t restricted to the domain of s,
+      so s <= t iff the graph of s lies in that of t.  The products and
+      the inverse of S are those of I_n, so the order of S is that of
+      I_n, and up(s) is the AND of the cells of the pairs of s (every
+      element when s is the empty map): O(rank(s)) operations on m-bit
+      masks.  The compatibility masks of `criterion` read the same
+      cells.
+    - *Table rows* otherwise (table files, the atom-flip truncations, a
+      table passed in with or without labels): `_up_masks` reads the
+      order off the row of s s*, since s <= t iff s s* t = s.  `_cells`
+      is None.
     """
 
     __slots__ = ("mul", "order", "labels", "inv", "idempotents", "zero",
-                 "_up_masks", "_down_masks")
+                 "_up_masks", "_down_masks", "_cells")
 
     def __init__(self, mul: Sequence[Sequence[int]], labels: Sequence | None = None,
                  *, _inverse: Sequence[int] | None = None):
         """`_inverse` is the inverse map, for a caller that knows it by
         construction (`close` from the labels, the atom-flip truncations
-        from their closed form); it is trusted, not checked.  Without it
+        from their closed form); it is trusted, not checked, and with
+        `PartialBijection` labels it puts the order on the ground-cell
+        path (see the class docstring).  Without it
         the table gets the exhaustive scan for generalized inverses, and
         `inv` is None unless each element has exactly one."""
         table = tuple(tuple(row) for row in mul)
@@ -63,6 +84,9 @@ class FiniteInverseSemigroup:
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
         idempotents = frozenset(e for e in range(m) if table[e][e] == e)
+        # The one dispatch point of the order (see the class docstring).
+        by_ground = _inverse is not None and labels is not None and all(
+            isinstance(f, PartialBijection) for f in labels)
         if _inverse is None:
             _inverse = []
             for s in range(m):
@@ -78,8 +102,13 @@ class FiniteInverseSemigroup:
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "zero", _find_zero(table, idempotents))
-        object.__setattr__(self, "_up_masks",
-                           _up_masks(table, inv) if inv is not None else None)
+        if by_ground:
+            cells = _ground_cells(self.labels)
+            up = _up_masks_from_cells(self.labels, cells, m)
+        else:
+            cells, up = None, _up_masks(table, inv) if inv is not None else None
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_up_masks", up)
         object.__setattr__(self, "_down_masks", None)
 
     def __setattr__(self, name, value):
@@ -383,14 +412,21 @@ def close(generators: Sequence[PartialBijection],
     action files rely on it.  Raises `BudgetExceeded` if the closure
     would pass `budget` elements.
 
-    Froidure-Pin: expand the elements in index order, right-multiplying
-    each by every letter; this records each new element's parent and
-    last letter and the right Cayley graph `right`.  The k letter rows
-    are filled by integer lookups, a t = (a parent(t)) last(t).  Every
-    other element t = p a (parent p, last letter a) has row
-    t x = p (a x): row p read through row a, one C-level gather.
-    Cost: m k composes for m elements and k letters, k m lookups, and
-    m - k row gathers of m entries each.
+    Froidure-Pin on image tuples: an element of I_n is keyed by its
+    image tuple, n + 1 entries with entry x the image of x, and the
+    sentinel n where x is undefined and at position n.  The key of
+    s a (a first, then s) is the key of s read through the key of a,
+    one C-level gather: x goes to s(a(x)), and the sentinel to itself,
+    so s a is undefined at x exactly where a is, or where s is at a(x).
+    Expand the elements in index order, right-multiplying each by every
+    letter; this records each new element's parent and last letter and
+    the right Cayley graph `right`.  The k letter rows are filled by
+    integer lookups, a t = (a parent(t)) last(t).  Every other element
+    t = p a (parent p, last letter a) has row t x = p (a x): row p read
+    through row a, one C-level gather.
+    Cost, for m elements and k letters: m k gathers of n + 1 entries,
+    m label constructions (one `PartialBijection`, with its checks, per
+    new element), k m lookups, and m - k row gathers of m entries each.
 
     Why the indexing is that of the all-pairs search it replaced
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
@@ -399,40 +435,44 @@ def close(generators: Sequence[PartialBijection],
     """
     if not generators:
         raise ContractViolation("need at least one generator")
-    ground = generators[0].ground_size
+    n = generators[0].ground_size
     for g in generators:
-        if g.ground_size != ground:
+        if g.ground_size != n:
             raise ContractViolation("generators live on different ground sets")
     if budget is None:
         budget = DEFAULT_CLOSE_BUDGET
 
-    elements: list[PartialBijection] = []
-    index: dict[PartialBijection, int] = {}
+    keys: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
     words: list[tuple[int, int] | None] = []  # (parent, last letter) per element
     right: list[list[int]] = []
 
-    def add(el: PartialBijection, word: tuple[int, int] | None) -> int:
-        t = index.get(el)
+    def add(key: tuple[int, ...], word: tuple[int, int] | None) -> int:
+        t = index.get(key)
         if t is None:
-            if len(elements) >= budget:
+            if len(keys) >= budget:
                 raise BudgetExceeded(
                     f"close: exceeded element budget {budget} after expanding "
-                    f"{len(right)} of {len(elements)} elements", budget)
-            t = index[el] = len(elements)
-            elements.append(el)
+                    f"{len(right)} of {len(keys)} elements", budget)
+            t = index[key] = len(keys)
+            keys.append(key)
             words.append(word)
         return t
 
     for g in [*generators, *(g.invert() for g in generators)]:
-        add(g, None)
-    letters = elements[:]
-    while len(right) < len(elements):
+        add(_image_key(n, g.pairs), None)
+    # A one-index itemgetter returns a scalar, not a key.  On the empty
+    # ground set the one key is (0,), and so is its product with itself:
+    # `tuple` hands a key back as it is.
+    gathers = [itemgetter(*key) if n else tuple for key in keys]
+    while len(right) < len(keys):
         s = len(right)
-        right.append([add(elements[s].compose(a), (s, k)) for k, a in enumerate(letters)])
+        key = keys[s]
+        right.append([add(gather(key), (s, k)) for k, gather in enumerate(gathers)])
 
-    products = words[len(letters):]
+    products = words[len(gathers):]
     mul = []
-    for row in right[:len(letters)]:
+    for row in right[:len(gathers)]:
         row = row[:]  # a times each letter, which are elements 0..k-1
         for p, b in products:
             row.append(right[row[p]][b])
@@ -443,10 +483,23 @@ def close(generators: Sequence[PartialBijection],
     through = [itemgetter(*row) for row in mul]
     for p, a in products:
         mul.append(through[a](mul[p]))
+    labels = [PartialBijection(n, {x: y for x, y in enumerate(key) if y != n})
+              for key in keys]
     # The closure is an inverse subsemigroup of I_n, so the inverse of
-    # each element is the element labelled by its inverse map.
-    return FiniteInverseSemigroup(mul, labels=elements,
-                                  _inverse=[index[el.invert()] for el in elements])
+    # each element is the element whose graph is its graph reversed.
+    return FiniteInverseSemigroup(
+        mul, labels=labels,
+        _inverse=[index[_image_key(n, ((y, x) for x, y in f.pairs))] for f in labels])
+
+
+def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The image tuple of the partial bijection on n points with graph
+    `pairs`: entry x is the image of x, or the sentinel n where x is
+    undefined; entry n is n."""
+    key = [n] * (n + 1)
+    for x, y in pairs:
+        key[x] = y
+    return tuple(key)
 
 
 def is_closure_of(S: FiniteInverseSemigroup,
@@ -533,6 +586,22 @@ def _up_masks(table, inv) -> tuple[int, ...]:
             mask |= 1 << t
         up.append(mask)
     return tuple(up)
+
+
+def _ground_cells(labels: Sequence[PartialBijection]) -> dict[tuple[int, int], int]:
+    """cell[x, y]: the mask of the elements whose graph holds (x, y)."""
+    members: dict[tuple[int, int], list[int]] = {}
+    for s, f in enumerate(labels):
+        for pair in f.pairs:
+            members.setdefault(pair, []).append(s)
+    return {pair: _set_to_mask(ss) for pair, ss in members.items()}
+
+
+def _up_masks_from_cells(labels, cells, m: int) -> tuple[int, ...]:
+    """up(s) = the AND of the cells of the pairs of s, every element
+    when s is empty (proof in `FiniteInverseSemigroup`)."""
+    full = (1 << m) - 1
+    return tuple(reduce(and_, map(cells.__getitem__, f.pairs), full) for f in labels)
 
 
 def _bits(mask: int):

@@ -73,6 +73,40 @@ def test_close_matches_lookup_fill(name):
     assert S.mul == lookup_fill_table(gens)
 
 
+TINY = {  # name: (generators, mul, labels as pairs, inv, up-masks)
+    "ground 0": ([PartialBijection(0)], ((0,),), [()], (0,), (1,)),
+    "ground 1, the empty map": ([PartialBijection(1)], ((0,),), [()], (0,), (1,)),
+    "ground 1, [0->0]": ([PartialBijection(1, {0: 0})], ((0,),), [((0, 0),)], (0,), (1,)),
+    "[0->0] on 2 points": ([PartialBijection(2, {0: 0})], ((0,),), [((0, 0),)], (0,), (1,)),
+    "[0->1] on 2 points": (
+        [PartialBijection(2, {0: 1})],
+        ((2, 3, 2, 2, 0), (4, 2, 2, 1, 2), (2, 2, 2, 2, 2), (0, 2, 2, 3, 2), (2, 1, 2, 2, 4)),
+        [((0, 1),), ((1, 0),), (), ((1, 1),), ((0, 0),)],
+        (1, 0, 2, 3, 4), (1, 2, 31, 8, 16)),
+}
+
+
+@pytest.mark.parametrize("name", TINY)
+def test_close_on_tiny_ground_sets(name):
+    gens, mul, pairs, inv, up = TINY[name]
+    S = close(gens)
+    n = gens[0].ground_size
+    assert S.mul == mul
+    assert S.labels == tuple(PartialBijection(n, p) for p in pairs)
+    assert (S.inv, S._up_masks) == (inv, up)
+    assert S.mul == pairwise_close(gens).mul
+
+
+@pytest.mark.parametrize("command", [["close"], ["criterion"], ["props"], ["germs", "--self"]])
+def test_cli_on_an_empty_ground_set(tmp_path, command):
+    f = tmp_path / "g0.json"
+    f.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 0,
+                             "generators": [[]]}))
+    for verify in ([], ["--verify"]):
+        result = CliRunner().invoke(main, [command[0], str(f), *command[1:], *verify])
+        assert result.exit_code == 0, result.output
+
+
 @st.composite
 def partial_bijections(draw, n):
     domain = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))

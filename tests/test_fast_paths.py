@@ -36,7 +36,7 @@ from invsemi import (
     verify_inverse_semigroup,
 )
 from invsemi import action as action_mod
-from invsemi import cli, germs, semigroup
+from invsemi import cli, criterion, germs, semigroup
 from invsemi.criterion import CompletenessResult
 from invsemi.formats import load_action, load_semigroup, semigroup_to_dict
 from invsemi.symbolic import atomflip
@@ -98,6 +98,17 @@ def check_derivation(S):
     assert scanned._require_down_masks() == S._require_down_masks()
 
 
+def check_ground_cells(S):
+    """A closure orders itself by its ground cells; the row scans of a
+    table-only copy give the same up-, down- and compatibility masks."""
+    table = FiniteInverseSemigroup(S.mul, _inverse=S.inv)
+    assert S._cells is not None and table._cells is None
+    assert S._up_masks == semigroup._up_masks(S.mul, S.inv) == table._up_masks
+    assert S._up_masks == up_masks_scan(S)
+    assert S._require_down_masks() == table._require_down_masks()
+    assert criterion._compatibility_masks(S) == criterion._compatibility_masks(table)
+
+
 def check_criterion(S, subsets=()):
     for s in S.elements():
         verdict = hausdorff_criterion(S, s)
@@ -135,6 +146,18 @@ def test_derivation_matches_scans(name):
     check_derivation(fixture(name))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ground_cells_match_row_scans(n):
+    check_ground_cells(close(CLOSURES[f"I_{n}"] if n < 4 else symmetric_generators(n)))
+
+
+def test_ground_cell_compatibility_matches_the_pair_test():
+    S = close(symmetric_generators(4))
+    comp = criterion._compatibility_masks(S)
+    assert all(comp[s] >> t & 1 == compatible(S, s, t)
+               for s in S.elements() for t in S.elements())
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_criterion_matches_scans(name):
     S = fixture(name)
@@ -155,6 +178,7 @@ def test_fast_paths_match_scans_on_random_closures(gens, data):
     S = close(gens)
     subsets = [data.draw(st.sets(st.sampled_from(range(S.order)))) for _ in range(3)]
     check_derivation(S)
+    check_ground_cells(S)
     check_criterion(S, subsets)
     left, natural = left_translation_action(S), natural_action(S)
     assert left.table == left_translation_table_scan(S)
@@ -209,6 +233,23 @@ def test_closure_never_scans_for_inverses(monkeypatch):
     assert close(symmetric_generators(4)).order == 209
     with pytest.raises(AssertionError):
         FiniteInverseSemigroup([[0]])
+
+
+def test_only_a_closure_orders_by_ground_cells(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row scan of the order or of compatibility")
+
+    table = load_semigroup(DATA / "z2_table.json")
+    monkeypatch.setattr(semigroup, "_up_masks", refuse)
+    monkeypatch.setattr(criterion, "_compatibility_from_rows", refuse)
+    S = close(symmetric_generators(4))
+    assert is_complete_and_distributive(S).ok
+    for build in (lambda: load_semigroup(DATA / "z2_table.json"),
+                  lambda: atomflip.truncation(4),
+                  lambda: FiniteInverseSemigroup(S.mul, labels=S.labels),
+                  lambda: is_complete_and_distributive(table)):
+        with pytest.raises(AssertionError):
+            build()
 
 
 def test_zero_fold_on_tables_without_unique_inverses(left_zero_table):
