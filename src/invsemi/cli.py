@@ -5,6 +5,10 @@ as human text by default or canonical JSON with --format structured;
 both are byte-deterministic for a fixed input and flag set.  Exit
 codes: 0 success, 2 parse error, 3 budget or memory exhausted, 4
 internal invariant or --verify failure.
+
+A subcommand imports the modules it runs inside its own body and calls
+them through module attributes, so `close` loads no criterion, germ,
+action or symbolic-family code.
 """
 
 from __future__ import annotations
@@ -15,13 +19,10 @@ from functools import wraps
 
 import click
 
-from . import criterion as crit
-from . import formats, germs as germs_mod, oracles, symbolic
-from .action import left_translation_action
+from . import formats, symbolic
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
 from .report import RunReport, file_digest
 from .semigroup import FiniteInverseSemigroup, is_closure_of, verify_inverse_semigroup
-from .symbolic import atomflip, graphs, munn
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -157,6 +158,7 @@ def close(input_file, fmt, budget, verify, timing):
 @common_options
 def props(input_file, fmt, budget, verify, timing):
     """Batch property flags: unitary variants, completeness, distributivity."""
+    from . import criterion as crit
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport(command="props", input_digest=file_digest(input_file))
     stats = _semigroup_summary(S)
@@ -182,6 +184,7 @@ def props(input_file, fmt, budget, verify, timing):
         report.line(f"complete+distributive: {'yes' if completeness.ok else 'no'} "
                     f"(subsets checked: {completeness.subsets_checked})")
         if verify:
+            from . import oracles
             report.verified = oracles.completeness_scan(S, budget).ok == completeness.ok
     else:
         report.line("algebraic properties skipped: not an inverse semigroup")
@@ -196,6 +199,7 @@ def props(input_file, fmt, budget, verify, timing):
 @common_options
 def germs(input_file, self_action, fmt, budget, verify, timing):
     """Germ groupoid counts of an action (action file, or --self)."""
+    from . import action as action_mod, germs as germs_mod
     if self_action:
         S = formats.load_semigroup(input_file, budget=budget)
     else:
@@ -203,7 +207,7 @@ def germs(input_file, self_action, fmt, budget, verify, timing):
         S = action.semigroup
     check = _require_inverse_semigroup(S, input_file)
     if self_action:
-        action = left_translation_action(S)
+        action = action_mod.left_translation_action(S)
     counts = germs_mod.germ_counts(action)
     principal = counts[2] == counts[1]  # and so effective, essentially principal
     report = RunReport(command="germs", input_digest=file_digest(input_file))
@@ -247,6 +251,7 @@ def _verify_germ_classes(action, G) -> bool:
     x, this costs k_x oracle calls and k_x |idempotents at x| lookups
     per point, not C(k_x, 2) oracle calls.
     """
+    from . import germs as germs_mod
     mul = action.semigroup.mul
     l_classes = germs_mod._l_classes(action.semigroup)
     seen = set()
@@ -292,6 +297,7 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
             raise ParseError("--family needs --element")
         return _symbolic_report("criterion", family, element_expr, truncation,
                                 rank, graph_file, verify)
+    from . import criterion as crit
     S = formats.load_semigroup(input_file, budget=budget)
     check = _require_inverse_semigroup(S, input_file)
     report = RunReport(command="criterion", input_digest=file_digest(input_file))
@@ -341,16 +347,19 @@ def _symbolic_report(command, family, element_expr, truncation, rank,
     if truncation is not None and family != "atomflip":
         raise ParseError("--truncation applies only to atomflip")
     if family == "atomflip":
+        from .symbolic import atomflip
         element = atomflip.parse(element_expr)
         try:
             rep = atomflip.criterion(element, truncation_atoms=truncation)
         except ContractViolation as exc:  # --truncation negative or too small
             raise ParseError(str(exc)) from None
     elif family == "munn":
+        from .symbolic import munn
         word_rank, word = munn.parse_word(element_expr)
         element = munn.MunnTreeElement.from_word(max(word_rank, rank), word)
         rep = munn.criterion(element)
     else:
+        from .symbolic import graphs
         g = formats.load_graph(graph_file) if graph_file else graphs.fixture_graph()
         element = graphs.parse(g, element_expr)
         rep = graphs.criterion(element)
@@ -397,6 +406,7 @@ def _verify_symbolic(family, element, rep, truncation) -> bool:
     if rep.witness is None or not all(element * f == f == f * f for f in rep.witness):
         return False
     if family == "atomflip" and truncation is not None:
+        from .symbolic import atomflip
         cover = set(rep.witness)  # e in it covers itself: e = e e
         return all(e in cover or any(f * e == e for f in rep.witness)
                    for e in atomflip.elements(truncation)

@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .action import FiniteAction
 from .errors import ContractViolation, ParseError
 from .partial_bijection import PartialBijection
 from .semigroup import FiniteInverseSemigroup, close
-from .symbolic.graphs import DirectedGraph
+
+if TYPE_CHECKING:  # imported on demand by `load_action` and `load_graph`
+    from .action import FiniteAction
+    from .symbolic.graphs import DirectedGraph
 
 FORMAT_VERSION = 1
 
@@ -120,6 +123,7 @@ def _semigroup_from_table(data: dict, path: Path) -> FiniteInverseSemigroup:
 
 
 def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
+    from .action import FiniteAction
     path = Path(path)
     data = _load_json(path)
     _check_version(data, path)
@@ -164,6 +168,7 @@ def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
 
 
 def load_graph(path: str | Path) -> DirectedGraph:
+    from .symbolic.graphs import DirectedGraph
     path = Path(path)
     data = _load_json(path)
     _check_version(data, path)

@@ -785,7 +785,7 @@ def test_cli_props_verify_runs_the_clique_scan(tmp_path, monkeypatch):
     # 159 pairs decide I_3, but the scan needs 1507 subsets
     code, output = exit_code("props", str(path), "--verify", "--budget", "1000")
     assert code == 3 and "completeness scan exceeded subset budget 1000" in output
-    monkeypatch.setattr(cli.oracles, "completeness_scan",
+    monkeypatch.setattr("invsemi.oracles.completeness_scan",
                         lambda S, budget: CompletenessResult(False))
     assert exit_code("props", str(path), "--verify")[0] == 4
 

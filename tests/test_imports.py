@@ -1,0 +1,112 @@
+"""Each CLI call imports only the modules its subcommand runs, and the
+package's public names load on first use (PEP 562 module `__getattr__`).
+
+The module sets are read in a fresh interpreter, since this test
+process has imported the whole package already.  Nothing here is timed.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import invsemi
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+
+SCRIPT = """
+import json, sys
+from invsemi.cli import main
+
+try:
+    main(json.loads(sys.argv[1]), standalone_mode=False)
+except SystemExit:
+    pass
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("invsemi"))))
+"""
+
+# what `close` needs: the package, click's front door, parsing, reports, tables
+CLI_MODULES = {f"invsemi{m}" for m in ("", ".cli", ".errors", ".formats", ".partial_bijection",
+                                       ".report", ".semigroup", ".symbolic")}
+
+
+def fresh(script: str, *args: str):
+    """The JSON that `script` prints last, run in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(args)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(*args: str) -> set[str]:
+    return set(fresh(SCRIPT, *args))
+
+
+def test_cli_import_loads_only_what_close_needs():
+    assert loaded_after("--help") == CLI_MODULES
+
+
+@pytest.mark.parametrize("args", [[], ["--verify"], ["--format", "structured"]])
+def test_close_loads_no_criterion_germ_or_family_code(args):
+    assert loaded_after("close", str(DATA / "i2_gens.json"), *args) == CLI_MODULES
+
+
+@pytest.mark.parametrize("args, uses", [
+    (["criterion", str(DATA / "i2_gens.json")], {"criterion"}),
+    (["props", str(DATA / "i2_gens.json")], {"criterion"}),
+    (["props", str(DATA / "i2_gens.json"), "--verify"], {"criterion", "oracles"}),
+    (["germs", str(DATA / "i2_gens.json"), "--self"], {"germs", "action"}),
+    (["germs", str(DATA / "z2_point_action.json")], {"germs", "action"}),
+    (["symbolic", "atomflip", "flip"], {"criterion", "symbolic.atomflip"}),
+    (["symbolic", "munn", "x y x^-1"], {"criterion", "symbolic.munn"}),
+    (["criterion", "--family", "graph", "--element", "e1"],
+     {"criterion", "symbolic.graphs"}),
+])
+def test_a_subcommand_loads_what_it_runs(args, uses):
+    assert loaded_after(*args) == CLI_MODULES | {f"invsemi.{m}" for m in uses}
+
+
+# -- the public names -----------------------------------------------------
+
+def test_every_public_name_resolves_to_its_defining_module():
+    assert len(invsemi.__all__) == len(set(invsemi.__all__)) == 39
+    for name in invsemi.__all__:
+        value = getattr(invsemi, name)
+        home = importlib.import_module(f"invsemi.{invsemi._HOME[name]}")
+        assert value is getattr(home, name), name
+
+
+def test_dir_lists_the_public_names():
+    assert set(invsemi.__all__) <= set(dir(invsemi))
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from invsemi import *", namespace)
+    assert set(invsemi.__all__) <= set(namespace)
+
+
+def test_a_public_name_loads_its_module_on_first_use():
+    script = """
+import json, sys
+import invsemi
+loaded = [sorted(m for m in sys.modules if m.startswith("invsemi"))]
+invsemi.close, invsemi.oracles.completeness_scan
+loaded.append(sorted(m for m in sys.modules if m.startswith("invsemi")))
+print(json.dumps(loaded))
+"""
+    bare, used = fresh(script)
+    assert bare == ["invsemi"]
+    assert used == ["invsemi", "invsemi.criterion", "invsemi.errors", "invsemi.oracles",
+                    "invsemi.partial_bijection", "invsemi.semigroup"]
+
+
+def test_an_unknown_name_fails():
+    with pytest.raises(AttributeError, match="nope"):
+        invsemi.nope  # noqa: B018
+    assert not hasattr(invsemi, "nope")
