@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation
-from .semigroup import FiniteInverseSemigroup, generating_set, is_associative
+from .semigroup import (FiniteInverseSemigroup, _bits, _set_to_mask, generating_set,
+                        is_associative)
 
 
 class FiniteAction:
@@ -180,6 +181,23 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
     u x = x with u*u = xx* gives u = u xx* = (u x) x* = xx*, a unit.
     The image rows are the rows of the table itself: nothing is stored
     per pair.
+
+    The domains come from the order, not from the rows: x lies in eS
+    iff xx* <= e, so the elements are grouped by xx* once, and each
+    group joins D_e for every idempotent e above its xx*.  That is m
+    lookups and one up-mask per range idempotent, instead of hashing a
+    row of m entries per idempotent.
     """
-    domains = {e: frozenset(S.right_ideal(e)) for e in S.idempotents}
+    if S.inv is None:
+        raise ContractViolation("actions need a genuine inverse semigroup")
+    mul, inv = S.mul, S.inv
+    by_range: dict[int, list[int]] = {}
+    for x, row in enumerate(mul):
+        by_range.setdefault(row[inv[x]], []).append(x)
+    up, idempotents = S._require_up_masks(), _set_to_mask(S.idempotents)
+    members: dict[int, list[int]] = {e: [] for e in S.idempotents}
+    for f, xs in by_range.items():
+        for e in _bits(up[f] & idempotents):
+            members[e].extend(xs)
+    domains = {e: frozenset(xs) for e, xs in members.items()}
     return FiniteAction(S, S.order, domains, None, _rows=S.mul)

@@ -22,7 +22,8 @@ import click
 from . import formats, symbolic
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
 from .report import RunReport, file_digest
-from .semigroup import FiniteInverseSemigroup, is_closure_of, verify_inverse_semigroup
+from .semigroup import (FiniteInverseSemigroup, VerificationResult, is_closure_of,
+                        verify_inverse_semigroup)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -91,11 +92,8 @@ def main():
     """Finite inverse semigroups, germ groupoids, and cover criteria."""
 
 
-def _semigroup_summary(S: FiniteInverseSemigroup, check=None) -> dict:
-    """Order, zero and the verifier's outcome; pass `check` when the
-    caller already ran `verify_inverse_semigroup` on S."""
-    if check is None:
-        check = verify_inverse_semigroup(S)
+def _semigroup_summary(S: FiniteInverseSemigroup, check: VerificationResult) -> dict:
+    """Order, zero and the outcome of `_verification`."""
     return {
         "order": S.order,
         "idempotent_count": len(S.idempotents),
@@ -107,10 +105,23 @@ def _semigroup_summary(S: FiniteInverseSemigroup, check=None) -> dict:
     }
 
 
-def _require_inverse_semigroup(S: FiniteInverseSemigroup, input_file):
-    """The verifier's outcome on S; a ParseError unless it passed."""
+def _verification(S: FiniteInverseSemigroup, input_file, verify: bool, *,
+                  require: bool = False) -> VerificationResult:
+    """Whether S is an inverse semigroup: the one place that decides
+    where `verify_inverse_semigroup` runs.
+
+    A closure of partial bijections (a `close` result, the only table
+    with ground cells) is an inverse subsemigroup of I_n by
+    construction, so it passes without a scan; under --verify it gets
+    the verifier too, and `close --verify` checks it independently with
+    `is_closure_of`.  A table file proves nothing about itself, so it
+    always gets the verifier.  With `require`, a failed check is a
+    ParseError naming the file.
+    """
+    if S._cells is not None and not verify:
+        return VerificationResult(True)
     check = verify_inverse_semigroup(S)
-    if not check.ok:
+    if require and not check.ok:
         raise ParseError(f"{input_file}: not an inverse semigroup "
                          f"({check.reason}, certificate {check.certificate})")
     return check
@@ -134,7 +145,7 @@ def close(input_file, fmt, budget, verify, timing):
     """Close a generator file (or load a table file) and verify it."""
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport(command="close", input_digest=file_digest(input_file))
-    stats = _semigroup_summary(S)
+    stats = _semigroup_summary(S, _verification(S, input_file, verify))
     report.semigroup = stats
     report.line(f"close {input_file}")
     _summary_lines(report, stats)
@@ -161,7 +172,7 @@ def props(input_file, fmt, budget, verify, timing):
     from . import criterion as crit
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport(command="props", input_digest=file_digest(input_file))
-    stats = _semigroup_summary(S)
+    stats = _semigroup_summary(S, _verification(S, input_file, verify))
     report.semigroup = stats
     report.line(f"props {input_file}")
     _summary_lines(report, stats)
@@ -205,7 +216,7 @@ def germs(input_file, self_action, fmt, budget, verify, timing):
     else:
         action = formats.load_action(input_file, budget=budget)
         S = action.semigroup
-    check = _require_inverse_semigroup(S, input_file)
+    check = _verification(S, input_file, verify, require=True)
     if self_action:
         action = action_mod.left_translation_action(S)
     counts = germs_mod.germ_counts(action)
@@ -299,7 +310,7 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
                                 rank, graph_file, verify)
     from . import criterion as crit
     S = formats.load_semigroup(input_file, budget=budget)
-    check = _require_inverse_semigroup(S, input_file)
+    check = _verification(S, input_file, verify, require=True)
     report = RunReport(command="criterion", input_digest=file_digest(input_file))
     report.semigroup = _semigroup_summary(S, check)
     report.line(f"criterion {input_file}")

@@ -57,30 +57,18 @@ class FiniteInverseSemigroup:
                  *, _inverse: Sequence[int] | None = None):
         """`_inverse` is the inverse map, for a caller that knows it by
         construction (`close` from the labels, the atom-flip truncations
-        from their closed form); it is trusted, not checked, and with
-        `PartialBijection` labels it puts the order on the ground-cell
-        path (see the class docstring).  Without it
-        the table gets the exhaustive scan for generalized inverses, and
-        `inv` is None unless each element has exactly one."""
+        from their closed form).  A caller that passes it also vouches
+        for the table: every row has length m and every entry is one of
+        0..m-1 (each such caller proves it in its docstring).  Neither
+        is checked, and with `PartialBijection` labels `_inverse` puts
+        the order on the ground-cell path (see the class docstring).
+        Without it the table gets the range check and the exhaustive
+        scan for generalized inverses, and `inv` is None unless each
+        element has exactly one."""
         table = tuple(tuple(row) for row in mul)
         m = len(table)
-        try:
-            # One pass over the cells: every row has length m and every
-            # entry is one of 0..m-1.  In place, so the transient is one
-            # set of at most the distinct entries.
-            stray = set().union(*table)
-            stray.difference_update(range(m))
-            in_range = not stray and all(len(row) == m for row in table)
-        except TypeError:  # an unhashable entry
-            in_range = False
-        if not in_range:
-            # The row-by-row check names the first bad row or entry.
-            for i, row in enumerate(table):
-                if len(row) != m:
-                    raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
-                if min(row) < 0 or max(row) >= m:
-                    v = next(v for v in row if not 0 <= v < m)
-                    raise ContractViolation(f"table entry {v} out of range [0, {m})")
+        if _inverse is None:
+            _check_cells(table)
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
         idempotents = frozenset(e for e in range(m) if table[e][e] == e)
@@ -432,6 +420,15 @@ def close(generators: Sequence[PartialBijection],
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
     least word is least, so both searches meet each element first
     through its least word, in shortlex order.
+
+    Why the table needs no range check (the constructor trusts it with
+    `_inverse`): every entry of `right` is an index that `add` handed
+    out, so below m.  A letter row is k entries of `right` and then one
+    per product, m entries below m.  Every other row, in index order,
+    gathers row p at the positions of row a, both earlier rows: m
+    entries of an in-range row, at positions below m.  By induction
+    every row has length m and entries in 0..m-1.  The inverse map is
+    that of I_n, read off the labels.
     """
     if not generators:
         raise ContractViolation("need at least one generator")
@@ -555,6 +552,27 @@ def _idempotents_commute(mul) -> bool:
     return all(mul[e][f] == mul[f][e] for i, e in enumerate(idem) for f in idem[:i])
 
 
+def _check_cells(table: tuple[tuple, ...]) -> None:
+    """Raise ContractViolation unless every row has length m and every
+    entry is one of 0..m-1, naming the first bad row or entry."""
+    m = len(table)
+    try:
+        # One pass over the cells.  In place, so the transient is one
+        # set of at most the distinct entries.
+        stray = set().union(*table)
+        stray.difference_update(range(m))
+        if not stray and all(len(row) == m for row in table):
+            return
+    except TypeError:  # an unhashable entry
+        pass
+    for i, row in enumerate(table):
+        if len(row) != m:
+            raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
+        if min(row) < 0 or max(row) >= m:
+            v = next(v for v in row if not 0 <= v < m)
+            raise ContractViolation(f"table entry {v} out of range [0, {m})")
+
+
 def _find_zero(table, idempotents) -> int | None:
     """The absorbing element, if any.
 
@@ -574,16 +592,20 @@ def _up_masks(table, inv) -> tuple[int, ...]:
     """Bit t of the s-th mask is set iff s <= t.
 
     s <= t iff s s* t = s, so the up-set of s is where s occurs in the
-    row of s s*: C-level scans of one stored row per element, not a
-    Python loop over all m elements.
+    row of s s*: one C-level pass of `index` calls over one stored row
+    per element (the last call runs off the end), not a Python loop
+    over all m elements.
     """
     up = []
     for s in range(len(table)):
         row = table[table[s][inv[s]]]
         mask, t = 0, -1
-        for _ in range(row.count(s)):
-            t = row.index(s, t + 1)
-            mask |= 1 << t
+        try:
+            while True:
+                t = row.index(s, t + 1)
+                mask |= 1 << t
+        except ValueError:  # no s past t
+            pass
         up.append(mask)
     return tuple(up)
 

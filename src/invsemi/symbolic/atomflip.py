@@ -97,6 +97,9 @@ def truncation(n_atoms: int) -> FiniteInverseSemigroup:
     SQUARE times t is t, FLIP times t is t except FLIP FLIP = SQUARE
     and FLIP SQUARE = FLIP, and atom a times FLIP, SQUARE or a is a,
     times anything else ZERO.  Every element is its own inverse.
+    The constructor trusts that map and the table with it, unchecked:
+    each of the m rows is a closed form of length m over the indices
+    0, 1, 2 and a, all below m = n + 3.
     """
     if n_atoms < 0:
         raise ContractViolation("atom count must be non-negative")

@@ -199,17 +199,30 @@ def test_is_closure_of_rejects_elements_the_letters_do_not_reach():
     assert not is_closure_of(S, [SWAP])
 
 
-def test_cli_close_verify_catches_corrupted_cell(monkeypatch):
+def close_verify_with_one_cell_corrupted(monkeypatch, trusted: bool):
+    """`close --verify` on I_2 with one cell moved; a `trusted` table
+    keeps the closure's inverse map, so the CLI takes it for a closure."""
     load = formats.load_semigroup
 
     def corrupted(path, budget=None):
         S = load(path, budget=budget)
         mul = [list(row) for row in S.mul]
         mul[1][2] = (mul[1][2] + 1) % S.order
-        return FiniteInverseSemigroup(mul, labels=S.labels)
+        return FiniteInverseSemigroup(mul, labels=S.labels,
+                                      _inverse=S.inv if trusted else None)
 
     monkeypatch.setattr(formats, "load_semigroup", corrupted)
-    result = CliRunner().invoke(main, ["close", str(DATA / "i2_gens.json"), "--verify",
-                                       "--format", "structured"])
+    return CliRunner().invoke(main, ["close", str(DATA / "i2_gens.json"), "--verify",
+                                     "--format", "structured"])
+
+
+def test_cli_close_verify_catches_corrupted_cell(monkeypatch):
+    result = close_verify_with_one_cell_corrupted(monkeypatch, trusted=False)
+    assert result.exit_code == 4, result.output
+    assert json.loads(result.stdout)["verified"] is False
+
+
+def test_cli_close_verify_catches_a_corrupted_cell_of_a_trusted_closure(monkeypatch):
+    result = close_verify_with_one_cell_corrupted(monkeypatch, trusted=True)
     assert result.exit_code == 4, result.output
     assert json.loads(result.stdout)["verified"] is False

@@ -7,10 +7,14 @@ Each check runs on I_1-I_4, on the atom-flip truncations F_0-F_8 and on
 seeded random closures, for both the left-translation action and the
 natural action of a closure on its ground set; the verify and action
 checks also run on random magma tables and on fixtures with one entry
-corrupted.
+corrupted.  The tables that `close` and `atomflip.truncation` hand the
+constructor unchecked are swept on I_1-I_5, on seeded random closures
+and on F_0-F_64, and the CLI's calls to the verifier are counted.
 """
 
+import functools
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -59,6 +63,7 @@ from oracles import (
     zero_scan,
 )
 from conftest import check_germ_counts
+from test_consistency_sweep import random_pb
 from test_closure import generator_lists, partial_bijections, symmetric_generators
 
 DATA = Path(__file__).parent / "data"
@@ -267,7 +272,8 @@ def test_germs_reject_domains_without_a_least_idempotent():
         build_germs(bad)
 
 
-def test_criterion_command_verifies_the_table_once(monkeypatch):
+def counted_verifier(monkeypatch) -> list[int]:
+    """The orders of the tables that the CLI hands to the verifier."""
     calls = []
     verify = cli.verify_inverse_semigroup
 
@@ -276,9 +282,80 @@ def test_criterion_command_verifies_the_table_once(monkeypatch):
         return verify(S)
 
     monkeypatch.setattr(cli, "verify_inverse_semigroup", counting)
+    return calls
+
+
+def test_criterion_command_verifies_the_table_once(monkeypatch):
+    calls = counted_verifier(monkeypatch)
     result = CliRunner().invoke(cli.main, ["criterion", str(DATA / "z2_table.json")])
     assert result.exit_code == 0, result.output
     assert calls == [2]
+
+
+SEMIGROUP_COMMANDS = [["close"], ["criterion"], ["props"], ["germs", "--self"]]
+
+
+@pytest.mark.parametrize("command", SEMIGROUP_COMMANDS)
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_a_closure_meets_the_verifier_only_under_verify(monkeypatch, command, verify):
+    """A closure is an inverse semigroup by construction; the table
+    verifier reads it only when --verify asks, and then once."""
+    calls = counted_verifier(monkeypatch)
+    result = CliRunner().invoke(
+        cli.main, [command[0], str(DATA / "i2_gens.json"), *command[1:], *verify])
+    assert result.exit_code == 0, result.output
+    assert calls == ([7] if verify else [])
+
+
+@pytest.mark.parametrize("command", SEMIGROUP_COMMANDS)
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_a_table_file_meets_the_verifier_once(monkeypatch, command, verify):
+    calls = counted_verifier(monkeypatch)
+    result = CliRunner().invoke(
+        cli.main, [command[0], str(DATA / "chain2_table.json"), *command[1:], *verify])
+    assert result.exit_code == 0, result.output
+    assert calls == [2]
+
+
+# -- trusted tables ----------------------------------------------------------
+#
+# `close` and `atomflip.truncation` pass `_inverse`, so the constructor
+# takes their tables unchecked: no range check, no inverse scan.  The
+# sweep checks what they vouch for, on I_1-I_5, on seeded random
+# closures and on the truncations F_0-F_64.
+
+@functools.cache
+def trusted_tables(family: str) -> tuple[FiniteInverseSemigroup, ...]:
+    if family == "I_n":
+        return tuple(close(CLOSURES.get(f"I_{n}") or symmetric_generators(n))
+                     for n in range(1, 6))
+    if family == "random":
+        rng = random.Random(20261018)
+        grounds = [rng.randint(1, 5) for _ in range(30)]
+        return tuple(close([random_pb(n, rng) for _ in range(rng.randint(2, 4))])
+                     for n in grounds)
+    return tuple(atomflip.truncation(n) for n in range(65))
+
+
+TRUSTED_FAMILIES = ["I_n", "random", "truncation"]
+
+
+@pytest.mark.parametrize("family", TRUSTED_FAMILIES)
+def test_trusted_tables_are_in_range_with_their_inverses(family):
+    for S in trusted_tables(family):
+        m, mul = S.order, S.mul
+        assert len(mul) == m and all(len(row) == m for row in mul)
+        assert set().union(*mul) <= set(range(m))
+        assert [semigroup.inverse_candidates(mul, s) for s in range(m)] == \
+            [(t,) for t in S.inv]
+
+
+@pytest.mark.parametrize("family", TRUSTED_FAMILIES)
+def test_left_translation_domains_are_the_right_ideals(family):
+    """D_e from the order (x in eS iff xx* <= e) against the row sets."""
+    for S in trusted_tables(family):
+        assert left_translation_action(S).domain_of == {
+            e: frozenset(S.right_ideal(e)) for e in S.idempotents}
 
 
 def exit_code(*args):

@@ -471,21 +471,24 @@ def test_cli_bad_symbolic_element_exit_2(runner):
 
 # -- determinism -----------------------------------------------------------
 
+# golden file prefix -> subcommand and flags
+GOLDEN_ARGS = {"close": ["close"], "close_verify": ["close", "--verify"],
+               "props": ["props"], "props_verify": ["props", "--verify"],
+               "criterion": ["criterion"], "germs_self": ["germs", "--self"],
+               "germs": ["germs"]}
+SEMIGROUP_FILES = ("i2_gens", "z2_table", "chain2_table")
 GOLDEN = [(command, name, fmt)
-          for command, names in (("criterion", ("i2_gens", "z2_table", "chain2_table")),
-                                 ("germs_self", ("i2_gens", "z2_table", "chain2_table")),
-                                 ("germs", ("z2_point_action",)))
-          for name in names for fmt in ("human", "structured")]
+          for command in GOLDEN_ARGS
+          for name in (("z2_point_action",) if command == "germs" else SEMIGROUP_FILES)
+          for fmt in ("human", "structured")]
 
 
 @pytest.mark.parametrize("command, name, fmt", GOLDEN)
 def test_reports_match_golden(runner, monkeypatch, command, name, fmt):
     """Reports are pinned byte for byte in data/golden, run from data/."""
     monkeypatch.chdir(DATA)
-    args = [command.removesuffix("_self"), f"{name}.json", "--format", fmt]
-    if command.endswith("_self"):
-        args.append("--self")
-    out = run(runner, *args)
+    subcommand, *flags = GOLDEN_ARGS[command]
+    out = run(runner, subcommand, f"{name}.json", "--format", fmt, *flags)
     assert out == (DATA / "golden" / f"{command}_{name}_{fmt}.out").read_text()
 
 
