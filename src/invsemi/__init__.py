@@ -28,8 +28,8 @@ _EXPORTS = {
               "check_fixed_points_are_ideal_union", "fixed_sets", "germ_equiv_oracle"),
     "partial_bijection": ("PartialBijection", "all_partial_bijections",
                           "count_partial_bijections"),
-    "semigroup": ("DOWN", "UP", "FiniteInverseSemigroup", "IdempotentSet",
-                  "VerificationResult", "close", "verify_inverse_semigroup"),
+    "semigroup": ("DOWN", "UP", "FiniteInverseSemigroup", "VerificationResult",
+                  "close", "verify_inverse_semigroup"),
     "symbolic": ("AntichainWitness", "SymbolicCriterionReport"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

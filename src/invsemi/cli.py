@@ -112,11 +112,23 @@ def _verification(S: FiniteInverseSemigroup, input_file, verify: bool, *,
 
     A closure of partial bijections (a `close` result, the only table
     with ground cells) is an inverse subsemigroup of I_n by
-    construction, so it passes without a scan; under --verify it gets
-    the verifier too, and `close --verify` checks it independently with
-    `is_closure_of`.  A table file proves nothing about itself, so it
-    always gets the verifier.  With `require`, a failed check is a
-    ParseError naming the file.
+    construction, so it passes without a scan; under --verify of
+    `criterion`, `props` and `germs` it gets the verifier too.  A table
+    file proves nothing about itself, so it always gets the verifier.
+    With `require`, a failed check is a ParseError naming the file.
+
+    `close` asks with `verify` False, because under --verify it checks
+    a closure with `is_closure_of` instead, and that check implies the
+    verifier's verdict.  If it passes, the labels are pairwise distinct
+    and L[s t] = L[s] L[t] for all s, t (proof in `is_closure_of`), so
+    the labels are an injective homomorphism from the table onto its
+    image.  The image is closed under composition and holds the
+    letters, which reach every element, so it is the subsemigroup of
+    I_n generated by the letters.  The letters include the generators'
+    inverses, and (a b)^-1 = b^-1 a^-1, so that subsemigroup is closed
+    under inverses: an inverse subsemigroup of I_n.  The table is
+    isomorphic to it, so it is an inverse semigroup too.  If the check
+    fails, the run exits 4 whatever the verifier would say.
     """
     if S._cells is not None and not verify:
         return VerificationResult(True)
@@ -145,7 +157,7 @@ def close(input_file, fmt, budget, verify, timing):
     """Close a generator file (or load a table file) and verify it."""
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport(command="close", input_digest=file_digest(input_file))
-    stats = _semigroup_summary(S, _verification(S, input_file, verify))
+    stats = _semigroup_summary(S, _verification(S, input_file, verify=False))
     report.semigroup = stats
     report.line(f"close {input_file}")
     _summary_lines(report, stats)

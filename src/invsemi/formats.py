@@ -26,6 +26,7 @@ input so the CLI can exit with the parse-error code.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,16 +41,29 @@ if TYPE_CHECKING:  # imported on demand by `load_action` and `load_graph`
 FORMAT_VERSION = 1
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path) -> tuple[dict, bool]:
+    """The file's top-level object, and whether its text spells true or
+    false anywhere: False proves that the object holds no bool."""
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text()
+        data = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
-    return data
+    return data, "true" in text or "false" in text
+
+
+def _integer(value, what: str) -> int:
+    """`value` itself if it is a JSON integer.  `int()` would read 1.9 as
+    1, "0" as 0 and true as 1, and bool is a subclass of int, so only
+    `type(value) is int` passes.  Raises TypeError, which each loader
+    reports as a ParseError naming its file."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def _check_version(data: dict, path: Path) -> None:
@@ -62,20 +76,20 @@ def _check_version(data: dict, path: Path) -> None:
 
 def load_semigroup(path: str | Path, budget: int | None = None) -> FiniteInverseSemigroup:
     path = Path(path)
-    data = _load_json(path)
+    data, spells_bool = _load_json(path)
     _check_version(data, path)
     kind = data.get("kind")
     if kind == "generators":
         return _semigroup_from_generators(data, path, budget)
     if kind == "table":
-        return _semigroup_from_table(data, path)
+        return _semigroup_from_table(data, path, spells_bool)
     raise ParseError(f"{path}: 'kind' must be 'generators' or 'table', got {kind!r}")
 
 
 def load_generators(path: str | Path) -> list[PartialBijection] | None:
     """The generator list of a `generators` file; None for any other kind."""
     path = Path(path)
-    data = _load_json(path)
+    data, _ = _load_json(path)
     _check_version(data, path)
     return _parse_generators(data, path) if data.get("kind") == "generators" else None
 
@@ -91,22 +105,26 @@ def _semigroup_from_generators(data: dict, path: Path,
 
 def _parse_generators(data: dict, path: Path) -> list[PartialBijection]:
     try:
-        ground = data["ground_size"]
+        ground = _integer(data["ground_size"], "ground_size")
         raw_gens = data["generators"]
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
-    if not isinstance(ground, int) or not isinstance(raw_gens, list) or not raw_gens:
-        raise ParseError(f"{path}: need integer ground_size and a non-empty generator list")
+    except TypeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(raw_gens, list) or not raw_gens:
+        raise ParseError(f"{path}: need a non-empty generator list")
     gens = []
     for i, pairs in enumerate(raw_gens):
         try:
-            gens.append(PartialBijection(ground, [(int(x), int(y)) for x, y in pairs]))
+            gens.append(PartialBijection(
+                ground, [(_integer(x, "point"), _integer(y, "point")) for x, y in pairs]))
         except (ContractViolation, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: generator {i} invalid: {exc}") from None
     return gens
 
 
-def _semigroup_from_table(data: dict, path: Path) -> FiniteInverseSemigroup:
+def _semigroup_from_table(data: dict, path: Path,
+                          spells_bool: bool) -> FiniteInverseSemigroup:
     try:
         table = data["mul_table"]
     except KeyError:
@@ -117,7 +135,15 @@ def _semigroup_from_table(data: dict, path: Path) -> FiniteInverseSemigroup:
     if labels is not None and not isinstance(labels, list):
         raise ParseError(f"{path}: 'labels' must be a list")
     try:
-        return FiniteInverseSemigroup(table, labels=labels)
+        S = FiniteInverseSemigroup(table, labels=labels)
+        # The table's own check takes a bool for an int, as Python does,
+        # but JSON true and false are not integers.  Only a file that
+        # spells one of them somewhere can hold one, so the scan runs
+        # for those files alone, after the range and length faults.
+        if spells_bool:
+            for v in chain.from_iterable(S.mul):
+                _integer(v, "table entry")
+        return S
     except (ContractViolation, TypeError) as exc:
         raise ParseError(f"{path}: bad table: {exc}") from None
 
@@ -125,7 +151,7 @@ def _semigroup_from_table(data: dict, path: Path) -> FiniteInverseSemigroup:
 def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
     from .action import FiniteAction
     path = Path(path)
-    data = _load_json(path)
+    data, _ = _load_json(path)
     _check_version(data, path)
     try:
         sg_ref = data["semigroup"]
@@ -145,16 +171,17 @@ def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
     try:
         domains = {}
         for e, pts in raw_domains:
-            if int(e) in domains:
+            if _integer(e, "idempotent") in domains:
                 raise ParseError(f"{path}: duplicate domain entry for idempotent {e}")
-            domains[int(e)] = frozenset(int(x) for x in pts)
+            domains[e] = frozenset(_integer(x, "point") for x in pts)
         table = {}
         for s, pairs in raw_action:
+            _integer(s, "element")
             for x, y in pairs:
-                key = (int(s), int(x))
+                key = (s, _integer(x, "point"))
                 if key in table:
                     raise ParseError(f"{path}: duplicate action entry for {key}")
-                table[key] = int(y)
+                table[key] = _integer(y, "point")
     except ParseError:
         raise
     except (TypeError, ValueError) as exc:
@@ -170,11 +197,12 @@ def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
 def load_graph(path: str | Path) -> DirectedGraph:
     from .symbolic.graphs import DirectedGraph
     path = Path(path)
-    data = _load_json(path)
+    data, _ = _load_json(path)
     _check_version(data, path)
     try:
-        return DirectedGraph(data["vertex_count"],
-                             tuple((int(s), int(t)) for s, t in data["edges"]))
+        return DirectedGraph(_integer(data["vertex_count"], "vertex_count"),
+                             tuple((_integer(s, "vertex"), _integer(t, "vertex"))
+                                   for s, t in data["edges"]))
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
     except (ContractViolation, TypeError, ValueError) as exc:

@@ -27,7 +27,7 @@ class Germ:
 
 
 class GermGroupoid:
-    """Arrows, structure maps, and on-demand composition of a germ groupoid.
+    """Arrows, structure maps and the product of a germ groupoid.
 
     Precondition: the action is validated and its semigroup passes
     `verify_inverse_semigroup`, as the CLI checks before it builds germs.
@@ -51,12 +51,14 @@ class GermGroupoid:
       holds u.x has x in D_{u*fu}, so e_x <= u*fu and uu* <= f.
     - [v, u.x][u, x] = [vu, x], with (vu)*(vu) = u* uu* u = e_x.
 
-    Nothing is stored per pair: the cost is O(points + elements +
-    classes), and `class_of(s, x)` finds a pair's class by (s e_x, x).
+    Nothing is stored per pair or per composable pair: the cost is
+    O(points + elements + classes), `class_of(s, x)` finds a pair's
+    class by (s e_x, x), and `compose` multiplies two classes through
+    their representatives.
     """
 
     __slots__ = ("action", "reps", "points", "source", "target", "units",
-                 "inverse", "_least", "_index", "_composition")
+                 "inverse", "_least", "_index")
 
     def __init__(self, action: FiniteAction):
         S = action.semigroup
@@ -82,7 +84,6 @@ class GermGroupoid:
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "_least", least)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_composition", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GermGroupoid is immutable")
@@ -105,49 +106,15 @@ class GermGroupoid:
         return Germ(*self.reps[cid], cid)
 
     def compose(self, c1: int, c2: int) -> int:
-        """[s, y] [t, x] = [s t, x] on representatives, when y = act(t, x)."""
-        c12 = self._product(c1, c2)
-        if c12 is None:
-            raise ContractViolation(f"classes {c1} and {c2} are not composable")
-        return c12
-
-    def composable(self, c1: int, c2: int) -> bool:
-        return self._product(c1, c2) is not None
-
-    @property
-    def composition(self) -> dict[tuple[int, int], int]:
-        """Every composable pair and its product; built on first read.
-
-        Its size is the sum over points y of (classes at y) x (classes
-        landing at y), far more than the classes themselves, so nothing
-        else reads it.
-        """
-        if self._composition is None:
-            at_point: dict[int, list[int]] = {}
-            for cid, x in enumerate(self.points):
-                at_point.setdefault(x, []).append(cid)
-            composition, rows = {}, self.action.rows
-            for c2, (t, x) in enumerate(self.reps):
-                for c1 in at_point.get(rows[t][x], ()):
-                    composition[(c1, c2)] = self._product(c1, c2)
-            object.__setattr__(self, "_composition", composition)
-        return self._composition
-
-    def _product(self, c1: int, c2: int) -> int | None:
+        """[s, y] [t, x] = [s t, x] on representatives, when y = act(t, x);
+        ContractViolation when the classes are not composable."""
         n = len(self)
-        if not (0 <= c1 < n and 0 <= c2 < n):
-            return None
-        s, y = self.reps[c1]
-        t, x = self.reps[c2]
-        if self.action.rows[t][x] != y:
-            return None
-        return self.class_of(self.action.semigroup.mul[s][t], x)
-
-    def unit_of_point(self, x: int) -> int:
-        """The unit class sitting over the point x."""
-        for e in self.action.idempotents_at(x):
-            return self.class_of(e, x)
-        raise ContractViolation(f"point {x} lies in no idempotent domain")
+        if 0 <= c1 < n and 0 <= c2 < n:
+            s, y = self.reps[c1]
+            t, x = self.reps[c2]
+            if self.action.rows[t][x] == y:
+                return self.class_of(self.action.semigroup.mul[s][t], x)
+        raise ContractViolation(f"classes {c1} and {c2} are not composable")
 
     def isotropy(self) -> frozenset[int]:
         """Classes whose source and target units agree."""
@@ -172,13 +139,6 @@ class GermGroupoid:
         dense means all of them."""
         spoiled = {self.source[c] for c in self.isotropy() - self.units}
         return self.units - spoiled == self.units
-
-    def slice(self, s: int, points) -> frozenset[int]:
-        """The basic open set of classes {[s, x] : x in U}."""
-        U = frozenset(points)
-        if not U <= self.action.domain(s):
-            raise ContractViolation("slice points must lie in the domain of s")
-        return frozenset(self.class_of(s, x) for x in U)
 
 
 def build_germs(action: FiniteAction) -> GermGroupoid:

@@ -134,11 +134,6 @@ class FiniteInverseSemigroup:
         self._check_index(t)
         return bool(self._require_up_masks()[s] >> t & 1)
 
-    def lower_set(self, s: int) -> frozenset[int]:
-        """All t with t <= s."""
-        self._check_index(s)
-        return _mask_to_set(self._require_down_masks()[s])
-
     def up_set(self, subset: Iterable[int], relation: str = UP) -> frozenset[int]:
         """A^rel = {b : a rel b for some a in A}, rel one of "leq"/"geq".
 
@@ -160,18 +155,6 @@ class FiniteInverseSemigroup:
             out |= masks[a]
         return _mask_to_set(out)
 
-    def maximal_elements(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """Members of `subset` not strictly below another member; sorted.
-
-        a is maximal iff the up-set of a meets `subset` in a alone.
-        """
-        members = sorted(set(subset))
-        for a in members:
-            self._check_index(a)
-        masks = self._require_up_masks()
-        inside = _set_to_mask(members)
-        return tuple(a for a in members if masks[a] & inside == 1 << a)
-
     # -- derived sets ------------------------------------------------------
 
     def j_set(self, s: int) -> frozenset[int]:
@@ -184,9 +167,6 @@ class FiniteInverseSemigroup:
         """The set sS = {s x : x in S}."""
         self._check_index(s)
         return frozenset(self.mul[s])
-
-    def idempotent_set(self) -> "IdempotentSet":
-        return IdempotentSet(self, self.idempotents)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -215,32 +195,6 @@ class FiniteInverseSemigroup:
 
     def __repr__(self) -> str:
         return f"<FiniteInverseSemigroup order={self.order} idempotents={len(self.idempotents)}>"
-
-
-@dataclass(frozen=True)
-class IdempotentSet:
-    """The commutative idempotent subsemigroup E_S of a parent semigroup."""
-
-    parent: FiniteInverseSemigroup
-    members: frozenset[int]
-
-    def leq(self, e: int, f: int) -> bool:
-        """On idempotents the natural order reduces to e f = e."""
-        self._check(e)
-        self._check(f)
-        return self.parent.mul[e][f] == e
-
-    def is_closed(self) -> bool:
-        return all(self.parent.mul[e][f] in self.members
-                   for e in self.members for f in self.members)
-
-    def is_commutative(self) -> bool:
-        return all(self.parent.mul[e][f] == self.parent.mul[f][e]
-                   for e in self.members for f in self.members)
-
-    def _check(self, e: int) -> None:
-        if e not in self.members:
-            raise ContractViolation(f"{e} is not a member idempotent")
 
 
 @dataclass(frozen=True)
@@ -554,16 +508,23 @@ def _idempotents_commute(mul) -> bool:
 
 def _check_cells(table: tuple[tuple, ...]) -> None:
     """Raise ContractViolation unless every row has length m and every
-    entry is one of 0..m-1, naming the first bad row or entry."""
+    entry is an int in 0..m-1, naming the first bad row or entry.  A
+    bool is an int here, as in Python; `formats` rejects JSON true and
+    false."""
     m = len(table)
     try:
-        # One pass over the cells.  In place, so the transient is one
-        # set of at most the distinct entries.
+        # One pass over the cells for the range.  In place, so the
+        # transient is one set of at most the distinct entries.  A float
+        # (or any other number) equal to an int in range hides in that
+        # set behind the int, but it makes the sum of the table a float
+        # (or its own type), and `sum` over small ints is a tight C loop
+        # that costs about a quarter of the set pass.
         stray = set().union(*table)
         stray.difference_update(range(m))
-        if not stray and all(len(row) == m for row in table):
+        if (not stray and all(len(row) == m for row in table)
+                and type(sum(map(sum, table))) is int):
             return
-    except TypeError:  # an unhashable entry
+    except TypeError:  # an unhashable entry, or numbers that do not add
         pass
     for i, row in enumerate(table):
         if len(row) != m:
@@ -571,6 +532,9 @@ def _check_cells(table: tuple[tuple, ...]) -> None:
         if min(row) < 0 or max(row) >= m:
             v = next(v for v in row if not 0 <= v < m)
             raise ContractViolation(f"table entry {v} out of range [0, {m})")
+        for v in row:
+            if not isinstance(v, int):
+                raise ContractViolation(f"table entry {v!r} is not an integer")
 
 
 def _find_zero(table, idempotents) -> int | None:

@@ -5,8 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from invsemi import (FiniteInverseSemigroup, PartialBijection, all_partial_bijections,
-                     build_germs, close)
+from invsemi import (ContractViolation, FiniteInverseSemigroup, PartialBijection,
+                     all_partial_bijections, build_germs, close)
 from invsemi.germs import germ_counts
 from invsemi.symbolic import atomflip
 
@@ -27,6 +27,15 @@ def check_germ_counts(action, G=None):
     assert (counts[2] == counts[1],) * 3 == (
         G.is_principal(), G.is_effective(), G.is_essentially_principal())
     return counts
+
+
+def product_or_none(G, c1, c2):
+    """G.compose(c1, c2), or None where it raises for a pair that is not
+    composable."""
+    try:
+        return G.compose(c1, c2)
+    except ContractViolation:
+        return None
 
 
 @pytest.fixture(scope="session")

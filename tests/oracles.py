@@ -283,16 +283,16 @@ def germ_groupoid_scan(action):
     at_point: dict[int, list[int]] = {}
     for cid, (_, x) in enumerate(reps):
         at_point.setdefault(x, []).append(cid)
-    composition = {}
+    products = {}
     for c2, (t, x) in enumerate(reps):
         for c1 in at_point.get(action.act(t, x), ()):
-            composition[(c1, c2)] = class_of[(S.mul[reps[c1][0]][t], x)]
+            products[(c1, c2)] = class_of[(S.mul[reps[c1][0]][t], x)]
     return SimpleNamespace(
         classes=tuple(classes), class_of=class_of,
         units=frozenset(cid for cid, group in enumerate(classes)
                         if any(s in S.idempotents for s, _ in group)),
         source=tuple(source), target=tuple(target), inverse=tuple(inverse),
-        composition=composition)
+        products=products)
 
 
 # -- free inverse monoid oracles (rank 1) --------------------------------

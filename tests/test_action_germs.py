@@ -12,7 +12,7 @@ from invsemi import (
     germ_equiv_oracle,
     left_translation_action,
 )
-from conftest import check_germ_counts, make_chain
+from conftest import check_germ_counts, make_chain, product_or_none
 from invsemi.formats import load_action
 from invsemi.symbolic import atomflip
 
@@ -179,13 +179,15 @@ def test_groupoid_axioms(all_fixtures):
             assert G.compose(inv, c) == G.source[c]
         for c1 in range(n):
             for c2 in range(n):
-                assert G.composable(c1, c2) == (G.source[c1] == G.target[c2]), name
-        for (c1, c2), c12 in G.composition.items():
-            assert G.source[c12] == G.source[c2]
-            assert G.target[c12] == G.target[c1]
-            for c3 in range(n):
-                if G.composable(c2, c3):
-                    assert G.compose(G.compose(c1, c2), c3) == G.compose(c1, G.compose(c2, c3))
+                c12 = product_or_none(G, c1, c2)
+                assert (c12 is not None) == (G.source[c1] == G.target[c2]), name
+                if c12 is None:
+                    continue
+                assert G.source[c12] == G.source[c2]
+                assert G.target[c12] == G.target[c1]
+                for c3 in range(n):
+                    if G.source[c2] == G.target[c3]:
+                        assert G.compose(c12, c3) == G.compose(c1, G.compose(c2, c3))
 
 
 def test_germ_structure_identities(all_fixtures):
@@ -211,7 +213,7 @@ def test_unit_identification(all_fixtures):
                            if s in S.idempotents}
         covered = {x for x in range(action.space_size)
                    if action.idempotents_at(x)}
-        assert {G.unit_of_point(x) for x in covered} == set(G.units)
+        assert {G.points[u] for u in G.units} == covered
         assert len(covered) == len(G.units)  # units <-> points, injectively
 
 
@@ -299,18 +301,6 @@ def test_non_principal_point_action(z2):
     # the same action as a file
     path = Path(__file__).parent / "data" / "z2_point_action.json"
     assert check_germ_counts(load_action(path)) == (2, 1, 2)
-
-
-def test_slice(all_fixtures, i2):
-    S = make_chain(2)
-    action = left_translation_action(S)
-    G = build_germs(action)
-    assert G.slice(0, []) == frozenset()
-    assert G.slice(0, {1}) == {G.unit_of_point(1)}
-    full = G.slice(0, action.domain(0))
-    assert full == {G.germ(0, x).class_id for x in action.domain(0)}
-    with pytest.raises(ContractViolation):
-        G.slice(1, {0})
 
 
 def test_clopen_cover_transport(all_fixtures):

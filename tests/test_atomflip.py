@@ -1,6 +1,7 @@
 import pytest
 
 from invsemi import (
+    DOWN,
     HAUSDORFF_WITNESS,
     REFUTED,
     ContractViolation,
@@ -9,6 +10,7 @@ from invsemi import (
 )
 from invsemi.symbolic import atomflip
 from invsemi.symbolic.atomflip import FLIP, SQUARE, ZERO, atom
+from oracles import lower_set_scan, maximal_elements_scan
 
 
 def test_multiplication_table_rules():
@@ -78,10 +80,10 @@ def test_antichain_members_maximal_in_truncations():
         jset = S.j_set(flip)
         atoms = {i for i, el in enumerate(S.labels) if el.kind == "atom"}
         assert jset == atoms | {S.zero}
-        assert set(S.maximal_elements(jset)) == atoms
+        assert set(maximal_elements_scan(S, jset)) == atoms
         # the only idempotents below an atom are the atom and zero
         for a in atoms:
-            assert S.lower_set(a) == frozenset({a, S.zero})
+            assert S.up_set({a}, DOWN) == lower_set_scan(S, a) == frozenset({a, S.zero})
 
 
 def test_criterion_truncation_witness_is_the_atoms():

@@ -56,7 +56,7 @@ def test_composition_is_representative_independent():
         c2, tx = G.germ(t, x).class_id, action.act(t, x)
         for s, y in pairs:
             if y == tx:
-                c12 = G.composition[(G.germ(s, y).class_id, c2)]
+                c12 = G.compose(G.germ(s, y).class_id, c2)
                 assert G.germ(S.mul[s][t], x).class_id == c12
 
 

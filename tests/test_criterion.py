@@ -24,7 +24,7 @@ from invsemi import (
 from conftest import element_index, make_chain
 from invsemi import cli, formats
 from invsemi.symbolic import atomflip
-from oracles import join_brute, union_join
+from oracles import join_brute, maximal_elements_scan, union_join
 
 
 def test_j_set_of_idempotent_is_its_down_set(all_fixtures):
@@ -205,7 +205,7 @@ def test_hausdorff_criterion_always_witnesses(all_fixtures):
         for s in S.elements():
             verdict = hausdorff_criterion(S, s)
             assert verdict.verdict == HAUSDORFF_WITNESS, name
-            assert set(verdict.witness) == set(S.maximal_elements(S.j_set(s)))
+            assert verdict.witness == maximal_elements_scan(S, S.j_set(s))
             assert S.up_set(verdict.witness, DOWN) == verdict.j_set
 
 

@@ -277,6 +277,51 @@ def test_cli_bad_table_names_first_fault(tmp_path, table, message, command):
     assert result.stderr == f"error: {f}: bad table: {message}\n"
 
 
+Z2 = str(DATA / "z2.json")
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["close"], {"kind": "table", "mul_table": [[0, True], [True, 1]]},
+     "bad table: table entry True is not an integer"),
+    (["close"], {"kind": "table", "mul_table": [[0, 0.5], [0.5, 1]]},
+     "bad table: table entry 0.5 is not an integer"),
+    (["close"], {"kind": "table", "mul_table": [[0, 1.0], [1, 0]]},
+     "bad table: table entry 1.0 is not an integer"),
+    (["close"], {"kind": "generators", "ground_size": 2, "generators": [[["0", 1.9]]]},
+     "generator 0 invalid: point '0' is not an integer"),
+    (["close"], {"kind": "generators", "ground_size": True, "generators": [[[0, 0]]]},
+     "ground_size True is not an integer"),
+    (["germs"], {"semigroup": Z2, "space_size": 1, "domains": [[1.0, [0]]],
+                 "action": [[0, [[0, 0]]], [1, [[0, 0]]]]},
+     "malformed domains/action: idempotent 1.0 is not an integer"),
+    (["germs"], {"semigroup": Z2, "space_size": 1, "domains": [[1, [0]]],
+                 "action": [[0, [[0, 0]]], [1, [[0, True]]]]},
+     "malformed domains/action: point True is not an integer"),
+    (["symbolic", "graph", "e1", "--graph"], {"vertex_count": True, "edges": [[0, 0]]},
+     "bad graph: vertex_count True is not an integer"),
+    (["symbolic", "graph", "e1", "--graph"], {"vertex_count": 1, "edges": [[0, 0.0]]},
+     "bad graph: vertex 0.0 is not an integer"),
+], ids=["table-bool", "table-float", "table-whole-float", "generator-point", "ground-size",
+        "action-domain", "action-pair", "graph-vertex-count", "graph-edge"])
+def test_cli_loaders_take_only_integer_indices(tmp_path, command, doc, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"version": 1, **doc}))
+    result = CliRunner().invoke(main, [*command, str(f)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {f}: {message}\n"
+
+
+def test_cli_table_labels_may_be_true_or_false(tmp_path):
+    # the file spells true and false, so its entries are scanned, and pass
+    f = tmp_path / "z2.json"
+    f.write_text(json.dumps({"version": 1, "kind": "table", "mul_table": [[0, 1], [1, 0]],
+                             "labels": [True, "false"]}))
+    result = CliRunner().invoke(main, ["close", str(f)])
+    assert result.exit_code == 0, result.output
+    assert "order=2 " in result.stdout
+
+
 def test_cli_budget_exit_3(runner):
     run(runner, "close", str(DATA / "i2_gens.json"), "--budget", "3", expect=3)
 

@@ -74,7 +74,7 @@ def test_a_subcommand_loads_what_it_runs(args, uses):
 # -- the public names -----------------------------------------------------
 
 def test_every_public_name_resolves_to_its_defining_module():
-    assert len(invsemi.__all__) == len(set(invsemi.__all__)) == 39
+    assert len(invsemi.__all__) == len(set(invsemi.__all__)) == 38
     for name in invsemi.__all__:
         value = getattr(invsemi, name)
         home = importlib.import_module(f"invsemi.{invsemi._HOME[name]}")
@@ -104,6 +104,26 @@ print(json.dumps(loaded))
     assert bare == ["invsemi"]
     assert used == ["invsemi", "invsemi.criterion", "invsemi.errors", "invsemi.oracles",
                     "invsemi.partial_bijection", "invsemi.semigroup"]
+
+
+@pytest.mark.parametrize("cls, name", [
+    ("FiniteInverseSemigroup", "idempotent_set"),
+    ("FiniteInverseSemigroup", "lower_set"),
+    ("FiniteInverseSemigroup", "maximal_elements"),
+    ("GermGroupoid", "composition"),
+    ("GermGroupoid", "composable"),
+    ("GermGroupoid", "slice"),
+    ("GermGroupoid", "unit_of_point"),
+])
+def test_deleted_methods_are_gone(cls, name):
+    assert not hasattr(getattr(invsemi, cls), name)
+
+
+def test_deleted_names_are_gone():
+    with pytest.raises(AttributeError, match="IdempotentSet"):
+        invsemi.IdempotentSet  # noqa: B018
+    assert "IdempotentSet" not in invsemi.__all__
+    assert not hasattr(invsemi.semigroup, "IdempotentSet")
 
 
 def test_an_unknown_name_fails():

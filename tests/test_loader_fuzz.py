@@ -1,0 +1,115 @@
+"""Seeded fuzz of the four file loaders through the CLI.
+
+Malformed table, generator, action and graph documents go through
+`CliRunner`.  Whatever the document, the run ends in one of the
+documented exit codes (0, 2 parse, 3 budget, 4 invariant) through
+`sys.exit`, never through an uncaught exception, and a table the CLI
+accepts reports its fields as integers.  The documents mix well-formed
+parts with arbitrary JSON values, so most runs reach the checks past
+the top-level shape.  Ground sets stay at 8 points or fewer: `close`
+allocates n + 1 entries per element, so a huge ground set would test
+memory, not parsing.
+"""
+
+import json
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from invsemi.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+FUZZ = settings(max_examples=25, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 9),
+                    st.sampled_from([0.0, 0.5, 1.0, 1.9]), st.sampled_from(["", "0", "a"]))
+values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+def mostly(good, bad=values):
+    """A well-formed part nine times in ten, else an arbitrary JSON value."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 0 else good)
+
+
+points = mostly(st.integers(0, 8), scalars)
+pairs = st.lists(mostly(st.tuples(points, points).map(list)), max_size=3)
+
+
+@st.composite
+def tables(draw):
+    m = draw(st.integers(1, 4))
+    row = st.lists(mostly(st.integers(0, m - 1), scalars), min_size=m, max_size=m)
+    doc = {"kind": "table", "mul_table": draw(mostly(st.lists(row, min_size=m, max_size=m)))}
+    if draw(st.booleans()):
+        doc["labels"] = draw(mostly(st.lists(values, min_size=m, max_size=m)))
+    return doc
+
+
+generators = st.fixed_dictionaries({
+    "kind": st.just("generators"),
+    "ground_size": mostly(st.integers(0, 8), scalars),
+    "generators": mostly(st.lists(pairs, min_size=1, max_size=3)),
+})
+
+actions = st.fixed_dictionaries({
+    "semigroup": mostly(st.just(str(DATA / "z2.json"))),
+    "space_size": mostly(st.integers(0, 3), scalars),
+    "domains": mostly(st.lists(mostly(st.tuples(mostly(st.integers(0, 2), scalars),
+                                                st.lists(points, max_size=3)).map(list)),
+                               max_size=3)),
+    "action": mostly(st.lists(mostly(st.tuples(mostly(st.integers(0, 2), scalars),
+                                               pairs).map(list)),
+                              max_size=3)),
+})
+
+graphs = st.fixed_dictionaries({
+    "vertex_count": mostly(st.integers(0, 4), scalars),
+    "edges": mostly(st.lists(mostly(st.tuples(points, points).map(list)), max_size=4)),
+})
+
+
+def run(tmp_path, doc, args):
+    f = tmp_path / "fuzz.json"
+    f.write_text(json.dumps({"version": 1, **doc}))
+    result = CliRunner().invoke(main, [arg.replace("FILE", str(f)) for arg in args])
+    assert result.exit_code in {0, 2, 3, 4}, (doc, result.output)
+    if result.exit_code:
+        assert isinstance(result.exception, SystemExit), (doc, result.exception)
+    else:
+        assert result.exception is None, (doc, result.exception)
+    return result
+
+
+def check_semigroup_report(result):
+    if result.exit_code == 0:
+        semigroup = json.loads(result.stdout)["semigroup"]
+        assert type(semigroup["order"]) is type(semigroup["idempotent_count"]) is int
+        assert semigroup["zero"] is None or type(semigroup["zero"]) is int
+
+
+@FUZZ
+@given(doc=tables())
+def test_table_files(tmp_path, doc):
+    check_semigroup_report(run(tmp_path, doc, ["close", "FILE", "--format", "structured"]))
+
+
+@FUZZ
+@given(doc=generators)
+def test_generator_files(tmp_path, doc):
+    check_semigroup_report(run(tmp_path, doc, ["close", "FILE", "--format", "structured",
+                                               "--budget", "200"]))
+
+
+@FUZZ
+@given(doc=actions)
+def test_action_files(tmp_path, doc):
+    run(tmp_path, doc, ["germs", "FILE"])
+
+
+@FUZZ
+@given(doc=graphs)
+def test_graph_files(tmp_path, doc):
+    run(tmp_path, doc, ["symbolic", "graph", "e1", "--graph", "FILE"])
