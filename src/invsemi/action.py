@@ -27,16 +27,15 @@ class FiniteAction:
     plus per-element bijectivity).
     """
 
-    __slots__ = ("semigroup", "space_size", "domain_of", "rows", "_idempotents_at")
+    __slots__ = ("semigroup", "space_size", "domain_of", "_rows", "_idempotents_at")
 
     def __init__(self, semigroup: FiniteInverseSemigroup, space_size: int,
                  domain_of: Mapping[int, frozenset[int]],
                  table: Mapping[tuple[int, int], int] | None, *,
-                 _rows: Sequence[Sequence[int]] | None = None):
-        """`_rows` are the image rows, for a caller that has them by
-        construction (`left_translation_action` passes the semigroup's
-        own table); they are trusted, not checked, and `table` is then
-        not read."""
+                 _translation: bool = False):
+        """With `_translation` (from `left_translation_action`) S acts on
+        itself, s.x = s x, by its own products; `table` is then not
+        read."""
         if semigroup.inv is None:
             raise ContractViolation("actions need a genuine inverse semigroup")
         if space_size < 0:
@@ -58,7 +57,7 @@ class FiniteAction:
         object.__setattr__(self, "semigroup", semigroup)
         object.__setattr__(self, "space_size", space_size)
         object.__setattr__(self, "domain_of", doms)
-        object.__setattr__(self, "rows", _rows if _rows is not None else self._lay(table))
+        object.__setattr__(self, "_rows", None if _translation else self._lay(table))
         object.__setattr__(self, "_idempotents_at",
                            {x: tuple(es) for x, es in at.items()})
 
@@ -79,27 +78,37 @@ class FiniteAction:
         return tuple(map(tuple, rows))
 
     @property
+    def rows(self) -> Sequence[Sequence[int]]:
+        """The image rows; under left translation the semigroup's table."""
+        return self.semigroup.mul if self._rows is None else self._rows
+
+    def images(self, members: Sequence[int], x: int) -> list[int]:
+        """[u.x for u in members], unchecked: x must lie in each D_{u*u}."""
+        if self._rows is None:
+            return self.semigroup.products(members, x)
+        return [row[x] for row in map(self._rows.__getitem__, members)]
+
+    @property
     def table(self) -> dict[tuple[int, int], int]:
         """Every image as {(s, x): s.x}, in (s, x) order; built when read."""
-        rows = self.rows
-        return {(s, x): rows[s][x] for s, x in self.germ_pairs()}
+        return {(s, x): self.images((s,), x)[0] for s, x in self.germ_pairs()}
 
     def domain(self, s: int) -> frozenset[int]:
         """D_{s*s}, where the action of s is defined."""
         S = self.semigroup
         S._check_index(s)
-        return self.domain_of[S.mul[S.inv[s]][s]]
+        return self.domain_of[S.product(S.inv[s], s)]
 
     def codomain(self, s: int) -> frozenset[int]:
         """D_{ss*}, where the action of s lands."""
         S = self.semigroup
         S._check_index(s)
-        return self.domain_of[S.mul[s][S.inv[s]]]
+        return self.domain_of[S.product(s, S.inv[s])]
 
     def act(self, s: int, x: int) -> int:
         if not (0 <= s < self.semigroup.order and x in self.domain(s)):
             raise ContractViolation(f"action of element {s} undefined at point {x}")
-        return self.rows[s][x]
+        return self.images((s,), x)[0]
 
     def germ_pairs(self) -> list[tuple[int, int]]:
         """The pair space {(s, x) : x in D_{s*s}} in (s, x) order."""
@@ -179,25 +188,23 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
     iff xx* <= e, so e_x = xx* (see `GermGroupoid`): the germs number
     the sum over x of |L_{xx*}|, 126,526 on I_5.  Isotropy is trivial:
     u x = x with u*u = xx* gives u = u xx* = (u x) x* = xx*, a unit.
-    The image rows are the rows of the table itself: nothing is stored
-    per pair.
+    The images are the products of S: nothing is stored per pair.
 
     The domains come from the order, not from the rows: x lies in eS
     iff xx* <= e, so the elements are grouped by xx* once, and each
     group joins D_e for every idempotent e above its xx*.  That is m
-    lookups and one up-mask per range idempotent, instead of hashing a
+    products and one up-mask per range idempotent, instead of hashing a
     row of m entries per idempotent.
     """
     if S.inv is None:
         raise ContractViolation("actions need a genuine inverse semigroup")
-    mul, inv = S.mul, S.inv
     by_range: dict[int, list[int]] = {}
-    for x, row in enumerate(mul):
-        by_range.setdefault(row[inv[x]], []).append(x)
+    for x in S.elements():
+        by_range.setdefault(S.product(x, S.inv[x]), []).append(x)
     up, idempotents = S._require_up_masks(), _set_to_mask(S.idempotents)
     members: dict[int, list[int]] = {e: [] for e in S.idempotents}
     for f, xs in by_range.items():
         for e in _bits(up[f] & idempotents):
             members[e].extend(xs)
     domains = {e: frozenset(xs) for e, xs in members.items()}
-    return FiniteAction(S, S.order, domains, None, _rows=S.mul)
+    return FiniteAction(S, S.order, domains, None, _translation=True)

@@ -44,8 +44,8 @@ def compatible(S: FiniteInverseSemigroup, s: int, t: int) -> bool:
     S._check_index(s)
     S._check_index(t)
     inv = S.inverse
-    return (S.mul[inv(s)][t] in S.idempotents
-            and S.mul[s][inv(t)] in S.idempotents)
+    return (S.product(inv(s), t) in S.idempotents
+            and S.product(s, inv(t)) in S.idempotents)
 
 
 def _pairwise_compatible(S: FiniteInverseSemigroup, members: Sequence[int]) -> bool:

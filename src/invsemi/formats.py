@@ -207,12 +207,3 @@ def load_graph(path: str | Path) -> DirectedGraph:
         raise ParseError(f"{path}: missing field {exc}") from None
     except (ContractViolation, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad graph: {exc}") from None
-
-
-def semigroup_to_dict(S: FiniteInverseSemigroup) -> dict:
-    """Table-kind document for a semigroup (labels stringified)."""
-    doc = {"version": FORMAT_VERSION, "kind": "table",
-           "mul_table": [list(row) for row in S.mul]}
-    if S.labels is not None:
-        doc["labels"] = [str(l) for l in S.labels]
-    return doc

@@ -11,6 +11,7 @@ operations compute each definition independently anyway.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .action import FiniteAction, left_translation_action
 from .errors import ContractViolation
@@ -62,22 +63,23 @@ class GermGroupoid:
 
     def __init__(self, action: FiniteAction):
         S = action.semigroup
-        mul, inv, up, rows = S.mul, S.inv, S._require_up_masks(), action.rows
+        inv, up = S.inv, S._require_up_masks()
         least = _least_idempotents(action)
         l_classes = _l_classes(S)
-        keys = sorted(((up[u] & -up[u]).bit_length() - 1, x, u)
-                      for x, e in least.items() for u in l_classes[e])
-        index = {(u, x): cid for cid, (_, x, u) in enumerate(keys)}
+        low = [(mask & -mask).bit_length() - 1 for mask in up]  # min up(u)
+        # (least member, x, u, u.x); x lies in D_{u*u}, as u*u = e_x
+        keys = sorted((low[u], x, u, y) for x, e in least.items()
+                      for u, y in zip(l_classes[e], action.images(l_classes[e], x)))
+        index = {(u, x): cid for cid, (_, x, u, _) in enumerate(keys)}
         source, target, inverse = [], [], []
-        for _, x, u in keys:
-            y = rows[u][x]  # x lies in D_{u*u}, as u*u = e_x
+        for _, x, u, y in keys:
             source.append(index[(least[x], x)])
-            target.append(index[(mul[u][inv[u]], y)])
+            target.append(index[(least[y], y)])  # e_{u.x} = uu*
             inverse.append(index[(inv[u], y)])
 
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "reps", tuple((s, x) for s, x, _ in keys))
-        object.__setattr__(self, "points", tuple(x for _, x, _ in keys))
+        object.__setattr__(self, "reps", tuple((s, x) for s, x, _, _ in keys))
+        object.__setattr__(self, "points", tuple(x for _, x, _, _ in keys))
         object.__setattr__(self, "source", tuple(source))
         object.__setattr__(self, "target", tuple(target))
         object.__setattr__(self, "units", frozenset(source))
@@ -96,7 +98,7 @@ class GermGroupoid:
         S = self.action.semigroup
         S._check_index(s)
         try:
-            return self._index[(S.mul[s][self._least[x]], x)]
+            return self._index[(S.product(s, self._least[x]), x)]
         except KeyError:
             raise ContractViolation(f"({s}, {x}) is not a germ pair") from None
 
@@ -112,8 +114,8 @@ class GermGroupoid:
         if 0 <= c1 < n and 0 <= c2 < n:
             s, y = self.reps[c1]
             t, x = self.reps[c2]
-            if self.action.rows[t][x] == y:
-                return self.class_of(self.action.semigroup.mul[s][t], x)
+            if self.action.images((t,), x) == [y]:
+                return self.class_of(self.action.semigroup.product(s, t), x)
         raise ContractViolation(f"classes {c1} and {c2} are not composable")
 
     def isotropy(self) -> frozenset[int]:
@@ -154,13 +156,13 @@ def germ_counts(action: FiniteAction) -> tuple[int, int, int]:
     are isotropy, so the groupoid is principal iff the counts agree; on a
     finite discrete space so are effective and essentially principal.
     """
-    least, rows = _least_idempotents(action), action.rows
+    least = _least_idempotents(action)
     l_classes = _l_classes(action.semigroup)
     germs = isotropy = 0
     for x, e in least.items():
         members = l_classes[e]
         germs += len(members)
-        isotropy += [rows[u][x] for u in members].count(x)
+        isotropy += action.images(members, x).count(x)
     return germs, len(least), isotropy
 
 
@@ -168,7 +170,7 @@ def _l_classes(S: FiniteInverseSemigroup) -> dict[int, list[int]]:
     """The L-classes L_e = {u : u*u = e} of S, keyed by e, in index order."""
     l_classes: dict[int, list[int]] = {}
     for u in S.elements():
-        l_classes.setdefault(S.mul[S.inv[u]][u], []).append(u)
+        l_classes.setdefault(S.product(S.inv[u], u), []).append(u)
     return l_classes
 
 
@@ -180,11 +182,8 @@ def _least_idempotents(action: FiniteAction) -> dict[int, int]:
 
 def _least_idempotent_at(action: FiniteAction, x: int) -> int:
     """e_x, the least idempotent whose domain holds x (see GermGroupoid)."""
-    mul = action.semigroup.mul
     at = action.idempotents_at(x)
-    e = at[0]
-    for f in at[1:]:
-        e = mul[e][f]
+    e = reduce(action.semigroup.product, at)
     if x not in action.domain_of[e]:
         raise ContractViolation(
             f"point {x} lies in the domains of {list(at)} but not of their "
@@ -197,8 +196,8 @@ def germ_equiv_oracle(action: FiniteAction, s: int, t: int, x: int) -> bool:
     check that `build_germs` classes are validated against."""
     if x not in action.domain(s) or x not in action.domain(t):
         raise ContractViolation(f"point {x} must lie in the domains of both {s} and {t}")
-    S = action.semigroup
-    return any(S.mul[s][e] == S.mul[t][e] for e in action.idempotents_at(x))
+    mul = action.semigroup.mul
+    return any(mul[s][e] == mul[t][e] for e in action.idempotents_at(x))
 
 
 def fixed_sets(action: FiniteAction, s: int) -> tuple[frozenset[int], frozenset[int]]:

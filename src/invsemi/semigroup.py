@@ -1,9 +1,10 @@
-"""Finite inverse semigroups as multiplication tables.
+"""Finite inverse semigroups, by multiplication table or by image keys.
 
-A `FiniteInverseSemigroup` wraps an m x m table of element indices and
-derives the inverse map, the idempotents, the absorbing zero (if any)
-and the natural partial order s <= t  iff  t s* s = s.  Construction
-never rejects an algebraically broken table; `verify_inverse_semigroup`
+A `FiniteInverseSemigroup` holds an m x m table of element indices or,
+for a `close` result, the image keys of its elements, and derives the
+inverse map, the idempotents, the absorbing zero (if any) and the
+natural partial order s <= t  iff  t s* s = s.  Construction never
+rejects an algebraically broken table; `verify_inverse_semigroup`
 reports whether the table really is an inverse semigroup, with a
 certificate on failure.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, itemgetter
+from operator import and_, attrgetter, itemgetter, methodcaller
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
@@ -25,11 +26,18 @@ DOWN = "geq"  # A^>= : everything below some member
 
 
 class FiniteInverseSemigroup:
-    """Multiplication-table model of a finite inverse semigroup.
+    """A finite inverse semigroup, by table or by image keys.
 
     Immutable after construction; all queries are pure, so instances can
     be shared freely between threads.  (The down-masks of the natural
-    order are built on first use; a race only builds them twice.)
+    order and a closure's table are built on first use; a race only
+    builds them twice.)
+
+    `product` (and `products`, for a column) reads s t off the table,
+    or on a `close` result, which keeps none, off the image keys: the
+    key of s read through the key of t is the key of s t (see `close`).
+    `mul` builds its table on first read (`_closure_table`), for the
+    readers of rows, and the products then read it too.
 
     The natural order is kept as up-masks, bit t of the s-th set iff
     s <= t, on one of two paths chosen here and nowhere else:
@@ -50,11 +58,11 @@ class FiniteInverseSemigroup:
       is None.
     """
 
-    __slots__ = ("mul", "order", "labels", "inv", "idempotents", "zero",
+    __slots__ = ("_mul", "order", "labels", "inv", "idempotents", "zero", "_closure",
                  "_up_masks", "_down_masks", "_cells")
 
-    def __init__(self, mul: Sequence[Sequence[int]], labels: Sequence | None = None,
-                 *, _inverse: Sequence[int] | None = None):
+    def __init__(self, mul: Sequence[Sequence[int]] | None, labels: Sequence | None = None,
+                 *, _inverse: Sequence[int] | None = None, _closure: tuple | None = None):
         """`_inverse` is the inverse map, for a caller that knows it by
         construction (`close` from the labels, the atom-flip truncations
         from their closed form).  A caller that passes it also vouches
@@ -64,14 +72,17 @@ class FiniteInverseSemigroup:
         the order on the ground-cell path (see the class docstring).
         Without it the table gets the range check and the exhaustive
         scan for generalized inverses, and `inv` is None unless each
-        element has exactly one."""
-        table = tuple(tuple(row) for row in mul)
-        m = len(table)
-        if _inverse is None:
+        element has exactly one.  `close` passes no table but
+        `_closure`: (key index, gathers, key tables, right, words)."""
+        table = None if _closure else tuple(tuple(row) for row in mul)
+        if table is not None and _inverse is None:
             _check_cells(table)
+        m = len(_closure[0] if table is None else table)
+        object.__setattr__(self, "_mul", table)
+        object.__setattr__(self, "_closure", _closure)
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
-        idempotents = frozenset(e for e in range(m) if table[e][e] == e)
+        idempotents = frozenset(e for e in range(m) if self.product(e, e) == e)
         # The one dispatch point of the order (see the class docstring).
         by_ground = _inverse is not None and labels is not None and all(
             isinstance(f, PartialBijection) for f in labels)
@@ -84,12 +95,11 @@ class FiniteInverseSemigroup:
                     break
                 _inverse.append(cands[0])
         inv = tuple(_inverse) if _inverse is not None else None
-        object.__setattr__(self, "mul", table)
         object.__setattr__(self, "order", m)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "zero", _find_zero(table, idempotents))
+        object.__setattr__(self, "zero", _find_zero(self.product, idempotents, m))
         if by_ground:
             cells = _ground_cells(self.labels)
             up = _up_masks_from_cells(self.labels, cells, m)
@@ -103,6 +113,27 @@ class FiniteInverseSemigroup:
         raise AttributeError("FiniteInverseSemigroup is immutable")
 
     # -- basic arithmetic ------------------------------------------------
+
+    @property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """The m x m table; a closure builds it here on first read."""
+        if self._mul is None:
+            object.__setattr__(self, "_mul", _closure_table(*self._closure[3:]))
+        return self._mul
+
+    def product(self, s: int, t: int) -> int:
+        """s t, unchecked (see the class docstring)."""
+        if self._mul is not None:
+            return self._mul[s][t]
+        index, gathers, keys = self._closure[:3]
+        return index[gathers[t](keys[s])]
+
+    def products(self, members: Iterable[int], t: int) -> list[int]:
+        """[u t for u in members], unchecked: one gather by the key of t."""
+        if self._mul is not None:
+            return [self._mul[u][t] for u in members]
+        index, gathers, keys = self._closure[:3]
+        return list(map(index.__getitem__, map(gathers[t], map(keys.__getitem__, members))))
 
     def inverse(self, s: int) -> int:
         self._check_index(s)
@@ -160,8 +191,7 @@ class FiniteInverseSemigroup:
     def j_set(self, s: int) -> frozenset[int]:
         """Idempotents e with s e = e; equivalently the idempotents below s."""
         self._check_index(s)
-        row = self.mul[s]
-        return frozenset(e for e in self.idempotents if row[e] == e)
+        return frozenset(e for e in self.idempotents if self.product(s, e) == e)
 
     def right_ideal(self, s: int) -> frozenset[int]:
         """The set sS = {s x : x in S}."""
@@ -354,35 +384,24 @@ def close(generators: Sequence[PartialBijection],
     action files rely on it.  Raises `BudgetExceeded` if the closure
     would pass `budget` elements.
 
-    Froidure-Pin on image tuples: an element of I_n is keyed by its
-    image tuple, n + 1 entries with entry x the image of x, and the
-    sentinel n where x is undefined and at position n.  The key of
-    s a (a first, then s) is the key of s read through the key of a,
-    one C-level gather: x goes to s(a(x)), and the sentinel to itself,
-    so s a is undefined at x exactly where a is, or where s is at a(x).
-    Expand the elements in index order, right-multiplying each by every
-    letter; this records each new element's parent and last letter and
-    the right Cayley graph `right`.  The k letter rows are filled by
-    integer lookups, a t = (a parent(t)) last(t).  Every other element
-    t = p a (parent p, last letter a) has row t x = p (a x): row p read
-    through row a, one C-level gather.
-    Cost, for m elements and k letters: m k gathers of n + 1 entries,
-    m label constructions (one `PartialBijection`, with its checks, per
-    new element), k m lookups, and m - k row gathers of m entries each.
+    Froidure-Pin on image keys: an element of I_n is keyed by its image
+    tuple, n + 1 entries with entry x the image of x, and the sentinel
+    n where x is undefined and at position n (as bytes when n < 256).
+    The key of s a (a first, then s) is the key of s read through the
+    key of a, one C-level gather: x goes to s(a(x)), and the sentinel
+    to itself, so s a is undefined at x exactly where a is, or where s
+    is at a(x).  Expand the elements in index order, right-multiplying
+    each by every letter; this records each new element's parent and
+    last letter and the right Cayley graph `right`.  Cost, for m
+    elements and k letters: m k gathers of n + 1 entries and m label
+    constructions (one `PartialBijection`, with its checks, per new
+    element).  No table is built: the result multiplies by its keys,
+    and `mul` builds the table when read.
 
     Why the indexing is that of the all-pairs search it replaced
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
     least word is least, so both searches meet each element first
     through its least word, in shortlex order.
-
-    Why the table needs no range check (the constructor trusts it with
-    `_inverse`): every entry of `right` is an index that `add` handed
-    out, so below m.  A letter row is k entries of `right` and then one
-    per product, m entries below m.  Every other row, in index order,
-    gathers row p at the positions of row a, both earlier rows: m
-    entries of an in-range row, at positions below m.  By induction
-    every row has length m and entries in 0..m-1.  The inverse map is
-    that of I_n, read off the labels.
     """
     if not generators:
         raise ContractViolation("need at least one generator")
@@ -393,12 +412,12 @@ def close(generators: Sequence[PartialBijection],
     if budget is None:
         budget = DEFAULT_CLOSE_BUDGET
 
-    keys: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
+    keys: list[bytes | tuple[int, ...]] = []
+    index: dict[bytes | tuple[int, ...], int] = {}
     words: list[tuple[int, int] | None] = []  # (parent, last letter) per element
     right: list[list[int]] = []
 
-    def add(key: tuple[int, ...], word: tuple[int, int] | None) -> int:
+    def add(key: bytes | tuple[int, ...], word: tuple[int, int] | None) -> int:
         t = index.get(key)
         if t is None:
             if len(keys) >= budget:
@@ -412,18 +431,47 @@ def close(generators: Sequence[PartialBijection],
 
     for g in [*generators, *(g.invert() for g in generators)]:
         add(_image_key(n, g.pairs), None)
-    # A one-index itemgetter returns a scalar, not a key.  On the empty
-    # ground set the one key is (0,), and so is its product with itself:
-    # `tuple` hands a key back as it is.
-    gathers = [itemgetter(*key) if n else tuple for key in keys]
+    # bytes.translate gathers through a 256-entry table: a padded key.
+    gather_by, operand = ((attrgetter("translate"), methodcaller("ljust", 256)) if n < 256
+                          else (lambda key: itemgetter(*key), lambda key: key))
+    gathers = [gather_by(key) for key in keys]
+    tables = []
     while len(right) < len(keys):
         s = len(right)
-        key = keys[s]
-        right.append([add(gather(key), (s, k)) for k, gather in enumerate(gathers)])
+        tables.append(table := operand(keys[s]))
+        right.append([add(gather(table), (s, k)) for k, gather in enumerate(gathers)])
+    gathers += map(gather_by, keys[len(gathers):])
 
-    products = words[len(gathers):]
+    labels = [PartialBijection(n, {x: y for x, y in enumerate(key) if y != n})
+              for key in keys]
+    # The closure is an inverse subsemigroup of I_n, so the inverse of
+    # each element is the element whose graph is its graph reversed.
+    return FiniteInverseSemigroup(
+        None, labels=labels, _closure=(index, gathers, tables, right, words),
+        _inverse=[index[_image_key(n, ((y, x) for x, y in f.pairs))] for f in labels])
+
+
+def _closure_table(right: list[list[int]], words: list) -> tuple[tuple[int, ...], ...]:
+    """The table of a `close` result, from its right Cayley graph and
+    the (parent, last letter) of each element past the k letters.
+
+    The k letter rows are filled by integer lookups,
+    a t = (a parent(t)) last(t).  Every other element t = p a (parent
+    p, last letter a) has row t x = p (a x): row p read through row a,
+    one C-level gather.  Cost: k m lookups and m - k row gathers.
+
+    Why the table needs no range check (the constructor trusts it with
+    `_inverse`): every entry of `right` is an index that `close` handed
+    out, so below m.  A letter row is k entries of `right` and then one
+    per product, m entries below m.  Every other row, in index order,
+    gathers row p at the positions of row a, both earlier rows: m
+    entries of an in-range row, at positions below m.  By induction
+    every row has length m and entries in 0..m-1.
+    """
+    k = len(right[0])
+    products = words[k:]
     mul = []
-    for row in right[:len(gathers)]:
+    for row in right[:k]:
         row = row[:]  # a times each letter, which are elements 0..k-1
         for p, b in products:
             row.append(right[row[p]][b])
@@ -434,23 +482,18 @@ def close(generators: Sequence[PartialBijection],
     through = [itemgetter(*row) for row in mul]
     for p, a in products:
         mul.append(through[a](mul[p]))
-    labels = [PartialBijection(n, {x: y for x, y in enumerate(key) if y != n})
-              for key in keys]
-    # The closure is an inverse subsemigroup of I_n, so the inverse of
-    # each element is the element whose graph is its graph reversed.
-    return FiniteInverseSemigroup(
-        mul, labels=labels,
-        _inverse=[index[_image_key(n, ((y, x) for x, y in f.pairs))] for f in labels])
+    return tuple(mul)
 
 
-def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The image tuple of the partial bijection on n points with graph
+def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, ...]:
+    """The image key of the partial bijection on n points with graph
     `pairs`: entry x is the image of x, or the sentinel n where x is
-    undefined; entry n is n."""
+    undefined; entry n is n.  Bytes when n < 256, else a tuple."""
     key = [n] * (n + 1)
     for x, y in pairs:
         key[x] = y
-    return tuple(key)
+    return bytes(key) if n < 256 else tuple(key)
+
 
 
 def is_closure_of(S: FiniteInverseSemigroup,
@@ -529,15 +572,14 @@ def _check_cells(table: tuple[tuple, ...]) -> None:
     for i, row in enumerate(table):
         if len(row) != m:
             raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
-        if min(row) < 0 or max(row) >= m:
-            v = next(v for v in row if not 0 <= v < m)
-            raise ContractViolation(f"table entry {v} out of range [0, {m})")
         for v in row:
             if not isinstance(v, int):
                 raise ContractViolation(f"table entry {v!r} is not an integer")
+            if not 0 <= v < m:
+                raise ContractViolation(f"table entry {v} out of range [0, {m})")
 
 
-def _find_zero(table, idempotents) -> int | None:
+def _find_zero(product, idempotents, m: int) -> int | None:
     """The absorbing element, if any.
 
     A zero is idempotent and absorbs every product it enters, so it is
@@ -546,8 +588,8 @@ def _find_zero(table, idempotents) -> int | None:
     """
     z = None
     for e in idempotents:
-        z = e if z is None else table[z][e]
-    if z is None or any(v != z for v in table[z]) or any(row[z] != z for row in table):
+        z = e if z is None else product(z, e)
+    if z is None or any(product(z, s) != z or product(s, z) != z for s in range(m)):
         return None
     return z
 

@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from invsemi import (ContractViolation, FiniteInverseSemigroup, PartialBijection,
                      all_partial_bijections, build_germs, close)
+from invsemi.formats import FORMAT_VERSION
 from invsemi.germs import germ_counts
 from invsemi.symbolic import atomflip
 
@@ -78,6 +79,16 @@ def all_fixtures(i1, i2, i3, z2, z3):
 def left_zero_table():
     """x y = x for both elements; inverses exist but are not unique."""
     return FiniteInverseSemigroup([[0, 0], [1, 1]])
+
+
+def semigroup_to_dict(S: FiniteInverseSemigroup) -> dict:
+    """Table-kind document for a semigroup (labels stringified), for
+    tests that write table files."""
+    doc = {"version": FORMAT_VERSION, "kind": "table",
+           "mul_table": [list(row) for row in S.mul]}
+    if S.labels is not None:
+        doc["labels"] = [str(l) for l in S.labels]
+    return doc
 
 
 def element_index(S: FiniteInverseSemigroup, pb: PartialBijection) -> int:

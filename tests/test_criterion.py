@@ -21,8 +21,8 @@ from invsemi import (
     is_e_star_unitary,
     join,
 )
-from conftest import element_index, make_chain
-from invsemi import cli, formats
+from conftest import element_index, make_chain, semigroup_to_dict
+from invsemi import cli
 from invsemi.symbolic import atomflip
 from oracles import join_brute, maximal_elements_scan, union_join
 
@@ -238,7 +238,7 @@ def test_downward_closure_check_fires(i3, monkeypatch, tmp_path):
         hausdorff_criterion(T, s)
 
     f = tmp_path / "i3.json"
-    f.write_text(json.dumps(formats.semigroup_to_dict(i3)))
+    f.write_text(json.dumps(semigroup_to_dict(i3)))
     monkeypatch.setattr(cli.formats, "load_semigroup", lambda path, budget=None: T)
     result = CliRunner().invoke(cli.main, ["criterion", str(f)])
     assert result.exit_code == 4

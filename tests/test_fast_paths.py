@@ -9,12 +9,16 @@ natural action of a closure on its ground set; the verify and action
 checks also run on random magma tables and on fixtures with one entry
 corrupted.  The tables that `close` and `atomflip.truncation` hand the
 constructor unchecked are swept on I_1-I_5, on seeded random closures
-and on F_0-F_64, and the CLI's calls to the verifier are counted.
+and on F_0-F_64, and the CLI's calls to the verifier are counted.  A
+closure's products by image keys are swept against its table, and the
+paths that must not build a closure's table run with its fill patched
+to raise.
 """
 
 import functools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -44,7 +48,8 @@ from invsemi import (
 from invsemi import action as action_mod
 from invsemi import cli, criterion, germs, semigroup
 from invsemi.criterion import CompletenessResult
-from invsemi.formats import load_action, load_semigroup, semigroup_to_dict
+from invsemi.formats import load_action, load_semigroup
+from invsemi.germs import germ_counts
 from invsemi.symbolic import atomflip
 from oracles import (
     atomflip_truncation_scan,
@@ -64,7 +69,7 @@ from oracles import (
     verify_scan,
     zero_scan,
 )
-from conftest import check_germ_counts, product_or_none
+from conftest import check_germ_counts, product_or_none, semigroup_to_dict
 from test_consistency_sweep import random_pb
 from test_closure import generator_lists, partial_bijections, symmetric_generators
 
@@ -201,18 +206,20 @@ def test_fast_paths_match_scans_on_random_closures(gens, data):
 
 
 def test_germs_store_nothing_per_pair(monkeypatch):
-    def refuse(self):
-        raise AssertionError("germ pair scan or pair table while building germs")
+    def refuse(*args):
+        raise AssertionError("germ pair scan, pair table or closure table while building germs")
 
     S = close(symmetric_generators(4))
-    assert left_translation_action(S).rows is S.mul
+    point_action = load_action(DATA / "z2_point_action.json")  # validation reads rows
     monkeypatch.setattr(FiniteAction, "germ_pairs", refuse)
     monkeypatch.setattr(FiniteAction, "table", property(refuse))
-    for action in (left_translation_action(S),
-                   load_action(DATA / "z2_point_action.json")):
-        G = build_germs(action)
-        assert len(G) > 0
-        assert callable(G.class_of) and not hasattr(G, "classes")
+    with monkeypatch.context() as m:
+        # left translation reads products of S, never its table
+        m.setattr(semigroup, "_closure_table", refuse)
+        for action in (left_translation_action(S), point_action):
+            G = build_germs(action)
+            assert len(G) > 0
+            assert callable(G.class_of) and not hasattr(G, "classes")
     for verify in ([], ["--verify"]):
         result = CliRunner().invoke(
             cli.main, ["germs", str(DATA / "i2_gens.json"), "--self", *verify])
@@ -259,6 +266,85 @@ def test_only_a_closure_orders_by_ground_cells(monkeypatch):
                   lambda: is_complete_and_distributive(table)):
         with pytest.raises(AssertionError):
             build()
+
+
+def refuse_closure_tables(monkeypatch):
+    """Make a closure's table fill raise, as a read of `S.mul` would."""
+    def refuse(*args):
+        raise AssertionError("a closure built its multiplication table")
+
+    monkeypatch.setattr(semigroup, "_closure_table", refuse)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
+@pytest.mark.parametrize("command", [["close"], ["criterion"], ["germs", "--self"]])
+def test_a_closure_command_builds_no_table(monkeypatch, tmp_path, command, fmt):
+    i4 = tmp_path / "i4.json"
+    i4.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 4,
+                              "generators": [g.pairs for g in symmetric_generators(4)]}))
+    refuse_closure_tables(monkeypatch)
+    for path in (DATA / "i2_gens.json", i4):
+        result = CliRunner().invoke(cli.main, [command[0], str(path), *command[1:], *fmt])
+        assert result.exit_code == 0, result.output
+
+
+def test_a_closure_multiplies_by_keys(monkeypatch):
+    refuse_closure_tables(monkeypatch)
+    S = close(symmetric_generators(4))
+    assert all(hausdorff_criterion(S, s).witness is not None for s in S.elements())
+    action = left_translation_action(S)
+    # |L_{xx*}| = C(4, r) r! for x of rank r, and C(4, r)^2 r! such x
+    assert check_germ_counts(action) == (3809, 209, 209)
+    with pytest.raises(AssertionError):
+        S.mul
+
+
+def test_closing_i5_keeps_no_table():
+    tracemalloc.start()
+    try:
+        assert close(symmetric_generators(5)).order == 1546
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def swept_closures():
+    """Seeded random closures on ground sets 0-5, the one-element
+    closures and a closure on 300 points, whose keys are tuples."""
+    rng = random.Random(20261019)
+    yield from (close([PartialBijection(0)]), close([PartialBijection(1)]),
+                close([PartialBijection.identity(3)]),
+                close([PartialBijection(300, {0: 1, 1: 0}), PartialBijection(300, {0: 0, 299: 299})]))
+    swept = 0
+    while swept < 40:
+        n = rng.choice([0, 1, 2, 3, 4, 4, 5, 5, 5, 5])
+        try:
+            S = close([random_pb(n, rng) for _ in range(rng.randint(1, 4))], budget=250)
+        except BudgetExceeded:
+            continue
+        swept += 1
+        yield S
+
+
+def test_the_table_path_is_the_oracle_of_the_key_path():
+    for S in swept_closures():
+        m, labels, elements = S.order, S.labels, S.elements()
+        rows = [[S.product(s, t) for t in elements] for s in elements]
+        columns = [S.products(elements, t) for t in elements]
+        verdicts = [hausdorff_criterion(S, s) for s in elements]
+        counts = germ_counts(left_translation_action(S))
+        assert S._mul is None  # all of the above read the keys
+        T = FiniteInverseSemigroup(S.mul, labels=labels)  # row scans, no keys
+        assert T._cells is None
+        index = {f: i for i, f in enumerate(labels)}
+        assert rows == [list(row) for row in T.mul] == \
+            [[index[f.compose(g)] for g in labels] for f in labels]
+        assert columns == [[row[t] for row in T.mul] for t in elements]
+        assert (S.idempotents, S.zero, S.inv, S._up_masks) == \
+            (T.idempotents, T.zero, T.inv, T._up_masks)
+        assert verdicts == [hausdorff_criterion(T, s) for s in range(m)]
+        assert counts == germ_counts(left_translation_action(T))
 
 
 def test_zero_fold_on_tables_without_unique_inverses(left_zero_table):

@@ -6,8 +6,10 @@ from click.testing import CliRunner
 
 from invsemi import ParseError
 from invsemi.cli import main
-from invsemi.formats import load_action, load_graph, load_semigroup, semigroup_to_dict
+from invsemi.formats import load_action, load_graph, load_semigroup
 from invsemi.symbolic.atomflip import AtomFlipElement
+
+from conftest import semigroup_to_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,9 +261,9 @@ def test_cli_missing_version_exit_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize("table, message", [
-    ([[0, "a"], [1, 0]], "'<' not supported between instances of 'str' and 'int'"),
-    ([[0, [1]], [1, 0]], "'<' not supported between instances of 'list' and 'int'"),
-    ([[None, 1], [1, 0]], "'<' not supported between instances of 'int' and 'NoneType'"),
+    ([[0, "a"], [1, 0]], "table entry 'a' is not an integer"),
+    ([[0, [1]], [1, 0]], "table entry [1] is not an integer"),
+    ([[None, 1], [1, 0]], "table entry None is not an integer"),
     ([[0, 5], [1]], "table entry 5 out of range [0, 2)"),
     # the range fault in row 0 is named before the length fault in row 1
     ([[0, -1, 2], [0, 1], [2, 2, 2]], "table entry -1 out of range [0, 3)"),

@@ -1,4 +1,5 @@
-"""Seeded fuzz of the four file loaders through the CLI.
+"""Seeded fuzz of the four file loaders and of the semigroup
+subcommands through the CLI.
 
 Malformed table, generator, action and graph documents go through
 `CliRunner`.  Whatever the document, the run ends in one of the
@@ -8,16 +9,22 @@ accepts reports its fields as integers.  The documents mix well-formed
 parts with arbitrary JSON values, so most runs reach the checks past
 the top-level shape.  Ground sets stay at 8 points or fewer: `close`
 allocates n + 1 entries per element, so a huge ground set would test
-memory, not parsing.
+memory, not parsing.  `criterion`, `props` and `germs --self` get
+small documents (ground sets of 4 points or fewer) and a small budget,
+with and without --verify and --format structured: their oracles are
+exponential, and `props --verify` on F_64 already runs minutes.
 """
 
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from invsemi import PartialBijection, close
 from invsemi.cli import main
+from conftest import semigroup_to_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -64,6 +71,29 @@ actions = st.fixed_dictionaries({
                                                pairs).map(list)),
                               max_size=3)),
 })
+
+
+@st.composite
+def injections(draw, n):
+    """The pairs of a partial bijection on n points."""
+    images = draw(st.permutations(range(n)))
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [[x, y] for x, (y, keep) in enumerate(zip(images, kept)) if keep]
+
+
+@st.composite
+def small_documents(draw):
+    """A generator file on 0-4 points, that file closed into a table
+    file, or a malformed table."""
+    n = draw(st.integers(0, 4))
+    gens = draw(st.lists(injections(n), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["generators", "closed", "malformed"]))
+    if kind == "malformed":
+        return draw(tables())
+    if kind == "closed" and n < 4:
+        return semigroup_to_dict(close([PartialBijection(n, g) for g in gens]))
+    return {"kind": "generators", "ground_size": n, "generators": draw(mostly(st.just(gens)))}
+
 
 graphs = st.fixed_dictionaries({
     "vertex_count": mostly(st.integers(0, 4), scalars),
@@ -113,3 +143,16 @@ def test_action_files(tmp_path, doc):
 @given(doc=graphs)
 def test_graph_files(tmp_path, doc):
     run(tmp_path, doc, ["symbolic", "graph", "e1", "--graph", "FILE"])
+
+
+@pytest.mark.parametrize("command", [["criterion"], ["props"], ["germs", "--self"]])
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@FUZZ
+@given(doc=small_documents(), structured=st.booleans())
+def test_semigroup_subcommands(tmp_path, command, verify, doc, structured):
+    args = [command[0], "FILE", *command[1:], "--budget", "64", *verify]
+    args += ["--format", "structured"] * structured
+    result = run(tmp_path, doc, args)
+    assert "Traceback" not in result.stderr, (doc, args, result.stderr)
+    if structured:
+        check_semigroup_report(result)
