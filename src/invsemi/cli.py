@@ -107,30 +107,20 @@ def _semigroup_summary(S: FiniteInverseSemigroup, check: VerificationResult) -> 
 
 def _verification(S: FiniteInverseSemigroup, input_file, verify: bool, *,
                   require: bool = False) -> VerificationResult:
-    """Whether S is an inverse semigroup: the one place that decides
-    where `verify_inverse_semigroup` runs.
+    """Whether S is an inverse semigroup: the one place that decides how
+    each subcommand checks it.
 
-    A closure of partial bijections (a `close` result, the only table
-    with ground cells) is an inverse subsemigroup of I_n by
-    construction, so it passes without a scan; under --verify of
-    `criterion`, `props` and `germs` it gets the verifier too.  A table
-    file proves nothing about itself, so it always gets the verifier.
-    With `require`, a failed check is a ParseError naming the file.
-
-    `close` asks with `verify` False, because under --verify it checks
-    a closure with `is_closure_of` instead, and that check implies the
-    verifier's verdict.  If it passes, the labels are pairwise distinct
-    and L[s t] = L[s] L[t] for all s, t (proof in `is_closure_of`), so
-    the labels are an injective homomorphism from the table onto its
-    image.  The image is closed under composition and holds the
-    letters, which reach every element, so it is the subsemigroup of
-    I_n generated by the letters.  The letters include the generators'
-    inverses, and (a b)^-1 = b^-1 a^-1, so that subsemigroup is closed
-    under inverses: an inverse subsemigroup of I_n.  The table is
-    isomorphic to it, so it is an inverse semigroup too.  If the check
-    fails, the run exits 4 whatever the verifier would say.
+    A closure (a `close` result) is an inverse subsemigroup of I_n by
+    construction, so it passes unchecked.  Under --verify it must pass
+    `is_closure_of`, which proves that from its labels; a failure is the
+    program's fault, so it raises InvariantViolation (exit 4).  A table
+    file proves nothing about itself, so it always gets
+    `verify_inverse_semigroup`.  With `require`, a failed check is a
+    ParseError naming the file.
     """
-    if S._cells is not None and not verify:
+    if S._closure is not None:
+        if verify and not is_closure_of(S):
+            raise InvariantViolation(f"{input_file}: the closure disagrees with its labels")
         return VerificationResult(True)
     check = verify_inverse_semigroup(S)
     if require and not check.ok:
@@ -157,7 +147,7 @@ def close(input_file, fmt, budget, verify, timing):
     """Close a generator file (or load a table file) and verify it."""
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport(command="close", input_digest=file_digest(input_file))
-    stats = _semigroup_summary(S, _verification(S, input_file, verify=False))
+    stats = _semigroup_summary(S, _verification(S, input_file, verify))
     report.semigroup = stats
     report.line(f"close {input_file}")
     _summary_lines(report, stats)
@@ -171,8 +161,9 @@ def close(input_file, fmt, budget, verify, timing):
         if generators is None:
             again = formats.load_semigroup(input_file, budget=budget)
             report.verified = again.mul == S.mul
-        else:
-            report.verified = is_closure_of(S, generators)
+        else:  # the letters: the generators, then their inverses
+            letters = dict.fromkeys([*generators, *(g.invert() for g in generators)])
+            report.verified = S.labels[:len(S._closure[3][0])] == tuple(letters)
     return report
 
 
@@ -369,6 +360,8 @@ def _symbolic_report(command, family, element_expr, truncation, rank,
                      graph_file, verify) -> RunReport:
     if truncation is not None and family != "atomflip":
         raise ParseError("--truncation applies only to atomflip")
+    if graph_file is not None and family != "graph":
+        raise ParseError("--graph applies only to graph")
     if family == "atomflip":
         from .symbolic import atomflip
         element = atomflip.parse(element_expr)

@@ -30,8 +30,9 @@ class Germ:
 class GermGroupoid:
     """Arrows, structure maps and the product of a germ groupoid.
 
-    Precondition: the action is validated and its semigroup passes
-    `verify_inverse_semigroup`, as the CLI checks before it builds germs.
+    Precondition: the action is validated and its semigroup is inverse
+    (a closure, or a table that passes `verify_inverse_semigroup`), as
+    the CLI checks before it builds germs.
 
     Each class is found in closed form.  Idempotents act as identities
     and the action is a homomorphism, so D_{ef} = D_e & D_f, and e <= f

@@ -58,15 +58,6 @@ class PartialBijection:
     def image(self) -> frozenset[int]:
         return frozenset(self._map.values())
 
-    def apply(self, x: int) -> int:
-        try:
-            return self._map[x]
-        except KeyError:
-            raise ContractViolation(f"{x} not in domain {sorted(self._map)}") from None
-
-    def defined_at(self, x: int) -> bool:
-        return x in self._map
-
     def compose(self, other: "PartialBijection") -> "PartialBijection":
         """self after other: x -> self(other(x)) where both legs are defined."""
         if self.ground_size != other.ground_size:

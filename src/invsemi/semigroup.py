@@ -41,9 +41,8 @@ class FiniteInverseSemigroup:
 
     The natural order is kept as up-masks, bit t of the s-th set iff
     s <= t, on one of two paths chosen here and nowhere else:
-    - *Ground cells*, when the caller vouches for the table: the labels
-      are `PartialBijection`s and `_inverse` was given, as for every
-      `close` result.  Then S is an inverse subsemigroup of I_n, and
+    - *Ground cells* on a closure (a `close` result, the one kind
+      with `_closure`).  S is an inverse subsemigroup of I_n, and
       `_cells[x, y]` is the mask of the elements whose graph holds the
       pair (x, y).  In I_n, t s*s is t restricted to the domain of s,
       so s <= t iff the graph of s lies in that of t.  The products and
@@ -52,8 +51,8 @@ class FiniteInverseSemigroup:
       element when s is the empty map): O(rank(s)) operations on m-bit
       masks.  The compatibility masks of `criterion` read the same
       cells.
-    - *Table rows* otherwise (table files, the atom-flip truncations, a
-      table passed in with or without labels): `_up_masks` reads the
+    - *Table rows* otherwise (table files, the atom-flip truncations,
+      any table passed in, whatever its labels): `_up_masks` reads the
       order off the row of s s*, since s <= t iff s s* t = s.  `_cells`
       is None.
     """
@@ -68,12 +67,12 @@ class FiniteInverseSemigroup:
         from their closed form).  A caller that passes it also vouches
         for the table: every row has length m and every entry is one of
         0..m-1 (each such caller proves it in its docstring).  Neither
-        is checked, and with `PartialBijection` labels `_inverse` puts
-        the order on the ground-cell path (see the class docstring).
-        Without it the table gets the range check and the exhaustive
-        scan for generalized inverses, and `inv` is None unless each
-        element has exactly one.  `close` passes no table but
-        `_closure`: (key index, gathers, key tables, right, words)."""
+        is checked.  Without it the table gets the range check and the
+        exhaustive scan for generalized inverses, and `inv` is None
+        unless each element has exactly one.  `close` passes no table
+        but `_closure`: (key index, gathers, key tables, right, words),
+        which also puts the order on the ground-cell path (see the class
+        docstring)."""
         table = None if _closure else tuple(tuple(row) for row in mul)
         if table is not None and _inverse is None:
             _check_cells(table)
@@ -83,9 +82,6 @@ class FiniteInverseSemigroup:
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
         idempotents = frozenset(e for e in range(m) if self.product(e, e) == e)
-        # The one dispatch point of the order (see the class docstring).
-        by_ground = _inverse is not None and labels is not None and all(
-            isinstance(f, PartialBijection) for f in labels)
         if _inverse is None:
             _inverse = []
             for s in range(m):
@@ -100,7 +96,7 @@ class FiniteInverseSemigroup:
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "zero", _find_zero(self.product, idempotents, m))
-        if by_ground:
+        if _closure:  # the one dispatch point of the order (see the class docstring)
             cells = _ground_cells(self.labels)
             up = _up_masks_from_cells(self.labels, cells, m)
         else:
@@ -495,46 +491,63 @@ def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, .
     return bytes(key) if n < 256 else tuple(key)
 
 
+def is_closure_of(S: FiniteInverseSemigroup) -> bool:
+    """Check a closure against its labels by direct composition, from
+    its own record alone: the labels L on n points, the key index, the
+    gathers and operands of `S.product`, `right` and `inv`.  No table.
 
-def is_closure_of(S: FiniteInverseSemigroup,
-                  generators: Sequence[PartialBijection]) -> bool:
-    """Check the table of `S` against its labels by direct composition.
+    True when, with key(f) the image key of f (see `close`) and the k =
+    len(right[0]) letters first: (1) for every s, the index maps
+    key(L[s]) to s, the operand of s begins with it, and the gather of s
+    reads the identity's operand as it; (2) L[inv[s]] = L[s]^-1; (3) the
+    letters include each other's inverses; (4) L[right[s][a]] = L[s] L[a]
+    for every s and letter a; (5) the letters reach every element
+    through `right`.  Costs k m composes, for m elements.
 
-    True when the labels are pairwise distinct, the letters of
-    `generators` (the generators, then their inverses, first occurrences
-    only) are the first elements, every letter column satisfies
-    labels[mul[s][a]] == labels[s].compose(labels[a]), the letters reach
-    every element by right multiplication in the table, and Light's
-    test over the letters passes.  Shares no code with `close`; costs
-    k m composes and O(k m^2) lookups for k letters.
-
-    Why that is every cell: write L for the labels.  The letters reach
-    t, so t = u a in the table for a letter a and an element u reached
-    by a shorter word (or t is a letter: the column check).  The table
-    is associative (Light's test over a generating set), so by
-    induction on the word length
-    L[s t] = L[(s u) a] = L[s u] L[a] = (L[s] L[u]) L[a]
-           = L[s] (L[u] L[a]) = L[s] L[t],
-    composition of partial bijections being associative.
+    Why that is enough.  Let T be the subsemigroup of I_n that the
+    letters generate.  By (4) and (5) each label is a product of letters,
+    so it lies in T; the labels hold the letters and by (4) are closed
+    under right composition by them, so they hold T.  By (1) distinct
+    elements have distinct keys, so s -> L[s] is a bijection onto T.  By
+    (3) and (a b)^-1 = b^-1 a^-1, T is an inverse subsemigroup of I_n,
+    and by (2) `inv` is its inverse map.  `S.product(s, t)` reads the
+    operand of s through the gather of t, by (1) key(L[s]) through
+    key(L[t]), which is key(L[s] L[t]) (see `close`); by (1) the index
+    maps that key to the element labelled L[s] L[t].  So S multiplies as
+    its labels compose: it is isomorphic to T, an inverse semigroup, and
+    composition of partial maps needs no associativity test (Lawson,
+    Inverse Semigroups, 1998, Thm 1.1.3).
     """
-    labels = S.labels
-    letters = list(dict.fromkeys([*generators, *(g.invert() for g in generators)]))
-    if (labels is None or list(labels[:len(letters)]) != letters
-            or len(set(labels)) != S.order):
+    if S._closure is None:
         return False
-    mul = S.mul
-    if not all(labels[row[j]] == s.compose(a)
-               for s, row in zip(labels, mul) for j, a in enumerate(letters)):
+    index, gathers, operands, right = S._closure[:4]
+    labels, m, k = S.labels, S.order, len(right[0])
+    n = labels[0].ground_size
+    identity = bytes(range(256)) if n < 256 else tuple(range(n + 1))
+    if len(right) != m:
         return False
-    reached = set(range(len(letters)))
+    for s, f in enumerate(labels):
+        key = _image_key(n, f.pairs)
+        if index.get(key) != s or operands[s][:n + 1] != key or gathers[s](identity) != key:
+            return False
+    if not all(t in range(m) and labels[t] == f.invert() for f, t in zip(labels, S.inv)):
+        return False
+    letters = labels[:k]
+    if not {f.invert() for f in letters} <= set(letters):
+        return False
+    reached = set(range(k))
     frontier = list(reached)
     while frontier:
-        row = mul[frontier.pop()]
-        for j in range(len(letters)):
-            if row[j] not in reached:
-                reached.add(row[j])
-                frontier.append(row[j])
-    return len(reached) == S.order and is_associative(mul, range(len(letters)))
+        s = frontier.pop()
+        if len(right[s]) != k:
+            return False
+        for a, t in enumerate(right[s]):
+            if t not in range(m) or labels[t] != labels[s].compose(labels[a]):
+                return False
+            if t not in reached:
+                reached.add(t)
+                frontier.append(t)
+    return len(reached) == m
 
 
 def inverse_candidates(mul: Sequence[Sequence[int]], s: int) -> tuple[int, ...]:

@@ -126,9 +126,6 @@ class PathPairElement:
             return self
         return PathPairElement(self.graph, self.q, self.p)
 
-    def natural_leq(self, other: "PathPairElement") -> bool:
-        return multiply(other, multiply(self.inverse(), self)) == self
-
     def __str__(self) -> str:
         if self.is_zero:
             return "zero"
@@ -205,12 +202,12 @@ def fixture_graph() -> DirectedGraph:
 def parse_path(graph: DirectedGraph, text: str) -> Path:
     text = text.strip()
     seq = []
-    if text.startswith("v") and text[1:].isdigit():
+    if text.startswith("v") and text[1:].isdecimal():
         start = int(text[1:])
     else:
         for token in text.split("."):
             token = token.strip()
-            if not (token.startswith("e") and token[1:].isdigit() and int(token[1:]) >= 1):
+            if not (token.startswith("e") and token[1:].isdecimal() and int(token[1:]) >= 1):
                 raise ParseError(f"bad path component {token!r}; use e<k> (1-based) or v<j>")
             seq.append(int(token[1:]) - 1)
         try:

@@ -106,10 +106,6 @@ class MunnTreeElement:
                                (reduce_word(base + w) for w in self.vertices),
                                base)
 
-    def natural_leq(self, other: "MunnTreeElement") -> bool:
-        """s <= t via the defining identity t (s* s) = s."""
-        return other.multiply(self.inverse().multiply(self)) == self
-
     def sort_key(self):
         return (len(self.vertices), sorted(self.vertices), self.endpoint)
 
@@ -196,7 +192,7 @@ def parse_word(text: str) -> tuple[int, Word]:
             raise ParseError(f"unsupported power in {token!r}; only ^-1 is allowed")
         if name in _NAMES:
             idx = _NAMES.index(name) + 1
-        elif name.startswith("x") and name[1:].isdigit() and int(name[1:]) >= 1:
+        elif name.startswith("x") and name[1:].isdecimal() and int(name[1:]) >= 1:
             idx = int(name[1:])
         else:
             raise ParseError(f"bad generator {token!r}; use x, y, z or x<k>")

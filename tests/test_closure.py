@@ -1,6 +1,6 @@
 """`close` against the all-pairs oracle and the cell-by-cell fill: same
 table, same indexing, less work; `is_closure_of` against the all-cells
-check."""
+check and against faults put into a closure's record."""
 
 import json
 from pathlib import Path
@@ -16,7 +16,7 @@ from invsemi import (
     all_partial_bijections,
     close,
 )
-from invsemi import formats
+from invsemi import formats, semigroup
 from invsemi.cli import main
 from invsemi.semigroup import is_closure_of
 from oracles import closure_cells_scan, lookup_fill_table, pairwise_close
@@ -157,72 +157,123 @@ def test_close_composes_at_most_m_times_letters(monkeypatch):
     assert calls <= S.order * len(letters_of(gens))
 
 
+def with_record(S, mutation):
+    """S rebuilt from its closure record with one fault put in.  Elements
+    0 and m - 1 trade places in the labels, the key index, the operands,
+    the gathers or the inverses; a `right` entry moves; the last row of
+    `right` goes, or loses its last entry; or the last letter's column
+    goes, so that letter is no longer a letter."""
+    index, gathers, operands, right, words = S._closure
+    index, gathers, operands = dict(index), list(gathers), list(operands)
+    right, labels, inv, last = [row[:] for row in right], list(S.labels), list(S.inv), S.order - 1
+    if mutation == "right entry":
+        right[last][0] = (right[last][0] + 1) % S.order
+    elif mutation == "labels swapped":
+        labels[0], labels[last] = labels[last], labels[0]
+    elif mutation == "key":
+        index[operands[0][:labels[0].ground_size + 1]] = last
+    elif mutation == "operand":
+        operands[0] = operands[last]
+    elif mutation == "gather":
+        gathers[0] = gathers[last]
+    elif mutation == "inv entry":
+        inv[0] = inv[last]
+    elif mutation == "last row missing":
+        right.pop()
+    elif mutation == "row cut short":
+        right[last].pop()
+    elif mutation == "last letter dropped":
+        right = [row[:-1] for row in right]
+    return FiniteInverseSemigroup(None, labels=labels, _inverse=inv,
+                                  _closure=(index, gathers, operands, right, words))
+
+
+MUTATIONS = ["right entry", "labels swapped", "key", "operand", "gather", "inv entry",
+             "last row missing", "row cut short", "last letter dropped"]
+# I_2 from the swap and [0->1]: the letters are those two and [1->0], which
+# the others reach, so without its column [0->1] lacks its inverse letter
+SWAP_AND_MOVE = [SWAP, PartialBijection(2, {0: 1})]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_is_closure_of_rejects_a_mutated_record(mutation):
+    S = close(SWAP_AND_MOVE)
+    assert S.order == 7 and is_closure_of(S) and is_closure_of(with_record(S, None))
+    assert not is_closure_of(with_record(S, mutation))
+
+
 def test_is_closure_of_accepts_close_and_rejects_a_bad_cell():
-    gens = symmetric_generators(3)
-    S = close(gens)
-    assert is_closure_of(S, gens)
-    mul = [list(row) for row in S.mul]
-    mul[5][7] = (mul[5][7] + 1) % S.order
-    assert not is_closure_of(FiniteInverseSemigroup(mul, labels=S.labels), gens)
-    assert not is_closure_of(S, gens[1:])  # letters no longer first
+    """A closure passes, and fails with a bad cell of its right Cayley
+    graph; a table, even the closure's own, is not a closure."""
+    S = close(symmetric_generators(3))
+    assert is_closure_of(S)
+    assert not is_closure_of(with_record(S, "right entry"))
+    assert not is_closure_of(FiniteInverseSemigroup(S.mul, labels=S.labels, _inverse=S.inv))
 
 
-def assert_closure_checks_agree(gens, i, j, shift):
+def assert_closure_checks_agree(gens, s, a, shift):
+    """Move right[s][a] by `shift`: `is_closure_of` fails unless the
+    shift is 0, and the table built from the moved graph fails the
+    all-cells scan only then.  A letter's row of `right` is a row of that
+    table, so there the two agree exactly; another row is read by the
+    table only where a word runs through it, and a moved entry elsewhere
+    leaves the table right."""
     S = close(gens)
-    assert is_closure_of(S, gens) and closure_cells_scan(S, gens)
-    mul = [list(row) for row in S.mul]
-    mul[i][j] = (mul[i][j] + shift) % S.order
-    bad = FiniteInverseSemigroup(mul, labels=S.labels)
-    assert is_closure_of(bad, gens) == closure_cells_scan(bad, gens) == (shift % S.order == 0)
+    index, gathers, operands, right, words = S._closure
+    k, m = len(right[0]), S.order
+    right = [row[:] for row in right]
+    right[s][a] = (right[s][a] + shift) % m
+    ok = is_closure_of(FiniteInverseSemigroup(
+        None, labels=S.labels, _inverse=S.inv, _closure=(index, gathers, operands, right, words)))
+    scan = closure_cells_scan(
+        FiniteInverseSemigroup(semigroup._closure_table(right, words), labels=S.labels), gens)
+    assert ok == (shift % m == 0)
+    assert scan >= ok
+    if s < k:
+        assert scan == ok
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_is_closure_of_matches_cells_scan(n):
-    gens = CASES[f"I_{n}"]
+    gens = CASES[f"I_{n}"]  # every element a letter
     m = close(gens).order
-    for i, j in {(0, 0), (m - 1, 0), (0, m - 1), (m - 1, m - 1), (m // 2, m // 3)}:
-        assert_closure_checks_agree(gens, i, j, 1)
+    for s, a in {(0, 0), (m - 1, 0), (0, m - 1), (m - 1, m - 1), (m // 2, m // 3)}:
+        assert_closure_checks_agree(gens, s, a, 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(generator_lists(), st.data())
 def test_is_closure_of_matches_cells_scan_random(gens, data):
-    m = close(gens).order
-    cell = st.integers(0, m - 1)
-    assert_closure_checks_agree(gens, data.draw(cell), data.draw(cell), data.draw(cell))
+    S = close(gens)
+    assert_closure_checks_agree(gens, data.draw(st.integers(0, S.order - 1)),
+                                data.draw(st.integers(0, len(S._closure[3][0]) - 1)),
+                                data.draw(st.integers(0, S.order - 1)))
 
 
 def test_is_closure_of_rejects_elements_the_letters_do_not_reach():
-    # every cell of this table is right, but {0: 0} is not generated by the swap
+    # every composition is right, but {0: 0} is not generated by the swap
     S = close([SWAP, PartialBijection(2, {0: 0})])
     assert S.labels[0] == SWAP and closure_cells_scan(S, [SWAP])
-    assert not is_closure_of(S, [SWAP])
+    assert not is_closure_of(with_record(S, "last letter dropped"))
 
 
-def close_verify_with_one_cell_corrupted(monkeypatch, trusted: bool):
-    """`close --verify` on I_2 with one cell moved; a `trusted` table
-    keeps the closure's inverse map, so the CLI takes it for a closure."""
+@pytest.mark.parametrize("command", [["close"], ["criterion"], ["props"], ["germs", "--self"]])
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_cli_verify_catches_a_mutated_closure(monkeypatch, tmp_path, command, mutation):
+    f = tmp_path / "i2.json"
+    f.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 2,
+                             "generators": [g.pairs for g in SWAP_AND_MOVE]}))
     load = formats.load_semigroup
-
-    def corrupted(path, budget=None):
-        S = load(path, budget=budget)
-        mul = [list(row) for row in S.mul]
-        mul[1][2] = (mul[1][2] + 1) % S.order
-        return FiniteInverseSemigroup(mul, labels=S.labels,
-                                      _inverse=S.inv if trusted else None)
-
-    monkeypatch.setattr(formats, "load_semigroup", corrupted)
-    return CliRunner().invoke(main, ["close", str(DATA / "i2_gens.json"), "--verify",
-                                     "--format", "structured"])
-
-
-def test_cli_close_verify_catches_corrupted_cell(monkeypatch):
-    result = close_verify_with_one_cell_corrupted(monkeypatch, trusted=False)
+    monkeypatch.setattr(formats, "load_semigroup",
+                        lambda path, budget=None: with_record(load(path, budget), mutation))
+    result = CliRunner().invoke(main, [command[0], str(f), *command[1:], "--verify"])
     assert result.exit_code == 4, result.output
-    assert json.loads(result.stdout)["verified"] is False
+    assert result.stdout == ""
+    assert result.stderr.startswith("invariant failure: ")
 
 
-def test_cli_close_verify_catches_a_corrupted_cell_of_a_trusted_closure(monkeypatch):
-    result = close_verify_with_one_cell_corrupted(monkeypatch, trusted=True)
-    assert result.exit_code == 4, result.output
-    assert json.loads(result.stdout)["verified"] is False
+def test_germs_verify_checks_the_closure_of_an_action_file():
+    """The semigroup of an action file is a closure with no generator
+    list at hand; --verify checks it from its own record."""
+    result = CliRunner().invoke(main, ["germs", str(DATA / "z2_point_action.json"), "--verify"])
+    assert result.exit_code == 0, result.output

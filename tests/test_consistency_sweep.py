@@ -27,7 +27,7 @@ def natural_action(S, ground_size):
         pb = S.labels[s]
         ss = S.mul[S.inv[s]][s]
         for x in domains[ss]:
-            table[(s, x)] = pb.apply(x)
+            table[(s, x)] = dict(pb.pairs)[x]
     action = FiniteAction(S, ground_size, domains, table)
     action.validate()
     return action

@@ -91,8 +91,7 @@ def natural_action(S):
     """A closure of partial bijections acting on its ground set."""
     n = S.labels[0].ground_size
     domains = {e: S.labels[e].domain for e in S.idempotents}
-    table = {(s, x): S.labels[s].apply(x)
-             for s in S.elements() for x in S.labels[s].domain}
+    table = {(s, x): y for s in S.elements() for x, y in S.labels[s].pairs}
     return FiniteAction(S, n, domains, table)
 
 
@@ -277,7 +276,8 @@ def refuse_closure_tables(monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
-@pytest.mark.parametrize("command", [["close"], ["criterion"], ["germs", "--self"]])
+@pytest.mark.parametrize("command", [["close"], ["criterion"], ["germs", "--self"],
+                                     ["close", "--verify"]])
 def test_a_closure_command_builds_no_table(monkeypatch, tmp_path, command, fmt):
     i4 = tmp_path / "i4.json"
     i4.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 4,
@@ -388,14 +388,13 @@ SEMIGROUP_COMMANDS = [["close"], ["criterion"], ["props"], ["germs", "--self"]]
 @pytest.mark.parametrize("command", SEMIGROUP_COMMANDS)
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_a_closure_meets_the_verifier_only_under_verify(monkeypatch, command, verify):
-    """A closure is an inverse semigroup by construction; the table
-    verifier reads it only when --verify asks, and then once.  `close
-    --verify` never runs it: its check is `is_closure_of`."""
+    """A closure is an inverse semigroup by construction, and --verify
+    checks it with `is_closure_of`: the table verifier never reads it."""
     calls = counted_verifier(monkeypatch)
     result = CliRunner().invoke(
         cli.main, [command[0], str(DATA / "i2_gens.json"), *command[1:], *verify])
     assert result.exit_code == 0, result.output
-    assert calls == ([7] if verify and command != ["close"] else [])
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", SEMIGROUP_COMMANDS)
@@ -480,6 +479,15 @@ def test_symbolic_inputs_outside_the_truncation_are_parse_errors(args):
     code, output = exit_code(*args)
     assert code == 2, output
     assert output.startswith("error: ") and output.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, element", [("atomflip", "flip"), ("munn", "x")])
+@pytest.mark.parametrize("command", ["symbolic", "criterion"])
+def test_graph_outside_the_graph_family_is_a_parse_error(command, family, element):
+    args = ([command, family, element] if command == "symbolic"
+            else [command, "--family", family, "--element", element])
+    code, output = exit_code(*args, "--graph", str(DATA / "graph_loop.json"))
+    assert (code, output) == (2, "error: --graph applies only to graph\n")
 
 
 def test_symbolic_truncation_verify_builds_one_table(monkeypatch):

@@ -1,7 +1,8 @@
 """Seeded fuzz of the four file loaders and of the semigroup
 subcommands through the CLI.
 
-Malformed table, generator, action and graph documents go through
+Malformed table, generator, action and graph documents, and symbolic
+expressions made of grammar tokens and junk, go through
 `CliRunner`.  Whatever the document, the run ends in one of the
 documented exit codes (0, 2 parse, 3 budget, 4 invariant) through
 `sys.exit`, never through an uncaught exception, and a table the CLI
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from invsemi import PartialBijection, close
 from invsemi.cli import main
@@ -101,16 +102,21 @@ graphs = st.fixed_dictionaries({
 })
 
 
+def invoke(args, context=None):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in {0, 2, 3, 4}, (context, args, result.output)
+    if result.exit_code:
+        assert isinstance(result.exception, SystemExit), (context, args, result.exception)
+    else:
+        assert result.exception is None, (context, args, result.exception)
+    assert "Traceback" not in result.stderr, (context, args, result.stderr)
+    return result
+
+
 def run(tmp_path, doc, args):
     f = tmp_path / "fuzz.json"
     f.write_text(json.dumps({"version": 1, **doc}))
-    result = CliRunner().invoke(main, [arg.replace("FILE", str(f)) for arg in args])
-    assert result.exit_code in {0, 2, 3, 4}, (doc, result.output)
-    if result.exit_code:
-        assert isinstance(result.exception, SystemExit), (doc, result.exception)
-    else:
-        assert result.exception is None, (doc, result.exception)
-    return result
+    return invoke([arg.replace("FILE", str(f)) for arg in args], doc)
 
 
 def check_semigroup_report(result):
@@ -153,6 +159,64 @@ def test_semigroup_subcommands(tmp_path, command, verify, doc, structured):
     args = [command[0], "FILE", *command[1:], "--budget", "64", *verify]
     args += ["--format", "structured"] * structured
     result = run(tmp_path, doc, args)
-    assert "Traceback" not in result.stderr, (doc, args, result.stderr)
     if structured:
         check_semigroup_report(result)
+
+
+# Well-formed expressions of the three grammars (atom-flip elements, Munn
+# words, path pairs on the fixture graph or `graph_loop.json`), into which
+# up to two parts are put at random places: tokens of any grammar, numbers
+# to follow `atom:`, `x`, `e` and `v`, and junk, some of it characters
+# that `str.isdigit` takes for digits.
+GRAMMARS = {
+    "atomflip": st.one_of(st.sampled_from(["flip", "square", "zero"]),
+                          st.integers(0, 70).map("atom:{}".format)),
+    "munn": st.lists(st.one_of(st.sampled_from(["x", "y", "z"]),
+                               st.integers(0, 6).map("x{}".format))
+                     .flatmap(lambda name: st.sampled_from([name, name + "^-1"])),
+                     max_size=6).map(" ".join),
+    "graph": st.one_of(
+        st.just("zero"),
+        paths := st.one_of(st.sampled_from(["v0", "v0", "v1", "v2"]),
+                           st.lists(st.sampled_from(["e1", "e1", "e2", "e3", "e0"]),
+                                    min_size=1, max_size=3).map(".".join)),
+        st.tuples(paths, paths).map("p={0[0]},q={0[1]}".format)),
+}
+expression_parts = st.one_of(
+    st.sampled_from(["atom:", "flip", "square", "zero", "x", "y", "z", "^-1",
+                     "p=", "q=", "e", "v", ".", ",", " "]),
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-", ":", "=", "^", "*", "\t", "X", "é", "²", "٣", "½"]))
+
+
+@st.composite
+def symbolic_calls(draw):
+    """Arguments of `symbolic` or `criterion --family`.  --truncation
+    (at most 64 atoms: it builds an (n + 3)^2 table that --budget does
+    not bound) comes mostly with atomflip and --graph mostly with graph;
+    given to another family, each is a parse error."""
+    family = draw(st.sampled_from(list(GRAMMARS)))
+    expr = draw(GRAMMARS[family])
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(expr)))
+        expr = expr[:at] + draw(expression_parts) + expr[at:]
+    options = ["--verify"] * draw(st.booleans())
+    options += ["--format", "structured"] * draw(st.booleans())
+    if draw(mostly(st.just(family == "atomflip"), st.booleans())) and draw(st.booleans()):
+        options += ["--truncation", str(draw(st.integers(-1, 64)))]
+    if draw(mostly(st.just(family == "graph"), st.booleans())) and draw(st.booleans()):
+        options += ["--graph", str(DATA / "graph_loop.json")]
+    if draw(st.booleans()):
+        return ["criterion", "--family", family, f"--element={expr}", *options]
+    return ["symbolic", *options, "--", family, expr]  # expr may start with "-"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(args=symbolic_calls())
+@example(args=["symbolic", "munn", "x²"])
+@example(args=["symbolic", "graph", "e²"])
+@example(args=["criterion", "--family", "graph", "--element", "v²"])
+def test_symbolic_expressions(args):
+    result = invoke(args)
+    if result.exit_code == 0 and "structured" in args:
+        assert json.loads(result.stdout)["symbolic"]["verdict"]
