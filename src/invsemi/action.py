@@ -137,12 +137,19 @@ class FiniteAction:
                 if row[x] != x:
                     raise ContractViolation(
                         f"idempotent {e} must act as the identity on its domain")
-        maps, mul = self._maps(), S.mul
-        gens = generating_set(mul)
+        maps = self._maps()
         # Generators suffice when S is associative (see `_homomorphic_at`);
         # otherwise, or on a fault, the scan over all pairs names the first.
-        if is_associative(mul, gens) and all(_homomorphic_at(maps, mul, s) for s in gens):
+        # A closure is associative by construction and generated by its k
+        # letters, elements 0..k-1 (see `close`), so it skips Light's test.
+        if S._closure is not None:
+            gens, associative = range(len(S._closure[3][0])), True
+        else:
+            gens = generating_set(S.mul)
+            associative = is_associative(S.mul, gens)
+        if associative and all(_homomorphic_at(maps, S, s) for s in gens):
             return
+        mul = S.mul
         for s in S.elements():
             for t in S.elements():
                 if maps[mul[s][t]] != _compose(maps[s], maps[t]):
@@ -166,16 +173,17 @@ def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(f.__getitem__, g))
 
 
-def _homomorphic_at(maps, mul, s: int) -> bool:
-    """phi(s t) = phi(s) phi(t) for every t.
+def _homomorphic_at(maps, S: FiniteInverseSemigroup, s: int) -> bool:
+    """phi(s t) = phi(s) phi(t) for every t, by `S.product`, so a
+    closure builds no table.
 
     If S is associative, checking this for s in a generating set is
     enough: the set H of such s is closed under products, since for
     a, b in H, phi((a b) t) = phi(a (b t)) = phi(a) phi(b t)
     = phi(a) phi(b) phi(t) = phi(a b) phi(t).
     """
-    f, row = maps[s], mul[s]
-    return all(maps[row[t]] == _compose(f, g) for t, g in enumerate(maps))
+    f = maps[s]
+    return all(maps[S.product(s, t)] == _compose(f, g) for t, g in enumerate(maps))
 
 
 def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:

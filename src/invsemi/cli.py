@@ -4,7 +4,9 @@ Subcommands: close, props, germs, criterion, symbolic.  Reports render
 as human text by default or canonical JSON with --format structured;
 both are byte-deterministic for a fixed input and flag set.  Exit
 codes: 0 success, 2 parse error, 3 budget or memory exhausted, 4
-internal invariant or --verify failure.
+internal invariant or --verify failure.  `main` parses the arguments
+with argparse, maps the package's errors to these codes in one place,
+and always ends in SystemExit.
 
 A subcommand imports the modules it runs inside its own body and calls
 them through module attributes, so `close` loads no criterion, germ,
@@ -13,11 +15,11 @@ action or symbolic-family code.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 import time
-from functools import wraps
-
-import click
+from typing import NoReturn
 
 from . import formats, symbolic
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
@@ -45,51 +47,99 @@ def _jsonable(value):
     return value
 
 
-def common_options(f):
-    @click.option("--format", "fmt", type=click.Choice(["human", "structured"]),
-                  default="human", show_default=True, help="Report rendering.")
-    @click.option("--budget", type=int, default=None, envvar="INVSEMI_BUDGET",
-                  help="Resource budget: closure elements, and compatible pairs "
-                       "examined by props, whose translate checks cost at most two "
-                       "per generator and pair (subsets for the --verify oracles).")
-    @click.option("--verify", is_flag=True, default=False,
-                  help="Re-run the independent oracles and require agreement.")
-    @click.option("--timing", is_flag=True, default=False,
-                  help="Print elapsed time to stderr (stdout stays deterministic).")
-    @wraps(f)
-    def wrapper(*args, **kwargs):
-        started = time.perf_counter()
-        try:
-            report = f(*args, **kwargs)
-        except ParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARSE)
-        except BudgetExceeded as exc:
-            click.echo(f"inconclusive: {exc}", err=True)
-            sys.exit(EXIT_BUDGET)
-        except MemoryError:
-            click.echo("inconclusive: out of memory", err=True)
-            sys.exit(EXIT_BUDGET)
-        except (InvariantViolation, ContractViolation) as exc:
-            click.echo(f"invariant failure: {exc}", err=True)
-            sys.exit(EXIT_INVARIANT)
-        if kwargs.get("timing"):
-            elapsed = (time.perf_counter() - started) * 1000
-            click.echo(f"elapsed_ms={elapsed:.1f}", err=True)
-        if report.verified is False:
-            click.echo(report.render_structured() if kwargs["fmt"] == "structured"
-                       else report.render_text(), nl=False)
-            click.echo("verification failed: oracle disagreement", err=True)
-            sys.exit(EXIT_INVARIANT)
-        click.echo(report.render_structured() if kwargs["fmt"] == "structured"
-                   else report.render_text(), nl=False)
-        sys.exit(EXIT_OK)
-    return wrapper
+def _input_file(path: str) -> str:
+    """An existing file, not a directory; else argparse exits 2."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
 
 
-@click.group()
-def main():
+def _family_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--truncation", type=int, default=None,
+                        help="Atom-flip truncation bound (atom count).")
+    parser.add_argument("--rank", type=int, default=2,
+                        help="Munn rank when parsing cannot infer it. [default: 2]")
+    parser.add_argument("--graph", dest="graph_file", type=_input_file, default=None,
+                        help="Graph file for the graph family.")
+
+
+def _common_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", dest="fmt", choices=["human", "structured"],
+                        default="human", help="Report rendering. [default: human]")
+    # argparse converts a string default with `type`, so a bad
+    # INVSEMI_BUDGET exits 2 as a bad --budget does
+    parser.add_argument("--budget", type=int, default=os.environ.get("INVSEMI_BUDGET") or None,
+                        help="Resource budget: closure elements, and compatible pairs "
+                             "examined by props, whose translate checks cost at most two "
+                             "per generator and pair (subsets for the --verify oracles).")
+    parser.add_argument("--verify", action="store_true",
+                        help="Re-run the independent oracles and require agreement.")
+    parser.add_argument("--timing", action="store_true",
+                        help="Print elapsed time to stderr (stdout stays deterministic).")
+
+
+def _parser(prog_name: str | None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=(run.__doc__ or "").partition("\n")[0],
+                                  description=run.__doc__, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    for name, run in (("close", close), ("props", props), ("germs", germs)):
+        command(name, run).add_argument("input_file", metavar="INPUT_FILE", type=_input_file)
+    commands.choices["germs"].add_argument(
+        "--self", dest="self_action", action="store_true",
+        help="INPUT is a semigroup file; act on itself by left translation.")
+    sub = command("criterion", criterion)
+    sub.add_argument("input_file", metavar="INPUT_FILE", type=_input_file, nargs="?")
+    sub.add_argument("--family", choices=symbolic.FAMILIES, default=None,
+                     help="Run the symbolic checker instead of a table input.")
+    sub.add_argument("--element", dest="element_expr", default=None,
+                     help="Element expression for --family.")
+    _family_options(sub)
+    sub = command("symbolic", symbolic_cmd)
+    sub.add_argument("family", choices=symbolic.FAMILIES)
+    sub.add_argument("element_expr")
+    _family_options(sub)
+    for sub in commands.choices.values():
+        _common_options(sub)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Finite inverse semigroups, germ groupoids, and cover criteria."""
+    options = vars(_parser(prog_name).parse_args(args))
+    run, fmt, timing = options.pop("run"), options.pop("fmt"), options.pop("timing")
+    started = time.perf_counter()
+    try:
+        report = run(**options)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_PARSE)
+    except BudgetExceeded as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        sys.exit(EXIT_BUDGET)
+    except MemoryError:
+        print("inconclusive: out of memory", file=sys.stderr)
+        sys.exit(EXIT_BUDGET)
+    except (InvariantViolation, ContractViolation) as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INVARIANT)
+    if timing:
+        print(f"elapsed_ms={(time.perf_counter() - started) * 1000:.1f}", file=sys.stderr)
+    sys.stdout.write(report.render_structured() if fmt == "structured"
+                     else report.render_text())
+    sys.stdout.flush()
+    if report.verified is False:
+        print("verification failed: oracle disagreement", file=sys.stderr)
+        sys.exit(EXIT_INVARIANT)
+    sys.exit(EXIT_OK)
 
 
 def _semigroup_summary(S: FiniteInverseSemigroup, check: VerificationResult) -> dict:
@@ -140,10 +190,7 @@ def _summary_lines(report: RunReport, stats: dict) -> None:
                     f"certificate={stats['verifier_certificate']}")
 
 
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@common_options
-def close(input_file, fmt, budget, verify, timing):
+def close(input_file, budget, verify):
     """Close a generator file (or load a table file) and verify it."""
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport(command="close", input_digest=file_digest(input_file))
@@ -167,10 +214,7 @@ def close(input_file, fmt, budget, verify, timing):
     return report
 
 
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@common_options
-def props(input_file, fmt, budget, verify, timing):
+def props(input_file, budget, verify):
     """Batch property flags: unitary variants, completeness, distributivity."""
     from . import criterion as crit
     S = formats.load_semigroup(input_file, budget=budget)
@@ -206,12 +250,7 @@ def props(input_file, fmt, budget, verify, timing):
     return report
 
 
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--self", "self_action", is_flag=True, default=False,
-              help="INPUT is a semigroup file; act on itself by left translation.")
-@common_options
-def germs(input_file, self_action, fmt, budget, verify, timing):
+def germs(input_file, self_action, budget, verify):
     """Germ groupoid counts of an action (action file, or --self)."""
     from . import action as action_mod, germs as germs_mod
     if self_action:
@@ -287,22 +326,8 @@ def _verify_germ_classes(action, G) -> bool:
     return len(seen) == len(G)
 
 
-@main.command()
-@click.argument("input_file", required=False,
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--family", type=click.Choice(list(symbolic.FAMILIES)), default=None,
-              help="Run the symbolic checker instead of a table input.")
-@click.option("--element", "element_expr", default=None,
-              help="Element expression for --family.")
-@click.option("--truncation", type=int, default=None,
-              help="Atom-flip truncation bound (atom count).")
-@click.option("--rank", type=int, default=2, show_default=True,
-              help="Munn rank when parsing cannot infer it.")
-@click.option("--graph", "graph_file", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Graph file for the graph family.")
-@common_options
 def criterion(input_file, family, element_expr, truncation, rank, graph_file,
-              fmt, budget, verify, timing):
+              budget, verify):
     """Finite-cover verdicts: per element of a table, or one symbolic element."""
     if (input_file is None) == (family is None):
         raise ParseError("give exactly one of INPUT_FILE or --family")
@@ -339,19 +364,10 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
     return report
 
 
-@main.command("symbolic")
-@click.argument("family", type=click.Choice(list(symbolic.FAMILIES)))
-@click.argument("element_expr")
-@click.option("--truncation", type=int, default=None,
-              help="Atom-flip truncation bound (atom count).")
-@click.option("--rank", type=int, default=2, show_default=True,
-              help="Munn rank when parsing cannot infer it.")
-@click.option("--graph", "graph_file", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Graph file for the graph family.")
-@common_options
-def symbolic_cmd(family, element_expr, truncation, rank, graph_file,
-                 fmt, budget, verify, timing):
+def symbolic_cmd(family, element_expr, truncation, rank, graph_file, budget, verify):
     """Criterion verdict for one element of a countable family."""
+    if element_expr == []:  # Python 3.11's argparse passes a literal "--" element as []
+        element_expr = "--"
     return _symbolic_report("symbolic", family, element_expr, truncation,
                             rank, graph_file, verify)
 

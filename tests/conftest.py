@@ -1,5 +1,10 @@
+import contextlib
+import io
+import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -7,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from invsemi import (ContractViolation, FiniteInverseSemigroup, PartialBijection,
                      all_partial_bijections, build_germs, close)
+from invsemi.cli import main
 from invsemi.formats import FORMAT_VERSION
 from invsemi.germs import germ_counts
 from invsemi.symbolic import atomflip
@@ -97,3 +103,37 @@ def element_index(S: FiniteInverseSemigroup, pb: PartialBijection) -> int:
         if el == pb:
             return i
     raise AssertionError(f"{pb} not found in semigroup labels")
+
+
+@dataclass
+class CliResult:
+    """The exit code and the streams of one CLI call."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None  # the SystemExit of a nonzero exit code
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+
+def invoke_cli(args, env=None) -> CliResult:
+    """Run the CLI in this process on `args`, with `env` added to the
+    environment, and capture its streams and exit code.  Any exception
+    but SystemExit propagates: the CLI lets none escape."""
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = exc.code or 0
+            exception = exc if code else None
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)

@@ -7,8 +7,6 @@ bound (counts, witness sizes, time limits) is asserted, not just shown.
 import time
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from invsemi import (
     HAUSDORFF_WITNESS,
     REFUTED,
@@ -28,9 +26,9 @@ from invsemi import (
     left_translation_action,
     verify_inverse_semigroup,
 )
-from invsemi.cli import main as cli_main
 from invsemi.symbolic import atomflip, graphs, munn
 from invsemi.symbolic.atomflip import FLIP, ZERO, atom
+from conftest import invoke_cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,7 +195,6 @@ def test_criterion_9_germ_oracle_equivalence(all_fixtures):
 
 def test_criterion_10_deterministic_reports():
     started = time.perf_counter()
-    runner = CliRunner()
     invocations = [
         ["close", str(DATA / "i2_gens.json")],
         ["close", str(DATA / "i2_gens.json"), "--format", "structured"],
@@ -211,8 +208,8 @@ def test_criterion_10_deterministic_reports():
         ["symbolic", "graph", "p=e1,q=e2.e3", "--format", "structured"],
     ]
     for args in invocations:
-        first = runner.invoke(cli_main, args)
-        second = runner.invoke(cli_main, args)
+        first = invoke_cli(args)
+        second = invoke_cli(args)
         assert first.exit_code == second.exit_code == 0, (args, first.output)
         assert first.stdout_bytes == second.stdout_bytes, args
     conclude(10, f"{len(invocations)} CLI invocations are byte-identical "

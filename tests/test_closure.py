@@ -6,7 +6,6 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from invsemi import (
@@ -17,8 +16,8 @@ from invsemi import (
     close,
 )
 from invsemi import formats, semigroup
-from invsemi.cli import main
 from invsemi.semigroup import is_closure_of
+from conftest import invoke_cli
 from oracles import closure_cells_scan, lookup_fill_table, pairwise_close
 
 DATA = Path(__file__).parent / "data"
@@ -103,7 +102,7 @@ def test_cli_on_an_empty_ground_set(tmp_path, command):
     f.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 0,
                              "generators": [[]]}))
     for verify in ([], ["--verify"]):
-        result = CliRunner().invoke(main, [command[0], str(f), *command[1:], *verify])
+        result = invoke_cli([command[0], str(f), *command[1:], *verify])
         assert result.exit_code == 0, result.output
 
 
@@ -266,7 +265,7 @@ def test_cli_verify_catches_a_mutated_closure(monkeypatch, tmp_path, command, mu
     load = formats.load_semigroup
     monkeypatch.setattr(formats, "load_semigroup",
                         lambda path, budget=None: with_record(load(path, budget), mutation))
-    result = CliRunner().invoke(main, [command[0], str(f), *command[1:], "--verify"])
+    result = invoke_cli([command[0], str(f), *command[1:], "--verify"])
     assert result.exit_code == 4, result.output
     assert result.stdout == ""
     assert result.stderr.startswith("invariant failure: ")
@@ -275,5 +274,5 @@ def test_cli_verify_catches_a_mutated_closure(monkeypatch, tmp_path, command, mu
 def test_germs_verify_checks_the_closure_of_an_action_file():
     """The semigroup of an action file is a closure with no generator
     list at hand; --verify checks it from its own record."""
-    result = CliRunner().invoke(main, ["germs", str(DATA / "z2_point_action.json"), "--verify"])
+    result = invoke_cli(["germs", str(DATA / "z2_point_action.json"), "--verify"])
     assert result.exit_code == 0, result.output

@@ -1,7 +1,6 @@
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from invsemi import (
     DOWN,
@@ -21,7 +20,7 @@ from invsemi import (
     is_e_star_unitary,
     join,
 )
-from conftest import element_index, make_chain, semigroup_to_dict
+from conftest import element_index, invoke_cli, make_chain, semigroup_to_dict
 from invsemi import cli
 from invsemi.symbolic import atomflip
 from oracles import join_brute, maximal_elements_scan, union_join
@@ -240,7 +239,7 @@ def test_downward_closure_check_fires(i3, monkeypatch, tmp_path):
     f = tmp_path / "i3.json"
     f.write_text(json.dumps(semigroup_to_dict(i3)))
     monkeypatch.setattr(cli.formats, "load_semigroup", lambda path, budget=None: T)
-    result = CliRunner().invoke(cli.main, ["criterion", str(f)])
+    result = invoke_cli(["criterion", str(f)])
     assert result.exit_code == 4
     assert result.stderr.startswith("invariant failure: downward closure")
 

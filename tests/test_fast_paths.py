@@ -23,7 +23,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 from invsemi import (
@@ -69,9 +68,10 @@ from oracles import (
     verify_scan,
     zero_scan,
 )
-from conftest import check_germ_counts, product_or_none, semigroup_to_dict
+from conftest import check_germ_counts, invoke_cli, product_or_none, semigroup_to_dict
 from test_consistency_sweep import random_pb
-from test_closure import generator_lists, partial_bijections, symmetric_generators
+from test_closure import (generator_lists, letters_of, partial_bijections,
+                          symmetric_generators)
 
 DATA = Path(__file__).parent / "data"
 
@@ -220,8 +220,7 @@ def test_germs_store_nothing_per_pair(monkeypatch):
             assert len(G) > 0
             assert callable(G.class_of) and not hasattr(G, "classes")
     for verify in ([], ["--verify"]):
-        result = CliRunner().invoke(
-            cli.main, ["germs", str(DATA / "i2_gens.json"), "--self", *verify])
+        result = invoke_cli(["germs", str(DATA / "i2_gens.json"), "--self", *verify])
         assert result.exit_code == 0, result.output
 
 
@@ -233,8 +232,7 @@ def test_cli_out_of_memory_is_inconclusive(monkeypatch):
     for name, verify in (("germ_counts", []), ("build_germs", ["--verify"])):
         with monkeypatch.context() as m:
             m.setattr(germs, name, exhaust)
-            result = CliRunner().invoke(
-                cli.main, ["germs", str(DATA / "i2_gens.json"), "--self", *verify])
+            result = invoke_cli(["germs", str(DATA / "i2_gens.json"), "--self", *verify])
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == "inconclusive: out of memory\n"
@@ -284,8 +282,16 @@ def test_a_closure_command_builds_no_table(monkeypatch, tmp_path, command, fmt):
                               "generators": [g.pairs for g in symmetric_generators(4)]}))
     refuse_closure_tables(monkeypatch)
     for path in (DATA / "i2_gens.json", i4):
-        result = CliRunner().invoke(cli.main, [command[0], str(path), *command[1:], *fmt])
+        result = invoke_cli([command[0], str(path), *command[1:], *fmt])
         assert result.exit_code == 0, result.output
+
+
+def test_an_action_file_on_a_generator_file_builds_no_table(monkeypatch):
+    """The action file names the generator file z2.json: validating the
+    action reads products of the closure, never its table."""
+    refuse_closure_tables(monkeypatch)
+    result = invoke_cli(["germs", str(DATA / "z2_point_action.json")])
+    assert result.exit_code == 0, result.output
 
 
 def test_a_closure_multiplies_by_keys(monkeypatch):
@@ -377,7 +383,7 @@ def counted_verifier(monkeypatch) -> list[int]:
 
 def test_criterion_command_verifies_the_table_once(monkeypatch):
     calls = counted_verifier(monkeypatch)
-    result = CliRunner().invoke(cli.main, ["criterion", str(DATA / "z2_table.json")])
+    result = invoke_cli(["criterion", str(DATA / "z2_table.json")])
     assert result.exit_code == 0, result.output
     assert calls == [2]
 
@@ -391,8 +397,7 @@ def test_a_closure_meets_the_verifier_only_under_verify(monkeypatch, command, ve
     """A closure is an inverse semigroup by construction, and --verify
     checks it with `is_closure_of`: the table verifier never reads it."""
     calls = counted_verifier(monkeypatch)
-    result = CliRunner().invoke(
-        cli.main, [command[0], str(DATA / "i2_gens.json"), *command[1:], *verify])
+    result = invoke_cli([command[0], str(DATA / "i2_gens.json"), *command[1:], *verify])
     assert result.exit_code == 0, result.output
     assert calls == []
 
@@ -401,8 +406,7 @@ def test_a_closure_meets_the_verifier_only_under_verify(monkeypatch, command, ve
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 def test_a_table_file_meets_the_verifier_once(monkeypatch, command, verify):
     calls = counted_verifier(monkeypatch)
-    result = CliRunner().invoke(
-        cli.main, [command[0], str(DATA / "chain2_table.json"), *command[1:], *verify])
+    result = invoke_cli([command[0], str(DATA / "chain2_table.json"), *command[1:], *verify])
     assert result.exit_code == 0, result.output
     assert calls == [2]
 
@@ -449,7 +453,7 @@ def test_left_translation_domains_are_the_right_ideals(family):
 
 
 def exit_code(*args):
-    result = CliRunner().invoke(cli.main, list(args))
+    result = invoke_cli(list(args))
     assert result.exception is None or isinstance(result.exception, SystemExit)
     return result.exit_code, result.output
 
@@ -811,7 +815,7 @@ def test_validate_checks_every_pair_on_a_non_associative_table():
     action = FiniteAction(S, 1, {0: {0}, 1: set()}, {(0, 0): 0})
     # the law holds at every generator, so only the all-pairs loop sees the fault
     maps = action._maps()
-    assert all(action_mod._homomorphic_at(maps, S.mul, s)
+    assert all(action_mod._homomorphic_at(maps, S, s)
                for s in semigroup.generating_set(S.mul))
     assert validate_message(action) == scan_message(action) \
         == "action is not a homomorphism at (2, 1)"
@@ -826,10 +830,15 @@ def test_validate_checks_only_generators_on_i4(monkeypatch):
         return compose(f, g)
 
     S = close(symmetric_generators(4))
+    T = FiniteInverseSemigroup(S.mul, labels=S.labels)  # S as a table file gives it
     monkeypatch.setattr(action_mod, "_compose", counting)
-    left_translation_action(S).validate()
-    natural_action(S).validate()
-    assert len(calls) <= 2 * len(semigroup.generating_set(S.mul)) * S.order
+    # a closure is generated by its letters; a table by `generating_set`
+    for U, gens in ((S, letters_of(symmetric_generators(4))),
+                    (T, semigroup.generating_set(T.mul))):
+        calls.clear()
+        left_translation_action(U).validate()
+        natural_action(U).validate()
+        assert len(calls) <= 2 * len(gens) * U.order
 
 
 @pytest.mark.parametrize("n", [*range(65), 2048])

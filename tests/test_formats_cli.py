@@ -2,25 +2,18 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from invsemi import ParseError
-from invsemi.cli import main
 from invsemi.formats import load_action, load_graph, load_semigroup
 from invsemi.symbolic.atomflip import AtomFlipElement
 
-from conftest import semigroup_to_dict
+from conftest import invoke_cli, semigroup_to_dict
 
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def run(runner, *args, expect=0, env=None):
-    result = runner.invoke(main, list(args), env=env, catch_exceptions=False)
+def run(*args, expect=0, env=None):
+    result = invoke_cli(args, env=env)
     assert result.exit_code == expect, result.output
     return result.output
 
@@ -94,26 +87,26 @@ def test_table_round_trip(tmp_path):
 
 # -- CLI basics ------------------------------------------------------------
 
-def test_cli_close(runner):
-    out = run(runner, "close", str(DATA / "i2_gens.json"))
+def test_cli_close():
+    out = run("close", str(DATA / "i2_gens.json"))
     assert "order=7" in out
     assert "verifier: ok" in out
 
 
-def test_cli_close_structured(runner):
-    out = run(runner, "close", str(DATA / "i2_gens.json"), "--format", "structured")
+def test_cli_close_structured():
+    out = run("close", str(DATA / "i2_gens.json"), "--format", "structured")
     doc = json.loads(out)
     assert doc["semigroup"]["order"] == 7
     assert doc["semigroup"]["verifier_ok"] is True
     assert len(doc["input_digest"]) == 64
 
 
-def test_cli_close_verify(runner):
-    run(runner, "close", str(DATA / "i2_gens.json"), "--verify")
+def test_cli_close_verify():
+    run("close", str(DATA / "i2_gens.json"), "--verify")
 
 
-def test_cli_props(runner):
-    out = run(runner, "props", str(DATA / "i2_gens.json"), "--format", "structured")
+def test_cli_props():
+    out = run("props", str(DATA / "i2_gens.json"), "--format", "structured")
     doc = json.loads(out)
     props = doc["properties"]
     assert props["unitary_variant"] == "E*-unitary"
@@ -121,34 +114,34 @@ def test_cli_props(runner):
     assert props["complete_and_distributive"] is True
 
 
-def test_cli_props_invalid_table_reported(runner):
-    out = run(runner, "props", str(DATA / "left_zero.json"), "--format", "structured")
+def test_cli_props_invalid_table_reported():
+    out = run("props", str(DATA / "left_zero.json"), "--format", "structured")
     doc = json.loads(out)
     assert doc["semigroup"]["verifier_ok"] is False
     assert doc["semigroup"]["verifier_reason"] == "inverse-uniqueness"
 
 
-def test_cli_props_semilattice_shortcut(runner):
-    out = run(runner, "props", str(DATA / "chain2_table.json"), "--format", "structured")
+def test_cli_props_semilattice_shortcut():
+    out = run("props", str(DATA / "chain2_table.json"), "--format", "structured")
     doc = json.loads(out)
     assert doc["properties"]["all_idempotent"] is True
     assert doc["properties"]["unitary_ok"] is True
 
 
-def test_cli_germs_self(runner):
-    out = run(runner, "germs", str(DATA / "z2.json"), "--self", "--format", "structured")
+def test_cli_germs_self():
+    out = run("germs", str(DATA / "z2.json"), "--self", "--format", "structured")
     doc = json.loads(out)
     g = doc["groupoid"]
     assert g["germ_count"] == 4 and g["unit_count"] == 2
     assert g["principal"] and g["effective"] and g["essentially_principal"]
 
 
-def test_cli_germs_self_verify(runner):
-    run(runner, "germs", str(DATA / "i2_gens.json"), "--self", "--verify")
+def test_cli_germs_self_verify():
+    run("germs", str(DATA / "i2_gens.json"), "--self", "--verify")
 
 
-def test_cli_germs_action_file(runner):
-    out = run(runner, "germs", str(DATA / "z2_point_action.json"),
+def test_cli_germs_action_file():
+    out = run("germs", str(DATA / "z2_point_action.json"),
               "--format", "structured")
     doc = json.loads(out)
     g = doc["groupoid"]
@@ -157,8 +150,8 @@ def test_cli_germs_action_file(runner):
     assert not g["essentially_principal"]
 
 
-def test_cli_criterion_table(runner):
-    out = run(runner, "criterion", str(DATA / "i2_gens.json"),
+def test_cli_criterion_table():
+    out = run("criterion", str(DATA / "i2_gens.json"),
               "--format", "structured", "--verify")
     doc = json.loads(out)
     assert doc["verified"] is True
@@ -170,16 +163,16 @@ def test_cli_criterion_table(runner):
         assert set(row["witness"]) <= set(row["j_set"])
 
 
-def test_cli_criterion_symbolic_dispatch(runner):
-    out = run(runner, "criterion", "--family", "atomflip", "--element", "flip",
+def test_cli_criterion_symbolic_dispatch():
+    out = run("criterion", "--family", "atomflip", "--element", "flip",
               "--format", "structured")
     doc = json.loads(out)
     assert doc["symbolic"]["verdict"] == "REFUTED"
     assert doc["symbolic"]["antichain"]["sample"][0] == "atom:1"
 
 
-def test_cli_symbolic_atomflip_truncation(runner):
-    out = run(runner, "symbolic", "atomflip", "flip", "--truncation", "4",
+def test_cli_symbolic_atomflip_truncation():
+    out = run("symbolic", "atomflip", "flip", "--truncation", "4",
               "--format", "structured", "--verify")
     doc = json.loads(out)
     assert doc["symbolic"]["verdict"] == "HAUSDORFF_WITNESS"
@@ -187,36 +180,36 @@ def test_cli_symbolic_atomflip_truncation(runner):
     assert doc["verified"] is True
 
 
-def test_cli_symbolic_munn(runner):
-    out = run(runner, "symbolic", "munn", "x x^-1", "--format", "structured")
+def test_cli_symbolic_munn():
+    out = run("symbolic", "munn", "x x^-1", "--format", "structured")
     doc = json.loads(out)
     assert doc["symbolic"]["verdict"] == "HAUSDORFF_WITNESS"
     assert len(doc["symbolic"]["witness"]) == 1
 
 
-def test_cli_symbolic_munn_non_idempotent(runner):
-    out = run(runner, "symbolic", "munn", "x y", "--format", "structured", "--verify")
+def test_cli_symbolic_munn_non_idempotent():
+    out = run("symbolic", "munn", "x y", "--format", "structured", "--verify")
     doc = json.loads(out)
     assert doc["symbolic"]["witness"] == []
     assert doc["verified"] is True
 
 
-def test_cli_symbolic_graph(runner):
-    out = run(runner, "symbolic", "graph", "p=e1,q=e2.e3", "--format", "structured")
+def test_cli_symbolic_graph():
+    out = run("symbolic", "graph", "p=e1,q=e2.e3", "--format", "structured")
     doc = json.loads(out)
     assert doc["symbolic"]["verdict"] == "HAUSDORFF_WITNESS"
     assert doc["symbolic"]["witness"] == ["zero"]
 
 
-def test_cli_symbolic_graph_custom_file(runner):
-    out = run(runner, "symbolic", "graph", "e1", "--graph", str(DATA / "graph_loop.json"),
+def test_cli_symbolic_graph_custom_file():
+    out = run("symbolic", "graph", "e1", "--graph", str(DATA / "graph_loop.json"),
               "--format", "structured")
     doc = json.loads(out)
     assert doc["symbolic"]["witness"] == ["p=e1,q=e1"]
 
 
-def test_cli_symbolic_flip_refuted_verify(runner):
-    run(runner, "symbolic", "atomflip", "flip", "--verify")
+def test_cli_symbolic_flip_refuted_verify():
+    run("symbolic", "atomflip", "flip", "--verify")
 
 
 def _atomflip_table_file(tmp_path, atoms):
@@ -228,8 +221,8 @@ def _atomflip_table_file(tmp_path, atoms):
     return path
 
 
-def test_cli_props_atomflip_not_unitary(runner, tmp_path):
-    out = run(runner, "props", str(_atomflip_table_file(tmp_path, 2)),
+def test_cli_props_atomflip_not_unitary(tmp_path):
+    out = run("props", str(_atomflip_table_file(tmp_path, 2)),
               "--format", "structured")
     doc = json.loads(out)
     assert doc["properties"]["unitary_variant"] == "E*-unitary"
@@ -237,8 +230,8 @@ def test_cli_props_atomflip_not_unitary(runner, tmp_path):
     assert doc["properties"]["unitary_witness"] == 1  # the flip
 
 
-def test_cli_criterion_atomflip_table(runner, tmp_path):
-    out = run(runner, "criterion", str(_atomflip_table_file(tmp_path, 3)),
+def test_cli_criterion_atomflip_table(tmp_path):
+    out = run("criterion", str(_atomflip_table_file(tmp_path, 3)),
               "--format", "structured", "--verify")
     doc = json.loads(out)
     flip_row = next(r for r in doc["criterion"] if r["label"] == "flip")
@@ -248,16 +241,16 @@ def test_cli_criterion_atomflip_table(runner, tmp_path):
 
 # -- exit codes ------------------------------------------------------------
 
-def test_cli_parse_error_exit_2(runner, tmp_path):
+def test_cli_parse_error_exit_2(tmp_path):
     junk = tmp_path / "junk.json"
     junk.write_text("{oops")
-    run(runner, "close", str(junk), expect=2)
+    run("close", str(junk), expect=2)
 
 
-def test_cli_missing_version_exit_2(runner, tmp_path):
+def test_cli_missing_version_exit_2(tmp_path):
     f = tmp_path / "no_version.json"
     f.write_text(json.dumps({"kind": "table", "mul_table": [[0]]}))
-    run(runner, "props", str(f), expect=2)
+    run("props", str(f), expect=2)
 
 
 @pytest.mark.parametrize("table, message", [
@@ -273,7 +266,7 @@ def test_cli_missing_version_exit_2(runner, tmp_path):
 def test_cli_bad_table_names_first_fault(tmp_path, table, message, command):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"version": 1, "kind": "table", "mul_table": table}))
-    result = CliRunner().invoke(main, [command, str(f)])
+    result = invoke_cli([command, str(f)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {f}: bad table: {message}\n"
@@ -308,7 +301,7 @@ Z2 = str(DATA / "z2.json")
 def test_cli_loaders_take_only_integer_indices(tmp_path, command, doc, message):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"version": 1, **doc}))
-    result = CliRunner().invoke(main, [*command, str(f)])
+    result = invoke_cli([*command, str(f)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {f}: {message}\n"
@@ -319,17 +312,17 @@ def test_cli_table_labels_may_be_true_or_false(tmp_path):
     f = tmp_path / "z2.json"
     f.write_text(json.dumps({"version": 1, "kind": "table", "mul_table": [[0, 1], [1, 0]],
                              "labels": [True, "false"]}))
-    result = CliRunner().invoke(main, ["close", str(f)])
+    result = invoke_cli(["close", str(f)])
     assert result.exit_code == 0, result.output
     assert "order=2 " in result.stdout
 
 
-def test_cli_budget_exit_3(runner):
-    run(runner, "close", str(DATA / "i2_gens.json"), "--budget", "3", expect=3)
+def test_cli_budget_exit_3():
+    run("close", str(DATA / "i2_gens.json"), "--budget", "3", expect=3)
 
 
-def test_cli_budget_env_var(runner):
-    run(runner, "close", str(DATA / "i2_gens.json"), env={"INVSEMI_BUDGET": "3"},
+def test_cli_budget_env_var():
+    run("close", str(DATA / "i2_gens.json"), env={"INVSEMI_BUDGET": "3"},
         expect=3)
 
 
@@ -347,13 +340,13 @@ def test_cli_germs_refuses_non_inverse_semigroup(tmp_path, table, via_action):
         a.write_text(json.dumps({"version": 1, "semigroup": f.name, "space_size": 0,
                                  "domains": [[e, []] for e in range(3)], "action": []}))
         args = ["germs", str(a)]
-    result = CliRunner().invoke(main, args)
+    result = invoke_cli(args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "not an inverse semigroup" in result.stderr
 
 
-def test_cli_symbolic_verify_is_independent(runner, monkeypatch):
+def test_cli_symbolic_verify_is_independent(monkeypatch):
     """A truncation verdict whose witness misses an atom fails --verify,
     which checks the cover by multiplying elements."""
     import dataclasses
@@ -369,38 +362,38 @@ def test_cli_symbolic_verify_is_independent(runner, monkeypatch):
 
     for module in (crit_mod, atomflip):
         monkeypatch.setattr(module, "hausdorff_criterion", short)
-    run(runner, "symbolic", "atomflip", "flip", "--truncation", "4", "--verify", expect=4)
+    run("symbolic", "atomflip", "flip", "--truncation", "4", "--verify", expect=4)
 
 
 @pytest.mark.parametrize("member", [
     AtomFlipElement("atom", 1),  # repeated, so not pairwise orthogonal
     AtomFlipElement("flip"),     # not an idempotent
 ])
-def test_cli_symbolic_verify_checks_antichain(runner, monkeypatch, member):
+def test_cli_symbolic_verify_checks_antichain(monkeypatch, member):
     from invsemi.symbolic import atomflip
 
     monkeypatch.setattr(atomflip, "atom", lambda i: member)
-    run(runner, "symbolic", "atomflip", "flip", "--verify", expect=4)
+    run("symbolic", "atomflip", "flip", "--verify", expect=4)
 
 
-def test_cli_verify_failure_exit_4(runner, monkeypatch):
+def test_cli_verify_failure_exit_4(monkeypatch):
     import invsemi.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "_verify_germ_classes", lambda action, G: False)
-    result = runner.invoke(main, ["germs", str(DATA / "z2.json"), "--self", "--verify"])
+    result = invoke_cli(["germs", str(DATA / "z2.json"), "--self", "--verify"])
     assert result.exit_code == 4
 
 
 @pytest.mark.parametrize("delta", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-def test_cli_germs_verify_checks_the_counts(runner, monkeypatch, delta):
+def test_cli_germs_verify_checks_the_counts(monkeypatch, delta):
     """A report whose counts disagree with the built groupoid fails --verify."""
     from invsemi import germs as germs_mod
 
     honest = germs_mod.germ_counts
     monkeypatch.setattr(germs_mod, "germ_counts", lambda action: tuple(
         c + d for c, d in zip(honest(action), delta)))
-    run(runner, "germs", str(DATA / "z2.json"), "--self")
-    run(runner, "germs", str(DATA / "z2.json"), "--self", "--verify", expect=4)
+    run("germs", str(DATA / "z2.json"), "--self")
+    run("germs", str(DATA / "z2.json"), "--self", "--verify", expect=4)
 
 
 I3_GENS = {"version": 1, "kind": "generators", "ground_size": 3,
@@ -433,14 +426,14 @@ def _swapped(honest):
 
 
 @pytest.mark.parametrize("fault", [_merged, _split, _swapped])
-def test_cli_germs_verify_catches_wrong_classes(runner, monkeypatch, tmp_path, fault):
+def test_cli_germs_verify_catches_wrong_classes(monkeypatch, tmp_path, fault):
     from invsemi.germs import GermGroupoid
 
     f = tmp_path / "i3.json"
     f.write_text(json.dumps(I3_GENS))
-    run(runner, "germs", str(f), "--self", "--verify")
+    run("germs", str(f), "--self", "--verify")
     monkeypatch.setattr(GermGroupoid, "class_of", fault(GermGroupoid.class_of))
-    result = runner.invoke(main, ["germs", str(f), "--self", "--verify"])
+    result = invoke_cli(["germs", str(f), "--self", "--verify"])
     assert result.exit_code == 4
     assert result.stderr == "verification failed: oracle disagreement\n"
 
@@ -481,7 +474,7 @@ def test_cli_action_pairs_must_match_the_domains(tmp_path, name, space_size, act
     f.write_text(json.dumps({"version": 1, "semigroup": str(DATA / "z2.json"),
                              "space_size": space_size, "domains": [[1, [0]]],
                              "action": action}))
-    result = CliRunner().invoke(main, ["germs", str(f)])
+    result = invoke_cli(["germs", str(f)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == \
@@ -498,22 +491,46 @@ def test_cli_action_duplicates_name_the_file_once(tmp_path, domains, action, mes
     f = tmp_path / "bad_dup.json"
     f.write_text(json.dumps({"version": 1, "semigroup": str(DATA / "z2.json"),
                              "space_size": 1, "domains": domains, "action": action}))
-    result = CliRunner().invoke(main, ["germs", str(f)])
+    result = invoke_cli(["germs", str(f)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {f}: {message}\n"
 
 
-def test_cli_criterion_usage_errors(runner):
-    run(runner, "criterion", expect=2)  # neither input nor family
-    run(runner, "criterion", "--family", "munn", expect=2)  # missing --element
+@pytest.mark.parametrize("args, env", [
+    (["close", Z2, "--bogus"], None),
+    (["close", Z2, "--verif"], None),  # no abbreviations
+    (["close", str(DATA / "missing.json")], None),
+    (["close", str(DATA)], None),
+    (["close", Z2, "--budget", "x"], None),
+    (["close", Z2], {"INVSEMI_BUDGET": "x"}),
+    (["symbolic", "--", "munn", "--"], None),  # the element is the string "--"
+], ids=["unknown-option", "abbreviation", "missing-file", "directory", "bad-budget",
+        "bad-budget-env", "dashes-element"])
+def test_cli_bad_arguments_exit_2(args, env):
+    result = invoke_cli(args, env=env)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "error: " in result.stderr and "Traceback" not in result.stderr
 
 
-def test_cli_bad_symbolic_element_exit_2(runner):
-    run(runner, "symbolic", "atomflip", "blorp", expect=2)
-    run(runner, "symbolic", "munn", "q q", expect=2)
-    run(runner, "symbolic", "graph", "p=e9,q=e1", expect=2)
-    run(runner, "symbolic", "graph", "v9", expect=2)
+@pytest.mark.parametrize("command", ["close", "props", "germs", "criterion", "symbolic"])
+def test_cli_subcommand_help_exits_0(command):
+    result = invoke_cli([command, "--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("usage: ") and result.stderr == ""
+
+
+def test_cli_criterion_usage_errors():
+    run("criterion", expect=2)  # neither input nor family
+    run("criterion", "--family", "munn", expect=2)  # missing --element
+
+
+def test_cli_bad_symbolic_element_exit_2():
+    run("symbolic", "atomflip", "blorp", expect=2)
+    run("symbolic", "munn", "q q", expect=2)
+    run("symbolic", "graph", "p=e9,q=e1", expect=2)
+    run("symbolic", "graph", "v9", expect=2)
 
 
 # -- determinism -----------------------------------------------------------
@@ -531,15 +548,15 @@ GOLDEN = [(command, name, fmt)
 
 
 @pytest.mark.parametrize("command, name, fmt", GOLDEN)
-def test_reports_match_golden(runner, monkeypatch, command, name, fmt):
+def test_reports_match_golden(monkeypatch, command, name, fmt):
     """Reports are pinned byte for byte in data/golden, run from data/."""
     monkeypatch.chdir(DATA)
     subcommand, *flags = GOLDEN_ARGS[command]
-    out = run(runner, subcommand, f"{name}.json", "--format", fmt, *flags)
+    out = run(subcommand, f"{name}.json", "--format", fmt, *flags)
     assert out == (DATA / "golden" / f"{command}_{name}_{fmt}.out").read_text()
 
 
-def test_reports_byte_identical_across_runs(runner):
+def test_reports_byte_identical_across_runs():
     invocations = [
         ("close", str(DATA / "i2_gens.json")),
         ("close", str(DATA / "i2_gens.json"), "--format", "structured"),
@@ -552,13 +569,13 @@ def test_reports_byte_identical_across_runs(runner):
         ("symbolic", "graph", "p=e1,q=e2.e3"),
     ]
     for args in invocations:
-        first = run(runner, *args)
-        second = run(runner, *args)
+        first = run(*args)
+        second = run(*args)
         assert first == second, args
 
 
-def test_timing_goes_to_stderr_only(runner):
-    result = runner.invoke(main, ["close", str(DATA / "i2_gens.json"),
+def test_timing_goes_to_stderr_only():
+    result = invoke_cli(["close", str(DATA / "i2_gens.json"),
                                   "--timing", "--format", "structured"])
     assert result.exit_code == 0
     # stdout must stay machine-parseable; the timing line lives on stderr

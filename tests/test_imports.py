@@ -21,16 +21,19 @@ DATA = ROOT / "tests" / "data"
 
 SCRIPT = """
 import json, sys
+started = set(sys.modules)  # the interpreter's own, and what site hooks import
 from invsemi.cli import main
 
 try:
-    main(json.loads(sys.argv[1]), standalone_mode=False)
+    main(json.loads(sys.argv[1]))
 except SystemExit:
     pass
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("invsemi"))))
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("invsemi")),
+                  sorted({m.partition(".")[0] for m in set(sys.modules) - started}
+                         - set(sys.stdlib_module_names) - {"invsemi"})]))
 """
 
-# what `close` needs: the package, click's front door, parsing, reports, tables
+# what `close` needs: the package, the front door, parsing, reports, tables
 CLI_MODULES = {f"invsemi{m}" for m in ("", ".cli", ".errors", ".formats", ".partial_bijection",
                                        ".report", ".semigroup", ".symbolic")}
 
@@ -44,7 +47,11 @@ def fresh(script: str, *args: str):
 
 
 def loaded_after(*args: str) -> set[str]:
-    return set(fresh(SCRIPT, *args))
+    """The package modules that a CLI call loads.  It must load no
+    module from outside the package and the standard library."""
+    package, foreign = fresh(SCRIPT, *args)
+    assert foreign == []
+    return set(package)
 
 
 def test_cli_import_loads_only_what_close_needs():
@@ -69,6 +76,14 @@ def test_close_loads_no_criterion_germ_or_family_code(args):
 ])
 def test_a_subcommand_loads_what_it_runs(args, uses):
     assert loaded_after(*args) == CLI_MODULES | {f"invsemi.{m}" for m in uses}
+
+
+def test_main_takes_the_benchmark_workers_call(capsys):
+    from invsemi.cli import main
+    with pytest.raises(SystemExit) as stop:
+        main(["close", str(DATA / "z2.json")], prog_name="invsemi")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("close ")
 
 
 # -- the public names -----------------------------------------------------

@@ -3,7 +3,7 @@ subcommands through the CLI.
 
 Malformed table, generator, action and graph documents, and symbolic
 expressions made of grammar tokens and junk, go through
-`CliRunner`.  Whatever the document, the run ends in one of the
+`invoke_cli`.  Whatever the document, the run ends in one of the
 documented exit codes (0, 2 parse, 3 budget, 4 invariant) through
 `sys.exit`, never through an uncaught exception, and a table the CLI
 accepts reports its fields as integers.  The documents mix well-formed
@@ -20,12 +20,10 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from invsemi import PartialBijection, close
-from invsemi.cli import main
-from conftest import semigroup_to_dict
+from conftest import invoke_cli, semigroup_to_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -103,7 +101,7 @@ graphs = st.fixed_dictionaries({
 
 
 def invoke(args, context=None):
-    result = CliRunner().invoke(main, args)
+    result = invoke_cli(args)
     assert result.exit_code in {0, 2, 3, 4}, (context, args, result.output)
     if result.exit_code:
         assert isinstance(result.exception, SystemExit), (context, args, result.exception)

@@ -27,7 +27,7 @@ instrument(tracer)
 codes = []
 for args in json.loads(sys.argv[2]):
     try:
-        main(args, standalone_mode=False)
+        main(args)
     except SystemExit as exc:
         codes.append(exc.code)
 print(json.dumps({"codes": codes, "metrics": layer_metrics(tracer)}))
