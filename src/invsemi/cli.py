@@ -23,7 +23,7 @@ from typing import NoReturn
 
 from . import formats, symbolic
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
-from .report import RunReport, file_digest
+from .report import RunReport
 from .semigroup import (FiniteInverseSemigroup, VerificationResult, is_closure_of,
                         verify_inverse_semigroup)
 
@@ -193,7 +193,7 @@ def _summary_lines(report: RunReport, stats: dict) -> None:
 def close(input_file, budget, verify):
     """Close a generator file (or load a table file) and verify it."""
     S = formats.load_semigroup(input_file, budget=budget)
-    report = RunReport(command="close", input_digest=file_digest(input_file))
+    report = RunReport("close", input_file)
     stats = _semigroup_summary(S, _verification(S, input_file, verify))
     report.semigroup = stats
     report.line(f"close {input_file}")
@@ -218,7 +218,7 @@ def props(input_file, budget, verify):
     """Batch property flags: unitary variants, completeness, distributivity."""
     from . import criterion as crit
     S = formats.load_semigroup(input_file, budget=budget)
-    report = RunReport(command="props", input_digest=file_digest(input_file))
+    report = RunReport("props", input_file)
     stats = _semigroup_summary(S, _verification(S, input_file, verify))
     report.semigroup = stats
     report.line(f"props {input_file}")
@@ -263,7 +263,7 @@ def germs(input_file, self_action, budget, verify):
         action = action_mod.left_translation_action(S)
     counts = germs_mod.germ_counts(action)
     principal = counts[2] == counts[1]  # and so effective, essentially principal
-    report = RunReport(command="germs", input_digest=file_digest(input_file))
+    report = RunReport("germs", input_file)
     report.semigroup = _semigroup_summary(S, check)
     report.groupoid = {
         "space_size": action.space_size,
@@ -339,7 +339,7 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
     from . import criterion as crit
     S = formats.load_semigroup(input_file, budget=budget)
     check = _verification(S, input_file, verify, require=True)
-    report = RunReport(command="criterion", input_digest=file_digest(input_file))
+    report = RunReport("criterion", input_file)
     report.semigroup = _semigroup_summary(S, check)
     report.line(f"criterion {input_file}")
     rows = []
@@ -396,7 +396,7 @@ def _symbolic_report(command, family, element_expr, truncation, rank,
         element = graphs.parse(g, element_expr)
         rep = graphs.criterion(element)
 
-    report = RunReport(command=command)
+    report = RunReport(command)
     payload: dict = {
         "family": rep.family,
         "element": rep.element,

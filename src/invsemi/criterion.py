@@ -9,10 +9,9 @@ interesting refutations live in the `symbolic` families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
 from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask, generating_set
@@ -23,8 +22,7 @@ REFUTED = "REFUTED"
 DEFAULT_SUBSET_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(NamedTuple):
     """Finite-cover verdict for one element.
 
     When `verdict` is HAUSDORFF_WITNESS, the downward closure of
@@ -89,8 +87,7 @@ def _least(ub: int, up: Sequence[int]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class CompletenessResult:
+class CompletenessResult(NamedTuple):
     """Outcome of the complete + infinitely-distributive check.
 
     `certificate` on failure is ("join", A) when a compatible set A (a
@@ -243,8 +240,7 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     return CompletenessResult(True, None, checked)
 
 
-@dataclass(frozen=True)
-class UnitaryCheck:
+class UnitaryCheck(NamedTuple):
     """Result of the E*-unitary scan (or its zero-free E-unitary variant)."""
 
     ok: bool

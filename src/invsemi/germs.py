@@ -10,16 +10,15 @@ operations compute each definition independently anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .action import FiniteAction, left_translation_action
 from .errors import ContractViolation
 from .semigroup import FiniteInverseSemigroup
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(NamedTuple):
     """One germ class: its canonical representative and class id."""
 
     rep_element: int

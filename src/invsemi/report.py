@@ -7,30 +7,37 @@ fixed input and flag set always produces identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
-@dataclass
 class RunReport:
-    command: str
-    input_digest: str | None = None
-    semigroup: dict | None = None
-    properties: dict | None = None
-    criterion: list | None = None
-    groupoid: dict | None = None
-    symbolic: dict | None = None
-    verified: bool | None = None
-    _text_lines: list = field(default_factory=list)
+    """What one subcommand found, for either rendering.
+
+    The report keeps the input's path, not its digest: only the
+    structured rendering prints `input_digest`, so only it reads the
+    file again and hashes it.
+    """
+
+    def __init__(self, command: str, input_path: str | None = None):
+        self.command = command
+        self.input_path = input_path
+        self.semigroup: dict | None = None
+        self.properties: dict | None = None
+        self.criterion: list | None = None
+        self.groupoid: dict | None = None
+        self.symbolic: dict | None = None
+        self.verified: bool | None = None
+        self._text_lines: list[str] = []
 
     def line(self, text: str = "") -> None:
         self._text_lines.append(text)
 
     def to_dict(self) -> dict:
         out: dict = {"command": self.command}
-        for key in ("input_digest", "semigroup", "properties",
+        if self.input_path is not None:
+            out["input_digest"] = file_digest(self.input_path)
+        for key in ("semigroup", "properties",
                     "criterion", "groupoid", "symbolic", "verified"):
             value = getattr(self, key)
             if value is not None:
@@ -49,4 +56,5 @@ def canonical_json(data) -> str:
 
 
 def file_digest(path: str | Path) -> str:
+    import hashlib  # 3-4 ms of OpenSSL start-up that a human report never needs
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -11,10 +11,9 @@ certificate on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, attrgetter, itemgetter, methodcaller
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
 from .partial_bijection import PartialBijection
@@ -223,8 +222,7 @@ class FiniteInverseSemigroup:
         return f"<FiniteInverseSemigroup order={self.order} idempotents={len(self.idempotents)}>"
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of `verify_inverse_semigroup`.
 
     On failure `reason` is "associativity" (certificate: violating

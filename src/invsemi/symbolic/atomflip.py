@@ -10,28 +10,29 @@ finite inverse semigroup where the cover is exactly the n atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..criterion import HAUSDORFF_WITNESS, REFUTED, hausdorff_criterion
 from ..errors import ContractViolation, ParseError
 from ..semigroup import FiniteInverseSemigroup
-from . import AntichainWitness, SymbolicCriterionReport
+from . import AntichainWitness, Frozen, SymbolicCriterionReport
 
 FAMILY = "atomflip"
 
 
-@dataclass(frozen=True)
-class AtomFlipElement:
-    kind: str            # "zero" | "flip" | "square" | "atom"
-    index: int | None = None
+class AtomFlipElement(Frozen):
+    __slots__ = ("kind", "index")
 
-    def __post_init__(self):
-        if self.kind not in ("zero", "flip", "square", "atom"):
-            raise ContractViolation(f"unknown atom-flip kind {self.kind!r}")
-        if (self.kind == "atom") != (self.index is not None):
+    kind: str            # "zero" | "flip" | "square" | "atom"
+    index: int | None
+
+    def __init__(self, kind: str, index: int | None = None):
+        if kind not in ("zero", "flip", "square", "atom"):
+            raise ContractViolation(f"unknown atom-flip kind {kind!r}")
+        if (kind == "atom") != (index is not None):
             raise ContractViolation("exactly the atoms carry an index")
-        if self.index is not None and self.index < 1:
+        if index is not None and index < 1:
             raise ContractViolation("atom indices start at 1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
     def is_idempotent(self) -> bool:
         return self.kind != "flip"

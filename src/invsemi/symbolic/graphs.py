@@ -13,26 +13,28 @@ finite-cover criterion always certifies a witness of size at most one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from ..criterion import HAUSDORFF_WITNESS
 from ..errors import ContractViolation, ParseError
-from . import SymbolicCriterionReport
+from . import Frozen, SymbolicCriterionReport
 
 FAMILY = "graph"
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
+class DirectedGraph(Frozen):
+    __slots__ = ("vertex_count", "edges")
+
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((s, t) for s, t in self.edges))
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges):
+        edges = tuple((s, t) for s, t in edges)
+        if vertex_count < 1:
             raise ContractViolation("graph needs at least one vertex")
-        for s, t in self.edges:
-            if not (0 <= s < self.vertex_count and 0 <= t < self.vertex_count):
+        for s, t in edges:
+            if not (0 <= s < vertex_count and 0 <= t < vertex_count):
                 raise ContractViolation(f"edge ({s}, {t}) outside vertex range")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
 
     def edge_source(self, i: int) -> int:
         return self.edges[i][0]
@@ -41,25 +43,29 @@ class DirectedGraph:
         return self.edges[i][1]
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """A directed path: a start vertex and a chain of edge indices."""
+
+    __slots__ = ("graph", "start", "edge_seq")
 
     graph: DirectedGraph
     start: int
     edge_seq: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edge_seq", tuple(self.edge_seq))
-        if not (0 <= self.start < self.graph.vertex_count):
-            raise ContractViolation(f"start vertex {self.start} outside graph")
-        at = self.start
-        for i in self.edge_seq:
-            if not (0 <= i < len(self.graph.edges)):
+    def __init__(self, graph: DirectedGraph, start: int, edge_seq):
+        edge_seq = tuple(edge_seq)
+        if not (0 <= start < graph.vertex_count):
+            raise ContractViolation(f"start vertex {start} outside graph")
+        at = start
+        for i in edge_seq:
+            if not (0 <= i < len(graph.edges)):
                 raise ContractViolation(f"edge index {i} outside graph")
-            if self.graph.edge_source(i) != at:
+            if graph.edge_source(i) != at:
                 raise ContractViolation(f"edge {i} does not continue the path at {at}")
-            at = self.graph.edge_target(i)
+            at = graph.edge_target(i)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "edge_seq", edge_seq)
 
     @property
     def end(self) -> int:
@@ -84,23 +90,27 @@ class Path:
         return ".".join(f"e{i + 1}" for i in self.edge_seq)
 
 
-@dataclass(frozen=True)
-class PathPairElement:
+class PathPairElement(Frozen):
     """p q* with range(p) = range(q), or the distinguished zero (p = q = None)."""
+
+    __slots__ = ("graph", "p", "q")
 
     graph: DirectedGraph
     p: Path | None
     q: Path | None
 
-    def __post_init__(self):
-        if (self.p is None) != (self.q is None):
+    def __init__(self, graph: DirectedGraph, p: Path | None, q: Path | None):
+        if (p is None) != (q is None):
             raise ContractViolation("either both paths or neither (zero)")
-        if self.p is not None:
-            if self.p.graph != self.graph or self.q.graph != self.graph:
+        if p is not None:
+            if p.graph != graph or q.graph != graph:
                 raise ContractViolation("paths must live on the element's graph")
-            if self.p.end != self.q.end:
+            if p.end != q.end:
                 raise ContractViolation(
-                    f"paths must share their terminal vertex ({self.p.end} vs {self.q.end})")
+                    f"paths must share their terminal vertex ({p.end} vs {q.end})")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def zero(cls, graph: DirectedGraph) -> "PathPairElement":

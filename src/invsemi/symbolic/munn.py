@@ -11,12 +11,11 @@ zero-free form: an idempotent below s forces s idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..criterion import HAUSDORFF_WITNESS
 from ..errors import ContractViolation, ParseError
-from . import SymbolicCriterionReport
+from . import Frozen, SymbolicCriterionReport
 
 FAMILY = "munn"
 
@@ -40,23 +39,24 @@ def invert_word(word: Word) -> Word:
     return tuple(-ltr for ltr in reversed(word))
 
 
-@dataclass(frozen=True, slots=True)
-class MunnTreeElement:
+class MunnTreeElement(Frozen):
     """A rooted subtree of the free-group Cayley graph plus an endpoint."""
+
+    __slots__ = ("rank", "vertices", "endpoint")
 
     rank: int
     vertices: frozenset[Word]
     endpoint: Word
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, vertices: Iterable[Word], endpoint: Word):
+        if rank < 1:
             raise ContractViolation("rank must be at least 1")
-        verts = frozenset(tuple(v) for v in self.vertices)
-        endpoint = tuple(self.endpoint)
+        verts = frozenset(tuple(v) for v in vertices)
+        endpoint = tuple(endpoint)
         for w in verts:
             for ltr in w:
-                if ltr == 0 or abs(ltr) > self.rank:
-                    raise ContractViolation(f"letter {ltr} outside rank {self.rank}")
+                if ltr == 0 or abs(ltr) > rank:
+                    raise ContractViolation(f"letter {ltr} outside rank {rank}")
             if reduce_word(w) != w:
                 raise ContractViolation(f"vertex {w} is not a reduced word")
             if w and w[:-1] not in verts:
@@ -65,6 +65,7 @@ class MunnTreeElement:
             raise ContractViolation("tree must contain the root")
         if endpoint not in verts:
             raise ContractViolation("endpoint must be a vertex")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "endpoint", endpoint)
 

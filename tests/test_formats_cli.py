@@ -349,8 +349,6 @@ def test_cli_germs_refuses_non_inverse_semigroup(tmp_path, table, via_action):
 def test_cli_symbolic_verify_is_independent(monkeypatch):
     """A truncation verdict whose witness misses an atom fails --verify,
     which checks the cover by multiplying elements."""
-    import dataclasses
-
     from invsemi import criterion as crit_mod
     from invsemi.symbolic import atomflip
 
@@ -358,7 +356,7 @@ def test_cli_symbolic_verify_is_independent(monkeypatch):
 
     def short(S, s):
         verdict = honest(S, s)
-        return dataclasses.replace(verdict, witness=verdict.witness[:-1])
+        return verdict._replace(witness=verdict.witness[:-1])
 
     for module in (crit_mod, atomflip):
         monkeypatch.setattr(module, "hausdorff_criterion", short)

@@ -1,5 +1,8 @@
 """Each CLI call imports only the modules its subcommand runs, and the
 package's public names load on first use (PEP 562 module `__getattr__`).
+No call loads `dataclasses` (which pulls in `inspect` and `ast`), and
+only a structured report, which prints the input's digest, loads
+`hashlib`.
 
 The module sets are read in a fresh interpreter, since this test
 process has imported the whole package already.  Nothing here is timed.
@@ -28,14 +31,20 @@ try:
     main(json.loads(sys.argv[1]))
 except SystemExit:
     pass
+added = set(sys.modules) - started
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("invsemi")),
-                  sorted({m.partition(".")[0] for m in set(sys.modules) - started}
-                         - set(sys.stdlib_module_names) - {"invsemi"})]))
+                  sorted({m.partition(".")[0] for m in added}
+                         - set(sys.stdlib_module_names) - {"invsemi"}),
+                  sorted(m for m in added
+                         if m.partition(".")[0] in sys.stdlib_module_names)]))
 """
 
 # what `close` needs: the package, the front door, parsing, reports, tables
 CLI_MODULES = {f"invsemi{m}" for m in ("", ".cli", ".errors", ".formats", ".partial_bijection",
                                        ".report", ".semigroup", ".symbolic")}
+
+# standard-library modules that cost milliseconds and no report needs
+HEAVY = {"dataclasses", "inspect", "hashlib", "_hashlib"}
 
 
 def fresh(script: str, *args: str):
@@ -46,21 +55,26 @@ def fresh(script: str, *args: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def loaded_after(*args: str) -> set[str]:
-    """The package modules that a CLI call loads.  It must load no
+def loaded_after(*args: str) -> tuple[set[str], set[str]]:
+    """The package modules that a CLI call loads, and the standard
+    library's modules that it adds after start-up.  It must load no
     module from outside the package and the standard library."""
-    package, foreign = fresh(SCRIPT, *args)
+    package, foreign, stdlib = fresh(SCRIPT, *args)
     assert foreign == []
-    return set(package)
+    return set(package), set(stdlib)
 
 
 def test_cli_import_loads_only_what_close_needs():
-    assert loaded_after("--help") == CLI_MODULES
+    package, stdlib = loaded_after("--help")
+    assert package == CLI_MODULES
+    assert not HEAVY & stdlib
 
 
 @pytest.mark.parametrize("args", [[], ["--verify"], ["--format", "structured"]])
 def test_close_loads_no_criterion_germ_or_family_code(args):
-    assert loaded_after("close", str(DATA / "i2_gens.json"), *args) == CLI_MODULES
+    package, stdlib = loaded_after("close", str(DATA / "i2_gens.json"), *args)
+    assert package == CLI_MODULES
+    assert HEAVY & stdlib == ({"hashlib", "_hashlib"} if "structured" in args else set())
 
 
 @pytest.mark.parametrize("args, uses", [
@@ -75,7 +89,24 @@ def test_close_loads_no_criterion_germ_or_family_code(args):
      {"criterion", "symbolic.graphs"}),
 ])
 def test_a_subcommand_loads_what_it_runs(args, uses):
-    assert loaded_after(*args) == CLI_MODULES | {f"invsemi.{m}" for m in uses}
+    package, stdlib = loaded_after(*args)
+    assert package == CLI_MODULES | {f"invsemi.{m}" for m in uses}
+    assert not HEAVY & stdlib
+
+
+@pytest.mark.parametrize("args", [
+    ["close", str(DATA / "i2_gens.json")],
+    ["criterion", str(DATA / "i2_gens.json")],
+    ["germs", str(DATA / "z2_point_action.json")],
+])
+def test_only_the_structured_digest_loads_hashlib(args):
+    human_package, human = loaded_after(*args)
+    package, structured = loaded_after(*args, "--format", "structured")
+    script = ("import json, sys; started = set(sys.modules); import hashlib; "
+              "print(json.dumps(sorted(set(sys.modules) - started)))")
+    assert package == human_package
+    assert "hashlib" in structured - human
+    assert structured - human <= set(fresh(script))  # hashlib and what it imports
 
 
 def test_main_takes_the_benchmark_workers_call(capsys):

@@ -1,10 +1,16 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and no module
+imports `dataclasses`.
 
 No linter ships with the test dependencies, so this reads each module
 with `ast`: a name that a module-level import binds (also under a
 module-level `if` or `try`, such as `if TYPE_CHECKING:`) must occur as a
 name somewhere else in the module.  Names listed as strings in
 `invsemi._EXPORTS` count as used, since the package re-exports them.
+
+`dataclasses` imports `inspect`, `ast`, `dis` and `tokenize` (8-10 ms of
+every CLI call by `-X importtime` on a 2-vCPU VM), so the records are
+NamedTuples and plain classes; an import of it anywhere in a module,
+even inside a function, is a fault.
 """
 
 import ast
@@ -14,6 +20,7 @@ import invsemi
 
 PACKAGE = Path(invsemi.__file__).resolve().parent
 EXPORTED = {name for names in invsemi._EXPORTS.values() for name in names}
+BANNED = {"dataclasses"}
 
 
 def module_level_imports(tree: ast.Module):
@@ -59,3 +66,34 @@ def test_the_scan_finds_an_unused_import():
               "    import json\n"  # not module level
               "    return sys.argv\n")
     assert unused_imports(source) == [("dq", 6), ("os", 2)]
+
+
+def banned_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) for each import of a `BANNED` module, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names if name.partition(".")[0] in BANNED]
+    return sorted(found)
+
+
+def test_no_module_imports_dataclasses():
+    faults = {str(path.relative_to(PACKAGE)): banned_imports(path.read_text())
+              for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {path: names for path, names in faults.items() if names} == {}
+
+
+def test_the_scan_finds_a_dataclasses_import():
+    source = ("from dataclasses import dataclass\n"
+              "import json, dataclasses as dc\n"
+              "from .dataclasses import nothing\n"  # relative: not the stdlib module
+              "def f():\n"
+              "    from dataclasses import field\n"
+              "    return field\n")
+    assert banned_imports(source) == [("dataclasses", 1), ("dataclasses", 2),
+                                      ("dataclasses", 5)]
