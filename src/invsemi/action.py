@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation
-from .semigroup import (FiniteInverseSemigroup, _bits, _set_to_mask, generating_set,
-                        is_associative)
+from .semigroup import (FiniteInverseSemigroup, _bits, _letter_count, _set_to_mask,
+                        generating_set, is_associative)
 
 
 class FiniteAction:
@@ -143,7 +143,7 @@ class FiniteAction:
         # A closure is associative by construction and generated by its k
         # letters, elements 0..k-1 (see `close`), so it skips Light's test.
         if S._closure is not None:
-            gens, associative = range(len(S._closure[3][0])), True
+            gens, associative = range(_letter_count(S)), True
         else:
             gens = generating_set(S.mul)
             associative = is_associative(S.mul, gens)

@@ -24,8 +24,8 @@ from typing import NoReturn
 from . import formats, symbolic
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
 from .report import RunReport
-from .semigroup import (FiniteInverseSemigroup, VerificationResult, is_closure_of,
-                        verify_inverse_semigroup)
+from .semigroup import (FiniteInverseSemigroup, VerificationResult, _letter_count,
+                        is_closure_of, verify_inverse_semigroup)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -33,6 +33,7 @@ EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
 MAX_LISTED_ELEMENTS = 100
+DEFAULT_RANK = 2  # --rank of a Munn word unless given
 
 
 def _yn(flag: bool) -> str:
@@ -59,7 +60,7 @@ def _input_file(path: str) -> str:
 def _family_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--truncation", type=int, default=None,
                         help="Atom-flip truncation bound (atom count).")
-    parser.add_argument("--rank", type=int, default=2,
+    parser.add_argument("--rank", type=int, default=None,
                         help="Munn rank when parsing cannot infer it. [default: 2]")
     parser.add_argument("--graph", dest="graph_file", type=_input_file, default=None,
                         help="Graph file for the graph family.")
@@ -68,9 +69,9 @@ def _family_options(parser: argparse.ArgumentParser) -> None:
 def _common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", dest="fmt", choices=["human", "structured"],
                         default="human", help="Report rendering. [default: human]")
-    # argparse converts a string default with `type`, so a bad
-    # INVSEMI_BUDGET exits 2 as a bad --budget does
-    parser.add_argument("--budget", type=int, default=os.environ.get("INVSEMI_BUDGET") or None,
+    # None unless given, so that a call that ignores the budget can
+    # refuse it; `_budget` falls back on INVSEMI_BUDGET
+    parser.add_argument("--budget", type=int, default=None,
                         help="Resource budget: closure elements, and compatible pairs "
                              "examined by props, whose translate checks cost at most two "
                              "per generator and pair (subsets for the --verify oracles).")
@@ -192,6 +193,7 @@ def _summary_lines(report: RunReport, stats: dict) -> None:
 
 def close(input_file, budget, verify):
     """Close a generator file (or load a table file) and verify it."""
+    budget = _budget(budget)
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport("close", input_file)
     stats = _semigroup_summary(S, _verification(S, input_file, verify))
@@ -210,13 +212,14 @@ def close(input_file, budget, verify):
             report.verified = again.mul == S.mul
         else:  # the letters: the generators, then their inverses
             letters = dict.fromkeys([*generators, *(g.invert() for g in generators)])
-            report.verified = S.labels[:len(S._closure[3][0])] == tuple(letters)
+            report.verified = S.labels[:_letter_count(S)] == tuple(letters)
     return report
 
 
 def props(input_file, budget, verify):
     """Batch property flags: unitary variants, completeness, distributivity."""
     from . import criterion as crit
+    budget = _budget(budget)
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport("props", input_file)
     stats = _semigroup_summary(S, _verification(S, input_file, verify))
@@ -253,6 +256,7 @@ def props(input_file, budget, verify):
 def germs(input_file, self_action, budget, verify):
     """Germ groupoid counts of an action (action file, or --self)."""
     from . import action as action_mod, germs as germs_mod
+    budget = _budget(budget)
     if self_action:
         S = formats.load_semigroup(input_file, budget=budget)
     else:
@@ -335,8 +339,12 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
         if element_expr is None:
             raise ParseError("--family needs --element")
         return _symbolic_report("criterion", family, element_expr, truncation,
-                                rank, graph_file, verify)
+                                rank, graph_file, budget, verify)
+    if element_expr is not None:
+        raise ParseError("--element applies only to --family")
+    _refuse_family_options(None, truncation, rank, graph_file)
     from . import criterion as crit
+    budget = _budget(budget)
     S = formats.load_semigroup(input_file, budget=budget)
     check = _verification(S, input_file, verify, require=True)
     report = RunReport("criterion", input_file)
@@ -369,15 +377,36 @@ def symbolic_cmd(family, element_expr, truncation, rank, graph_file, budget, ver
     if element_expr == []:  # Python 3.11's argparse passes a literal "--" element as []
         element_expr = "--"
     return _symbolic_report("symbolic", family, element_expr, truncation,
-                            rank, graph_file, verify)
+                            rank, graph_file, budget, verify)
+
+
+def _budget(budget: int | None) -> int | None:
+    """--budget if given, else INVSEMI_BUDGET if set, else None (each
+    phase's own default).  Read only by a call that uses a budget, so
+    the variable never fails a symbolic call."""
+    env = os.environ.get("INVSEMI_BUDGET")
+    if budget is not None or not env:
+        return budget
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"INVSEMI_BUDGET: invalid int value: {env!r}") from None
+
+
+def _refuse_family_options(family, truncation, rank, graph_file) -> None:
+    """A family option given to a call that would ignore it is a
+    ParseError naming it; `family` is None for a semigroup file."""
+    for option, value, owner in (("--truncation", truncation, "atomflip"),
+                                 ("--rank", rank, "munn"), ("--graph", graph_file, "graph")):
+        if value is not None and family != owner:
+            raise ParseError(f"{option} applies only to {owner}")
 
 
 def _symbolic_report(command, family, element_expr, truncation, rank,
-                     graph_file, verify) -> RunReport:
-    if truncation is not None and family != "atomflip":
-        raise ParseError("--truncation applies only to atomflip")
-    if graph_file is not None and family != "graph":
-        raise ParseError("--graph applies only to graph")
+                     graph_file, budget, verify) -> RunReport:
+    _refuse_family_options(family, truncation, rank, graph_file)
+    if budget is not None:
+        raise ParseError("--budget applies only to a semigroup file")
     if family == "atomflip":
         from .symbolic import atomflip
         element = atomflip.parse(element_expr)
@@ -388,6 +417,7 @@ def _symbolic_report(command, family, element_expr, truncation, rank,
     elif family == "munn":
         from .symbolic import munn
         word_rank, word = munn.parse_word(element_expr)
+        rank = DEFAULT_RANK if rank is None else rank
         element = munn.MunnTreeElement.from_word(max(word_rank, rank), word)
         rep = munn.criterion(element)
     else:

@@ -14,7 +14,7 @@ from operator import itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
-from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask, generating_set
+from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask, inverse_generating_set
 
 HAUSDORFF_WITNESS = "HAUSDORFF_WITNESS"
 REFUTED = "REFUTED"
@@ -167,7 +167,7 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
       (i)   every compatible pair has a join;
       (ii)  every c compatible with a and b is compatible with a v b;
       (iii) g(a v b) = ga v gb and (a v b)g = ag v bg for every g in
-            `generating_set`.
+            `inverse_generating_set`, by a row and a column of products.
     (i) and (ii) run over all pairs before (iii), so a missing join is
     found before any translate is taken.  Budget counts the pairs
     examined by (i) and (ii); exceeding it raises BudgetExceeded, since
@@ -197,7 +197,7 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     """
     if budget is None:
         budget = DEFAULT_SUBSET_BUDGET
-    m, mul = S.order, S.mul
+    m = S.order
     up = S._require_up_masks()
     comp = _compatibility_masks(S)
     joins: dict[tuple[int, int], int] = {}
@@ -228,14 +228,14 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
         return x if x == y else joins.get((x, y) if x < y else (y, x))
 
     spans = [(a, b, v) for (a, b), v in joins.items() if v != a and v != b]
-    gens = generating_set(mul) if spans else ()
+    gens = inverse_generating_set(S) if spans else ()
+    translates = [(g, [S.product(g, x) for x in range(m)], S.products(range(m), g))
+                  for g in gens]
     for a, b, v in spans:
-        row_a, row_b, row_v = mul[a], mul[b], mul[v]
-        for g in gens:
-            row_g = mul[g]
+        for g, row_g, column_g in translates:
             if row_g[v] != pair_join(row_g[a], row_g[b]):
                 return CompletenessResult(False, ("left", g, (a, b)), checked)
-            if row_v[g] != pair_join(row_a[g], row_b[g]):
+            if column_g[v] != pair_join(column_g[a], column_g[b]):
                 return CompletenessResult(False, ("right", g, (a, b)), checked)
     return CompletenessResult(True, None, checked)
 

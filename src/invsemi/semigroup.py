@@ -11,6 +11,7 @@ certificate on failure.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import reduce
 from operator import and_, attrgetter, itemgetter, methodcaller
 from typing import Iterable, NamedTuple, Sequence
@@ -35,8 +36,8 @@ class FiniteInverseSemigroup:
     `product` (and `products`, for a column) reads s t off the table,
     or on a `close` result, which keeps none, off the image keys: the
     key of s read through the key of t is the key of s t (see `close`).
-    `mul` builds its table on first read (`_closure_table`), for the
-    readers of rows, and the products then read it too.
+    A closure always multiplies by its keys; `mul` lays its products
+    out as a table on first read, for the readers of whole rows.
 
     The natural order is kept as up-masks, bit t of the s-th set iff
     s <= t, on one of two paths chosen here and nowhere else:
@@ -69,8 +70,8 @@ class FiniteInverseSemigroup:
         is checked.  Without it the table gets the range check and the
         exhaustive scan for generalized inverses, and `inv` is None
         unless each element has exactly one.  `close` passes no table
-        but `_closure`: (key index, gathers, key tables, right, words),
-        which also puts the order on the ground-cell path (see the class
+        but `_closure`: (key index, gathers, key tables, right), which
+        also puts the order on the ground-cell path (see the class
         docstring)."""
         table = None if _closure else tuple(tuple(row) for row in mul)
         if table is not None and _inverse is None:
@@ -111,21 +112,22 @@ class FiniteInverseSemigroup:
 
     @property
     def mul(self) -> tuple[tuple[int, ...], ...]:
-        """The m x m table; a closure builds it here on first read."""
+        """The m x m table; a closure lays out its product columns on first read."""
         if self._mul is None:
-            object.__setattr__(self, "_mul", _closure_table(*self._closure[3:]))
+            m = range(self.order)
+            object.__setattr__(self, "_mul", tuple(zip(*(self.products(m, t) for t in m))))
         return self._mul
 
     def product(self, s: int, t: int) -> int:
         """s t, unchecked (see the class docstring)."""
-        if self._mul is not None:
+        if self._closure is None:
             return self._mul[s][t]
         index, gathers, keys = self._closure[:3]
         return index[gathers[t](keys[s])]
 
     def products(self, members: Iterable[int], t: int) -> list[int]:
         """[u t for u in members], unchecked: one gather by the key of t."""
-        if self._mul is not None:
+        if self._closure is None:
             return [self._mul[u][t] for u in members]
         index, gathers, keys = self._closure[:3]
         return list(map(index.__getitem__, map(gathers[t], map(keys.__getitem__, members))))
@@ -311,6 +313,34 @@ def generating_set(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sorted(gens))
 
 
+def inverse_generating_set(S: FiniteInverseSemigroup) -> tuple[int, ...]:
+    """`generating_set(S.mul)` of an inverse semigroup S, by its order
+    and its products instead of a table.
+
+    The sort key: sS = ss*S, as ss*S = s(s*S) lies in sS and sS = ss*sS
+    in ss*S.  For an idempotent e, u lies in eS iff e u = u (u = e x
+    gives e u = e x), iff e u u* = u u* (multiply by u* or by u), that
+    is u u* <= e.  So |sS| counts the u whose range idempotent u u* lies
+    below ss*.  Reaching by product columns reaches the same set after
+    each pick as `generating_set` does by rows.
+    """
+    m, inv = S.order, S.inv
+    ranges = [S.product(u, inv[u]) for u in range(m)]
+    count, down = Counter(ranges), S._require_down_masks()
+    size = {e: sum(count[f] for f in _bits(down[e])) for e in S.idempotents}
+    gens: list[int] = []
+    reached: set[int] = set()
+    for g in sorted(range(m), key=lambda s: -size[ranges[s]]):
+        if g in reached:
+            continue
+        gens.append(g)
+        level = {g, *S.products(reached, g)} - reached
+        while level:
+            reached |= level
+            level = {t for h in gens for t in S.products(level, h)} - reached
+    return tuple(sorted(gens))
+
+
 def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
     """Light's test: (x a) y = x (a y) for every a in `gens`, all x, y.
 
@@ -385,12 +415,10 @@ def close(generators: Sequence[PartialBijection],
     key of a, one C-level gather: x goes to s(a(x)), and the sentinel
     to itself, so s a is undefined at x exactly where a is, or where s
     is at a(x).  Expand the elements in index order, right-multiplying
-    each by every letter; this records each new element's parent and
-    last letter and the right Cayley graph `right`.  Cost, for m
-    elements and k letters: m k gathers of n + 1 entries and m label
-    constructions (one `PartialBijection`, with its checks, per new
-    element).  No table is built: the result multiplies by its keys,
-    and `mul` builds the table when read.
+    each by every letter; this records the right Cayley graph `right`.
+    Cost, for m elements and k letters: m k gathers of n + 1 entries and
+    m label constructions (one `PartialBijection`, with its checks, per
+    new element).  No table is built: the result multiplies by its keys.
 
     Why the indexing is that of the all-pairs search it replaced
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
@@ -408,10 +436,9 @@ def close(generators: Sequence[PartialBijection],
 
     keys: list[bytes | tuple[int, ...]] = []
     index: dict[bytes | tuple[int, ...], int] = {}
-    words: list[tuple[int, int] | None] = []  # (parent, last letter) per element
     right: list[list[int]] = []
 
-    def add(key: bytes | tuple[int, ...], word: tuple[int, int] | None) -> int:
+    def add(key: bytes | tuple[int, ...]) -> int:
         t = index.get(key)
         if t is None:
             if len(keys) >= budget:
@@ -420,20 +447,18 @@ def close(generators: Sequence[PartialBijection],
                     f"{len(right)} of {len(keys)} elements", budget)
             t = index[key] = len(keys)
             keys.append(key)
-            words.append(word)
         return t
 
     for g in [*generators, *(g.invert() for g in generators)]:
-        add(_image_key(n, g.pairs), None)
+        add(_image_key(n, g.pairs))
     # bytes.translate gathers through a 256-entry table: a padded key.
     gather_by, operand = ((attrgetter("translate"), methodcaller("ljust", 256)) if n < 256
                           else (lambda key: itemgetter(*key), lambda key: key))
     gathers = [gather_by(key) for key in keys]
     tables = []
     while len(right) < len(keys):
-        s = len(right)
-        tables.append(table := operand(keys[s]))
-        right.append([add(gather(table), (s, k)) for k, gather in enumerate(gathers)])
+        tables.append(table := operand(keys[len(right)]))
+        right.append([add(gather(table)) for gather in gathers])
     gathers += map(gather_by, keys[len(gathers):])
 
     labels = [PartialBijection(n, {x: y for x, y in enumerate(key) if y != n})
@@ -441,42 +466,13 @@ def close(generators: Sequence[PartialBijection],
     # The closure is an inverse subsemigroup of I_n, so the inverse of
     # each element is the element whose graph is its graph reversed.
     return FiniteInverseSemigroup(
-        None, labels=labels, _closure=(index, gathers, tables, right, words),
+        None, labels=labels, _closure=(index, gathers, tables, right),
         _inverse=[index[_image_key(n, ((y, x) for x, y in f.pairs))] for f in labels])
 
 
-def _closure_table(right: list[list[int]], words: list) -> tuple[tuple[int, ...], ...]:
-    """The table of a `close` result, from its right Cayley graph and
-    the (parent, last letter) of each element past the k letters.
-
-    The k letter rows are filled by integer lookups,
-    a t = (a parent(t)) last(t).  Every other element t = p a (parent
-    p, last letter a) has row t x = p (a x): row p read through row a,
-    one C-level gather.  Cost: k m lookups and m - k row gathers.
-
-    Why the table needs no range check (the constructor trusts it with
-    `_inverse`): every entry of `right` is an index that `close` handed
-    out, so below m.  A letter row is k entries of `right` and then one
-    per product, m entries below m.  Every other row, in index order,
-    gathers row p at the positions of row a, both earlier rows: m
-    entries of an in-range row, at positions below m.  By induction
-    every row has length m and entries in 0..m-1.
-    """
-    k = len(right[0])
-    products = words[k:]
-    mul = []
-    for row in right[:k]:
-        row = row[:]  # a times each letter, which are elements 0..k-1
-        for p, b in products:
-            row.append(right[row[p]][b])
-        mul.append(tuple(row))
-    # Rows of one entry exist only when m = 1; then there are no
-    # products, and the one-index itemgetter (which returns a scalar,
-    # not a row) is never called.
-    through = [itemgetter(*row) for row in mul]
-    for p, a in products:
-        mul.append(through[a](mul[p]))
-    return tuple(mul)
+def _letter_count(S: FiniteInverseSemigroup) -> int:
+    """k, for a closure whose letters are its elements 0..k-1 (see `close`)."""
+    return len(S._closure[3][0])
 
 
 def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, ...]:
@@ -518,7 +514,7 @@ def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     """
     if S._closure is None:
         return False
-    index, gathers, operands, right = S._closure[:4]
+    index, gathers, operands, right = S._closure
     labels, m, k = S.labels, S.order, len(right[0])
     n = labels[0].ground_size
     identity = bytes(range(256)) if n < 256 else tuple(range(n + 1))

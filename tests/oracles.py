@@ -17,6 +17,7 @@ homomorphisms into small symmetric inverse monoids.
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 from types import SimpleNamespace
 
 from invsemi import (
@@ -122,6 +123,37 @@ def lookup_fill_table(generators) -> tuple[tuple[int, ...], ...]:
         for p, a in products:
             row.append(right[row[p]][a])
         mul.append(tuple(row))
+    return tuple(mul)
+
+
+def row_fill_table(right, found=None) -> tuple[tuple[int, ...], ...]:
+    """The table of a closure by the row fill `invsemi.close` once ran,
+    from its right Cayley graph `right` (the reference for the table
+    that `FiniteInverseSemigroup.mul` lays out from products).
+
+    Each element t past the k letters gets the word (parent p, last
+    letter a) by which the search met it: the first (s, a) in index
+    order with found[s][a] = t, in the graph `found` (default `right`).
+    The k letter rows are filled by integer lookups,
+    a t = (a parent(t)) last(t), and every other row t = p a is row p
+    read through row a, one C-level gather.
+    """
+    k = len(right[0])
+    first: dict[int, tuple[int, int]] = {}
+    for s, row in enumerate(found or right):
+        for a, t in enumerate(row):
+            first.setdefault(t, (s, a))
+    words = [first[t] for t in range(k, len(right))]
+    mul = []
+    for row in right[:k]:
+        row = row[:]  # a times each letter, which are elements 0..k-1
+        for p, b in words:
+            row.append(right[row[p]][b])
+        mul.append(tuple(row))
+    # one-entry rows exist only when m = 1, and then nothing is gathered
+    through = [itemgetter(*row) for row in mul]
+    for p, a in words:
+        mul.append(through[a](mul[p]))
     return tuple(mul)
 
 

@@ -15,10 +15,10 @@ from invsemi import (
     all_partial_bijections,
     close,
 )
-from invsemi import formats, semigroup
+from invsemi import formats
 from invsemi.semigroup import is_closure_of
 from conftest import invoke_cli
-from oracles import closure_cells_scan, lookup_fill_table, pairwise_close
+from oracles import closure_cells_scan, lookup_fill_table, pairwise_close, row_fill_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,7 +162,7 @@ def with_record(S, mutation):
     the gathers or the inverses; a `right` entry moves; the last row of
     `right` goes, or loses its last entry; or the last letter's column
     goes, so that letter is no longer a letter."""
-    index, gathers, operands, right, words = S._closure
+    index, gathers, operands, right = S._closure
     index, gathers, operands = dict(index), list(gathers), list(operands)
     right, labels, inv, last = [row[:] for row in right], list(S.labels), list(S.inv), S.order - 1
     if mutation == "right entry":
@@ -184,7 +184,7 @@ def with_record(S, mutation):
     elif mutation == "last letter dropped":
         right = [row[:-1] for row in right]
     return FiniteInverseSemigroup(None, labels=labels, _inverse=inv,
-                                  _closure=(index, gathers, operands, right, words))
+                                  _closure=(index, gathers, operands, right))
 
 
 MUTATIONS = ["right entry", "labels swapped", "key", "operand", "gather", "inv entry",
@@ -218,14 +218,14 @@ def assert_closure_checks_agree(gens, s, a, shift):
     table only where a word runs through it, and a moved entry elsewhere
     leaves the table right."""
     S = close(gens)
-    index, gathers, operands, right, words = S._closure
-    k, m = len(right[0]), S.order
-    right = [row[:] for row in right]
+    index, gathers, operands, found = S._closure
+    k, m = len(found[0]), S.order
+    right = [row[:] for row in found]
     right[s][a] = (right[s][a] + shift) % m
     ok = is_closure_of(FiniteInverseSemigroup(
-        None, labels=S.labels, _inverse=S.inv, _closure=(index, gathers, operands, right, words)))
+        None, labels=S.labels, _inverse=S.inv, _closure=(index, gathers, operands, right)))
     scan = closure_cells_scan(
-        FiniteInverseSemigroup(semigroup._closure_table(right, words), labels=S.labels), gens)
+        FiniteInverseSemigroup(row_fill_table(right, found), labels=S.labels), gens)
     assert ok == (shift % m == 0)
     assert scan >= ok
     if s < k:
@@ -245,7 +245,7 @@ def test_is_closure_of_matches_cells_scan(n):
 def test_is_closure_of_matches_cells_scan_random(gens, data):
     S = close(gens)
     assert_closure_checks_agree(gens, data.draw(st.integers(0, S.order - 1)),
-                                data.draw(st.integers(0, len(S._closure[3][0]) - 1)),
+                                data.draw(st.integers(0, len(letters_of(gens)) - 1)),
                                 data.draw(st.integers(0, S.order - 1)))
 
 

@@ -11,8 +11,8 @@ corrupted.  The tables that `close` and `atomflip.truncation` hand the
 constructor unchecked are swept on I_1-I_5, on seeded random closures
 and on F_0-F_64, and the CLI's calls to the verifier are counted.  A
 closure's products by image keys are swept against its table, and the
-paths that must not build a closure's table run with its fill patched
-to raise.
+paths that must not build a closure's table run with the layout of
+`S.mul` patched to raise.
 """
 
 import functools
@@ -214,7 +214,7 @@ def test_germs_store_nothing_per_pair(monkeypatch):
     monkeypatch.setattr(FiniteAction, "table", property(refuse))
     with monkeypatch.context() as m:
         # left translation reads products of S, never its table
-        m.setattr(semigroup, "_closure_table", refuse)
+        refuse_closure_tables(m)
         for action in (left_translation_action(S), point_action):
             G = build_germs(action)
             assert len(G) > 0
@@ -266,16 +266,20 @@ def test_only_a_closure_orders_by_ground_cells(monkeypatch):
 
 
 def refuse_closure_tables(monkeypatch):
-    """Make a closure's table fill raise, as a read of `S.mul` would."""
-    def refuse(*args):
-        raise AssertionError("a closure built its multiplication table")
+    """Make the layout of a closure's table, on a read of `S.mul`, raise."""
+    mul = FiniteInverseSemigroup.mul
 
-    monkeypatch.setattr(semigroup, "_closure_table", refuse)
+    def guarded(S):
+        if S._closure is not None:
+            raise AssertionError("a closure laid out its multiplication table")
+        return mul.fget(S)
+
+    monkeypatch.setattr(FiniteInverseSemigroup, "mul", property(guarded))
 
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
 @pytest.mark.parametrize("command", [["close"], ["criterion"], ["germs", "--self"],
-                                     ["close", "--verify"]])
+                                     ["close", "--verify"], ["props", "--budget", "3000"]])
 def test_a_closure_command_builds_no_table(monkeypatch, tmp_path, command, fmt):
     i4 = tmp_path / "i4.json"
     i4.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 4,
@@ -284,6 +288,14 @@ def test_a_closure_command_builds_no_table(monkeypatch, tmp_path, command, fmt):
     for path in (DATA / "i2_gens.json", i4):
         result = invoke_cli([command[0], str(path), *command[1:], *fmt])
         assert result.exit_code == 0, result.output
+
+
+def test_a_translate_certificate_needs_no_table(monkeypatch):
+    """Step (iii) of the completeness check fails on this closure, and
+    its generating set and translates come from products."""
+    refuse_closure_tables(monkeypatch)
+    S = load_semigroup(DATA / "translate_fail_gens.json")
+    assert is_complete_and_distributive(S) == (False, ("left", 2, (0, 1)), 10)
 
 
 def test_an_action_file_on_a_generator_file_builds_no_table(monkeypatch):
@@ -737,6 +749,18 @@ def test_generating_set_sizes():
     assert len(semigroup.generating_set(close(symmetric_generators(4)).mul)) == 3
 
 
+def test_the_order_gives_the_generating_set_of_the_table():
+    """`inverse_generating_set` sorts by |sS| from the order and reaches
+    by products, and picks the generators that `generating_set` picks
+    from the table: on I_1-I_5, on seeded random closures (one on 300
+    points) and on the verified table fixtures."""
+    closures = [*swept_closures(), *map(fixture, CLOSURES), close(symmetric_generators(5))]
+    tables = [*(load_semigroup(DATA / f"{name}.json") for name in ("z2_table", "chain2_table")),
+              chain(12), *map(fixture, TRUNCATIONS)]
+    for S in closures + tables:
+        assert semigroup.inverse_generating_set(S) == semigroup.generating_set(S.mul), S
+
+
 def validate_message(action):
     try:
         action.validate()
@@ -988,7 +1012,7 @@ def test_completeness_takes_no_translate_on_a_long_chain(monkeypatch):
     # would cost about 2 * 400 translates per pair; comparable pairs
     # need none, and a chain has only comparable pairs.
     from invsemi import criterion
-    monkeypatch.setattr(criterion, "generating_set", lambda mul: pytest.fail("translated"))
+    monkeypatch.setattr(criterion, "inverse_generating_set", lambda S: pytest.fail("translated"))
     pairs = 400 * 399 // 2
     result = is_complete_and_distributive(chain(400), budget=pairs)
     assert result.ok and result.subsets_checked == pairs

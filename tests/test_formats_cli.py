@@ -524,6 +524,30 @@ def test_cli_criterion_usage_errors():
     run("criterion", "--family", "munn", expect=2)  # missing --element
 
 
+@pytest.mark.parametrize("args, option", [
+    (["criterion", Z2, "--truncation", "3"], "--truncation applies only to atomflip"),
+    (["criterion", Z2, "--element", "flip", "--rank", "7"], "--element applies only to --family"),
+    (["criterion", Z2, "--rank", "7"], "--rank applies only to munn"),
+    (["criterion", Z2, "--graph", str(DATA / "graph_loop.json")], "--graph applies only to graph"),
+    (["symbolic", "atomflip", "flip", "--rank", "9"], "--rank applies only to munn"),
+    (["symbolic", "graph", "e1", "--rank", "5"], "--rank applies only to munn"),
+    (["symbolic", "munn", "x", "--budget", "1"], "--budget applies only to a semigroup file"),
+    (["criterion", "--family", "munn", "--element", "x", "--budget", "5"],
+     "--budget applies only to a semigroup file"),
+])
+def test_cli_refuses_an_option_the_call_ignores(args, option):
+    result = invoke_cli(args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {option}\n")
+
+
+def test_cli_budget_variable_applies_only_where_a_budget_is_read():
+    env = {"INVSEMI_BUDGET": "x"}
+    assert invoke_cli(["symbolic", "munn", "x"], env=env).exit_code == 0
+    assert invoke_cli(["criterion", "--family", "munn", "--element", "x"], env=env).exit_code == 0
+    result = invoke_cli(["criterion", Z2], env=env)
+    assert (result.exit_code, result.stderr) == (2, "error: INVSEMI_BUDGET: invalid int value: 'x'\n")
+
+
 def test_cli_bad_symbolic_element_exit_2():
     run("symbolic", "atomflip", "blorp", expect=2)
     run("symbolic", "munn", "q q", expect=2)
@@ -539,9 +563,13 @@ GOLDEN_ARGS = {"close": ["close"], "close_verify": ["close", "--verify"],
                "criterion": ["criterion"], "germs_self": ["germs", "--self"],
                "germs": ["germs"]}
 SEMIGROUP_FILES = ("i2_gens", "z2_table", "chain2_table")
+# a closure that fails step (iii) of the completeness check: ["left", 2, [0, 1]]
+TRANSLATE_FAIL = ("translate_fail_gens",)
 GOLDEN = [(command, name, fmt)
           for command in GOLDEN_ARGS
-          for name in (("z2_point_action",) if command == "germs" else SEMIGROUP_FILES)
+          for name in (("z2_point_action",) if command == "germs" else
+                       SEMIGROUP_FILES + TRANSLATE_FAIL if command.startswith("props") else
+                       SEMIGROUP_FILES)
           for fmt in ("human", "structured")]
 
 

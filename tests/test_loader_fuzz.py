@@ -191,8 +191,9 @@ expression_parts = st.one_of(
 def symbolic_calls(draw):
     """Arguments of `symbolic` or `criterion --family`.  --truncation
     (at most 64 atoms: it builds an (n + 3)^2 table that --budget does
-    not bound) comes mostly with atomflip and --graph mostly with graph;
-    given to another family, each is a parse error."""
+    not bound) comes mostly with atomflip, --graph mostly with graph and
+    --rank mostly with munn; given to another family, each is a parse
+    error.  So is --budget, which no symbolic call reads."""
     family = draw(st.sampled_from(list(GRAMMARS)))
     expr = draw(GRAMMARS[family])
     for _ in range(draw(st.integers(0, 2))):
@@ -204,6 +205,10 @@ def symbolic_calls(draw):
         options += ["--truncation", str(draw(st.integers(-1, 64)))]
     if draw(mostly(st.just(family == "graph"), st.booleans())) and draw(st.booleans()):
         options += ["--graph", str(DATA / "graph_loop.json")]
+    if draw(mostly(st.just(family == "munn"), st.booleans())) and draw(st.booleans()):
+        options += ["--rank", str(draw(st.integers(-1, 6)))]
+    if draw(st.integers(0, 9)) == 0:
+        options += ["--budget", str(draw(st.integers(0, 100)))]
     if draw(st.booleans()):
         return ["criterion", "--family", family, f"--element={expr}", *options]
     return ["symbolic", *options, "--", family, expr]  # expr may start with "-"

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used, and no module
-imports `dataclasses`.
+"""Every module-level import in the package is used, no module
+imports `dataclasses`, and only `semigroup.py` reads the layout of a
+closure's record.
 
 No linter ships with the test dependencies, so this reads each module
 with `ast`: a name that a module-level import binds (also under a
@@ -11,6 +12,10 @@ name somewhere else in the module.  Names listed as strings in
 every CLI call by `-X importtime` on a 2-vCPU VM), so the records are
 NamedTuples and plain classes; an import of it anywhere in a module,
 even inside a function, is a fault.
+
+`close` builds the record `_closure` and `FiniteInverseSemigroup` reads
+it, so a subscript of `._closure`, or a tuple unpacked from it, in any
+other module would tie that module to the order of the record's fields.
 """
 
 import ast
@@ -97,3 +102,35 @@ def test_the_scan_finds_a_dataclasses_import():
               "    return field\n")
     assert banned_imports(source) == [("dataclasses", 1), ("dataclasses", 2),
                                       ("dataclasses", 5)]
+
+
+def closure_layout_reads(source: str) -> list[int]:
+    """Lines that read a closure record by position: a subscript of an
+    attribute `_closure`, or a tuple unpacked from one."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            value = node.value
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple):
+            value = node.value
+        else:
+            continue
+        if isinstance(value, ast.Attribute) and value.attr == "_closure":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_semigroup_reads_the_closure_record():
+    faults = {str(path.relative_to(PACKAGE)): closure_layout_reads(path.read_text())
+              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "semigroup.py"}
+    assert {path: lines for path, lines in faults.items() if lines} == {}
+    assert closure_layout_reads((PACKAGE / "semigroup.py").read_text())
+
+
+def test_the_scan_finds_a_closure_layout_read():
+    source = ("k = len(S._closure[3][0])\n"
+              "index, gathers, operands, right = S._closure\n"
+              "if S._closure is not None:\n"  # no layout
+              "    record = S._closure\n"
+              "    first = S._closures[0]\n")
+    assert sorted(closure_layout_reads(source)) == [1, 2]
