@@ -17,14 +17,14 @@ from .semigroup import (FiniteInverseSemigroup, _bits, _letter_count, _set_to_ma
 class FiniteAction:
     """An inverse semigroup acting by partial bijections on {0, ..., n-1}.
 
-    `domain_of` maps each idempotent index to its domain, and `rows[s][x]`
-    is the image of x under s for x in D_{s*s}; entries outside D_{s*s}
-    are never read.  The images come in as `table`, a map from (element,
-    point) to the image point defined exactly on {(s, x) : x in D_{s*s}};
-    the constructor checks that once and lays the table into rows padded
-    with -1, and the `table` attribute rebuilds the map when read.  Call
-    `validate()` to confirm the data really is an action (homomorphism
-    plus per-element bijectivity).
+    `domain_of` maps each idempotent index to its domain.  The images
+    come in as `table`, a map from (element, point) to the image point
+    defined exactly on {(s, x) : x in D_{s*s}}; the constructor checks
+    that once and lays the table out as one row of n + 1 images per
+    element, -1 outside D_{s*s} and last, so that `validate` composes
+    rows as they are stored.  The `table` attribute rebuilds the map
+    when read.  Call `validate()` to confirm the data really is an
+    action (homomorphism plus per-element bijectivity).
     """
 
     __slots__ = ("semigroup", "space_size", "domain_of", "_rows", "_idempotents_at")
@@ -65,22 +65,18 @@ class FiniteAction:
         raise AttributeError("FiniteAction is immutable")
 
     def _lay(self, table: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
-        """The pair table as rows, once its keys are exactly the pairs."""
+        """The pair table as rows of n + 1 images, once its keys are exactly
+        the pairs: -1 where undefined and last, so `_compose` keeps -1."""
         S = self.semigroup
         defined = set(table)
         expected = {(s, x) for s in S.elements() for x in self.domain(s)}
         if defined != expected:
             stray = sorted(defined ^ expected)[:5]
             raise ContractViolation(f"action table domain mismatch near {stray}")
-        rows = [[-1] * self.space_size for _ in S.elements()]
+        rows = [[-1] * (self.space_size + 1) for _ in S.elements()]
         for (s, x), y in table.items():
             rows[s][x] = y
         return tuple(map(tuple, rows))
-
-    @property
-    def rows(self) -> Sequence[Sequence[int]]:
-        """The image rows; under left translation the semigroup's table."""
-        return self.semigroup.mul if self._rows is None else self._rows
 
     def images(self, members: Sequence[int], x: int) -> list[int]:
         """[u.x for u in members], unchecked: x must lie in each D_{u*u}."""
@@ -121,7 +117,9 @@ class FiniteAction:
 
     def validate(self) -> None:
         """Raise ContractViolation unless the data defines an action."""
-        S, rows = self.semigroup, self.rows
+        S = self.semigroup
+        # left translation stores no rows: they are laid out from its products
+        rows = self._lay(self.table) if self._rows is None else self._rows
         for s in S.elements():
             dom, cod, row = self.domain(s), self.codomain(s), rows[s]
             image = {row[x] for x in dom}
@@ -137,7 +135,6 @@ class FiniteAction:
                 if row[x] != x:
                     raise ContractViolation(
                         f"idempotent {e} must act as the identity on its domain")
-        maps = self._maps()
         # Generators suffice when S is associative (see `_homomorphic_at`);
         # otherwise, or on a fault, the scan over all pairs names the first.
         # A closure is associative by construction and generated by its k
@@ -147,33 +144,20 @@ class FiniteAction:
         else:
             gens = generating_set(S.mul)
             associative = is_associative(S.mul, gens)
-        if associative and all(_homomorphic_at(maps, S, s) for s in gens):
+        if associative and all(_homomorphic_at(rows, S, s) for s in gens):
             return
-        mul = S.mul
         for s in S.elements():
             for t in S.elements():
-                if maps[mul[s][t]] != _compose(maps[s], maps[t]):
+                if rows[S.product(s, t)] != _compose(rows[s], rows[t]):
                     raise ContractViolation(f"action is not a homomorphism at ({s}, {t})")
-
-    def _maps(self) -> list[tuple[int, ...]]:
-        """Each element as a tuple of n + 1 images, -1 where undefined;
-        the last entry is -1, so looking up -1 again yields -1."""
-        n = self.space_size
-        maps = []
-        for s in self.semigroup.elements():
-            image, row = [-1] * (n + 1), self.rows[s]
-            for x in self.domain(s):
-                image[x] = row[x]
-            maps.append(tuple(image))
-        return maps
 
 
 def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """The partial map f after g, in the -1-padded form of `_maps`."""
+    """The partial map f after g, as rows padded by `FiniteAction._lay`."""
     return tuple(map(f.__getitem__, g))
 
 
-def _homomorphic_at(maps, S: FiniteInverseSemigroup, s: int) -> bool:
+def _homomorphic_at(rows, S: FiniteInverseSemigroup, s: int) -> bool:
     """phi(s t) = phi(s) phi(t) for every t, by `S.product`, so a
     closure builds no table.
 
@@ -182,8 +166,8 @@ def _homomorphic_at(maps, S: FiniteInverseSemigroup, s: int) -> bool:
     a, b in H, phi((a b) t) = phi(a (b t)) = phi(a) phi(b t)
     = phi(a) phi(b) phi(t) = phi(a b) phi(t).
     """
-    f = maps[s]
-    return all(maps[S.product(s, t)] == _compose(f, g) for t, g in enumerate(maps))
+    f = rows[s]
+    return all(rows[S.product(s, t)] == _compose(f, g) for t, g in enumerate(rows))
 
 
 def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:

@@ -40,14 +40,6 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _jsonable(value):
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _input_file(path: str) -> str:
     """An existing file, not a directory; else argparse exits 2."""
     if not os.path.exists(path):
@@ -235,8 +227,7 @@ def props(input_file, budget, verify):
             "unitary_ok": unitary.ok,
             "unitary_witness": unitary.witness,
             "complete_and_distributive": completeness.ok,
-            "completeness_certificate":
-                _jsonable(completeness.certificate) if completeness.certificate else None,
+            "completeness_certificate": completeness.certificate,
             "subsets_checked": completeness.subsets_checked,
         })
         report.line(f"all elements idempotent: {'yes' if properties['all_idempotent'] else 'no'}")
@@ -295,7 +286,7 @@ def germs(input_file, self_action, budget, verify):
 
 
 def _verify_germ_classes(action, G) -> bool:
-    """Check the classes of G against `germ_equiv_oracle`, point by point.
+    """Check the classes of G by `germ_equiv_oracle`'s witness search, per point.
 
     At a point x, (s, x) ~ (t, x) iff s e = t e for some idempotent e
     at x.  This is an equivalence, because the idempotents at x are
@@ -304,29 +295,34 @@ def _verify_germ_classes(action, G) -> bool:
     classes exact.  (1) Each pair is ~ its class's representative, so a
     class never holds two pairs that are not ~.  (2) For each idempotent
     e at x, pairs with equal s e share a class, so ~ pairs never lie in
-    two classes.  Last, every class must hold a pair.  With k_x pairs at
-    x, this costs k_x oracle calls and k_x |idempotents at x| lookups
-    per point, not C(k_x, 2) oracle calls.
+    two classes.  Last, every class must hold a pair.  Both checks read
+    s e off one product column per idempotent e at x: with k_x pairs at
+    x, that is k_x |idempotents at x| products and comparisons per
+    point, not C(k_x, 2) witness searches.
     """
     from . import germs as germs_mod
-    mul = action.semigroup.mul
-    l_classes = germs_mod._l_classes(action.semigroup)
+    S = action.semigroup
+    l_classes = germs_mod._l_classes(S)
     seen = set()
     for x in range(action.space_size):
         at = action.idempotents_at(x)
-        classed = [(s, G.class_of(s, x)) for e in at for s in l_classes[e]]
-        for s, c in classed:
+        members = [s for e in at for s in l_classes[e]]  # the pairs (s, x)
+        classes = [G.class_of(s, x) for s in members]
+        columns = [S.products(members, e) for e in at]
+        position = {s: i for i, s in enumerate(members)}
+        for i, c in enumerate(classes):
             if not 0 <= c < len(G):
                 return False
             r, y = G.reps[c]
-            if y != x or not germs_mod.germ_equiv_oracle(action, s, r, x):
+            j = position.get(r)
+            if y != x or j is None or not any(col[i] == col[j] for col in columns):
                 return False
-        for e in at:
+        for column in columns:
             class_of: dict[int, int] = {}
-            for s, c in classed:
-                if class_of.setdefault(mul[s][e], c) != c:
+            for se, c in zip(column, classes):
+                if class_of.setdefault(se, c) != c:
                     return False
-        seen.update(c for _, c in classed)
+        seen.update(classes)
     return len(seen) == len(G)
 
 

@@ -329,7 +329,9 @@ def ideal_cover_agrees_with_order_cover(S: FiniteInverseSemigroup, s: int,
     """Test oracle: over every subset F of J_s, the ideal-cover equality
     and the downward-closure equality hold for exactly the same F.
 
-    Exponential in |J_s|; guarded by a subset budget.
+    Exponential in |J_s|; guarded by a subset budget.  The right ideal
+    and the down-set of each e in J_s are masks built once per call, and
+    a depth-first walk ORs them into the unions over each subset.
     """
     if budget is None:
         budget = DEFAULT_SUBSET_BUDGET
@@ -337,8 +339,16 @@ def ideal_cover_agrees_with_order_cover(S: FiniteInverseSemigroup, s: int,
     if 2 ** len(jset) > budget:
         raise BudgetExceeded(
             f"subset search over 2^{len(jset)} exceeds budget {budget}", budget)
-    for mask in range(2 ** len(jset)):
-        F = [e for i, e in enumerate(jset) if mask >> i & 1]
-        if covers_by_ideals(S, s, F) != covers_downward(S, s, F):
+    ideals = [_set_to_mask(S.right_ideal(e)) for e in jset]
+    downs = [_set_to_mask(S.up_set([e], DOWN)) for e in jset]
+    union_j, jmask = reduce(or_, ideals, 0), _set_to_mask(jset)
+    # a stack of (i, unions of f S and of down(f) over F), F decided on jset[:i]
+    pending = [(0, 0, 0)]
+    while pending:
+        i, union_f, closure = pending.pop()
+        if i < len(jset):
+            pending += [(i + 1, union_f, closure),
+                        (i + 1, union_f | ideals[i], closure | downs[i])]
+        elif (union_f == union_j) != (closure == jmask):
             return False
     return True

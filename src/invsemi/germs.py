@@ -192,12 +192,12 @@ def _least_idempotent_at(action: FiniteAction, x: int) -> int:
 
 
 def germ_equiv_oracle(action: FiniteAction, s: int, t: int, x: int) -> bool:
-    """Exhaustive witness search for (s, x) ~ (t, x); the independent
-    check that `build_germs` classes are validated against."""
+    """Exhaustive witness search for (s, x) ~ (t, x), by products; the
+    check of `build_germs` classes runs it by product columns."""
     if x not in action.domain(s) or x not in action.domain(t):
         raise ContractViolation(f"point {x} must lie in the domains of both {s} and {t}")
-    mul = action.semigroup.mul
-    return any(mul[s][e] == mul[t][e] for e in action.idempotents_at(x))
+    product = action.semigroup.product
+    return any(product(s, e) == product(t, e) for e in action.idempotents_at(x))
 
 
 def fixed_sets(action: FiniteAction, s: int) -> tuple[frozenset[int], frozenset[int]]:

@@ -26,10 +26,11 @@ def completeness_scan(S: FiniteInverseSemigroup,
     """
     if budget is None:
         budget = DEFAULT_SUBSET_BUDGET
-    m, mul = S.order, S.mul
+    m = S.order
     comp = [_set_to_mask(t for t in range(m) if compatible(S, s, t)) for s in range(m)]
     checked = 0
     members: list[int] = []
+    sides: list[tuple[list[int], list[int]]] = []  # `_translates` of each member
     # pending[d]: the candidates still to try as member d, all above the
     # members so far and compatible with each; an explicit stack, since
     # a clique can be deeper than the recursion limit.
@@ -40,35 +41,43 @@ def completeness_scan(S: FiniteInverseSemigroup,
             pending.pop()
             if members:
                 members.pop()
+                sides.pop()
             continue
         c = (probe & -probe).bit_length() - 1
         pending[-1] = rest = probe & (probe - 1)
         members.append(c)
+        sides.append(_translates(S, c))
         checked += 1
         if checked > budget:
             raise BudgetExceeded(
                 f"completeness scan exceeded subset budget {budget}", budget)
-        cert = _check_clique(S, comp, members)
+        cert = _check_clique(S, comp, members, sides)
         if cert is not None:
             return CompletenessResult(False, cert, checked)
         pending.append(rest & comp[c])
     return CompletenessResult(True, None, checked)
 
 
-def _check_clique(S, comp, members):
-    mul = S.mul
+def _translates(S, a):
+    """([s a for every s], [a s for every s]) by product columns: the
+    row of a is the column of a* read at s* and inverted, as a s = (s* a*)*."""
+    inv = S.inv
+    return S.products(S.elements(), a), list(map(inv.__getitem__, S.products(inv, inv[a])))
+
+
+def _check_clique(S, comp, members, sides):
     v = _join_unchecked(S, members)
     if v is None:
         return ("join", tuple(members))
+    column_v, row_v = sides[members.index(v)] if v in members else _translates(S, v)
     for s in range(S.order):
-        row = mul[s]
-        left = sorted({row[a] for a in members})
+        left = sorted({column[s] for column, _ in sides})
         lj = _join_unchecked(S, left) if _mask_compatible(comp, left) else None
-        if lj != row[v]:
+        if lj != column_v[s]:
             return ("left", s, tuple(members))
-        right = sorted({mul[a][s] for a in members})
+        right = sorted({row[s] for _, row in sides})
         rj = _join_unchecked(S, right) if _mask_compatible(comp, right) else None
-        if rj != mul[v][s]:
+        if rj != row_v[s]:
             return ("right", s, tuple(members))
     return None
 

@@ -37,7 +37,7 @@ class FiniteInverseSemigroup:
     or on a `close` result, which keeps none, off the image keys: the
     key of s read through the key of t is the key of s t (see `close`).
     A closure always multiplies by its keys; `mul` lays its products
-    out as a table on first read, for the readers of whole rows.
+    out as a table on first read, for library callers; no CLI call does.
 
     The natural order is kept as up-masks, bit t of the s-th set iff
     s <= t, on one of two paths chosen here and nowhere else:
@@ -191,9 +191,9 @@ class FiniteInverseSemigroup:
         return frozenset(e for e in self.idempotents if self.product(s, e) == e)
 
     def right_ideal(self, s: int) -> frozenset[int]:
-        """The set sS = {s x : x in S}."""
+        """The set sS = {s x : x in S}, by products."""
         self._check_index(s)
-        return frozenset(self.mul[s])
+        return frozenset(self.product(s, x) for x in self.elements())
 
     # -- plumbing ----------------------------------------------------------
 

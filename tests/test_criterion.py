@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from conftest import element_index, invoke_cli, make_chain, semigroup_to_dict
 from invsemi import cli
 from invsemi.symbolic import atomflip
 from oracles import join_brute, maximal_elements_scan, union_join
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_j_set_of_idempotent_is_its_down_set(all_fixtures):
@@ -262,6 +265,21 @@ def test_cover_conditions_agree_on_chain():
     S = make_chain(3)
     for s in S.elements():
         assert ideal_cover_agrees_with_order_cover(S, s)
+
+
+def test_cover_oracle_sees_a_right_ideal_short_of_one_element(monkeypatch, i2):
+    """With the zero missing from every right ideal but its own, the
+    top of J_s still covers J_s downward, but its ideal no longer holds
+    the union over J_s, which the zero's ideal adds the zero to.  The
+    oracle, and so `criterion --verify`, must see that."""
+    right_ideal = FiniteInverseSemigroup.right_ideal
+    monkeypatch.setattr(FiniteInverseSemigroup, "right_ideal",
+                        lambda S, e: right_ideal(S, e) - {S.zero} | {e})
+    identity = next(s for s in i2.elements() if len(i2.j_set(s)) == 4)
+    assert not ideal_cover_agrees_with_order_cover(i2, identity)
+    result = invoke_cli(["criterion", str(DATA / "i2_gens.json"), "--verify"])
+    assert result.exit_code == 4
+    assert result.stderr == "verification failed: oracle disagreement\n"
 
 
 def test_pseudogroup_join_witness(i2, i3):

@@ -279,13 +279,20 @@ def refuse_closure_tables(monkeypatch):
 
 @pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
 @pytest.mark.parametrize("command", [["close"], ["criterion"], ["germs", "--self"],
-                                     ["close", "--verify"], ["props", "--budget", "3000"]])
+                                     ["close", "--verify"], ["props", "--budget", "3000"],
+                                     ["criterion", "--verify"], ["germs", "--self", "--verify"],
+                                     ["props", "--verify"]])
 def test_a_closure_command_builds_no_table(monkeypatch, tmp_path, command, fmt):
-    i4 = tmp_path / "i4.json"
-    i4.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 4,
-                              "generators": [g.pairs for g in symmetric_generators(4)]}))
+    """On I_2, I_3 and I_4; `props --verify` enumerates every compatible
+    subset, too many on I_4, so it runs on I_2 and I_3 only."""
+    paths = [DATA / "i2_gens.json"]
+    for n in (3, 4) if command != ["props", "--verify"] else (3,):
+        paths.append(tmp_path / f"i{n}.json")
+        paths[-1].write_text(json.dumps({
+            "version": 1, "kind": "generators", "ground_size": n,
+            "generators": [g.pairs for g in symmetric_generators(n)]}))
     refuse_closure_tables(monkeypatch)
-    for path in (DATA / "i2_gens.json", i4):
+    for path in paths:
         result = invoke_cli([command[0], str(path), *command[1:], *fmt])
         assert result.exit_code == 0, result.output
 
@@ -300,10 +307,12 @@ def test_a_translate_certificate_needs_no_table(monkeypatch):
 
 def test_an_action_file_on_a_generator_file_builds_no_table(monkeypatch):
     """The action file names the generator file z2.json: validating the
-    action reads products of the closure, never its table."""
+    action and checking its germ classes read products of the closure,
+    never its table."""
     refuse_closure_tables(monkeypatch)
-    result = invoke_cli(["germs", str(DATA / "z2_point_action.json")])
-    assert result.exit_code == 0, result.output
+    for verify in ([], ["--verify"]):
+        result = invoke_cli(["germs", str(DATA / "z2_point_action.json"), *verify])
+        assert result.exit_code == 0, result.output
 
 
 def test_a_closure_multiplies_by_keys(monkeypatch):
@@ -838,8 +847,7 @@ def test_validate_checks_every_pair_on_a_non_associative_table():
     assert not semigroup.is_associative(S.mul, semigroup.generating_set(S.mul))
     action = FiniteAction(S, 1, {0: {0}, 1: set()}, {(0, 0): 0})
     # the law holds at every generator, so only the all-pairs loop sees the fault
-    maps = action._maps()
-    assert all(action_mod._homomorphic_at(maps, S, s)
+    assert all(action_mod._homomorphic_at(action._rows, S, s)
                for s in semigroup.generating_set(S.mul))
     assert validate_message(action) == scan_message(action) \
         == "action is not a homomorphism at (2, 1)"

@@ -16,6 +16,12 @@ even inside a function, is a fault.
 `close` builds the record `_closure` and `FiniteInverseSemigroup` reads
 it, so a subscript of `._closure`, or a tuple unpacked from it, in any
 other module would tie that module to the order of the record's fields.
+
+A closure multiplies by its image keys, and reading its `mul` lays out
+all m^2 products, so `.mul` is read only where the semigroup is a table
+file: by the table verifier, the table paths of compatibility, loading
+and action validation, and `close --verify` of a table file.  Every
+other reader goes through `product` or `products`.
 """
 
 import ast
@@ -134,3 +140,56 @@ def test_the_scan_finds_a_closure_layout_read():
               "    record = S._closure\n"
               "    first = S._closures[0]\n")
     assert sorted(closure_layout_reads(source)) == [1, 2]
+
+
+TABLE_READERS = {
+    "semigroup.py": {"FiniteInverseSemigroup.mul", "verify_inverse_semigroup",
+                     "generating_set", "is_associative", "first_non_associative_triple",
+                     "inverse_candidates", "_idempotents_commute"},
+    "criterion.py": {"_compatibility_from_rows"},
+    "formats.py": {"_semigroup_from_table"},
+    "action.py": {"FiniteAction.validate"},
+    "cli.py": {"close"},
+}
+
+
+def mul_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing function by qualified name, line) of each read of an
+    attribute `mul`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "mul":
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_table_file_code_reads_mul():
+    faults = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = str(path.relative_to(PACKAGE))
+        allowed = TABLE_READERS.get(name, set())
+        faults[name] = [read for read in mul_reads(path.read_text()) if read[0] not in allowed]
+    assert {name: reads for name, reads in faults.items() if reads} == {}
+    assert mul_reads((PACKAGE / "action.py").read_text())
+
+
+def test_the_scan_finds_a_mul_read():
+    source = ("def germ_equiv_oracle(action, s, t, x):\n"
+              "    mul = action.semigroup.mul\n"
+              "    return any(mul[s][e] == mul[t][e] for e in action.idempotents_at(x))\n"
+              "class FiniteAction:\n"
+              "    def validate(self):\n"
+              "        def inner():\n"
+              "            return self.semigroup.mul\n"
+              "        return S._mul, mul, S.product(1, 2)\n"  # not an attribute `mul`
+              "table = S.mul\n")
+    assert mul_reads(source) == [("germ_equiv_oracle", 2), ("FiniteAction.validate.inner", 7),
+                                 ("", 9)]
