@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation
-from .semigroup import (FiniteInverseSemigroup, _bits, _letter_count, _set_to_mask,
-                        generating_set, is_associative)
+from .semigroup import (FiniteInverseSemigroup, _bits, _letter_count, generating_set,
+                        is_associative)
 
 
 class FiniteAction:
@@ -77,6 +77,11 @@ class FiniteAction:
         for (s, x), y in table.items():
             rows[s][x] = y
         return tuple(map(tuple, rows))
+
+    @property
+    def is_left_translation(self) -> bool:
+        """Whether S acts on itself by its products (`left_translation_action`)."""
+        return self._rows is None
 
     def images(self, members: Sequence[int], x: int) -> list[int]:
         """[u.x for u in members], unchecked: x must lie in each D_{u*u}."""
@@ -183,20 +188,22 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
     The images are the products of S: nothing is stored per pair.
 
     The domains come from the order, not from the rows: x lies in eS
-    iff xx* <= e, so the elements are grouped by xx* once, and each
-    group joins D_e for every idempotent e above its xx*.  That is m
-    products and one up-mask per range idempotent, instead of hashing a
-    row of m entries per idempotent.
+    iff xx* <= e, so the elements are grouped by xx* once, and D_e
+    gathers the groups of the idempotents below e.  That is m products
+    and one mask of the E-order (the order on the idempotents, see
+    `FiniteInverseSemigroup`) per idempotent, instead of hashing a row
+    of m entries per idempotent.
     """
     if S.inv is None:
         raise ContractViolation("actions need a genuine inverse semigroup")
     by_range: dict[int, list[int]] = {}
     for x in S.elements():
         by_range.setdefault(S.product(x, S.inv[x]), []).append(x)
-    up, idempotents = S._require_up_masks(), _set_to_mask(S.idempotents)
-    members: dict[int, list[int]] = {e: [] for e in S.idempotents}
-    for f, xs in by_range.items():
-        for e in _bits(up[f] & idempotents):
-            members[e].extend(xs)
-    domains = {e: frozenset(xs) for e, xs in members.items()}
+    E, below, _ = S._require_e_order()
+    domains = {}
+    for i, e in enumerate(E):
+        members: list[int] = []
+        for j in _bits(below[i]):
+            members += by_range.get(E[j], ())
+        domains[e] = frozenset(members)
     return FiniteAction(S, S.order, domains, None, _translation=True)

@@ -66,7 +66,9 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=None,
                         help="Resource budget: closure elements, and compatible pairs "
                              "examined by props, whose translate checks cost at most two "
-                             "per generator and pair (subsets for the --verify oracles).")
+                             "per generator and pair (subsets for the --verify oracles). "
+                             "Unset, each phase takes its own default: 20,000 elements, "
+                             "200,000 pairs or subsets.")
     parser.add_argument("--verify", action="store_true",
                         help="Re-run the independent oracles and require agreement.")
     parser.add_argument("--timing", action="store_true",
@@ -349,19 +351,20 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
     rows = []
     verified = True
     for s in S.elements():
-        verdict = crit.hausdorff_criterion(S, s)
+        verdict, label = crit.hausdorff_criterion(S, s), S.label_str(s)
         rows.append({
             "element": s,
-            "label": S.label_str(s),
+            "label": label,
             "j_set": sorted(verdict.j_set),
             "witness": list(verdict.witness),
             "verdict": verdict.verdict,
         })
-        report.line(f"  s={s} ({S.label_str(s)}): {verdict.verdict} "
+        report.line(f"  s={s} ({label}): {verdict.verdict} "
                     f"witness={list(verdict.witness)} |J_s|={len(verdict.j_set)}")
-        if verify:
-            verified = verified and crit.ideal_cover_agrees_with_order_cover(
-                S, s, budget=budget)
+        if verify:  # the ideal-cover oracle, then the verdict against J_s by products
+            verified = (verified and crit.ideal_cover_agrees_with_order_cover(S, s, budget=budget)
+                        and verdict.j_set == S.j_set(s)
+                        and verdict.j_set.issuperset(verdict.witness))
     report.criterion = rows
     if verify:
         report.verified = verified

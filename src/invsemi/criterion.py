@@ -106,11 +106,12 @@ class CompletenessResult(NamedTuple):
 
 def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
     """Bit t of the s-th mask is set iff s and t are compatible: read
-    off the ground cells when S has them (see `FiniteInverseSemigroup`),
-    else off the table rows."""
-    if S._cells is None:
+    off the ground cells on the path that has them (a closure; see
+    `FiniteInverseSemigroup`), else off the table rows."""
+    cells = S._ground_cells()
+    if cells is None:
         return _compatibility_from_rows(S)
-    return _compatibility_from_cells(S.labels, S._cells, S.order)
+    return _compatibility_from_cells(S.labels, cells, S.order)
 
 
 def _compatibility_from_cells(labels, cells, m: int) -> tuple[int, ...]:
@@ -279,25 +280,34 @@ def hausdorff_criterion(S: FiniteInverseSemigroup, s: int) -> CriterionVerdict:
     - every e in J_s lies below some f in F, which for idempotents
       means e = f e, so e S lies in f S.
 
-    Everything is read off the order bitmasks.  For an idempotent e,
-    e <= s iff s e*e = s e = e, so J_s = down(s) & E.  An e in J_s is
-    maximal iff up(e) & J_s = {e}, and the downward closure of F is the
-    union of down(f) over F.
+    Everything is read off the E-order (`_require_e_order`), the order
+    on the idempotents, whose masks have one bit per idempotent, never
+    off the m-bit order.  For an idempotent e, e <= s iff s e*e = s e =
+    e, so J_s is the set of idempotents below s, which the E-order holds
+    for every s (on a closure by the domains of the idempotents; the
+    proof is in `FiniteInverseSemigroup`).  An e in J_s is maximal iff
+    it lies outside the OR of below(f) - {f} over the f in J_s, and the
+    downward closure of F is the union of below(f) over F: every
+    idempotent below an idempotent in J_s is in J_s, so the closure
+    inside S and the closure inside E agree.
     """
     S._check_index(s)
-    up, down = S._require_up_masks(), S._require_down_masks()
-    members = [e for e in _bits(down[s]) if e in S.idempotents]
-    jmask = _set_to_mask(members)
-    witness = tuple(e for e in members if up[e] & jmask == 1 << e)
+    E, below, j_sets = S._require_e_order()
+    jmask = j_sets[s]
+    bits = list(_bits(jmask))
+    strictly_below = 0
+    for i in bits:
+        strictly_below |= below[i] ^ 1 << i
+    tops = [i for i in bits if not strictly_below >> i & 1]
     closure = 0
-    for f in witness:
-        closure |= down[f]
+    for i in tops:
+        closure |= below[i]
+    members, witness = [E[i] for i in bits], tuple([E[i] for i in tops])
     if closure != jmask:
         raise InvariantViolation(
-            f"downward closure of maximal elements {witness} is {sorted(_bits(closure))}, "
-            f"expected J_s = {members}")
-    return CriterionVerdict(subject=s, j_set=frozenset(members), witness=witness,
-                            verdict=HAUSDORFF_WITNESS)
+            f"downward closure of maximal elements {witness} is "
+            f"{[E[i] for i in _bits(closure)]}, expected J_s = {members}")
+    return CriterionVerdict(s, frozenset(members), witness, HAUSDORFF_WITNESS)
 
 
 def covers_by_ideals(S: FiniteInverseSemigroup, s: int, F: Iterable[int]) -> bool:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from operator import and_, attrgetter, itemgetter, methodcaller
+from operator import and_, attrgetter, eq, itemgetter, methodcaller, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
 from .partial_bijection import PartialBijection
 
-DEFAULT_CLOSE_BUDGET = 5000
+DEFAULT_CLOSE_BUDGET = 20_000
 
 UP = "leq"    # A^<= : everything above some member
 DOWN = "geq"  # A^>= : everything below some member
@@ -29,9 +29,9 @@ class FiniteInverseSemigroup:
     """A finite inverse semigroup, by table or by image keys.
 
     Immutable after construction; all queries are pure, so instances can
-    be shared freely between threads.  (The down-masks of the natural
-    order and a closure's table are built on first use; a race only
-    builds them twice.)
+    be shared freely between threads.  (What is built on first use, such
+    as a closure's order and table or the down-masks, a race only builds
+    twice.)
 
     `product` (and `products`, for a column) reads s t off the table,
     or on a `close` result, which keeps none, off the image keys: the
@@ -39,26 +39,39 @@ class FiniteInverseSemigroup:
     A closure always multiplies by its keys; `mul` lays its products
     out as a table on first read, for library callers; no CLI call does.
 
-    The natural order is kept as up-masks, bit t of the s-th set iff
-    s <= t, on one of two paths chosen here and nowhere else:
-    - *Ground cells* on a closure (a `close` result, the one kind
-      with `_closure`).  S is an inverse subsemigroup of I_n, and
-      `_cells[x, y]` is the mask of the elements whose graph holds the
-      pair (x, y).  In I_n, t s*s is t restricted to the domain of s,
-      so s <= t iff the graph of s lies in that of t.  The products and
-      the inverse of S are those of I_n, so the order of S is that of
-      I_n, and up(s) is the AND of the cells of the pairs of s (every
-      element when s is the empty map): O(rank(s)) operations on m-bit
-      masks.  The compatibility masks of `criterion` read the same
-      cells.
+    The natural order is kept at two sizes: the *E-order*, the order on
+    the idempotents E as masks over E, with J_s, the idempotents below
+    s, for every s (see `_require_e_order`), which the criterion, the
+    left-translation domains and `inverse_generating_set` read; and the
+    m-bit up-masks, bit t of the s-th set iff s <= t, which `leq`,
+    `up_set`, joins, `props` and germ groupoids read.  The constructor
+    picks one of two paths, here and nowhere else:
+    - *Domains and ground cells* on a closure (a `close` result, the one
+      kind with `_closure`); both orders are built on first read.  S is
+      an inverse subsemigroup of I_n with the products and the inverse
+      of I_n, so its order is that of I_n, where t s*s is t restricted
+      to the domain of s: s <= t iff the graph of s lies in that of t.
+      - E-order: an idempotent e is the identity on dom e, so e <= s iff
+        s fixes every point of dom e (s e = s restricted to dom e = e).
+        With dom_E[x] the idempotents defined at x, J_s is E minus the
+        OR of dom_E[x] over the points x that s does not fix.  On E,
+        as f fixes exactly dom f, e <= f iff dom e lies in dom f.  J_s
+        depends on the fixed points of s only, so it is computed once
+        per fixed-point set.
+      - Up-masks: `_cells[x, y]` is the mask of the elements whose graph
+        holds the pair (x, y), and up(s) is the AND of the cells of the
+        pairs of s (every element when s is the empty map): O(rank(s))
+        operations on m-bit masks.  The compatibility masks of
+        `criterion` read the same cells.
     - *Table rows* otherwise (table files, the atom-flip truncations,
-      any table passed in, whatever its labels): `_up_masks` reads the
-      order off the row of s s*, since s <= t iff s s* t = s.  `_cells`
-      is None.
+      any table passed in, whatever its labels): the constructor reads
+      the up-masks off the row of s s*, since s <= t iff s s* t = s,
+      and the E-order is read off the up-masks of the idempotents on
+      first use.  There are no ground cells.
     """
 
     __slots__ = ("_mul", "order", "labels", "inv", "idempotents", "zero", "_closure",
-                 "_up_masks", "_down_masks", "_cells")
+                 "_up_masks", "_down_masks", "_cells", "_e_order")
 
     def __init__(self, mul: Sequence[Sequence[int]] | None, labels: Sequence | None = None,
                  *, _inverse: Sequence[int] | None = None, _closure: tuple | None = None):
@@ -96,14 +109,12 @@ class FiniteInverseSemigroup:
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "zero", _find_zero(self.product, idempotents, m))
-        if _closure:  # the one dispatch point of the order (see the class docstring)
-            cells = _ground_cells(self.labels)
-            up = _up_masks_from_cells(self.labels, cells, m)
-        else:
-            cells, up = None, _up_masks(table, inv) if inv is not None else None
-        object.__setattr__(self, "_cells", cells)
+        # The one dispatch point of the order (see the class docstring):
+        # a closure builds its orders on first read, a table its up-masks now.
+        up = None if _closure or inv is None else _up_masks(table, inv)
         object.__setattr__(self, "_up_masks", up)
-        object.__setattr__(self, "_down_masks", None)
+        for slot in ("_down_masks", "_cells", "_e_order"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteInverseSemigroup is immutable")
@@ -201,21 +212,47 @@ class FiniteInverseSemigroup:
         if not (0 <= s < self.order):
             raise ContractViolation(f"element index {s} out of range [0, {self.order})")
 
-    def _require_up_masks(self):
+    def _require_up_masks(self) -> tuple[int, ...]:
+        """The m-bit up-masks; a closure builds them from its ground cells
+        on first read."""
         if self._up_masks is None:
-            raise ContractViolation("table is not an inverse semigroup; order undefined")
+            cells = self._ground_cells()
+            if cells is None:
+                raise ContractViolation("table is not an inverse semigroup; order undefined")
+            up = _up_masks_from_cells(self.labels, cells, self.order)
+            object.__setattr__(self, "_up_masks", up)
         return self._up_masks
 
-    def _require_down_masks(self):
+    def _require_down_masks(self) -> tuple[int, ...]:
         """The transpose of the up-masks, built on first use in time
         linear in the size of the order relation."""
         if self._down_masks is None:
-            down = [0] * self.order
-            for s, mask in enumerate(self._require_up_masks()):
-                for t in _bits(mask):
-                    down[t] |= 1 << s
-            object.__setattr__(self, "_down_masks", tuple(down))
+            down = _transpose(self._require_up_masks(), self.order)
+            object.__setattr__(self, "_down_masks", down)
         return self._down_masks
+
+    def _require_e_order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The E-order (E, below, j_sets), masks over E in which bit i
+        stands for E[i], the i-th idempotent in index order: j_sets[s] is
+        J_s, the idempotents below s (for an idempotent e, e <= s iff
+        s e*e = s e = e), for every s, and below[i] is J_s of s = E[i].
+        Built on first use: on a closure from the domains of its
+        idempotents, on a table from its up-masks."""
+        if self._e_order is None:
+            E = tuple(sorted(self.idempotents))
+            if self._closure is None:  # bit i of J_s is bit s of up(E[i])
+                up = self._require_up_masks()
+                j_sets = _transpose([up[e] for e in E], self.order)
+            else:
+                j_sets = _j_sets_of_domains(self.labels, self._closure[2], E)
+            object.__setattr__(self, "_e_order", (E, tuple(j_sets[e] for e in E), j_sets))
+        return self._e_order
+
+    def _ground_cells(self) -> dict[tuple[int, int], int] | None:
+        """A closure's ground cells, built on first read; None on a table."""
+        if self._cells is None and self._closure is not None:
+            object.__setattr__(self, "_cells", _cells_of(self.labels))
+        return self._cells
 
     def __len__(self) -> int:
         return self.order
@@ -321,13 +358,14 @@ def inverse_generating_set(S: FiniteInverseSemigroup) -> tuple[int, ...]:
     in ss*S.  For an idempotent e, u lies in eS iff e u = u (u = e x
     gives e u = e x), iff e u u* = u u* (multiply by u* or by u), that
     is u u* <= e.  So |sS| counts the u whose range idempotent u u* lies
-    below ss*.  Reaching by product columns reaches the same set after
-    each pick as `generating_set` does by rows.
+    below ss*, read off the E-order.  Reaching by product columns
+    reaches the same set after each pick as `generating_set` does by
+    rows.
     """
     m, inv = S.order, S.inv
     ranges = [S.product(u, inv[u]) for u in range(m)]
-    count, down = Counter(ranges), S._require_down_masks()
-    size = {e: sum(count[f] for f in _bits(down[e])) for e in S.idempotents}
+    count, (E, below, _) = Counter(ranges), S._require_e_order()
+    size = {e: sum(count[E[j]] for j in _bits(below[i])) for i, e in enumerate(E)}
     gens: list[int] = []
     reached: set[int] = set()
     for g in sorted(range(m), key=lambda s: -size[ranges[s]]):
@@ -623,7 +661,7 @@ def _up_masks(table, inv) -> tuple[int, ...]:
     return tuple(up)
 
 
-def _ground_cells(labels: Sequence[PartialBijection]) -> dict[tuple[int, int], int]:
+def _cells_of(labels: Sequence[PartialBijection]) -> dict[tuple[int, int], int]:
     """cell[x, y]: the mask of the elements whose graph holds (x, y)."""
     members: dict[tuple[int, int], list[int]] = {}
     for s, f in enumerate(labels):
@@ -637,6 +675,39 @@ def _up_masks_from_cells(labels, cells, m: int) -> tuple[int, ...]:
     when s is empty (proof in `FiniteInverseSemigroup`)."""
     full = (1 << m) - 1
     return tuple(reduce(and_, map(cells.__getitem__, f.pairs), full) for f in labels)
+
+
+def _j_sets_of_domains(labels, operands, E: Sequence[int]) -> tuple[int, ...]:
+    """J_s of every element s of a closure, as a mask over E: E minus
+    the OR of dom_E[x] over the points x that s does not fix, one OR per
+    fixed-point set (proof in `FiniteInverseSemigroup`).  The first n
+    entries of the operand of s (see `close`) are its images."""
+    points = range(labels[0].ground_size)
+    dom_e = [0] * len(points)  # dom_E[x]: the idempotents defined at x
+    for i, e in enumerate(E):
+        for x in labels[e].domain:
+            dom_e[x] |= 1 << i
+    full = (1 << len(E)) - 1
+    by_fixed: dict[bytes, int] = {}
+    j_sets = []
+    for operand in operands:
+        fixed = bytes(map(eq, operand, points))
+        j = by_fixed.get(fixed)
+        if j is None:
+            moved = (dom_e[x] for x in points if not fixed[x])
+            j = by_fixed[fixed] = full & ~reduce(or_, moved, 0)
+        j_sets.append(j)
+    return tuple(j_sets)
+
+
+def _transpose(masks: Iterable[int], size: int) -> tuple[int, ...]:
+    """Bit i of the t-th mask out is bit t of the i-th mask in, t < size."""
+    out = [0] * size
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        for t in _bits(mask):
+            out[t] |= bit
+    return tuple(out)
 
 
 def _bits(mask: int):

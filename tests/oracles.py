@@ -4,7 +4,9 @@ Everything here recomputes results by a different route than the
 implementation under test: set-semantics fixpoint closure, all-pairs
 indexed closure, the cell-by-cell table fill and all-cells closure
 check, order scans from the defining identities, brute-force least
-upper bounds, the exhaustive table scans, finite-cover criterion,
+upper bounds, the exhaustive table scans, finite-cover criterion, the
+criterion and left-translation domains off the m-bit order (which the
+order on the idempotents replaced),
 union-find germ classes, all-triples associativity, Light's test over
 every row and all-pairs homomorphism checks and the
 multiply-every-pair atom-flip truncation that the package replaced by
@@ -28,7 +30,7 @@ from invsemi import (
     all_partial_bijections,
 )
 from invsemi.oracles import completeness_scan  # noqa: F401  (re-exported)
-from invsemi.semigroup import DEFAULT_CLOSE_BUDGET
+from invsemi.semigroup import DEFAULT_CLOSE_BUDGET, _bits, _set_to_mask
 from invsemi.symbolic.atomflip import FLIP, SQUARE, ZERO, atom, multiply
 
 
@@ -265,6 +267,26 @@ def hausdorff_scan(S: FiniteInverseSemigroup, s: int):
     witness = maximal_elements_scan(S, jset)
     down = frozenset().union(*(lower_set_scan(S, f) for f in witness))
     return jset, witness, down
+
+
+def hausdorff_by_up_masks(S: FiniteInverseSemigroup, s: int):
+    """(J_s, witness) of `hausdorff_criterion` off the m-bit order: J_s is
+    down(s) & E, and e in J_s is maximal iff up(e) & J_s = {e}."""
+    up, down = S._require_up_masks(), S._require_down_masks()
+    members = [e for e in _bits(down[s]) if e in S.idempotents]
+    jmask = _set_to_mask(members)
+    return frozenset(members), tuple(e for e in members if up[e] & jmask == 1 << e)
+
+
+def left_translation_domains_by_up_masks(S: FiniteInverseSemigroup):
+    """D_e = eS of the left-translation action off the m-bit order: x
+    lies in eS iff xx* <= e."""
+    up, domains = S._require_up_masks(), {e: set() for e in S.idempotents}
+    for x in S.elements():
+        for e in _bits(up[S.product(x, S.inv[x])]):
+            if e in domains:
+                domains[e].add(x)
+    return {e: frozenset(xs) for e, xs in domains.items()}
 
 
 class _UnionFind:

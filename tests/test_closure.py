@@ -92,7 +92,7 @@ def test_close_on_tiny_ground_sets(name):
     n = gens[0].ground_size
     assert S.mul == mul
     assert S.labels == tuple(PartialBijection(n, p) for p in pairs)
-    assert (S.inv, S._up_masks) == (inv, up)
+    assert (S.inv, S._require_up_masks()) == (inv, up)
     assert S.mul == pairwise_close(gens).mul
 
 

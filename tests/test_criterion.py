@@ -22,7 +22,7 @@ from invsemi import (
     join,
 )
 from conftest import element_index, invoke_cli, make_chain, semigroup_to_dict
-from invsemi import cli
+from invsemi import cli, semigroup
 from invsemi.symbolic import atomflip
 from oracles import join_brute, maximal_elements_scan, union_join
 
@@ -212,24 +212,28 @@ def test_hausdorff_criterion_always_witnesses(all_fixtures):
 
 
 def with_a_hole_below_a_witness(S):
-    """A copy of S whose down-mask of some witness member f of some J_s
-    (s != f) misses an e < f in J_s that no other member covers; J_s,
-    read off down(s), keeps e.  Returns (copy, s)."""
-    down = S._require_down_masks()
+    """A copy of S whose E-order misses, below some witness member f of
+    some J_s, an e < f in J_s that no other member covers but that lies
+    below some g < f in J_s, so e is still not maximal; J_s keeps e.
+    Returns (copy, s)."""
+    E, below, _ = S._require_e_order()
+    bit = {e: 1 << i for i, e in enumerate(E)}
     for s in S.elements():
         witness = hausdorff_criterion(S, s).witness
         for f in witness:
             others = 0
             for g in witness:
                 if g != f:
-                    others |= down[g]
-            e = next((e for e in S.j_set(s) if e != f and down[f] >> e & 1
-                      and not others >> e & 1), None)
-            if f != s and e is not None:
+                    others |= below[E.index(g)]
+            e = next((e for e in S.j_set(s) if e != f and below[E.index(f)] & bit[e]
+                      and not others & bit[e]
+                      and any(g not in (e, f) and below[E.index(g)] & bit[e]
+                              for g in S.j_set(s))), None)
+            if e is not None:
                 T = FiniteInverseSemigroup(S.mul, labels=S.labels)
-                holed = list(T._require_down_masks())
-                holed[f] &= ~(1 << e)
-                object.__setattr__(T, "_down_masks", tuple(holed))
+                holed = list(below)
+                holed[E.index(f)] &= ~bit[e]
+                object.__setattr__(T, "_e_order", (E, tuple(holed), T._require_e_order()[2]))
                 return T, s
     raise AssertionError("no witness with a non-maximal element below it")
 
@@ -278,6 +282,28 @@ def test_cover_oracle_sees_a_right_ideal_short_of_one_element(monkeypatch, i2):
     identity = next(s for s in i2.elements() if len(i2.j_set(s)) == 4)
     assert not ideal_cover_agrees_with_order_cover(i2, identity)
     result = invoke_cli(["criterion", str(DATA / "i2_gens.json"), "--verify"])
+    assert result.exit_code == 4
+    assert result.stderr == "verification failed: oracle disagreement\n"
+
+
+def test_criterion_verify_sees_a_j_set_short_of_one_idempotent(monkeypatch):
+    """Drop the identity from its own J_s on the closure's E-order path.
+    The idempotents just below it cover the rest, so the criterion's own
+    downward-closure check passes and the plain call exits 0 with a wrong
+    J_s; the ideal-cover oracle reads J_s by products and agrees with
+    itself, so only the check of the verdict against `S.j_set` fails."""
+    j_sets_of_domains = semigroup._j_sets_of_domains
+
+    def short_of_one(labels, operands, E):
+        j_sets = list(j_sets_of_domains(labels, operands, E))
+        identity = max(range(len(j_sets)), key=lambda s: j_sets[s].bit_count())
+        j_sets[identity] &= ~(1 << E.index(identity))
+        return tuple(j_sets)
+
+    monkeypatch.setattr(semigroup, "_j_sets_of_domains", short_of_one)
+    path = str(DATA / "i2_gens.json")
+    assert invoke_cli(["criterion", path]).exit_code == 0
+    result = invoke_cli(["criterion", path, "--verify"])
     assert result.exit_code == 4
     assert result.stderr == "verification failed: oracle disagreement\n"
 

@@ -12,7 +12,10 @@ constructor unchecked are swept on I_1-I_5, on seeded random closures
 and on F_0-F_64, and the CLI's calls to the verifier are counted.  A
 closure's products by image keys are swept against its table, and the
 paths that must not build a closure's table run with the layout of
-`S.mul` patched to raise.
+`S.mul` patched to raise.  The criterion, the left-translation domains
+and germ counts read off the order on the idempotents are swept against
+the m-bit order and the per-point count, and `criterion` and
+`germs --self` run with a closure's m-bit order patched to raise.
 """
 
 import functools
@@ -48,16 +51,18 @@ from invsemi import action as action_mod
 from invsemi import cli, criterion, germs, semigroup
 from invsemi.criterion import CompletenessResult
 from invsemi.formats import load_action, load_semigroup
-from invsemi.germs import germ_counts
+from invsemi.germs import germ_counts, germ_counts_by_point
 from invsemi.symbolic import atomflip
 from oracles import (
     atomflip_truncation_scan,
     completeness_scan,
     generated_scan,
     germ_groupoid_scan,
+    hausdorff_by_up_masks,
     hausdorff_scan,
     inverse_sets_scan,
     join_brute,
+    left_translation_domains_by_up_masks,
     left_translation_table_scan,
     light_scan,
     leq_scan,
@@ -105,7 +110,7 @@ def check_derivation(S):
         assert T.inv == tuple(next(iter(c)) for c in sets)
         assert T.zero == zero_scan(S.mul)
         assert T.idempotents == S.idempotents
-        assert T._up_masks == up_masks_scan(S)
+        assert T._require_up_masks() == up_masks_scan(S)
     assert scanned._require_down_masks() == S._require_down_masks()
 
 
@@ -113,9 +118,10 @@ def check_ground_cells(S):
     """A closure orders itself by its ground cells; the row scans of a
     table-only copy give the same up-, down- and compatibility masks."""
     table = FiniteInverseSemigroup(S.mul, _inverse=S.inv)
-    assert S._cells is not None and table._cells is None
-    assert S._up_masks == semigroup._up_masks(S.mul, S.inv) == table._up_masks
-    assert S._up_masks == up_masks_scan(S)
+    assert S._ground_cells() is not None and table._ground_cells() is None
+    up = S._require_up_masks()
+    assert up == semigroup._up_masks(S.mul, S.inv) == table._up_masks
+    assert up == up_masks_scan(S)
     assert S._require_down_masks() == table._require_down_masks()
     assert criterion._compatibility_masks(S) == criterion._compatibility_masks(table)
 
@@ -265,6 +271,77 @@ def test_only_a_closure_orders_by_ground_cells(monkeypatch):
             build()
 
 
+def refuse_closure_order(monkeypatch):
+    """Make a closure's m-bit order, its ground cells and up-masks (and so
+    the down-masks), raise when built."""
+    def refuse(*args):
+        raise AssertionError("a closure built its m-bit order")
+
+    monkeypatch.setattr(semigroup, "_cells_of", refuse)
+    monkeypatch.setattr(semigroup, "_up_masks_from_cells", refuse)
+
+
+def symmetric_file(tmp_path, n):
+    """A generator file for I_n."""
+    path = tmp_path / f"i{n}.json"
+    path.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": n,
+                                "generators": [g.pairs for g in symmetric_generators(n)]}))
+    return path
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
+@pytest.mark.parametrize("command", [["criterion"], ["germs", "--self"]])
+def test_criterion_and_germs_of_a_closure_read_only_the_e_order(
+        monkeypatch, tmp_path, command, fmt):
+    """On I_3 and I_4, with the m-bit order refused, the output is that of
+    a run where it may be built."""
+    for n in (3, 4):
+        args = [command[0], str(symmetric_file(tmp_path, n)), *command[1:], *fmt]
+        expected = invoke_cli(args)
+        with monkeypatch.context() as m:
+            refuse_closure_order(m)
+            result = invoke_cli(args)
+        assert result.exit_code == expected.exit_code == 0, result.output
+        assert (result.stdout, result.stderr) == (expected.stdout, expected.stderr)
+
+
+def test_the_e_order_serves_the_criterion_and_left_translation(monkeypatch):
+    T = close(symmetric_generators(4))  # may build its m-bit order
+    verdicts = [hausdorff_by_up_masks(T, s) for s in T.elements()]
+    domains = left_translation_domains_by_up_masks(T)
+    refuse_closure_order(monkeypatch)
+    S = close(symmetric_generators(4))
+    assert [hausdorff_criterion(S, s)[1:3] for s in S.elements()] == verdicts
+    action = left_translation_action(S)
+    assert action.domain_of == domains
+    assert germ_counts(action) == (3809, 209, 209)
+    with pytest.raises(AssertionError):
+        S.leq(0, 1)
+
+
+def test_the_e_order_matches_the_m_bit_order():
+    """The criterion, the left-translation domains and the closed-form
+    germ counts against the m-bit order and the per-point count: on
+    seeded random closures on 0-5 points, a closure on 300 points, every
+    semigroup file in tests/data, F_64 and chain_12."""
+    files = sorted(path for path in DATA.glob("*.json")
+                   if json.loads(path.read_text()).get("kind") in ("table", "generators"))
+    semigroups = [*swept_closures(), *map(load_semigroup, files), atomflip.truncation(64),
+                  chain(12)]
+    assert sum(S.order >= 10 for S in semigroups) >= 15  # not only the trivial ones
+    for S in semigroups:
+        if S.inv is None:  # no order at all, on either path
+            for read in (lambda: hausdorff_criterion(S, 0), S._require_up_masks):
+                with pytest.raises(ContractViolation):
+                    read()
+            continue
+        assert [hausdorff_criterion(S, s)[1:3] for s in S.elements()] == \
+            [hausdorff_by_up_masks(S, s) for s in S.elements()]
+        action = left_translation_action(S)
+        assert action.domain_of == left_translation_domains_by_up_masks(S)
+        assert germ_counts(action) == germ_counts_by_point(action)
+
+
 def refuse_closure_tables(monkeypatch):
     """Make the layout of a closure's table, on a read of `S.mul`, raise."""
     mul = FiniteInverseSemigroup.mul
@@ -287,10 +364,7 @@ def test_a_closure_command_builds_no_table(monkeypatch, tmp_path, command, fmt):
     subset, too many on I_4, so it runs on I_2 and I_3 only."""
     paths = [DATA / "i2_gens.json"]
     for n in (3, 4) if command != ["props", "--verify"] else (3,):
-        paths.append(tmp_path / f"i{n}.json")
-        paths[-1].write_text(json.dumps({
-            "version": 1, "kind": "generators", "ground_size": n,
-            "generators": [g.pairs for g in symmetric_generators(n)]}))
+        paths.append(symmetric_file(tmp_path, n))
     refuse_closure_tables(monkeypatch)
     for path in paths:
         result = invoke_cli([command[0], str(path), *command[1:], *fmt])
@@ -368,7 +442,7 @@ def test_the_table_path_is_the_oracle_of_the_key_path():
         assert rows == [list(row) for row in T.mul] == \
             [[index[f.compose(g)] for g in labels] for f in labels]
         assert columns == [[row[t] for row in T.mul] for t in elements]
-        assert (S.idempotents, S.zero, S.inv, S._up_masks) == \
+        assert (S.idempotents, S.zero, S.inv, S._require_up_masks()) == \
             (T.idempotents, T.zero, T.inv, T._up_masks)
         assert verdicts == [hausdorff_criterion(T, s) for s in range(m)]
         assert counts == germ_counts(left_translation_action(T))

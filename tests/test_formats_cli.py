@@ -8,6 +8,7 @@ from invsemi.formats import load_action, load_graph, load_semigroup
 from invsemi.symbolic.atomflip import AtomFlipElement
 
 from conftest import invoke_cli, semigroup_to_dict
+from test_closure import symmetric_generators
 
 DATA = Path(__file__).parent / "data"
 
@@ -319,6 +320,17 @@ def test_cli_table_labels_may_be_true_or_false(tmp_path):
 
 def test_cli_budget_exit_3():
     run("close", str(DATA / "i2_gens.json"), "--budget", "3", expect=3)
+
+
+def test_cli_closes_i6_under_the_default_budget(tmp_path):
+    """I_6 closes to 13,327 elements, past 5,000 and inside the default
+    element budget of 20,000."""
+    f = tmp_path / "i6.json"
+    f.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 6,
+                             "generators": [g.pairs for g in symmetric_generators(6)]}))
+    result = invoke_cli(["close", str(f)])
+    assert result.exit_code == 0, result.output
+    assert "order=13327 " in result.stdout
 
 
 def test_cli_budget_env_var():

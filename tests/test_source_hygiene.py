@@ -1,6 +1,6 @@
 """Every module-level import in the package is used, no module
 imports `dataclasses`, and only `semigroup.py` reads the layout of a
-closure's record.
+closure's record or the slots of its order.
 
 No linter ships with the test dependencies, so this reads each module
 with `ast`: a name that a module-level import binds (also under a
@@ -16,6 +16,14 @@ even inside a function, is a fault.
 `close` builds the record `_closure` and `FiniteInverseSemigroup` reads
 it, so a subscript of `._closure`, or a tuple unpacked from it, in any
 other module would tie that module to the order of the record's fields.
+
+The constructor of `FiniteInverseSemigroup` picks the path of the
+order, and a closure builds its ground cells, up-masks and down-masks
+on first read.  So only `semigroup.py` reads the slots `_cells`,
+`_up_masks` and `_down_masks`; any other module asks through
+`_ground_cells()` and the `_require_*` readers, which build what the
+constructor deferred.  A test of `S._cells is None` elsewhere would be
+a second dispatch point, and a wrong one once the cells are lazy.
 
 A closure multiplies by its image keys, and reading its `mul` lays out
 all m^2 products, so `.mul` is read only where the semigroup is a table
@@ -140,6 +148,32 @@ def test_the_scan_finds_a_closure_layout_read():
               "    record = S._closure\n"
               "    first = S._closures[0]\n")
     assert sorted(closure_layout_reads(source)) == [1, 2]
+
+
+ORDER_SLOTS = {"_cells", "_up_masks", "_down_masks"}
+
+
+def order_slot_reads(source: str) -> list[tuple[str, int]]:
+    """(slot, line) of each attribute read or write of an `ORDER_SLOTS` name."""
+    return sorted((node.attr, node.lineno) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ORDER_SLOTS)
+
+
+def test_only_semigroup_reads_the_order_slots():
+    faults = {str(path.relative_to(PACKAGE)): order_slot_reads(path.read_text())
+              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "semigroup.py"}
+    assert {path: reads for path, reads in faults.items() if reads} == {}
+    assert order_slot_reads((PACKAGE / "semigroup.py").read_text())
+
+
+def test_the_scan_finds_an_order_slot_read():
+    source = ("def _compatibility_masks(S):\n"  # keyed on the cells: a second dispatch
+              "    if S._cells is None:\n"
+              "        return _compatibility_from_rows(S)\n"
+              "    return _compatibility_from_cells(S.labels, S._cells, S.order)\n"
+              "up, down = S._up_masks, S._require_down_masks()\n"
+              "cells = S._ground_cells()\n")
+    assert order_slot_reads(source) == [("_cells", 2), ("_cells", 4), ("_up_masks", 5)]
 
 
 TABLE_READERS = {
