@@ -78,11 +78,6 @@ class FiniteAction:
             rows[s][x] = y
         return tuple(map(tuple, rows))
 
-    @property
-    def is_left_translation(self) -> bool:
-        """Whether S acts on itself by its products (`left_translation_action`)."""
-        return self._rows is None
-
     def images(self, members: Sequence[int], x: int) -> list[int]:
         """[u.x for u in members], unchecked: x must lie in each D_{u*u}."""
         if self._rows is None:

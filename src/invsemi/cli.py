@@ -256,14 +256,15 @@ def germs(input_file, self_action, budget, verify):
         action = formats.load_action(input_file, budget=budget)
         S = action.semigroup
     check = _verification(S, input_file, verify, require=True)
-    if self_action:
-        action = action_mod.left_translation_action(S)
-    counts = germs_mod.germ_counts(action)
+    if self_action:  # S acting on itself: no action is built to count
+        counts, space_size = germs_mod.left_translation_counts(S), S.order
+    else:
+        counts, space_size = germs_mod.germ_counts(action), action.space_size
     principal = counts[2] == counts[1]  # and so effective, essentially principal
     report = RunReport("germs", input_file)
     report.semigroup = _semigroup_summary(S, check)
     report.groupoid = {
-        "space_size": action.space_size,
+        "space_size": space_size,
         "germ_count": counts[0],
         "unit_count": counts[1],
         "isotropy_count": counts[2],
@@ -278,6 +279,8 @@ def germs(input_file, self_action, budget, verify):
     report.line(f"principal={_yn(g['principal'])} effective={_yn(g['effective'])} "
                 f"essentially_principal={_yn(g['essentially_principal'])}")
     if verify:
+        if self_action:
+            action = action_mod.left_translation_action(S)
         G = germs_mod.build_germs(action)
         report.verified = (
             counts == (len(G), len(G.units), len(G.isotropy()))

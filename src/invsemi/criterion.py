@@ -255,15 +255,17 @@ class UnitaryCheck(NamedTuple):
 def is_e_star_unitary(S: FiniteInverseSemigroup) -> UnitaryCheck:
     """With a zero: J_s != {0} forces s idempotent.  Without one, the
     check degrades to E-unitary (J_s nonempty forces s idempotent) and
-    says so in `variant`."""
+    says so in `variant`; the witness is the first s that fails.  S
+    must be inverse, so that J_s, the idempotents e with s e = e, is the
+    set below s (e <= s iff s e*e = s e = e), a mask of the E-order.
+    """
+    E, _, j_sets = S._require_e_order()
     if S.zero is not None:
-        trivial, variant = {S.zero}, "E*-unitary"
+        trivial, variant = 1 << E.index(S.zero), "E*-unitary"
     else:
-        trivial, variant = set(), "E-unitary"
-    for s in range(S.order):
-        if s in S.idempotents:
-            continue
-        if set(S.j_set(s)) - trivial:
+        trivial, variant = 0, "E-unitary"
+    for s, j_set in enumerate(j_sets):
+        if j_set & ~trivial and s not in S.idempotents:
             return UnitaryCheck(False, variant, witness=s)
     return UnitaryCheck(True, variant)
 

@@ -156,24 +156,8 @@ def germ_counts(action: FiniteAction) -> tuple[int, int, int]:
     target (uu*, u.x) = (e_{u.x}, u.x) is its source, iff u.x = x.  Units
     are isotropy, so the groupoid is principal iff the counts agree; on a
     finite discrete space so are effective and essentially principal.
-
-    A left-translation action has the closed form (sum over x of
-    |L_{xx*}|, m, m): every x lies in the domain of xx* = e_x, and
-    isotropy is trivial (both proved in `left_translation_action`).  As
-    u -> u* maps L_e onto R_e = {x : xx* = e}, the sum is that of
-    |R_e|^2 over the idempotents e: m products.  Any other action counts
-    germ by germ (`germ_counts_by_point`).
+    One image column per point x.
     """
-    if action.is_left_translation:
-        S = action.semigroup
-        r_classes = Counter(S.product(x, S.inv[x]) for x in S.elements())
-        return sum(size * size for size in r_classes.values()), S.order, S.order
-    return germ_counts_by_point(action)
-
-
-def germ_counts_by_point(action: FiniteAction) -> tuple[int, int, int]:
-    """`germ_counts` of any action, one image column per point x: the
-    |L_{e_x}| classes (u, x) at x, isotropy where u.x = x."""
     least = _least_idempotents(action)
     l_classes = _l_classes(action.semigroup)
     germs = isotropy = 0
@@ -182,6 +166,19 @@ def germ_counts_by_point(action: FiniteAction) -> tuple[int, int, int]:
         germs += len(members)
         isotropy += action.images(members, x).count(x)
     return germs, len(least), isotropy
+
+
+def left_translation_counts(S: FiniteInverseSemigroup) -> tuple[int, int, int]:
+    """`germ_counts` of `left_translation_action(S)`, in closed form and
+    without the action: (sum over x of |L_{xx*}|, m, m).
+
+    Every x lies in the domain of xx* = e_x, and isotropy is trivial
+    (both proved in `left_translation_action`).  As u -> u* maps L_e
+    onto R_e = {x : xx* = e}, the sum is that of |R_e|^2 over the
+    idempotents e: m products.  S must be inverse.
+    """
+    r_classes = Counter(S.product(x, S.inv[x]) for x in S.elements())
+    return sum(size * size for size in r_classes.values()), S.order, S.order
 
 
 def _l_classes(S: FiniteInverseSemigroup) -> dict[int, list[int]]:

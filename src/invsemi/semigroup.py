@@ -30,8 +30,7 @@ class FiniteInverseSemigroup:
 
     Immutable after construction; all queries are pure, so instances can
     be shared freely between threads.  (What is built on first use, such
-    as a closure's order and table or the down-masks, a race only builds
-    twice.)
+    as a closure's order and table, a race only builds twice.)
 
     `product` (and `products`, for a column) reads s t off the table,
     or on a `close` result, which keeps none, off the image keys: the
@@ -42,10 +41,13 @@ class FiniteInverseSemigroup:
     The natural order is kept at two sizes: the *E-order*, the order on
     the idempotents E as masks over E, with J_s, the idempotents below
     s, for every s (see `_require_e_order`), which the criterion, the
-    left-translation domains and `inverse_generating_set` read; and the
-    m-bit up-masks, bit t of the s-th set iff s <= t, which `leq`,
-    `up_set`, joins, `props` and germ groupoids read.  The constructor
-    picks one of two paths, here and nowhere else:
+    left-translation domains, `inverse_generating_set` and
+    `is_e_star_unitary` read; and the m-bit up-masks, bit t of the s-th
+    set iff s <= t, which `leq`, `up_set`, joins, `props` and germ
+    groupoids read.  The constructor picks one of two paths; `product`,
+    `products`, `_require_up_masks`, `_require_e_order` and
+    `_ground_cells` tell which by `_closure`, as `cli._verification` and
+    `FiniteAction.validate` do to skip checks a closure passes anyway:
     - *Domains and ground cells* on a closure (a `close` result, the one
       kind with `_closure`); both orders are built on first read.  S is
       an inverse subsemigroup of I_n with the products and the inverse
@@ -71,7 +73,7 @@ class FiniteInverseSemigroup:
     """
 
     __slots__ = ("_mul", "order", "labels", "inv", "idempotents", "zero", "_closure",
-                 "_up_masks", "_down_masks", "_cells", "_e_order")
+                 "_up_masks", "_cells", "_e_order")
 
     def __init__(self, mul: Sequence[Sequence[int]] | None, labels: Sequence | None = None,
                  *, _inverse: Sequence[int] | None = None, _closure: tuple | None = None):
@@ -83,13 +85,13 @@ class FiniteInverseSemigroup:
         is checked.  Without it the table gets the range check and the
         exhaustive scan for generalized inverses, and `inv` is None
         unless each element has exactly one.  `close` passes no table
-        but `_closure`: (key index, gathers, key tables, right), which
-        also puts the order on the ground-cell path (see the class
-        docstring)."""
+        but `_closure`: (key index, gathers, operands, k), one gather and
+        one operand per element, which also puts the order on the
+        ground-cell path (see the class docstring)."""
         table = None if _closure else tuple(tuple(row) for row in mul)
         if table is not None and _inverse is None:
             _check_cells(table)
-        m = len(_closure[0] if table is None else table)
+        m = len(_closure[2] if table is None else table)
         object.__setattr__(self, "_mul", table)
         object.__setattr__(self, "_closure", _closure)
         if labels is not None and len(labels) != m:
@@ -113,7 +115,7 @@ class FiniteInverseSemigroup:
         # a closure builds its orders on first read, a table its up-masks now.
         up = None if _closure or inv is None else _up_masks(table, inv)
         object.__setattr__(self, "_up_masks", up)
-        for slot in ("_down_masks", "_cells", "_e_order"):
+        for slot in ("_cells", "_e_order"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -183,15 +185,15 @@ class FiniteInverseSemigroup:
         members = set(subset)
         for a in members:
             self._check_index(a)
-        if relation == UP:
-            masks = self._require_up_masks()
-        elif relation == DOWN:
-            masks = self._require_down_masks()
-        else:
+        if relation not in (UP, DOWN):
             raise ContractViolation(f"relation must be {UP!r} or {DOWN!r}, got {relation!r}")
+        up = self._require_up_masks()
+        if relation == DOWN:  # t lies below some a in A iff up(t) meets A
+            below = _set_to_mask(members)
+            return frozenset(t for t, mask in enumerate(up) if mask & below)
         out = 0
         for a in members:
-            out |= masks[a]
+            out |= up[a]
         return _mask_to_set(out)
 
     # -- derived sets ------------------------------------------------------
@@ -222,14 +224,6 @@ class FiniteInverseSemigroup:
             up = _up_masks_from_cells(self.labels, cells, self.order)
             object.__setattr__(self, "_up_masks", up)
         return self._up_masks
-
-    def _require_down_masks(self) -> tuple[int, ...]:
-        """The transpose of the up-masks, built on first use in time
-        linear in the size of the order relation."""
-        if self._down_masks is None:
-            down = _transpose(self._require_up_masks(), self.order)
-            object.__setattr__(self, "_down_masks", down)
-        return self._down_masks
 
     def _require_e_order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The E-order (E, below, j_sets), masks over E in which bit i
@@ -453,7 +447,8 @@ def close(generators: Sequence[PartialBijection],
     key of a, one C-level gather: x goes to s(a(x)), and the sentinel
     to itself, so s a is undefined at x exactly where a is, or where s
     is at a(x).  Expand the elements in index order, right-multiplying
-    each by every letter; this records the right Cayley graph `right`.
+    each by every letter; nothing of the right Cayley graph is kept, as
+    the index answers every question about it (see `is_closure_of`).
     Cost, for m elements and k letters: m k gathers of n + 1 entries and
     m label constructions (one `PartialBijection`, with its checks, per
     new element).  No table is built: the result multiplies by its keys.
@@ -474,43 +469,43 @@ def close(generators: Sequence[PartialBijection],
 
     keys: list[bytes | tuple[int, ...]] = []
     index: dict[bytes | tuple[int, ...], int] = {}
-    right: list[list[int]] = []
+    tables: list = []  # the operands of the elements expanded so far
 
-    def add(key: bytes | tuple[int, ...]) -> int:
-        t = index.get(key)
-        if t is None:
+    def add(key: bytes | tuple[int, ...]) -> None:
+        if key not in index:
             if len(keys) >= budget:
                 raise BudgetExceeded(
                     f"close: exceeded element budget {budget} after expanding "
-                    f"{len(right)} of {len(keys)} elements", budget)
-            t = index[key] = len(keys)
+                    f"{len(tables)} of {len(keys)} elements", budget)
+            index[key] = len(keys)
             keys.append(key)
-        return t
 
     for g in [*generators, *(g.invert() for g in generators)]:
         add(_image_key(n, g.pairs))
+    k = len(keys)
     # bytes.translate gathers through a 256-entry table: a padded key.
     gather_by, operand = ((attrgetter("translate"), methodcaller("ljust", 256)) if n < 256
                           else (lambda key: itemgetter(*key), lambda key: key))
     gathers = [gather_by(key) for key in keys]
-    tables = []
-    while len(right) < len(keys):
-        tables.append(table := operand(keys[len(right)]))
-        right.append([add(gather(table)) for gather in gathers])
-    gathers += map(gather_by, keys[len(gathers):])
+    while len(tables) < len(keys):
+        table = operand(keys[len(tables)])
+        for gather in gathers:
+            add(gather(table))
+        tables.append(table)
+    gathers += map(gather_by, keys[k:])
 
     labels = [PartialBijection(n, {x: y for x, y in enumerate(key) if y != n})
               for key in keys]
     # The closure is an inverse subsemigroup of I_n, so the inverse of
     # each element is the element whose graph is its graph reversed.
     return FiniteInverseSemigroup(
-        None, labels=labels, _closure=(index, gathers, tables, right),
+        None, labels=labels, _closure=(index, gathers, tables, k),
         _inverse=[index[_image_key(n, ((y, x) for x, y in f.pairs))] for f in labels])
 
 
 def _letter_count(S: FiniteInverseSemigroup) -> int:
     """k, for a closure whose letters are its elements 0..k-1 (see `close`)."""
-    return len(S._closure[3][0])
+    return S._closure[3]
 
 
 def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, ...]:
@@ -526,37 +521,41 @@ def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, .
 def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     """Check a closure against its labels by direct composition, from
     its own record alone: the labels L on n points, the key index, the
-    gathers and operands of `S.product`, `right` and `inv`.  No table.
+    gathers and operands of `S.product`, the letter count k and `inv`.
+    No table.
 
-    True when, with key(f) the image key of f (see `close`) and the k =
-    len(right[0]) letters first: (1) for every s, the index maps
+    True when, with key(f) the image key of f (see `close`) and the k
+    letters first, 1 <= k <= m and: (1) for every s, the index maps
     key(L[s]) to s, the operand of s begins with it, and the gather of s
-    reads the identity's operand as it; (2) L[inv[s]] = L[s]^-1; (3) the
-    letters include each other's inverses; (4) L[right[s][a]] = L[s] L[a]
-    for every s and letter a; (5) the letters reach every element
-    through `right`.  Costs k m composes, for m elements.
+    reads the identity's operand as it; (2) `inv` has m entries and
+    L[inv[s]] = L[s]^-1; (3) the letters include each other's inverses;
+    (4) for every s and letter a, t = index[key(L[s] L[a])] is an
+    element with L[t] = L[s] L[a]; (5) the letters reach every element
+    through these lookups, the right Cayley graph read off the index.
+    Costs k m composes, for m elements.
 
     Why that is enough.  Let T be the subsemigroup of I_n that the
     letters generate.  By (4) and (5) each label is a product of letters,
     so it lies in T; the labels hold the letters and by (4) are closed
-    under right composition by them, so they hold T.  By (1) distinct
-    elements have distinct keys, so s -> L[s] is a bijection onto T.  By
-    (3) and (a b)^-1 = b^-1 a^-1, T is an inverse subsemigroup of I_n,
-    and by (2) `inv` is its inverse map.  `S.product(s, t)` reads the
-    operand of s through the gather of t, by (1) key(L[s]) through
-    key(L[t]), which is key(L[s] L[t]) (see `close`); by (1) the index
-    maps that key to the element labelled L[s] L[t].  So S multiplies as
-    its labels compose: it is isomorphic to T, an inverse semigroup, and
-    composition of partial maps needs no associativity test (Lawson,
-    Inverse Semigroups, 1998, Thm 1.1.3).
+    under right composition by them, so they hold T ((4) compares the
+    label of t, so no stale index entry stands in for a missing product).
+    By (1) distinct elements have distinct keys, so s -> L[s] is a
+    bijection onto T.  By (3) and (a b)^-1 = b^-1 a^-1, T is an inverse
+    subsemigroup of I_n, and by (2) `inv` is its inverse map.
+    `S.product(s, t)` reads the operand of s through the gather of t, by
+    (1) key(L[s]) through key(L[t]), which is key(L[s] L[t]) (see
+    `close`); by (1) the index maps that key to the element labelled
+    L[s] L[t].  So S multiplies as its labels compose: it is isomorphic
+    to T, an inverse semigroup, and composition of partial maps needs no
+    associativity test (Lawson, Inverse Semigroups, 1998, Thm 1.1.3).
     """
     if S._closure is None:
         return False
-    index, gathers, operands, right = S._closure
-    labels, m, k = S.labels, S.order, len(right[0])
+    index, gathers, operands, k = S._closure
+    labels, m = S.labels, S.order
     n = labels[0].ground_size
     identity = bytes(range(256)) if n < 256 else tuple(range(n + 1))
-    if len(right) != m:
+    if not 1 <= k <= m or len(S.inv) != m:
         return False
     for s, f in enumerate(labels):
         key = _image_key(n, f.pairs)
@@ -571,10 +570,10 @@ def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     frontier = list(reached)
     while frontier:
         s = frontier.pop()
-        if len(right[s]) != k:
-            return False
-        for a, t in enumerate(right[s]):
-            if t not in range(m) or labels[t] != labels[s].compose(labels[a]):
+        for a in letters:
+            product = labels[s].compose(a)
+            t = index.get(_image_key(n, product.pairs))
+            if t not in range(m) or labels[t] != product:
                 return False
             if t not in reached:
                 reached.add(t)

@@ -5,8 +5,9 @@ implementation under test: set-semantics fixpoint closure, all-pairs
 indexed closure, the cell-by-cell table fill and all-cells closure
 check, order scans from the defining identities, brute-force least
 upper bounds, the exhaustive table scans, finite-cover criterion, the
-criterion and left-translation domains off the m-bit order (which the
-order on the idempotents replaced),
+criterion and left-translation domains off the m-bit order and the
+E*-unitary check by products (which the order on the idempotents
+replaced),
 union-find germ classes, all-triples associativity, Light's test over
 every row and all-pairs homomorphism checks and the
 multiply-every-pair atom-flip truncation that the package replaced by
@@ -271,9 +272,10 @@ def hausdorff_scan(S: FiniteInverseSemigroup, s: int):
 
 def hausdorff_by_up_masks(S: FiniteInverseSemigroup, s: int):
     """(J_s, witness) of `hausdorff_criterion` off the m-bit order: J_s is
-    down(s) & E, and e in J_s is maximal iff up(e) & J_s = {e}."""
-    up, down = S._require_up_masks(), S._require_down_masks()
-    members = [e for e in _bits(down[s]) if e in S.idempotents]
+    the idempotents e with s in up(e), and e in J_s is maximal iff
+    up(e) & J_s = {e}."""
+    up = S._require_up_masks()
+    members = [e for e in sorted(S.idempotents) if up[e] >> s & 1]
     jmask = _set_to_mask(members)
     return frozenset(members), tuple(e for e in members if up[e] & jmask == 1 << e)
 
@@ -287,6 +289,18 @@ def left_translation_domains_by_up_masks(S: FiniteInverseSemigroup):
             if e in domains:
                 domains[e].add(x)
     return {e: frozenset(xs) for e, xs in domains.items()}
+
+
+def unitary_scan(S: FiniteInverseSemigroup):
+    """`is_e_star_unitary` by the product scan it replaced: J_s as the
+    idempotents e with s e = e, by |E| products per element.  Returns
+    (ok, variant, witness)."""
+    trivial = {S.zero} if S.zero is not None else set()
+    variant = "E*-unitary" if S.zero is not None else "E-unitary"
+    for s in range(S.order):
+        if s not in S.idempotents and set(S.j_set(s)) - trivial:
+            return False, variant, s
+    return True, variant, None
 
 
 class _UnionFind:

@@ -140,6 +140,17 @@ def test_close_budget_boundary():
     assert str(exc.value).startswith(f"close: exceeded element budget {m - 1} after expanding ")
 
 
+@pytest.mark.parametrize("budget, expanded", [(1, 0), (3, 0), (5, 1)])
+def test_cli_close_budget_says_how_far_it_got(budget, expanded):
+    """The letters of i2_gens.json are two partial identities and the
+    swap: a budget of 1 stops at the second letter, 3 at the first new
+    product, while element 0 is expanded, and 5 while element 1 is."""
+    result = invoke_cli(["close", str(DATA / "i2_gens.json"), "--budget", str(budget)])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == (f"inconclusive: close: exceeded element budget {budget} "
+                             f"after expanding {expanded} of {budget} elements\n")
+
+
 def test_close_composes_at_most_m_times_letters(monkeypatch):
     gens = symmetric_generators(4)
     calls = 0
@@ -157,41 +168,61 @@ def test_close_composes_at_most_m_times_letters(monkeypatch):
 
 
 def with_record(S, mutation):
-    """S rebuilt from its closure record with one fault put in.  Elements
-    0 and m - 1 trade places in the labels, the key index, the operands,
-    the gathers or the inverses; a `right` entry moves; the last row of
-    `right` goes, or loses its last entry; or the last letter's column
-    goes, so that letter is no longer a letter."""
-    index, gathers, operands, right = S._closure
+    """S rebuilt from its closure record (index, gathers, operands, k)
+    with one fault put in.  Elements 0 and m - 1 trade places in the
+    labels, the key index, the operands, the gathers or the inverses; the
+    inverse map loses its last entry or gains one; the index sends the
+    key of L[m-1] L[0], an entry of the right Cayley graph that
+    `is_closure_of` reads off the index, to the next element; the last
+    letter goes from k, so that letter is no longer a letter; k passes
+    m, which would make every element a letter; or the label of [0->0]
+    becomes [n-1->n-1], which lies outside S when S acts on points 0
+    and 1 only, with its key, operand and gather, and the index keeps
+    the old key or loses it."""
+    index, gathers, operands, k = S._closure
     index, gathers, operands = dict(index), list(gathers), list(operands)
-    right, labels, inv, last = [row[:] for row in right], list(S.labels), list(S.inv), S.order - 1
+    labels, inv, last = list(S.labels), list(S.inv), S.order - 1
+    n = labels[0].ground_size
     if mutation == "right entry":
-        right[last][0] = (right[last][0] + 1) % S.order
+        t = S.product(last, 0)
+        index[operands[t][:n + 1]] = (t + 1) % S.order
     elif mutation == "labels swapped":
         labels[0], labels[last] = labels[last], labels[0]
     elif mutation == "key":
-        index[operands[0][:labels[0].ground_size + 1]] = last
+        index[operands[0][:n + 1]] = last
     elif mutation == "operand":
         operands[0] = operands[last]
     elif mutation == "gather":
         gathers[0] = gathers[last]
     elif mutation == "inv entry":
         inv[0] = inv[last]
-    elif mutation == "last row missing":
-        right.pop()
-    elif mutation == "row cut short":
-        right[last].pop()
+    elif mutation == "inv one short":
+        inv.pop()
+    elif mutation == "inv one long":
+        inv.append(0)
     elif mutation == "last letter dropped":
-        right = [row[:-1] for row in right]
+        k -= 1
+    elif mutation == "letter count past m":
+        k = S.order + 1
+    elif mutation in ("label outside S", "label outside S, old key kept"):
+        e = labels.index(PartialBijection.identity(n, {0}))
+        outside = close([PartialBijection.identity(n, {n - 1})])
+        _, (gather,), (operand,), _ = outside._closure
+        if mutation == "label outside S":
+            del index[operands[e][:n + 1]]
+        labels[e], gathers[e], operands[e] = outside.labels[0], gather, operand
+        index[operand[:n + 1]] = e
     return FiniteInverseSemigroup(None, labels=labels, _inverse=inv,
-                                  _closure=(index, gathers, operands, right))
+                                  _closure=(index, gathers, operands, k))
 
 
 MUTATIONS = ["right entry", "labels swapped", "key", "operand", "gather", "inv entry",
-             "last row missing", "row cut short", "last letter dropped"]
-# I_2 from the swap and [0->1]: the letters are those two and [1->0], which
-# the others reach, so without its column [0->1] lacks its inverse letter
-SWAP_AND_MOVE = [SWAP, PartialBijection(2, {0: 1})]
+             "inv one short", "inv one long", "last letter dropped", "letter count past m",
+             "label outside S", "label outside S, old key kept"]
+# I_2 on points 0 and 1 of three, from the swap and [0->1]: the letters are
+# those two and [1->0], which the others reach, so without its column
+# [0->1] lacks its inverse letter; [2->2] lies outside it
+SWAP_AND_MOVE = [PartialBijection(3, {0: 1, 1: 0}), PartialBijection(3, {0: 1})]
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
@@ -203,7 +234,8 @@ def test_is_closure_of_rejects_a_mutated_record(mutation):
 
 def test_is_closure_of_accepts_close_and_rejects_a_bad_cell():
     """A closure passes, and fails with a bad cell of its right Cayley
-    graph; a table, even the closure's own, is not a closure."""
+    graph, as the index holds it; a table, even the closure's own, is
+    not a closure."""
     S = close(symmetric_generators(3))
     assert is_closure_of(S)
     assert not is_closure_of(with_record(S, "right entry"))
@@ -211,19 +243,23 @@ def test_is_closure_of_accepts_close_and_rejects_a_bad_cell():
 
 
 def assert_closure_checks_agree(gens, s, a, shift):
-    """Move right[s][a] by `shift`: `is_closure_of` fails unless the
-    shift is 0, and the table built from the moved graph fails the
-    all-cells scan only then.  A letter's row of `right` is a row of that
-    table, so there the two agree exactly; another row is read by the
-    table only where a word runs through it, and a moved entry elsewhere
-    leaves the table right."""
+    """Move the entry (s, a) of the right Cayley graph, as the index holds
+    it, by `shift`: the index sends the key of L[s] L[a] to another
+    element.  `is_closure_of` fails unless the shift is 0, and the table
+    built from the moved graph fails the all-cells scan only then.  A
+    letter's row of the graph is a row of that table, so there the two
+    agree exactly; another row is read by the table only where a word
+    runs through it, and a moved entry elsewhere leaves the table right."""
     S = close(gens)
-    index, gathers, operands, found = S._closure
-    k, m = len(found[0]), S.order
+    index, gathers, operands, k = S._closure
+    m, n = S.order, S.labels[0].ground_size
+    found = [[S.product(t, b) for b in range(k)] for t in range(m)]
     right = [row[:] for row in found]
     right[s][a] = (right[s][a] + shift) % m
+    moved = dict(index)
+    moved[operands[found[s][a]][:n + 1]] = right[s][a]
     ok = is_closure_of(FiniteInverseSemigroup(
-        None, labels=S.labels, _inverse=S.inv, _closure=(index, gathers, operands, right)))
+        None, labels=S.labels, _inverse=S.inv, _closure=(moved, gathers, operands, k)))
     scan = closure_cells_scan(
         FiniteInverseSemigroup(row_fill_table(right, found), labels=S.labels), gens)
     assert ok == (shift % m == 0)
@@ -260,7 +296,7 @@ def test_is_closure_of_rejects_elements_the_letters_do_not_reach():
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_cli_verify_catches_a_mutated_closure(monkeypatch, tmp_path, command, mutation):
     f = tmp_path / "i2.json"
-    f.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 2,
+    f.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 3,
                              "generators": [g.pairs for g in SWAP_AND_MOVE]}))
     load = formats.load_semigroup
     monkeypatch.setattr(formats, "load_semigroup",

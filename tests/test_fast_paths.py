@@ -15,7 +15,10 @@ paths that must not build a closure's table run with the layout of
 `S.mul` patched to raise.  The criterion, the left-translation domains
 and germ counts read off the order on the idempotents are swept against
 the m-bit order and the per-point count, and `criterion` and
-`germs --self` run with a closure's m-bit order patched to raise.
+`germs --self` run with a closure's m-bit order patched to raise.  The
+E*-unitary check off the same order is swept against the product scan,
+and `germs --self` runs with the left-translation action patched to
+raise.
 """
 
 import functools
@@ -44,6 +47,7 @@ from invsemi import (
     covers_by_ideals,
     hausdorff_criterion,
     is_complete_and_distributive,
+    is_e_star_unitary,
     left_translation_action,
     verify_inverse_semigroup,
 )
@@ -51,7 +55,7 @@ from invsemi import action as action_mod
 from invsemi import cli, criterion, germs, semigroup
 from invsemi.criterion import CompletenessResult
 from invsemi.formats import load_action, load_semigroup
-from invsemi.germs import germ_counts, germ_counts_by_point
+from invsemi.germs import germ_counts, left_translation_counts
 from invsemi.symbolic import atomflip
 from oracles import (
     atomflip_truncation_scan,
@@ -68,6 +72,7 @@ from oracles import (
     leq_scan,
     lower_set_scan,
     natural_table_scan,
+    unitary_scan,
     up_masks_scan,
     validate_scan,
     verify_scan,
@@ -75,7 +80,7 @@ from oracles import (
 )
 from conftest import check_germ_counts, invoke_cli, product_or_none, semigroup_to_dict
 from test_consistency_sweep import random_pb
-from test_closure import (generator_lists, letters_of, partial_bijections,
+from test_closure import (SWAP, generator_lists, letters_of, partial_bijections,
                           symmetric_generators)
 
 DATA = Path(__file__).parent / "data"
@@ -111,7 +116,7 @@ def check_derivation(S):
         assert T.zero == zero_scan(S.mul)
         assert T.idempotents == S.idempotents
         assert T._require_up_masks() == up_masks_scan(S)
-    assert scanned._require_down_masks() == S._require_down_masks()
+        assert all(T.up_set({s}, DOWN) == lower_set_scan(S, s) for s in S.elements())
 
 
 def check_ground_cells(S):
@@ -122,7 +127,9 @@ def check_ground_cells(S):
     up = S._require_up_masks()
     assert up == semigroup._up_masks(S.mul, S.inv) == table._up_masks
     assert up == up_masks_scan(S)
-    assert S._require_down_masks() == table._require_down_masks()
+    down = [semigroup._mask_to_set(mask) for mask in semigroup._transpose(up, S.order)]
+    assert [S.up_set({s}, DOWN) for s in S.elements()] == \
+        [table.up_set({s}, DOWN) for s in S.elements()] == down
     assert criterion._compatibility_masks(S) == criterion._compatibility_masks(table)
 
 
@@ -235,7 +242,7 @@ def test_cli_out_of_memory_is_inconclusive(monkeypatch):
         raise MemoryError
 
     # the report reads the counts; --verify builds the groupoid too
-    for name, verify in (("germ_counts", []), ("build_germs", ["--verify"])):
+    for name, verify in (("left_translation_counts", []), ("build_germs", ["--verify"])):
         with monkeypatch.context() as m:
             m.setattr(germs, name, exhaust)
             result = invoke_cli(["germs", str(DATA / "i2_gens.json"), "--self", *verify])
@@ -272,8 +279,8 @@ def test_only_a_closure_orders_by_ground_cells(monkeypatch):
 
 
 def refuse_closure_order(monkeypatch):
-    """Make a closure's m-bit order, its ground cells and up-masks (and so
-    the down-masks), raise when built."""
+    """Make a closure's m-bit order, its ground cells and up-masks, raise
+    when built."""
     def refuse(*args):
         raise AssertionError("a closure built its m-bit order")
 
@@ -314,7 +321,7 @@ def test_the_e_order_serves_the_criterion_and_left_translation(monkeypatch):
     assert [hausdorff_criterion(S, s)[1:3] for s in S.elements()] == verdicts
     action = left_translation_action(S)
     assert action.domain_of == domains
-    assert germ_counts(action) == (3809, 209, 209)
+    assert germ_counts(action) == left_translation_counts(S) == (3809, 209, 209)
     with pytest.raises(AssertionError):
         S.leq(0, 1)
 
@@ -339,7 +346,65 @@ def test_the_e_order_matches_the_m_bit_order():
             [hausdorff_by_up_masks(S, s) for s in S.elements()]
         action = left_translation_action(S)
         assert action.domain_of == left_translation_domains_by_up_masks(S)
-        assert germ_counts(action) == germ_counts_by_point(action)
+        assert left_translation_counts(S) == germ_counts(action)
+
+
+def test_unitary_reads_the_e_order_as_the_product_scan_decides():
+    """`is_e_star_unitary` by one mask per element against the scan by
+    |E| products: verdict, variant and first witness, on seeded random
+    closures, every inverse semigroup file in tests/data, F_64, chain_12
+    and I_3, I_4 and Z_2, with both verdicts for both variants."""
+    files = sorted(path for path in DATA.glob("*.json")
+                   if json.loads(path.read_text()).get("kind") in ("table", "generators"))
+    # no zero, and the transposition (0 1) fixes the points of the idempotent [2,3]
+    no_zero = [PartialBijection.identity(4, {2, 3}), PartialBijection(4, {0: 0, 1: 1, 2: 3, 3: 2}),
+               PartialBijection(4, {0: 1, 1: 0, 2: 2, 3: 3})]
+    semigroups = [*swept_closures(), *map(load_semigroup, files), atomflip.truncation(64),
+                  chain(12), *map(close, (CLOSURES["I_3"], CLOSURES["I_4"], [SWAP], no_zero))]
+    seen = Counter()
+    for S in semigroups:
+        if S.inv is None or not verify_inverse_semigroup(S).ok:
+            continue
+        result = is_e_star_unitary(S)
+        assert tuple(result) == unitary_scan(S)
+        seen[result.variant, result.ok] += 1
+    assert set(seen) == {("E*-unitary", True), ("E*-unitary", False),
+                         ("E-unitary", True), ("E-unitary", False)}, seen
+    # the transposition (0 1) of I_4 fixes two points; the flip of F_n
+    # is above every atom
+    assert is_e_star_unitary(close(symmetric_generators(4))) == (False, "E*-unitary", 0)
+    assert is_e_star_unitary(atomflip.truncation(64)) == (False, "E*-unitary", 1)
+    assert is_e_star_unitary(close(no_zero)) == (False, "E-unitary", 2)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
+def test_germs_self_builds_no_action(monkeypatch, tmp_path, fmt):
+    """`germs --self` reports from the closed form: with
+    `left_translation_action` patched to raise, its output on the I_3
+    and I_4 generator files and on z2_table.json is that of an
+    unpatched run, and under --verify it builds the action once."""
+    def refuse(S):
+        raise AssertionError("germs --self built the left-translation action")
+
+    honest, built = action_mod.left_translation_action, []
+
+    def counting(S):
+        built.append(S.order)
+        return honest(S)
+
+    for path in (symmetric_file(tmp_path, 3), symmetric_file(tmp_path, 4),
+                 DATA / "z2_table.json"):
+        args = ["germs", str(path), "--self", *fmt]
+        expected = invoke_cli(args)
+        with monkeypatch.context() as m:
+            m.setattr(action_mod, "left_translation_action", refuse)
+            result = invoke_cli(args)
+        assert result.exit_code == expected.exit_code == 0, result.output
+        assert (result.stdout, result.stderr) == (expected.stdout, expected.stderr)
+        with monkeypatch.context() as m:
+            m.setattr(action_mod, "left_translation_action", counting)
+            assert invoke_cli([*args, "--verify"]).exit_code == 0
+    assert built == [34, 209, 2]
 
 
 def refuse_closure_tables(monkeypatch):
@@ -434,7 +499,7 @@ def test_the_table_path_is_the_oracle_of_the_key_path():
         rows = [[S.product(s, t) for t in elements] for s in elements]
         columns = [S.products(elements, t) for t in elements]
         verdicts = [hausdorff_criterion(S, s) for s in elements]
-        counts = germ_counts(left_translation_action(S))
+        counts = left_translation_counts(S)
         assert S._mul is None  # all of the above read the keys
         T = FiniteInverseSemigroup(S.mul, labels=labels)  # row scans, no keys
         assert T._cells is None
@@ -445,7 +510,7 @@ def test_the_table_path_is_the_oracle_of_the_key_path():
         assert (S.idempotents, S.zero, S.inv, S._require_up_masks()) == \
             (T.idempotents, T.zero, T.inv, T._up_masks)
         assert verdicts == [hausdorff_criterion(T, s) for s in range(m)]
-        assert counts == germ_counts(left_translation_action(T))
+        assert counts == left_translation_counts(T) == germ_counts(left_translation_action(T))
 
 
 def test_zero_fold_on_tables_without_unique_inverses(left_zero_table):

@@ -396,14 +396,21 @@ def test_cli_verify_failure_exit_4(monkeypatch):
 
 @pytest.mark.parametrize("delta", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 def test_cli_germs_verify_checks_the_counts(monkeypatch, delta):
-    """A report whose counts disagree with the built groupoid fails --verify."""
+    """A report whose counts disagree with the built groupoid fails
+    --verify, with the wrong counts put into the function that each call
+    reports from: the closed form for --self, `germ_counts` for an
+    action file."""
     from invsemi import germs as germs_mod
 
-    honest = germs_mod.germ_counts
-    monkeypatch.setattr(germs_mod, "germ_counts", lambda action: tuple(
-        c + d for c, d in zip(honest(action), delta)))
-    run("germs", str(DATA / "z2.json"), "--self")
-    run("germs", str(DATA / "z2.json"), "--self", "--verify", expect=4)
+    for name, args in (("left_translation_counts", [str(DATA / "z2.json"), "--self"]),
+                       ("germ_counts", [str(DATA / "z2_point_action.json")])):
+        honest = getattr(germs_mod, name)
+        with monkeypatch.context() as m:
+            m.setattr(germs_mod, name, lambda arg, honest=honest: tuple(
+                c + d for c, d in zip(honest(arg), delta)))
+            shown = run("germs", *args)
+            run("germs", *args, "--verify", expect=4)
+        assert shown != run("germs", *args)
 
 
 I3_GENS = {"version": 1, "kind": "generators", "ground_size": 3,

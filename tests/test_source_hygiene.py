@@ -18,9 +18,9 @@ it, so a subscript of `._closure`, or a tuple unpacked from it, in any
 other module would tie that module to the order of the record's fields.
 
 The constructor of `FiniteInverseSemigroup` picks the path of the
-order, and a closure builds its ground cells, up-masks and down-masks
-on first read.  So only `semigroup.py` reads the slots `_cells`,
-`_up_masks` and `_down_masks`; any other module asks through
+order, and a closure builds its ground cells and up-masks on first
+read.  So only `semigroup.py` reads the slots `_cells` and
+`_up_masks`; any other module asks through
 `_ground_cells()` and the `_require_*` readers, which build what the
 constructor deferred.  A test of `S._cells is None` elsewhere would be
 a second dispatch point, and a wrong one once the cells are lazy.
@@ -142,15 +142,15 @@ def test_only_semigroup_reads_the_closure_record():
 
 
 def test_the_scan_finds_a_closure_layout_read():
-    source = ("k = len(S._closure[3][0])\n"
-              "index, gathers, operands, right = S._closure\n"
+    source = ("k = S._closure[3]\n"
+              "index, gathers, operands, k = S._closure\n"
               "if S._closure is not None:\n"  # no layout
               "    record = S._closure\n"
               "    first = S._closures[0]\n")
     assert sorted(closure_layout_reads(source)) == [1, 2]
 
 
-ORDER_SLOTS = {"_cells", "_up_masks", "_down_masks"}
+ORDER_SLOTS = {"_cells", "_up_masks"}
 
 
 def order_slot_reads(source: str) -> list[tuple[str, int]]:
@@ -171,7 +171,7 @@ def test_the_scan_finds_an_order_slot_read():
               "    if S._cells is None:\n"
               "        return _compatibility_from_rows(S)\n"
               "    return _compatibility_from_cells(S.labels, S._cells, S.order)\n"
-              "up, down = S._up_masks, S._require_down_masks()\n"
+              "up, e_order = S._up_masks, S._require_e_order()\n"
               "cells = S._ground_cells()\n")
     assert order_slot_reads(source) == [("_cells", 2), ("_cells", 4), ("_up_masks", 5)]
 
