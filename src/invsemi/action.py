@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import ContractViolation
-from .semigroup import (FiniteInverseSemigroup, _bits, _letter_count, generating_set,
-                        is_associative)
+from .semigroup import FiniteInverseSemigroup, _bits, generators_if_associative
 
 
 class FiniteAction:
@@ -137,14 +136,8 @@ class FiniteAction:
                         f"idempotent {e} must act as the identity on its domain")
         # Generators suffice when S is associative (see `_homomorphic_at`);
         # otherwise, or on a fault, the scan over all pairs names the first.
-        # A closure is associative by construction and generated by its k
-        # letters, elements 0..k-1 (see `close`), so it skips Light's test.
-        if S._closure is not None:
-            gens, associative = range(_letter_count(S)), True
-        else:
-            gens = generating_set(S.mul)
-            associative = is_associative(S.mul, gens)
-        if associative and all(_homomorphic_at(rows, S, s) for s in gens):
+        gens = generators_if_associative(S)
+        if gens is not None and all(_homomorphic_at(rows, S, s) for s in gens):
             return
         for s in S.elements():
             for t in S.elements():

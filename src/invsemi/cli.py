@@ -25,7 +25,7 @@ from . import formats, symbolic
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
 from .report import RunReport
 from .semigroup import (FiniteInverseSemigroup, VerificationResult, _letter_count,
-                        is_closure_of, verify_inverse_semigroup)
+                        is_closure_of, verify_by_scans, verify_inverse_semigroup)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,7 +53,8 @@ def _family_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--truncation", type=int, default=None,
                         help="Atom-flip truncation bound (atom count).")
     parser.add_argument("--rank", type=int, default=None,
-                        help="Munn rank when parsing cannot infer it. [default: 2]")
+                        help="Munn rank (at least 1) when parsing cannot infer it. "
+                             "[default: 2]")
     parser.add_argument("--graph", dest="graph_file", type=_input_file, default=None,
                         help="Graph file for the graph family.")
 
@@ -64,11 +65,12 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
     # None unless given, so that a call that ignores the budget can
     # refuse it; `_budget` falls back on INVSEMI_BUDGET
     parser.add_argument("--budget", type=int, default=None,
-                        help="Resource budget: closure elements, and compatible pairs "
-                             "examined by props, whose translate checks cost at most two "
-                             "per generator and pair (subsets for the --verify oracles). "
-                             "Unset, each phase takes its own default: 20,000 elements, "
-                             "200,000 pairs or subsets.")
+                        help="Resource budget, at least 0: closure elements, and compatible "
+                             "pairs examined by props, whose translate checks cost at most "
+                             "two per generator and pair (subsets for the --verify oracles, "
+                             "m^3 triples for close --verify of a table file). Unset, each "
+                             "phase takes its own default: 20,000 elements, 200,000 pairs, "
+                             "subsets or triples.")
     parser.add_argument("--verify", action="store_true",
                         help="Re-run the independent oracles and require agreement.")
     parser.add_argument("--timing", action="store_true",
@@ -190,7 +192,8 @@ def close(input_file, budget, verify):
     budget = _budget(budget)
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport("close", input_file)
-    stats = _semigroup_summary(S, _verification(S, input_file, verify))
+    check = _verification(S, input_file, verify)
+    stats = _semigroup_summary(S, check)
     report.semigroup = stats
     report.line(f"close {input_file}")
     _summary_lines(report, stats)
@@ -201,9 +204,8 @@ def close(input_file, budget, verify):
             report.line(f"  {i}: {S.label_str(i)}")
     if verify:
         generators = formats.load_generators(input_file)
-        if generators is None:
-            again = formats.load_semigroup(input_file, budget=budget)
-            report.verified = again.mul == S.mul
+        if generators is None:  # a table file: the verifier against the exhaustive scans
+            report.verified = verify_by_scans(S, budget) == check
         else:  # the letters: the generators, then their inverses
             letters = dict.fromkeys([*generators, *(g.invert() for g in generators)])
             report.verified = S.labels[:_letter_count(S)] == tuple(letters)
@@ -384,15 +386,19 @@ def symbolic_cmd(family, element_expr, truncation, rank, graph_file, budget, ver
 
 def _budget(budget: int | None) -> int | None:
     """--budget if given, else INVSEMI_BUDGET if set, else None (each
-    phase's own default).  Read only by a call that uses a budget, so
-    the variable never fails a symbolic call."""
-    env = os.environ.get("INVSEMI_BUDGET")
-    if budget is not None or not env:
-        return budget
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"INVSEMI_BUDGET: invalid int value: {env!r}") from None
+    phase's own default); a negative value is a ParseError naming its
+    source.  Read only by a call that uses a budget, so the variable
+    never fails a symbolic call."""
+    source, env = "--budget", os.environ.get("INVSEMI_BUDGET")
+    if budget is None and env:
+        source = "INVSEMI_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ParseError(f"INVSEMI_BUDGET: invalid int value: {env!r}") from None
+    if budget is not None and budget < 0:
+        raise ParseError(f"{source} must be at least 0, got {budget}")
+    return budget
 
 
 def _refuse_family_options(family, truncation, rank, graph_file) -> None:
@@ -418,8 +424,10 @@ def _symbolic_report(command, family, element_expr, truncation, rank,
             raise ParseError(str(exc)) from None
     elif family == "munn":
         from .symbolic import munn
-        word_rank, word = munn.parse_word(element_expr)
         rank = DEFAULT_RANK if rank is None else rank
+        if rank < 1:
+            raise ParseError(f"--rank must be at least 1, got {rank}")
+        word_rank, word = munn.parse_word(element_expr)
         element = munn.MunnTreeElement.from_word(max(word_rank, rank), word)
         rep = munn.criterion(element)
     else:

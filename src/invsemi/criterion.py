@@ -10,16 +10,15 @@ interesting refutations live in the `symbolic` families.
 from __future__ import annotations
 
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
-from .semigroup import DOWN, FiniteInverseSemigroup, _bits, _set_to_mask, inverse_generating_set
+from .semigroup import (DEFAULT_SUBSET_BUDGET, DOWN, FiniteInverseSemigroup, _bits,
+                        _compatibility_masks, _set_to_mask, inverse_generating_set)
 
 HAUSDORFF_WITNESS = "HAUSDORFF_WITNESS"
 REFUTED = "REFUTED"
-
-DEFAULT_SUBSET_BUDGET = 200_000
 
 
 class CriterionVerdict(NamedTuple):
@@ -102,60 +101,6 @@ class CompletenessResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
-    """Bit t of the s-th mask is set iff s and t are compatible: read
-    off the ground cells on the path that has them (a closure; see
-    `FiniteInverseSemigroup`), else off the table rows."""
-    cells = S._ground_cells()
-    if cells is None:
-        return _compatibility_from_rows(S)
-    return _compatibility_from_cells(S.labels, cells, S.order)
-
-
-def _compatibility_from_cells(labels, cells, m: int) -> tuple[int, ...]:
-    """compat(s) = NOT (the OR of conflict(x, y) over the pairs (x, y)
-    of s), where conflict(x, y) = (row(x) | col(y)) & ~cell[x, y], with
-    row(x) the elements defined at x and col(y) those with y in their
-    image.
-
-    Proof.  S lies in I_n with its products and inverses, and its
-    idempotents are the partial identities in S, so s ~ t in S iff
-    s* t and s t* are partial identities.  s* t sends x to s^-1(t(x))
-    wherever t(x) lies in the image of s, so it is a partial identity
-    iff s and t have the same preimage at every point of both images;
-    s t* likewise iff they have the same image at every point of both
-    domains.  Together: s ~ t iff no pair (x, y) of s meets a pair
-    (x, y') of t with y' != y or a pair (x', y) of t with x' != x, and
-    t has such a pair iff t is defined at x or has y in its image but
-    does not hold (x, y), that is, iff t is in conflict(x, y).
-    """
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    for (x, y), cell in cells.items():
-        rows[x] = rows.get(x, 0) | cell
-        cols[y] = cols.get(y, 0) | cell
-    conflict = {(x, y): (rows[x] | cols[y]) & ~cell for (x, y), cell in cells.items()}
-    full = (1 << m) - 1
-    return tuple(full ^ reduce(or_, map(conflict.__getitem__, f.pairs), 0) for f in labels)
-
-
-def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:
-    """Compatibility masks from the table: s ~ t iff s* t and s t* are
-    idempotent.
-
-    s* t is read off the row of s*, and s t* off the column of s*, since
-    s t* is idempotent iff its inverse t s* is.  Each row becomes a
-    string of idempotent flags by one C-level lookup; the columns are
-    strided slices of the rows laid end to end.
-    """
-    m = S.order
-    flags = bytes(b"01"[e in S.idempotents] for e in range(m))  # ASCII digits
-    # A one-index itemgetter returns a scalar; the one-element table is [[0]].
-    rows = [bytes(itemgetter(*row)(flags)) for row in S.mul] if m > 1 else [flags] * m
-    table = b"".join(rows)
-    return tuple(int(rows[x][::-1], 2) & int(table[x::m][::-1], 2) for x in S.inv)
 
 
 def is_complete_and_distributive(S: FiniteInverseSemigroup,

@@ -138,10 +138,11 @@ def _semigroup_from_table(data: dict, path: Path,
         S = FiniteInverseSemigroup(table, labels=labels)
         # The table's own check takes a bool for an int, as Python does,
         # but JSON true and false are not integers.  Only a file that
-        # spells one of them somewhere can hold one, so the scan runs
-        # for those files alone, after the range and length faults.
+        # spells one of them somewhere can hold one, so the scan of the
+        # parsed rows runs for those files alone, after the range and
+        # length faults.
         if spells_bool:
-            for v in chain.from_iterable(S.mul):
+            for v in chain.from_iterable(table):
                 _integer(v, "table entry")
         return S
     except (ContractViolation, TypeError) as exc:

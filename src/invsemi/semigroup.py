@@ -2,11 +2,11 @@
 
 A `FiniteInverseSemigroup` holds an m x m table of element indices or,
 for a `close` result, the image keys of its elements, and derives the
-inverse map, the idempotents, the absorbing zero (if any) and the
-natural partial order s <= t  iff  t s* s = s.  Construction never
-rejects an algebraically broken table; `verify_inverse_semigroup`
-reports whether the table really is an inverse semigroup, with a
-certificate on failure.
+inverse map, the idempotents and the absorbing zero (if any); the
+natural partial order s <= t  iff  t s* s = s is built when read.
+Construction never rejects an algebraically broken table;
+`verify_inverse_semigroup` reports whether the table really is an
+inverse semigroup, with a certificate on failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import BudgetExceeded, ContractViolation
 from .partial_bijection import PartialBijection
 
 DEFAULT_CLOSE_BUDGET = 20_000
+DEFAULT_SUBSET_BUDGET = 200_000  # pairs of props; subsets or triples of the --verify oracles
 
 UP = "leq"    # A^<= : everything above some member
 DOWN = "geq"  # A^>= : everything below some member
@@ -29,14 +30,21 @@ class FiniteInverseSemigroup:
     """A finite inverse semigroup, by table or by image keys.
 
     Immutable after construction; all queries are pure, so instances can
-    be shared freely between threads.  (What is built on first use, such
-    as a closure's order and table, a race only builds twice.)
+    be shared freely between threads.
+
+    One rule for both kinds: the constructor derives the idempotents,
+    the inverse map and the zero; the up-masks, ground cells, E-order
+    and compatibility masks are built when read (a race builds twice),
+    from table rows or from ground cells.  This module alone reads rows
+    and cells, picking by `_closure`; outside it only `cli._verification`
+    tests `_closure`, as a closure passes the table checks by
+    construction.
 
     `product` (and `products`, for a column) reads s t off the table,
     or on a `close` result, which keeps none, off the image keys: the
     key of s read through the key of t is the key of s t (see `close`).
-    A closure always multiplies by its keys; `mul` lays its products
-    out as a table on first read, for library callers; no CLI call does.
+    `mul` of a closure lays its products out as a table on first read,
+    for library callers; no CLI call does.
 
     The natural order is kept at two sizes: the *E-order*, the order on
     the idempotents E as masks over E, with J_s, the idempotents below
@@ -44,15 +52,11 @@ class FiniteInverseSemigroup:
     left-translation domains, `inverse_generating_set` and
     `is_e_star_unitary` read; and the m-bit up-masks, bit t of the s-th
     set iff s <= t, which `leq`, `up_set`, joins, `props` and germ
-    groupoids read.  The constructor picks one of two paths; `product`,
-    `products`, `_require_up_masks`, `_require_e_order` and
-    `_ground_cells` tell which by `_closure`, as `cli._verification` and
-    `FiniteAction.validate` do to skip checks a closure passes anyway:
-    - *Domains and ground cells* on a closure (a `close` result, the one
-      kind with `_closure`); both orders are built on first read.  S is
-      an inverse subsemigroup of I_n with the products and the inverse
-      of I_n, so its order is that of I_n, where t s*s is t restricted
-      to the domain of s: s <= t iff the graph of s lies in that of t.
+    groupoids read.
+    - *Domains and ground cells* on a closure.  S is an inverse
+      subsemigroup of I_n with the products and the inverse of I_n, so
+      its order is that of I_n, where t s*s is t restricted to the
+      domain of s: s <= t iff the graph of s lies in that of t.
       - E-order: an idempotent e is the identity on dom e, so e <= s iff
         s fixes every point of dom e (s e = s restricted to dom e = e).
         With dom_E[x] the idempotents defined at x, J_s is E minus the
@@ -63,13 +67,11 @@ class FiniteInverseSemigroup:
       - Up-masks: `_cells[x, y]` is the mask of the elements whose graph
         holds the pair (x, y), and up(s) is the AND of the cells of the
         pairs of s (every element when s is the empty map): O(rank(s))
-        operations on m-bit masks.  The compatibility masks of
-        `criterion` read the same cells.
+        operations on m-bit masks.  Compatibility reads the same cells.
     - *Table rows* otherwise (table files, the atom-flip truncations,
-      any table passed in, whatever its labels): the constructor reads
-      the up-masks off the row of s s*, since s <= t iff s s* t = s,
-      and the E-order is read off the up-masks of the idempotents on
-      first use.  There are no ground cells.
+      any table passed in): up(s) is read off the row of s s*, as s <= t
+      iff s s* t = s, the E-order off the up-masks of E, and
+      compatibility off rows and columns.
     """
 
     __slots__ = ("_mul", "order", "labels", "inv", "idempotents", "zero", "_closure",
@@ -86,8 +88,7 @@ class FiniteInverseSemigroup:
         exhaustive scan for generalized inverses, and `inv` is None
         unless each element has exactly one.  `close` passes no table
         but `_closure`: (key index, gathers, operands, k), one gather and
-        one operand per element, which also puts the order on the
-        ground-cell path (see the class docstring)."""
+        one operand per element (see the class docstring)."""
         table = None if _closure else tuple(tuple(row) for row in mul)
         if table is not None and _inverse is None:
             _check_cells(table)
@@ -98,24 +99,14 @@ class FiniteInverseSemigroup:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
         idempotents = frozenset(e for e in range(m) if self.product(e, e) == e)
         if _inverse is None:
-            _inverse = []
-            for s in range(m):
-                cands = inverse_candidates(table, s)
-                if len(cands) != 1:
-                    _inverse = None
-                    break
-                _inverse.append(cands[0])
+            _inverse, _ = _inverse_scan(table)
         inv = tuple(_inverse) if _inverse is not None else None
         object.__setattr__(self, "order", m)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "zero", _find_zero(self.product, idempotents, m))
-        # The one dispatch point of the order (see the class docstring):
-        # a closure builds its orders on first read, a table its up-masks now.
-        up = None if _closure or inv is None else _up_masks(table, inv)
-        object.__setattr__(self, "_up_masks", up)
-        for slot in ("_cells", "_e_order"):
+        for slot in ("_up_masks", "_cells", "_e_order"):  # built when read
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -215,13 +206,12 @@ class FiniteInverseSemigroup:
             raise ContractViolation(f"element index {s} out of range [0, {self.order})")
 
     def _require_up_masks(self) -> tuple[int, ...]:
-        """The m-bit up-masks; a closure builds them from its ground cells
-        on first read."""
+        """The m-bit up-masks, built on first read off rows or cells."""
         if self._up_masks is None:
-            cells = self._ground_cells()
-            if cells is None:
+            if self.inv is None:
                 raise ContractViolation("table is not an inverse semigroup; order undefined")
-            up = _up_masks_from_cells(self.labels, cells, self.order)
+            up = (_up_masks(self._mul, self.inv) if self._closure is None
+                  else _up_masks_from_cells(self.labels, self._ground_cells(), self.order))
             object.__setattr__(self, "_up_masks", up)
         return self._up_masks
 
@@ -235,8 +225,7 @@ class FiniteInverseSemigroup:
         if self._e_order is None:
             E = tuple(sorted(self.idempotents))
             if self._closure is None:  # bit i of J_s is bit s of up(E[i])
-                up = self._require_up_masks()
-                j_sets = _transpose([up[e] for e in E], self.order)
+                j_sets = _transpose(map(self._require_up_masks().__getitem__, E), self.order)
             else:
                 j_sets = _j_sets_of_domains(self.labels, self._closure[2], E)
             object.__setattr__(self, "_e_order", (E, tuple(j_sets[e] for e in E), j_sets))
@@ -304,11 +293,8 @@ def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
     regular = all(mul[g][g] == g or inverse_candidates(mul, g) for g in gens)
     if regular and _idempotents_commute(mul):
         return VerificationResult(True)
-    for s in range(S.order):
-        cands = inverse_candidates(mul, s)
-        if len(cands) != 1:
-            return VerificationResult(False, "inverse-uniqueness", (s, cands))
-    return VerificationResult(True)
+    fault = _inverse_scan(mul)[1]
+    return VerificationResult(fault is None, fault and "inverse-uniqueness", fault)
 
 
 def generating_set(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -416,6 +402,18 @@ def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
     return True
 
 
+def generators_if_associative(S: FiniteInverseSemigroup) -> Sequence[int] | None:
+    """Generators of S when S is known to be associative, else None: a
+    law closed under products then holds on S if it holds on them.  A
+    closure's letters, elements 0..k-1 (see `close`), generate it and
+    compose associatively as partial maps; a table's `generating_set`
+    is returned when Light's test (`is_associative`) passes on it."""
+    if S._closure is not None:
+        return range(_letter_count(S))
+    gens = generating_set(S.mul)
+    return gens if is_associative(S.mul, gens) else None
+
+
 def first_non_associative_triple(mul: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """The first (a, b, c) with (a b) c != a (b c), by the O(m^3) scan."""
     m = len(mul)
@@ -427,6 +425,27 @@ def first_non_associative_triple(mul: Sequence[Sequence[int]]) -> tuple[int, int
                 if ab_row[c] != row_a[b_row[c]]:
                     return (a, b, c)
     return None
+
+
+def verify_by_scans(S: FiniteInverseSemigroup, budget: int | None = None) -> VerificationResult:
+    """`verify_inverse_semigroup` of a table by the exhaustive scans,
+    sharing none of its shortcuts: every triple for associativity, then
+    every element's generalized inverses.  The verdict, reason and
+    certificate equal the verifier's, which names the same first triple
+    and the same first element.  The m^3 triples count against `budget`
+    (default `DEFAULT_SUBSET_BUDGET`); above it, BudgetExceeded before
+    any scan.
+    """
+    budget = DEFAULT_SUBSET_BUDGET if budget is None else budget
+    if S.order ** 3 > budget:
+        raise BudgetExceeded(f"verify by scans: {S.order}^3 = {S.order ** 3} triples "
+                             f"exceed budget {budget}", budget)
+    mul = S.mul
+    triple = first_non_associative_triple(mul)
+    if triple is not None:
+        return VerificationResult(False, "associativity", triple)
+    fault = _inverse_scan(mul)[1]
+    return VerificationResult(fault is None, fault and "inverse-uniqueness", fault)
 
 
 def close(generators: Sequence[PartialBijection],
@@ -587,6 +606,18 @@ def inverse_candidates(mul: Sequence[Sequence[int]], s: int) -> tuple[int, ...]:
                  if mul[st][s] == s and mul[mul[t][s]][t] == t)
 
 
+def _inverse_scan(mul: Sequence[Sequence[int]]) -> tuple[list[int] | None, tuple | None]:
+    """(the inverse map, None) if every element has exactly one
+    generalized inverse, else (None, (s, candidates)) for the first s."""
+    inverse = []
+    for s in range(len(mul)):
+        cands = inverse_candidates(mul, s)
+        if len(cands) != 1:
+            return None, (s, cands)
+        inverse.append(cands[0])
+    return inverse, None
+
+
 def _idempotents_commute(mul) -> bool:
     """e f == f e for all idempotents e, f (the diagonal fixpoints)."""
     idem = [e for e, row in enumerate(mul) if row[e] == e]
@@ -639,13 +670,10 @@ def _find_zero(product, idempotents, m: int) -> int | None:
 
 
 def _up_masks(table, inv) -> tuple[int, ...]:
-    """Bit t of the s-th mask is set iff s <= t.
-
-    s <= t iff s s* t = s, so the up-set of s is where s occurs in the
-    row of s s*: one C-level pass of `index` calls over one stored row
-    per element (the last call runs off the end), not a Python loop
-    over all m elements.
-    """
+    """Bit t of the s-th mask is set iff s <= t, that is s s* t = s: where
+    s occurs in the row of s s*, found by one C-level pass of `index`
+    calls over that row (the last runs off the end), not a Python loop
+    over all m elements."""
     up = []
     for s in range(len(table)):
         row = table[table[s][inv[s]]]
@@ -674,6 +702,58 @@ def _up_masks_from_cells(labels, cells, m: int) -> tuple[int, ...]:
     when s is empty (proof in `FiniteInverseSemigroup`)."""
     full = (1 << m) - 1
     return tuple(reduce(and_, map(cells.__getitem__, f.pairs), full) for f in labels)
+
+
+def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
+    """Bit t of the s-th mask is set iff s and t are compatible: off a
+    closure's ground cells, else off the table rows."""
+    if S._closure is None:
+        return _compatibility_from_rows(S)
+    return _compatibility_from_cells(S.labels, S._ground_cells(), S.order)
+
+
+def _compatibility_from_cells(labels, cells, m: int) -> tuple[int, ...]:
+    """compat(s) = NOT (the OR of conflict(x, y) over the pairs (x, y)
+    of s), where conflict(x, y) = (row(x) | col(y)) & ~cell[x, y], with
+    row(x) the elements defined at x and col(y) those with y in their
+    image.
+
+    Proof.  S lies in I_n with its products and inverses, and its
+    idempotents are the partial identities in S, so s ~ t in S iff
+    s* t and s t* are partial identities.  s* t sends x to s^-1(t(x))
+    wherever t(x) lies in the image of s, so it is a partial identity
+    iff s and t have the same preimage at every point of both images;
+    s t* likewise iff they have the same image at every point of both
+    domains.  Together: s ~ t iff no pair (x, y) of s meets a pair
+    (x, y') of t with y' != y or a pair (x', y) of t with x' != x, and
+    t has such a pair iff t is defined at x or has y in its image but
+    does not hold (x, y), that is, iff t is in conflict(x, y).
+    """
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    for (x, y), cell in cells.items():
+        rows[x] = rows.get(x, 0) | cell
+        cols[y] = cols.get(y, 0) | cell
+    conflict = {(x, y): (rows[x] | cols[y]) & ~cell for (x, y), cell in cells.items()}
+    full = (1 << m) - 1
+    return tuple(full ^ reduce(or_, map(conflict.__getitem__, f.pairs), 0) for f in labels)
+
+
+def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:
+    """Compatibility masks from the table: s ~ t iff s* t and s t* are
+    idempotent.
+
+    s* t is read off the row of s*, and s t* off the column of s*, since
+    s t* is idempotent iff its inverse t s* is.  Each row becomes a
+    string of idempotent flags by one C-level lookup; the columns are
+    strided slices of the rows laid end to end.
+    """
+    m = S.order
+    flags = bytes(b"01"[e in S.idempotents] for e in range(m))  # ASCII digits
+    # A one-index itemgetter returns a scalar; the one-element table is [[0]].
+    rows = [bytes(itemgetter(*row)(flags)) for row in S.mul] if m > 1 else [flags] * m
+    table = b"".join(rows)
+    return tuple(int(rows[x][::-1], 2) & int(table[x::m][::-1], 2) for x in S.inv)
 
 
 def _j_sets_of_domains(labels, operands, E: Sequence[int]) -> tuple[int, ...]:

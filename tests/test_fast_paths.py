@@ -18,7 +18,8 @@ the m-bit order and the per-point count, and `criterion` and
 `germs --self` run with a closure's m-bit order patched to raise.  The
 E*-unitary check off the same order is swept against the product scan,
 and `germs --self` runs with the left-translation action patched to
-raise.
+raise.  Table loads, truncations and the table commands that read no
+order run with the up-mask builders patched to raise.
 """
 
 import functools
@@ -52,7 +53,7 @@ from invsemi import (
     verify_inverse_semigroup,
 )
 from invsemi import action as action_mod
-from invsemi import cli, criterion, germs, semigroup
+from invsemi import cli, germs, semigroup
 from invsemi.criterion import CompletenessResult
 from invsemi.formats import load_action, load_semigroup
 from invsemi.germs import germ_counts, left_translation_counts
@@ -125,12 +126,12 @@ def check_ground_cells(S):
     table = FiniteInverseSemigroup(S.mul, _inverse=S.inv)
     assert S._ground_cells() is not None and table._ground_cells() is None
     up = S._require_up_masks()
-    assert up == semigroup._up_masks(S.mul, S.inv) == table._up_masks
+    assert up == semigroup._up_masks(S.mul, S.inv) == table._require_up_masks()
     assert up == up_masks_scan(S)
     down = [semigroup._mask_to_set(mask) for mask in semigroup._transpose(up, S.order)]
     assert [S.up_set({s}, DOWN) for s in S.elements()] == \
         [table.up_set({s}, DOWN) for s in S.elements()] == down
-    assert criterion._compatibility_masks(S) == criterion._compatibility_masks(table)
+    assert semigroup._compatibility_masks(S) == semigroup._compatibility_masks(table)
 
 
 def check_criterion(S, subsets=()):
@@ -179,7 +180,7 @@ def test_ground_cells_match_row_scans(n):
 
 def test_ground_cell_compatibility_matches_the_pair_test():
     S = close(symmetric_generators(4))
-    comp = criterion._compatibility_masks(S)
+    comp = semigroup._compatibility_masks(S)
     assert all(comp[s] >> t & 1 == compatible(S, s, t)
                for s in S.elements() for t in S.elements())
 
@@ -262,20 +263,93 @@ def test_closure_never_scans_for_inverses(monkeypatch):
 
 
 def test_only_a_closure_orders_by_ground_cells(monkeypatch):
+    """With the row scans refused, a closure still orders itself, and a
+    table is still built, but its first read of the order or of
+    compatibility scans its rows."""
     def refuse(*args):
         raise AssertionError("row scan of the order or of compatibility")
 
-    table = load_semigroup(DATA / "z2_table.json")
     monkeypatch.setattr(semigroup, "_up_masks", refuse)
-    monkeypatch.setattr(criterion, "_compatibility_from_rows", refuse)
+    monkeypatch.setattr(semigroup, "_compatibility_from_rows", refuse)
     S = close(symmetric_generators(4))
     assert is_complete_and_distributive(S).ok
-    for build in (lambda: load_semigroup(DATA / "z2_table.json"),
-                  lambda: atomflip.truncation(4),
-                  lambda: FiniteInverseSemigroup(S.mul, labels=S.labels),
-                  lambda: is_complete_and_distributive(table)):
-        with pytest.raises(AssertionError):
-            build()
+    for table in (load_semigroup(DATA / "z2_table.json"), atomflip.truncation(4),
+                  FiniteInverseSemigroup(S.mul, labels=S.labels)):
+        for read in (table._require_up_masks, lambda: semigroup._compatibility_masks(table),
+                     lambda: is_complete_and_distributive(table)):
+            with pytest.raises(AssertionError):
+                read()
+
+
+def refuse_up_masks(monkeypatch):
+    """Make every build of the m-bit up-masks, off rows or off ground
+    cells, raise."""
+    def refuse(*args):
+        raise AssertionError("built the m-bit up-masks")
+
+    monkeypatch.setattr(semigroup, "_up_masks", refuse)
+    monkeypatch.setattr(semigroup, "_up_masks_from_cells", refuse)
+
+
+def table_action_files(tmp_path):
+    """An I_3 table file, and action files over it: I_3 acting on its
+    three points and on itself by left translation."""
+    S = close(CLOSURES["I_3"])
+    (tmp_path / "i3_table.json").write_text(json.dumps(semigroup_to_dict(S)))
+    paths = []
+    for name, action in (("natural", natural_action(S)), ("left", left_translation_action(S))):
+        path = tmp_path / f"i3_{name}_action.json"
+        path.write_text(json.dumps({
+            "version": 1, "semigroup": "i3_table.json", "space_size": action.space_size,
+            "domains": [[e, sorted(action.domain_of[e])] for e in sorted(S.idempotents)],
+            "action": [[s, [[x, action.act(s, x)] for x in sorted(action.domain(s))]]
+                       for s in S.elements()]}))
+        paths.append(path)
+    return paths
+
+
+def test_a_table_builds_its_order_only_when_read(monkeypatch, tmp_path):
+    """Loading every table file in tests/data, `atomflip.truncation(64)`,
+    CLI `close` (also with --verify) and `germs --self` on those files,
+    and `germs` on action files over a table read no up-masks: with
+    their builds refused, the results and the output are those of an
+    unguarded run."""
+    tables = sorted(path for path in DATA.glob("*.json")
+                    if json.loads(path.read_text()).get("kind") == "table")
+    calls = [*([command, str(path), *flags] for path in tables
+               for command, *flags in (["close"], ["close", "--verify"], ["germs", "--self"])),
+             *(["germs", str(path)] for path in table_action_files(tmp_path))]
+
+    def run_all():
+        semigroups = [*map(load_semigroup, tables), atomflip.truncation(64)]
+        return ([(S.order, S.labels, S.mul, S.idempotents, S.inv, S.zero) for S in semigroups],
+                [(r.exit_code, r.stdout, r.stderr) for r in map(invoke_cli, calls)])
+
+    expected = run_all()
+    assert len(tables) >= 3
+    # all succeed but `germs --self` on left_zero.json, which is not inverse
+    assert [code for code, _, _ in expected[1]].count(0) == len(calls) - 1
+    refuse_up_masks(monkeypatch)
+    assert run_all() == expected
+
+
+@pytest.mark.parametrize("command", ["criterion", "props"])
+def test_a_table_builds_its_up_masks_once(monkeypatch, tmp_path, command):
+    built = []
+    up_masks = semigroup._up_masks
+
+    def counting(table, inv):
+        built.append(len(table))
+        return up_masks(table, inv)
+
+    table_action_files(tmp_path)
+    monkeypatch.setattr(semigroup, "_up_masks", counting)
+    for path, m in ((DATA / "z2_table.json", 2), (DATA / "chain2_table.json", 2),
+                    (tmp_path / "i3_table.json", 34)):
+        built.clear()
+        result = invoke_cli([command, str(path)])
+        assert result.exit_code == 0, result.output
+        assert built == [m]
 
 
 def refuse_closure_order(monkeypatch):
@@ -508,7 +582,7 @@ def test_the_table_path_is_the_oracle_of_the_key_path():
             [[index[f.compose(g)] for g in labels] for f in labels]
         assert columns == [[row[t] for row in T.mul] for t in elements]
         assert (S.idempotents, S.zero, S.inv, S._require_up_masks()) == \
-            (T.idempotents, T.zero, T.inv, T._up_masks)
+            (T.idempotents, T.zero, T.inv, T._require_up_masks())
         assert verdicts == [hausdorff_criterion(T, s) for s in range(m)]
         assert counts == left_translation_counts(T) == germ_counts(left_translation_action(T))
 
@@ -703,12 +777,14 @@ def small_fixture(name):
 
 
 def check_verify(mul):
-    """Verify agrees with the scan in verdict, reason and certificate;
-    the generating set reaches every element."""
+    """Verify, and the exhaustive scans of `close --verify`, agree with
+    the scan in verdict, reason and certificate; the generating set
+    reaches every element."""
     S = FiniteInverseSemigroup(mul)
     result = verify_inverse_semigroup(S)
     expected = verify_scan(S)
     assert (result.ok, result.reason, result.certificate) == expected
+    assert tuple(semigroup.verify_by_scans(S, budget=S.order ** 3)) == expected
     gens = semigroup.generating_set(S.mul)
     assert generated_scan(S.mul, gens) == frozenset(range(S.order))
     assert semigroup.is_associative(S.mul, gens) == (expected[1] != "associativity")
@@ -1016,7 +1092,8 @@ def test_validate_checks_only_generators_on_i4(monkeypatch):
 def test_truncation_matches_pairwise_products(n):
     S, O = atomflip.truncation(n), atomflip_truncation_scan(n)
     assert S.mul == O.mul and S.labels == O.labels and S.inv == O.inv
-    assert (S.zero, S.idempotents, S._up_masks) == (O.zero, O.idempotents, O._up_masks)
+    assert (S.zero, S.idempotents, S._require_up_masks()) == \
+        (O.zero, O.idempotents, O._require_up_masks())
 
 
 def test_cli_reports_the_scan_certificates(tmp_path):

@@ -274,6 +274,7 @@ def test_cli_bad_table_names_first_fault(tmp_path, table, message, command):
 
 
 Z2 = str(DATA / "z2.json")
+I2 = str(DATA / "i2_gens.json")
 
 
 @pytest.mark.parametrize("command, doc, message", [
@@ -336,6 +337,35 @@ def test_cli_closes_i6_under_the_default_budget(tmp_path):
 def test_cli_budget_env_var():
     run("close", str(DATA / "i2_gens.json"), env={"INVSEMI_BUDGET": "3"},
         expect=3)
+
+
+@pytest.mark.parametrize("name", ["z2_table", "chain2_table", "left_zero"])
+def test_close_verify_of_a_table_file_recomputes_the_verifier(monkeypatch, name):
+    """`close --verify` of a table file checks the verifier's (ok,
+    reason, certificate) against the exhaustive scans: a verifier that
+    names a wrong reason fails it."""
+    from invsemi import cli
+    path = str(DATA / f"{name}.json")
+    run("close", path, "--verify")
+    verify = cli.verify_inverse_semigroup
+    monkeypatch.setattr(cli, "verify_inverse_semigroup",
+                        lambda S: verify(S)._replace(reason="wrong"))
+    result = invoke_cli(["close", path, "--verify"])
+    assert result.exit_code == 4
+    assert result.stderr == "verification failed: oracle disagreement\n"
+
+
+def test_close_verify_of_a_table_file_counts_its_triples(tmp_path):
+    """The scans of a 60-element table cost 60^3 = 216,000 triples,
+    above the default budget of 200,000."""
+    f = tmp_path / "chain60.json"
+    f.write_text(json.dumps({"version": 1, "kind": "table",
+                             "mul_table": [[max(i, j) for j in range(60)] for i in range(60)]}))
+    result = invoke_cli(["close", str(f), "--verify"])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == ("inconclusive: verify by scans: 60^3 = 216000 triples "
+                             "exceed budget 200000\n")
+    assert "verifier: ok" in run("close", str(f), "--verify", "--budget", "216000")
 
 
 @pytest.mark.parametrize("table, via_action", [
@@ -514,21 +544,32 @@ def test_cli_action_duplicates_name_the_file_once(tmp_path, domains, action, mes
     assert result.stderr == f"error: {f}: {message}\n"
 
 
-@pytest.mark.parametrize("args, env", [
-    (["close", Z2, "--bogus"], None),
-    (["close", Z2, "--verif"], None),  # no abbreviations
-    (["close", str(DATA / "missing.json")], None),
-    (["close", str(DATA)], None),
-    (["close", Z2, "--budget", "x"], None),
-    (["close", Z2], {"INVSEMI_BUDGET": "x"}),
-    (["symbolic", "--", "munn", "--"], None),  # the element is the string "--"
+@pytest.mark.parametrize("args, env, message", [
+    (["close", Z2, "--bogus"], None, "error: "),
+    (["close", Z2, "--verif"], None, "error: "),  # no abbreviations
+    (["close", str(DATA / "missing.json")], None, "error: "),
+    (["close", str(DATA)], None, "error: "),
+    (["close", Z2, "--budget", "x"], None, "error: "),
+    (["close", Z2], {"INVSEMI_BUDGET": "x"}, "error: "),
+    (["symbolic", "--", "munn", "--"], None, "error: "),  # the element is the string "--"
+    (["close", I2, "--budget", "-5"], None, "error: --budget must be at least 0, got -5\n"),
+    (["props", Z2, "--budget", "-1"], None, "error: --budget must be at least 0, got -1\n"),
+    (["close", I2], {"INVSEMI_BUDGET": "-5"},
+     "error: INVSEMI_BUDGET must be at least 0, got -5\n"),
+    (["symbolic", "munn", "x", "--rank", "0"], None, "error: --rank must be at least 1, got 0\n"),
+    (["symbolic", "munn", "x", "--rank", "-3"], None,
+     "error: --rank must be at least 1, got -3\n"),
+    (["criterion", "--family", "munn", "--element", "x", "--rank", "0"], None,
+     "error: --rank must be at least 1, got 0\n"),
 ], ids=["unknown-option", "abbreviation", "missing-file", "directory", "bad-budget",
-        "bad-budget-env", "dashes-element"])
-def test_cli_bad_arguments_exit_2(args, env):
+        "bad-budget-env", "dashes-element", "negative-budget", "negative-props-budget",
+        "negative-budget-env", "rank-0", "negative-rank", "family-rank-0"])
+def test_cli_bad_arguments_exit_2(args, env, message):
+    """A bad argument exits 2; an integer out of range names its option."""
     result = invoke_cli(args, env=env)
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "error: " in result.stderr and "Traceback" not in result.stderr
+    assert message in result.stderr and "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("command", ["close", "props", "germs", "criterion", "symbolic"])

@@ -17,19 +17,21 @@ even inside a function, is a fault.
 it, so a subscript of `._closure`, or a tuple unpacked from it, in any
 other module would tie that module to the order of the record's fields.
 
-The constructor of `FiniteInverseSemigroup` picks the path of the
-order, and a closure builds its ground cells and up-masks on first
-read.  So only `semigroup.py` reads the slots `_cells` and
-`_up_masks`; any other module asks through
-`_ground_cells()` and the `_require_*` readers, which build what the
-constructor deferred.  A test of `S._cells is None` elsewhere would be
-a second dispatch point, and a wrong one once the cells are lazy.
+`semigroup.py` is the one module that knows how a semigroup is
+stored: a table, or a closure's image keys.  A semigroup of either kind
+builds its up-masks, ground cells and E-order on first read, off table
+rows or off ground cells.  So only `semigroup.py` reads the slots
+`_cells` and `_up_masks` or calls `_ground_cells()`; any other module
+asks through the `_require_*` readers and `_compatibility_masks`.  A
+test of `S._cells is None` elsewhere would be a second dispatch point.
 
 A closure multiplies by its image keys, and reading its `mul` lays out
-all m^2 products, so `.mul` is read only where the semigroup is a table
-file: by the table verifier, the table paths of compatibility, loading
-and action validation, and `close --verify` of a table file.  Every
-other reader goes through `product` or `products`.
+all m^2 products, so `.mul` is read only by the table code of
+`semigroup.py`.  Every other reader goes through `product` or
+`products`.  Outside `semigroup.py`, only `cli._verification` tests
+`_closure` (a closure passes its checks by construction), and only
+`close --verify` reads `_letter_count`, to compare the letters with the
+file's generators.
 """
 
 import ast
@@ -150,7 +152,7 @@ def test_the_scan_finds_a_closure_layout_read():
     assert sorted(closure_layout_reads(source)) == [1, 2]
 
 
-ORDER_SLOTS = {"_cells", "_up_masks"}
+ORDER_SLOTS = {"_cells", "_up_masks", "_ground_cells"}
 
 
 def order_slot_reads(source: str) -> list[tuple[str, int]]:
@@ -173,23 +175,19 @@ def test_the_scan_finds_an_order_slot_read():
               "    return _compatibility_from_cells(S.labels, S._cells, S.order)\n"
               "up, e_order = S._up_masks, S._require_e_order()\n"
               "cells = S._ground_cells()\n")
-    assert order_slot_reads(source) == [("_cells", 2), ("_cells", 4), ("_up_masks", 5)]
+    assert order_slot_reads(source) == [("_cells", 2), ("_cells", 4), ("_ground_cells", 6),
+                                        ("_up_masks", 5)]
 
 
 TABLE_READERS = {
-    "semigroup.py": {"FiniteInverseSemigroup.mul", "verify_inverse_semigroup",
-                     "generating_set", "is_associative", "first_non_associative_triple",
-                     "inverse_candidates", "_idempotents_commute"},
-    "criterion.py": {"_compatibility_from_rows"},
-    "formats.py": {"_semigroup_from_table"},
-    "action.py": {"FiniteAction.validate"},
-    "cli.py": {"close"},
+    "semigroup.py": {"verify_inverse_semigroup", "generators_if_associative",
+                     "verify_by_scans", "_compatibility_from_rows"},
 }
 
 
-def mul_reads(source: str) -> list[tuple[str, int]]:
-    """(enclosing function by qualified name, line) of each read of an
-    attribute `mul`."""
+def scoped_reads(source: str, name: str, bare: bool = False) -> list[tuple[str, int]]:
+    """(enclosing function by qualified name, line) of each attribute
+    `name`, and with `bare` of each bare name `name` too."""
     found = []
 
     def visit(node, scope):
@@ -197,12 +195,17 @@ def mul_reads(source: str) -> list[tuple[str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "mul":
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or bare and isinstance(child, ast.Name) and child.id == name):
                 found.append((scope, child.lineno))
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def mul_reads(source: str) -> list[tuple[str, int]]:
+    return scoped_reads(source, "mul")
 
 
 def test_only_table_file_code_reads_mul():
@@ -212,7 +215,7 @@ def test_only_table_file_code_reads_mul():
         allowed = TABLE_READERS.get(name, set())
         faults[name] = [read for read in mul_reads(path.read_text()) if read[0] not in allowed]
     assert {name: reads for name, reads in faults.items() if reads} == {}
-    assert mul_reads((PACKAGE / "action.py").read_text())
+    assert mul_reads((PACKAGE / "semigroup.py").read_text())
 
 
 def test_the_scan_finds_a_mul_read():
@@ -227,3 +230,34 @@ def test_the_scan_finds_a_mul_read():
               "table = S.mul\n")
     assert mul_reads(source) == [("germ_equiv_oracle", 2), ("FiniteAction.validate.inner", 7),
                                  ("", 9)]
+
+
+# name -> (module, function): the one reader of the name outside `semigroup.py`
+REPRESENTATION_READERS = {"_closure": ("cli.py", "_verification"),
+                          "_letter_count": ("cli.py", "close")}
+
+
+def test_only_the_verification_policy_tests_the_representation():
+    faults = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = str(path.relative_to(PACKAGE))
+        if module == "semigroup.py":
+            continue
+        source = path.read_text()
+        faults[module] = [(name, *read) for name, owner in REPRESENTATION_READERS.items()
+                          for read in scoped_reads(source, name, bare=True)
+                          if (module, read[0]) != owner]
+    assert {module: reads for module, reads in faults.items() if reads} == {}
+    cli = (PACKAGE / "cli.py").read_text()
+    assert all(scoped_reads(cli, name, bare=True) for name in REPRESENTATION_READERS)
+
+
+def test_the_scan_finds_a_representation_read():
+    source = ("from .semigroup import _letter_count\n"  # an import alias is not a read
+              "def validate(self):\n"
+              "    if S._closure is not None:\n"
+              "        gens = range(_letter_count(S))\n"
+              "    return semigroup._letter_count(S), S._closures\n")
+    assert scoped_reads(source, "_closure", bare=True) == [("validate", 3)]
+    assert scoped_reads(source, "_letter_count", bare=True) == [("validate", 4), ("validate", 5)]
+    assert scoped_reads(source, "_letter_count") == [("validate", 5)]
