@@ -10,7 +10,9 @@ and always ends in SystemExit.
 
 A subcommand imports the modules it runs inside its own body and calls
 them through module attributes, so `close` loads no criterion, germ,
-action or symbolic-family code.
+action or symbolic-family code.  The CLI decides only the argument
+parsing, the verification policy, the report layout and the exit codes;
+a symbolic family is reached through the table `symbolic.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from typing import NoReturn
 from . import formats, symbolic
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation, ParseError
 from .report import RunReport
-from .semigroup import (FiniteInverseSemigroup, VerificationResult, _letter_count,
-                        is_closure_of, verify_by_scans, verify_inverse_semigroup)
+from .semigroup import (DEFAULT_CLOSE_BUDGET, DEFAULT_SUBSET_BUDGET, FiniteInverseSemigroup,
+                        VerificationResult, has_letters_of, is_closure_of, verify_by_scans,
+                        verify_inverse_semigroup)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -33,7 +36,6 @@ EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
 MAX_LISTED_ELEMENTS = 100
-DEFAULT_RANK = 2  # --rank of a Munn word unless given
 
 
 def _yn(flag: bool) -> str:
@@ -50,12 +52,13 @@ def _input_file(path: str) -> str:
 
 
 def _family_options(parser: argparse.ArgumentParser) -> None:
+    """The options of `symbolic.FAMILIES`, one per family, by its name."""
     parser.add_argument("--truncation", type=int, default=None,
                         help="Atom-flip truncation bound (atom count).")
     parser.add_argument("--rank", type=int, default=None,
                         help="Munn rank (at least 1) when parsing cannot infer it. "
                              "[default: 2]")
-    parser.add_argument("--graph", dest="graph_file", type=_input_file, default=None,
+    parser.add_argument("--graph", type=_input_file, default=None, metavar="GRAPH_FILE",
                         help="Graph file for the graph family.")
 
 
@@ -69,8 +72,8 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
                              "pairs examined by props, whose translate checks cost at most "
                              "two per generator and pair (subsets for the --verify oracles, "
                              "m^3 triples for close --verify of a table file). Unset, each "
-                             "phase takes its own default: 20,000 elements, 200,000 pairs, "
-                             "subsets or triples.")
+                             f"phase takes its own default: {DEFAULT_CLOSE_BUDGET:,} elements, "
+                             f"{DEFAULT_SUBSET_BUDGET:,} pairs, subsets or triples.")
     parser.add_argument("--verify", action="store_true",
                         help="Re-run the independent oracles and require agreement.")
     parser.add_argument("--timing", action="store_true",
@@ -206,9 +209,8 @@ def close(input_file, budget, verify):
         generators = formats.load_generators(input_file)
         if generators is None:  # a table file: the verifier against the exhaustive scans
             report.verified = verify_by_scans(S, budget) == check
-        else:  # the letters: the generators, then their inverses
-            letters = dict.fromkeys([*generators, *(g.invert() for g in generators)])
-            report.verified = S.labels[:_letter_count(S)] == tuple(letters)
+        else:  # a closure: its letters against the file's generators
+            report.verified = has_letters_of(S, generators)
     return report
 
 
@@ -288,64 +290,21 @@ def germs(input_file, self_action, budget, verify):
             counts == (len(G), len(G.units), len(G.isotropy()))
             and (principal,) * 3 == (G.is_principal(), G.is_effective(),
                                      G.is_essentially_principal())
-            and _verify_germ_classes(action, G))
+            and germs_mod.verify_germ_classes(action, G))
     return report
 
 
-def _verify_germ_classes(action, G) -> bool:
-    """Check the classes of G by `germ_equiv_oracle`'s witness search, per point.
-
-    At a point x, (s, x) ~ (t, x) iff s e = t e for some idempotent e
-    at x.  This is an equivalence, because the idempotents at x are
-    closed under products (D_{ef} = D_e & D_f in an action): s e = t e
-    and t f = u f give s ef = t fe = u fe.  So two checks prove the
-    classes exact.  (1) Each pair is ~ its class's representative, so a
-    class never holds two pairs that are not ~.  (2) For each idempotent
-    e at x, pairs with equal s e share a class, so ~ pairs never lie in
-    two classes.  Last, every class must hold a pair.  Both checks read
-    s e off one product column per idempotent e at x: with k_x pairs at
-    x, that is k_x |idempotents at x| products and comparisons per
-    point, not C(k_x, 2) witness searches.
-    """
-    from . import germs as germs_mod
-    S = action.semigroup
-    l_classes = germs_mod._l_classes(S)
-    seen = set()
-    for x in range(action.space_size):
-        at = action.idempotents_at(x)
-        members = [s for e in at for s in l_classes[e]]  # the pairs (s, x)
-        classes = [G.class_of(s, x) for s in members]
-        columns = [S.products(members, e) for e in at]
-        position = {s: i for i, s in enumerate(members)}
-        for i, c in enumerate(classes):
-            if not 0 <= c < len(G):
-                return False
-            r, y = G.reps[c]
-            j = position.get(r)
-            if y != x or j is None or not any(col[i] == col[j] for col in columns):
-                return False
-        for column in columns:
-            class_of: dict[int, int] = {}
-            for se, c in zip(column, classes):
-                if class_of.setdefault(se, c) != c:
-                    return False
-        seen.update(classes)
-    return len(seen) == len(G)
-
-
-def criterion(input_file, family, element_expr, truncation, rank, graph_file,
-              budget, verify):
+def criterion(input_file, family, element_expr, budget, verify, **options):
     """Finite-cover verdicts: per element of a table, or one symbolic element."""
     if (input_file is None) == (family is None):
         raise ParseError("give exactly one of INPUT_FILE or --family")
     if family is not None:
         if element_expr is None:
             raise ParseError("--family needs --element")
-        return _symbolic_report("criterion", family, element_expr, truncation,
-                                rank, graph_file, budget, verify)
+        return _symbolic_report("criterion", family, element_expr, options, budget, verify)
     if element_expr is not None:
         raise ParseError("--element applies only to --family")
-    _refuse_family_options(None, truncation, rank, graph_file)
+    symbolic.refuse_options(None, options)
     from . import criterion as crit
     budget = _budget(budget)
     S = formats.load_semigroup(input_file, budget=budget)
@@ -357,13 +316,8 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
     verified = True
     for s in S.elements():
         verdict, label = crit.hausdorff_criterion(S, s), S.label_str(s)
-        rows.append({
-            "element": s,
-            "label": label,
-            "j_set": sorted(verdict.j_set),
-            "witness": list(verdict.witness),
-            "verdict": verdict.verdict,
-        })
+        rows.append({"element": s, "label": label, "j_set": sorted(verdict.j_set),
+                     "witness": list(verdict.witness), "verdict": verdict.verdict})
         report.line(f"  s={s} ({label}): {verdict.verdict} "
                     f"witness={list(verdict.witness)} |J_s|={len(verdict.j_set)}")
         if verify:  # the ideal-cover oracle, then the verdict against J_s by products
@@ -376,12 +330,11 @@ def criterion(input_file, family, element_expr, truncation, rank, graph_file,
     return report
 
 
-def symbolic_cmd(family, element_expr, truncation, rank, graph_file, budget, verify):
+def symbolic_cmd(family, element_expr, budget, verify, **options):
     """Criterion verdict for one element of a countable family."""
     if element_expr == []:  # Python 3.11's argparse passes a literal "--" element as []
         element_expr = "--"
-    return _symbolic_report("symbolic", family, element_expr, truncation,
-                            rank, graph_file, budget, verify)
+    return _symbolic_report("symbolic", family, element_expr, options, budget, verify)
 
 
 def _budget(budget: int | None) -> int | None:
@@ -401,49 +354,16 @@ def _budget(budget: int | None) -> int | None:
     return budget
 
 
-def _refuse_family_options(family, truncation, rank, graph_file) -> None:
-    """A family option given to a call that would ignore it is a
-    ParseError naming it; `family` is None for a semigroup file."""
-    for option, value, owner in (("--truncation", truncation, "atomflip"),
-                                 ("--rank", rank, "munn"), ("--graph", graph_file, "graph")):
-        if value is not None and family != owner:
-            raise ParseError(f"{option} applies only to {owner}")
-
-
-def _symbolic_report(command, family, element_expr, truncation, rank,
-                     graph_file, budget, verify) -> RunReport:
-    _refuse_family_options(family, truncation, rank, graph_file)
+def _symbolic_report(command, family, element_expr, options, budget, verify) -> RunReport:
+    symbolic.refuse_options(family, options)
     if budget is not None:
         raise ParseError("--budget applies only to a semigroup file")
-    if family == "atomflip":
-        from .symbolic import atomflip
-        element = atomflip.parse(element_expr)
-        try:
-            rep = atomflip.criterion(element, truncation_atoms=truncation)
-        except ContractViolation as exc:  # --truncation negative or too small
-            raise ParseError(str(exc)) from None
-    elif family == "munn":
-        from .symbolic import munn
-        rank = DEFAULT_RANK if rank is None else rank
-        if rank < 1:
-            raise ParseError(f"--rank must be at least 1, got {rank}")
-        word_rank, word = munn.parse_word(element_expr)
-        element = munn.MunnTreeElement.from_word(max(word_rank, rank), word)
-        rep = munn.criterion(element)
-    else:
-        from .symbolic import graphs
-        g = formats.load_graph(graph_file) if graph_file else graphs.fixture_graph()
-        element = graphs.parse(g, element_expr)
-        rep = graphs.criterion(element)
+    element, rep, pool = symbolic.evaluate(family, element_expr, options)
 
     report = RunReport(command)
-    payload: dict = {
-        "family": rep.family,
-        "element": rep.element,
-        "j_set": rep.j_set_description,
-        "verdict": rep.verdict,
-        "witness": list(rep.witness_strings()) if rep.witness is not None else None,
-    }
+    payload: dict = {"family": rep.family, "element": rep.element,
+                     "j_set": rep.j_set_description, "verdict": rep.verdict,
+                     "witness": list(rep.witness_strings()) if rep.witness is not None else None}
     report.line(f"{command} {family} '{element_expr}'")
     report.line(f"element: {rep.element}")
     report.line(f"J_s: {rep.j_set_description}")
@@ -458,32 +378,8 @@ def _symbolic_report(command, family, element_expr, truncation, rank,
         report.line(f"  sample: {', '.join(sample)}, ...")
     report.symbolic = payload
     if verify:
-        report.verified = _verify_symbolic(family, element, rep, truncation)
+        report.verified = symbolic.verify(element, rep, pool)
     return report
-
-
-def _verify_symbolic(family, element, rep, truncation) -> bool:
-    """Check the verdict by the elements' own `*`, not by the code that
-    made it.  An antichain's sample members are idempotents in J_s,
-    distinct from the one element that all their pairwise products
-    equal (the zero).  A witness lies in J_s, and with an atom-flip
-    `--truncation` it covers J_s downward: every idempotent e of the
-    truncation with s e = e has e = f e for some witness member f."""
-    if rep.antichain is not None:
-        members = [rep.antichain.member(i) for i in range(1, 9)]
-        zero = members[0] * members[1]
-        return (all(element * a == a == a * a != zero for a in members)
-                and all(a * b == zero for i, a in enumerate(members)
-                        for b in members[i + 1:]))
-    if rep.witness is None or not all(element * f == f == f * f for f in rep.witness):
-        return False
-    if family == "atomflip" and truncation is not None:
-        from .symbolic import atomflip
-        cover = set(rep.witness)  # e in it covers itself: e = e e
-        return all(e in cover or any(f * e == e for f in rep.witness)
-                   for e in atomflip.elements(truncation)
-                   if element * e == e == e * e)
-    return True
 
 
 if __name__ == "__main__":

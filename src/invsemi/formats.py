@@ -43,13 +43,16 @@ FORMAT_VERSION = 1
 
 def _load_json(path: Path) -> tuple[dict, bool]:
     """The file's top-level object, and whether its text spells true or
-    false anywhere: False proves that the object holds no bool."""
+    false anywhere: False proves that the object holds no bool.  The
+    file is read as UTF-8 (RFC 8259, section 8.1), whatever the locale.
+    Bytes that are not UTF-8, nesting too deep for the decoder and an
+    integer too long to convert are parse errors too."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         data = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")

@@ -190,20 +190,17 @@ def _l_classes(S: FiniteInverseSemigroup) -> dict[int, list[int]]:
 
 
 def _least_idempotents(action: FiniteAction) -> dict[int, int]:
-    """{x: e_x} over the points that lie in some domain."""
-    return {x: _least_idempotent_at(action, x)
-            for x in range(action.space_size) if action.idempotents_at(x)}
-
-
-def _least_idempotent_at(action: FiniteAction, x: int) -> int:
-    """e_x, the least idempotent whose domain holds x (see GermGroupoid)."""
-    at = action.idempotents_at(x)
-    e = reduce(action.semigroup.product, at)
-    if x not in action.domain_of[e]:
-        raise ContractViolation(
-            f"point {x} lies in the domains of {list(at)} but not of their "
-            f"product {e}; the domains do not come from an action")
-    return e
+    """{x: e_x} over the points that lie in some domain, e_x the least
+    idempotent whose domain holds x (see GermGroupoid)."""
+    least = {}
+    for x in range(action.space_size):
+        if at := action.idempotents_at(x):
+            e = least[x] = reduce(action.semigroup.product, at)
+            if x not in action.domain_of[e]:
+                raise ContractViolation(
+                    f"point {x} lies in the domains of {list(at)} but not of their "
+                    f"product {e}; the domains do not come from an action")
+    return least
 
 
 def germ_equiv_oracle(action: FiniteAction, s: int, t: int, x: int) -> bool:
@@ -213,6 +210,46 @@ def germ_equiv_oracle(action: FiniteAction, s: int, t: int, x: int) -> bool:
         raise ContractViolation(f"point {x} must lie in the domains of both {s} and {t}")
     product = action.semigroup.product
     return any(product(s, e) == product(t, e) for e in action.idempotents_at(x))
+
+
+def verify_germ_classes(action: FiniteAction, G: GermGroupoid) -> bool:
+    """Check the classes of G by `germ_equiv_oracle`'s witness search, per point.
+
+    At a point x, (s, x) ~ (t, x) iff s e = t e for some idempotent e
+    at x.  This is an equivalence, because the idempotents at x are
+    closed under products (D_{ef} = D_e & D_f in an action): s e = t e
+    and t f = u f give s ef = t fe = u fe.  So two checks prove the
+    classes exact.  (1) Each pair is ~ its class's representative, so a
+    class never holds two pairs that are not ~.  (2) For each idempotent
+    e at x, pairs with equal s e share a class, so ~ pairs never lie in
+    two classes.  Last, every class must hold a pair.  Both checks read
+    s e off one product column per idempotent e at x: with k_x pairs at
+    x, that is k_x |idempotents at x| products and comparisons per
+    point, not C(k_x, 2) witness searches.
+    """
+    S = action.semigroup
+    l_classes = _l_classes(S)
+    seen = set()
+    for x in range(action.space_size):
+        at = action.idempotents_at(x)
+        members = [s for e in at for s in l_classes[e]]  # the pairs (s, x)
+        classes = [G.class_of(s, x) for s in members]
+        columns = [S.products(members, e) for e in at]
+        position = {s: i for i, s in enumerate(members)}
+        for i, c in enumerate(classes):
+            if not 0 <= c < len(G):
+                return False
+            r, y = G.reps[c]
+            j = position.get(r)
+            if y != x or j is None or not any(col[i] == col[j] for col in columns):
+                return False
+        for column in columns:
+            class_of: dict[int, int] = {}
+            for se, c in zip(column, classes):
+                if class_of.setdefault(se, c) != c:
+                    return False
+        seen.update(classes)
+    return len(seen) == len(G)
 
 
 def fixed_sets(action: FiniteAction, s: int) -> tuple[frozenset[int], frozenset[int]]:

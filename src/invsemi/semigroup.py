@@ -452,8 +452,7 @@ def close(generators: Sequence[PartialBijection],
           budget: int | None = None) -> FiniteInverseSemigroup:
     """Close partial-bijection generators under composition and inverses.
 
-    The *letters* (the generators in the given order, then their
-    inverses, first occurrences only) come first.  Then every element
+    The *letters* (`closure_letters`) come first.  Then every element
     appears in shortlex order of its least word over the letters, so
     equal generator lists always yield identical element indexing;
     action files rely on it.  Raises `BudgetExceeded` if the closure
@@ -499,7 +498,7 @@ def close(generators: Sequence[PartialBijection],
             index[key] = len(keys)
             keys.append(key)
 
-    for g in [*generators, *(g.invert() for g in generators)]:
+    for g in closure_letters(generators):
         add(_image_key(n, g.pairs))
     k = len(keys)
     # bytes.translate gathers through a 256-entry table: a padded key.
@@ -520,6 +519,18 @@ def close(generators: Sequence[PartialBijection],
     return FiniteInverseSemigroup(
         None, labels=labels, _closure=(index, gathers, tables, k),
         _inverse=[index[_image_key(n, ((y, x) for x, y in f.pairs))] for f in labels])
+
+
+def closure_letters(generators: Sequence[PartialBijection]) -> tuple[PartialBijection, ...]:
+    """The letters of the closure of `generators`, its elements 0..k-1:
+    the generators in the given order, then their inverses, first
+    occurrences only."""
+    return tuple(dict.fromkeys([*generators, *(g.invert() for g in generators)]))
+
+
+def has_letters_of(S: FiniteInverseSemigroup, generators: Sequence[PartialBijection]) -> bool:
+    """Whether S is a closure whose letters are those of `generators`."""
+    return S._closure is not None and S.labels[:_letter_count(S)] == closure_letters(generators)
 
 
 def _letter_count(S: FiniteInverseSemigroup) -> int:

@@ -3,13 +3,17 @@
 Three families share the criterion-report contract: free inverse
 monoids (`munn`), graph inverse semigroups (`graphs`), and the
 constructed atom-flip family (`atomflip`), the one whose FLIP element
-genuinely refutes the finite downward cover.
+genuinely refutes the finite downward cover.  `FAMILIES` is the one
+table of them; a family's module loads only when it is asked for.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from operator import attrgetter
 from typing import Callable, NamedTuple
+
+from ..errors import ParseError
 
 
 class AntichainWitness(NamedTuple):
@@ -90,5 +94,45 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-FAMILIES = ("atomflip", "munn", "graph")
+# name -> (its module in this package, the one option it reads, as --<option>)
+FAMILIES = {"atomflip": ("atomflip", "truncation"),
+            "munn": ("munn", "rank"),
+            "graph": ("graphs", "graph")}
+
+
+def refuse_options(family: str | None, options: dict) -> None:
+    """An option given to a call that would ignore it is a ParseError
+    naming it; `options` maps each family's option to its value, None
+    where not given, and `family` is None for a semigroup file."""
+    for name, (_, option) in FAMILIES.items():
+        if options[option] is not None and family != name:
+            raise ParseError(f"--{option} applies only to {name}")
+
+
+def evaluate(family: str, text: str, options: dict) -> tuple:
+    """(element, report, pool) of the family module's `evaluate`: the
+    element that `text` names, its criterion report, and the finite pool
+    of elements on which `verify` checks the witness's cover."""
+    module, option = FAMILIES[family]
+    return import_module(f"{__name__}.{module}").evaluate(text, options[option])
+
+
+def verify(element, rep: SymbolicCriterionReport, pool) -> bool:
+    """Check the verdict by the elements' own `*`, not by the code that
+    made it.  An antichain's sample members are idempotents in J_s,
+    distinct from the one element that all their pairwise products
+    equal (the zero).  A witness lies in J_s and covers J_s downward on
+    the pool: every idempotent e of the pool with s e = e has e = f e
+    for some witness member f."""
+    if rep.antichain is not None:
+        members = [rep.antichain.member(i) for i in range(1, 9)]
+        zero = members[0] * members[1]
+        return (all(element * a == a == a * a != zero for a in members)
+                and all(a * b == zero for i, a in enumerate(members)
+                        for b in members[i + 1:]))
+    if rep.witness is None or not all(element * f == f == f * f for f in rep.witness):
+        return False
+    cover = set(rep.witness)  # e in it covers itself: e = e e
+    return all(e in cover or any(f * e == e for f in rep.witness)
+               for e in pool if element * e == e == e * e)
 

@@ -85,6 +85,18 @@ def parse(text: str) -> AtomFlipElement:
                      "expected zero, flip, square or atom:<i>")
 
 
+def evaluate(text: str, truncation_atoms: int | None) -> tuple:
+    """(element, report, pool) for `symbolic.evaluate`: the pool is the
+    truncation's elements, none without a bound.  A bound that is
+    negative, or too small to hold the element, is a ParseError."""
+    element = parse(text)
+    try:
+        rep = criterion(element, truncation_atoms=truncation_atoms)
+    except ContractViolation as exc:
+        raise ParseError(str(exc)) from None
+    return element, rep, () if truncation_atoms is None else elements(truncation_atoms)
+
+
 def elements(n_atoms: int) -> tuple[AtomFlipElement, ...]:
     """The elements of the truncation with n atoms, in table order."""
     return (ZERO, FLIP, SQUARE) + tuple(atom(i) for i in range(1, n_atoms + 1))
@@ -125,34 +137,24 @@ def criterion(s: AtomFlipElement, truncation_atoms: int | None = None) -> Symbol
     idempotent and covered by itself.  With a bound, the verdict is
     delegated to the exhaustive table criterion on the truncation.
     """
+    antichain = None
     if truncation_atoms is not None:
         S = truncation(truncation_atoms)
         labels = {el: i for i, el in enumerate(S.labels)}
         if s not in labels:
             raise ContractViolation(
                 f"{s} does not live in the truncation with {truncation_atoms} atoms")
-        verdict = hausdorff_criterion(S, labels[s])
-        witness = tuple(S.labels[f] for f in verdict.witness)
-        return SymbolicCriterionReport(
-            family=FAMILY, element=str(s),
-            j_set_description=_describe_j_set(s, truncation_atoms),
-            verdict=verdict.verdict,
-            witness=witness)
-    if s.kind == "flip":
-        return SymbolicCriterionReport(
-            family=FAMILY, element=str(s),
-            j_set_description=_describe_j_set(s, None),
-            verdict=REFUTED,
-            witness=None,
-            antichain=AntichainWitness(
-                description="i -> atom:i, pairwise products zero, each maximal in J_s",
-                member=atom))
-    # zero, square and the atoms are idempotent: J_s is their down-set
-    return SymbolicCriterionReport(
-        family=FAMILY, element=str(s),
-        j_set_description=_describe_j_set(s, None),
-        verdict=HAUSDORFF_WITNESS,
-        witness=(s,))
+        found = hausdorff_criterion(S, labels[s])
+        verdict, witness = found.verdict, tuple(S.labels[f] for f in found.witness)
+    elif s.kind == "flip":
+        verdict, witness = REFUTED, None
+        antichain = AntichainWitness(
+            description="i -> atom:i, pairwise products zero, each maximal in J_s",
+            member=atom)
+    else:  # zero, square and the atoms are idempotent: J_s is their down-set
+        verdict, witness = HAUSDORFF_WITNESS, (s,)
+    return SymbolicCriterionReport(FAMILY, str(s), _describe_j_set(s, truncation_atoms),
+                                   verdict, witness, antichain)
 
 
 def _describe_j_set(s: AtomFlipElement, bound: int | None) -> str:

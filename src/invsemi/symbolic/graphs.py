@@ -161,16 +161,11 @@ def criterion(s: PathPairElement) -> SymbolicCriterionReport:
     """Finite-cover verdict: an idempotent covers itself; a nonzero
     non-idempotent fixes no idempotent but zero, so zero covers."""
     if s.is_idempotent():
-        return SymbolicCriterionReport(
-            family=FAMILY, element=str(s),
-            j_set_description=("zero only" if s.is_zero
-                               else "zero and the idempotents r r* with r extending p"),
-            verdict=HAUSDORFF_WITNESS, witness=(s,))
-    return SymbolicCriterionReport(
-        family=FAMILY, element=str(s),
-        j_set_description="zero only (the family is E*-unitary)",
-        verdict=HAUSDORFF_WITNESS,
-        witness=(PathPairElement.zero(s.graph),))
+        j_set = "zero only" if s.is_zero else "zero and the idempotents r r* with r extending p"
+        witness = (s,)
+    else:
+        j_set, witness = "zero only (the family is E*-unitary)", (PathPairElement.zero(s.graph),)
+    return SymbolicCriterionReport(FAMILY, str(s), j_set, HAUSDORFF_WITNESS, witness)
 
 
 def paths_up_to(graph: DirectedGraph, max_len: int) -> list[Path]:
@@ -207,6 +202,14 @@ def fixture_graph() -> DirectedGraph:
     """Two vertices, three edges (a loop and a 2-cycle); the default
     graph for bounded-pool scans."""
     return DirectedGraph(2, ((0, 0), (0, 1), (1, 0)))
+
+
+def evaluate(text: str, graph_file: str | None) -> tuple:
+    """The element that `text` names on the graph of `graph_file` (the
+    fixture graph without one), its `criterion` report, and no pool."""
+    from ..formats import load_graph
+    element = parse(load_graph(graph_file) if graph_file else fixture_graph(), text)
+    return element, criterion(element), ()
 
 
 def parse_path(graph: DirectedGraph, text: str) -> Path:

@@ -22,6 +22,7 @@ FAMILY = "munn"
 Word = tuple[int, ...]
 
 _NAMES = ("x", "y", "z")
+DEFAULT_RANK = 2  # the rank of an element unless its word or --rank names a larger one
 
 
 def reduce_word(letters: Iterable[int]) -> Word:
@@ -123,15 +124,21 @@ def criterion(s: MunnTreeElement) -> SymbolicCriterionReport:
     """Finite-cover verdict: free inverse monoids have no zero and no
     idempotent sits below a non-idempotent, so J_s is empty unless s is
     idempotent, in which case s itself covers."""
-    if s.is_idempotent():
-        return SymbolicCriterionReport(
-            family=FAMILY, element=str(s),
-            j_set_description="idempotents whose tree contains this tree",
-            verdict=HAUSDORFF_WITNESS, witness=(s,))
-    return SymbolicCriterionReport(
-        family=FAMILY, element=str(s),
-        j_set_description="empty (no idempotent below a non-idempotent)",
-        verdict=HAUSDORFF_WITNESS, witness=())
+    j_set, witness = (("idempotents whose tree contains this tree", (s,)) if s.is_idempotent()
+                      else ("empty (no idempotent below a non-idempotent)", ()))
+    return SymbolicCriterionReport(FAMILY, str(s), j_set, HAUSDORFF_WITNESS, witness)
+
+
+def evaluate(text: str, rank: int | None) -> tuple:
+    """The element that the word `text` names, at the larger of its
+    own rank and `rank` (default `DEFAULT_RANK`, at least 1), its
+    `criterion` report, and no pool."""
+    rank = DEFAULT_RANK if rank is None else rank
+    if rank < 1:
+        raise ParseError(f"--rank must be at least 1, got {rank}")
+    word_rank, word = parse_word(text)
+    element = MunnTreeElement.from_word(max(word_rank, rank), word)
+    return element, criterion(element), ()
 
 
 def element_pool(rank: int, max_vertices: int) -> tuple[MunnTreeElement, ...]:

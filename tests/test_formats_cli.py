@@ -1,10 +1,13 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from invsemi import ParseError
 from invsemi.formats import load_action, load_graph, load_semigroup
+from invsemi.semigroup import DEFAULT_CLOSE_BUDGET, DEFAULT_SUBSET_BUDGET
+from invsemi.symbolic import FAMILIES
 from invsemi.symbolic.atomflip import AtomFlipElement
 
 from conftest import invoke_cli, semigroup_to_dict
@@ -248,6 +251,34 @@ def test_cli_parse_error_exit_2(tmp_path):
     run("close", str(junk), expect=2)
 
 
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+UNREADABLE = [
+    pytest.param(bytes([0xff, 0xfe, 0x00, 0x7b, 0x7d]), id="utf-16"),  # a UTF-16 BOM, then {}
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep"),
+    pytest.param(b"[" + b"1" * (INT_DIGITS + 1) + b"]", id="long-int",
+                 marks=pytest.mark.skipif(not INT_DIGITS, reason="no limit on int digits")),
+]
+
+
+@pytest.mark.parametrize("content", UNREADABLE)
+@pytest.mark.parametrize("command", ["close", "germs", "symbolic"])
+def test_cli_unreadable_json_exit_2(tmp_path, command, content):
+    """Bytes that are not UTF-8, nesting too deep for the decoder and an
+    integer too long to convert exit 2 and name the file, also as an
+    action file's semigroup and as a graph file."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({"version": 1, "semigroup": bad.name, "space_size": 1,
+                                  "domains": [], "action": []}))
+    args = {"close": ["close", str(bad)], "germs": ["germs", str(action)],
+            "symbolic": ["symbolic", "graph", "e1", "--graph", str(bad)]}[command]
+    result = invoke_cli(args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: {bad} is not valid JSON: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_cli_missing_version_exit_2(tmp_path):
     f = tmp_path / "no_version.json"
     f.write_text(json.dumps({"kind": "table", "mul_table": [[0]]}))
@@ -417,9 +448,9 @@ def test_cli_symbolic_verify_checks_antichain(monkeypatch, member):
 
 
 def test_cli_verify_failure_exit_4(monkeypatch):
-    import invsemi.cli as cli_mod
+    from invsemi import germs as germs_mod
 
-    monkeypatch.setattr(cli_mod, "_verify_germ_classes", lambda action, G: False)
+    monkeypatch.setattr(germs_mod, "verify_germ_classes", lambda action, G: False)
     result = invoke_cli(["germs", str(DATA / "z2.json"), "--self", "--verify"])
     assert result.exit_code == 4
 
@@ -492,11 +523,11 @@ def test_germs_verify_catches_a_copied_representative(moved):
     representative, and only the check that pairs with equal s e share a
     class sees the fault; if none moves, the new class holds no pair."""
     from invsemi import build_germs, left_translation_action
-    from invsemi.cli import _verify_germ_classes
+    from invsemi.germs import verify_germ_classes
 
     action = left_translation_action(load_semigroup(DATA / "i2_gens.json"))
     G = build_germs(action)
-    assert _verify_germ_classes(action, G)
+    assert verify_germ_classes(action, G)
     s, x = next((s, x) for s, x in action.germ_pairs() if G.reps[G.class_of(s, x)] != (s, x))
 
     class Copied:
@@ -508,7 +539,7 @@ def test_germs_verify_catches_a_copied_representative(moved):
         def class_of(self, t, y):
             return len(G) if moved and (t, y) == (s, x) else G.class_of(t, y)
 
-    assert not _verify_germ_classes(action, Copied())
+    assert not verify_germ_classes(action, Copied())
 
 
 @pytest.mark.parametrize("name, space_size, action, stray", [
@@ -577,6 +608,8 @@ def test_cli_subcommand_help_exits_0(command):
     result = invoke_cli([command, "--help"])
     assert result.exit_code == 0
     assert result.stdout.startswith("usage: ") and result.stderr == ""
+    words = " ".join(result.stdout.split())  # the --budget help states each default budget
+    assert f"default: {DEFAULT_CLOSE_BUDGET:,} elements, {DEFAULT_SUBSET_BUDGET:,} pairs" in words
 
 
 def test_cli_criterion_usage_errors():
@@ -598,6 +631,45 @@ def test_cli_criterion_usage_errors():
 def test_cli_refuses_an_option_the_call_ignores(args, option):
     result = invoke_cli(args)
     assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {option}\n")
+
+
+# per family: an element, and a value of the family's option that changes
+# its report (graph_three.json, written by `family_options`, has vertex 2)
+OWN_OPTION = {"atomflip": ("flip", "4"), "munn": ("x", "4"), "graph": ("v2", "graph_three.json")}
+
+
+@pytest.fixture
+def family_options(monkeypatch, tmp_path):
+    """A call of one family's element on `symbolic` or `criterion --family`."""
+    (tmp_path / "graph_three.json").write_text(
+        json.dumps({"version": 1, "vertex_count": 3, "edges": [[0, 1]]}))
+    monkeypatch.chdir(tmp_path)
+
+    def call(command, family, *options):
+        element = OWN_OPTION[family][0]
+        return invoke_cli([command, family, element, *options] if command == "symbolic"
+                          else [command, "--family", family, "--element", element, *options])
+    return call
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("command", ["symbolic", "criterion"])
+def test_cli_a_family_reads_its_option(family_options, command, family):
+    """Each family takes the option that `symbolic.FAMILIES` gives it,
+    and its report changes by it."""
+    given = family_options(command, family, f"--{FAMILIES[family][1]}", OWN_OPTION[family][1])
+    assert given.exit_code == 0, given.output
+    assert given.output != family_options(command, family).output
+
+
+@pytest.mark.parametrize("family, owner", [(family, owner) for family in FAMILIES
+                                           for owner in FAMILIES if owner != family])
+@pytest.mark.parametrize("command", ["symbolic", "criterion"])
+def test_cli_a_family_refuses_another_familys_option(family_options, command, family, owner):
+    option = f"--{FAMILIES[owner][1]}"
+    result = family_options(command, family, option, OWN_OPTION[owner][1])
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        2, "", f"error: {option} applies only to {owner}\n")
 
 
 def test_cli_budget_variable_applies_only_where_a_budget_is_read():

@@ -29,15 +29,24 @@ A closure multiplies by its image keys, and reading its `mul` lays out
 all m^2 products, so `.mul` is read only by the table code of
 `semigroup.py`.  Every other reader goes through `product` or
 `products`.  Outside `semigroup.py`, only `cli._verification` tests
-`_closure` (a closure passes its checks by construction), and only
-`close --verify` reads `_letter_count`, to compare the letters with the
-file's generators.
+`_closure` (a closure passes its checks by construction), and nothing
+reads `_letter_count`: `close --verify` compares the letters with the
+file's generators through `semigroup.has_letters_of`.
+
+`cli.py` decides only what the command line owns: argument parsing,
+the verification policy, report layout and exit codes.  The symbolic
+families are dispatched by the table `symbolic.FAMILIES`, so `cli.py`
+imports no family module and compares nothing with a family name.  It
+reads no underscore-prefixed name of another module either (only
+`S._closure` in `_verification`): a private name read there would be a
+decision taken away from the module that owns it.
 """
 
 import ast
 from pathlib import Path
 
 import invsemi
+from invsemi.symbolic import FAMILIES
 
 PACKAGE = Path(invsemi.__file__).resolve().parent
 EXPORTED = {name for names in invsemi._EXPORTS.values() for name in names}
@@ -232,9 +241,10 @@ def test_the_scan_finds_a_mul_read():
                                  ("", 9)]
 
 
-# name -> (module, function): the one reader of the name outside `semigroup.py`
+# name -> (module, function): the one reader of the name outside
+# `semigroup.py`, or None where no other module reads it
 REPRESENTATION_READERS = {"_closure": ("cli.py", "_verification"),
-                          "_letter_count": ("cli.py", "close")}
+                          "_letter_count": None}
 
 
 def test_only_the_verification_policy_tests_the_representation():
@@ -249,7 +259,8 @@ def test_only_the_verification_policy_tests_the_representation():
                           if (module, read[0]) != owner]
     assert {module: reads for module, reads in faults.items() if reads} == {}
     cli = (PACKAGE / "cli.py").read_text()
-    assert all(scoped_reads(cli, name, bare=True) for name in REPRESENTATION_READERS)
+    assert scoped_reads(cli, "_closure", bare=True)
+    assert scoped_reads((PACKAGE / "semigroup.py").read_text(), "_letter_count", bare=True)
 
 
 def test_the_scan_finds_a_representation_read():
@@ -261,3 +272,104 @@ def test_the_scan_finds_a_representation_read():
     assert scoped_reads(source, "_closure", bare=True) == [("validate", 3)]
     assert scoped_reads(source, "_letter_count", bare=True) == [("validate", 4), ("validate", 5)]
     assert scoped_reads(source, "_letter_count") == [("validate", 5)]
+
+
+FAMILY_MODULES = {module for module, _ in FAMILIES.values()}
+
+
+def _strings(node) -> list[str]:
+    """The string constants that `node` is, or that a tuple, list or set
+    literal `node` holds."""
+    if isinstance(node, ast.Constant):
+        return [node.value] if isinstance(node.value, str) else []
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return [value for element in node.elts for value in _strings(element)]
+    return []
+
+
+def family_dispatch(source: str) -> list[tuple[str, int]]:
+    """(family or family module, line) of each import of a family module
+    and each comparison with a family name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("invsemi." if node.level else "") + (node.module or "")
+            modules = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Compare):
+            found += [(name, node.lineno) for operand in (node.left, *node.comparators)
+                      for name in _strings(operand) if name in FAMILIES]
+            continue
+        else:
+            continue
+        found += [(module.rpartition(".")[2], node.lineno) for module in modules
+                  if module.rpartition(".")[0] == "invsemi.symbolic"
+                  and module.rpartition(".")[2] in FAMILY_MODULES]
+    return sorted(found)
+
+
+def test_cli_dispatches_the_families_by_their_table():
+    assert family_dispatch((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_the_scan_finds_a_family_dispatch():
+    source = ("from . import formats, symbolic\n"
+              "from .symbolic import munn, Frozen\n"
+              "import invsemi.symbolic.graphs as g\n"
+              "from invsemi.symbolic.atomflip import parse\n"
+              "def run(family, owner):\n"
+              "    if family == \"atomflip\":\n"
+              "        from .symbolic import atomflip\n"
+              "    elif family in (\"munn\", \"graph\") or family != owner:\n"
+              "        return \"graph\"\n"  # no comparison
+              "    return family == \"graphs\"\n")  # a module, not a family name
+    assert family_dispatch(source) == [("atomflip", 4), ("atomflip", 6), ("atomflip", 7),
+                                       ("graph", 8), ("graphs", 3), ("munn", 2), ("munn", 8)]
+
+
+# (name, function): the one private name that `cli.py` reads
+CLI_PRIVATE_READS = {("_closure", "_verification")}
+
+
+def private_reads(source: str) -> list[tuple[str, str, int]]:
+    """(name, enclosing function, line) of each attribute whose name
+    starts with one underscore, and of each such name imported from a
+    package module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, ast.ImportFrom) and (
+                    child.level or (child.module or "").partition(".")[0] == "invsemi"):
+                names = [alias.name for alias in child.names]
+            else:
+                names = []
+            found.extend((name, scope, child.lineno) for name in names
+                         if name.startswith("_") and not name.startswith("__"))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    reads = private_reads((PACKAGE / "cli.py").read_text())
+    assert [read for read in reads if read[:2] not in CLI_PRIVATE_READS] == []
+    assert {read[:2] for read in reads} == CLI_PRIVATE_READS
+
+
+def test_the_scan_finds_a_private_read():
+    source = ("from .semigroup import (close, _letter_count)\n"
+              "from json import _default_decoder\n"  # not a package module
+              "def germs(action, S):\n"
+              "    l_classes = germs_mod._l_classes(S)\n"
+              "    if S._closure is not None and S.__class__:\n"  # a dunder is no private name
+              "        return _budget(S.order)\n")  # a name of this module
+    assert private_reads(source) == [("_closure", "germs", 5), ("_l_classes", "germs", 4),
+                                     ("_letter_count", "", 1)]
