@@ -53,11 +53,12 @@ def _input_file(path: str) -> str:
 
 def _family_options(parser: argparse.ArgumentParser) -> None:
     """The options of `symbolic.FAMILIES`, one per family, by its name."""
+    default = {option: value for _, option, value in symbolic.FAMILIES.values()}
     parser.add_argument("--truncation", type=int, default=None,
                         help="Atom-flip truncation bound (atom count).")
     parser.add_argument("--rank", type=int, default=None,
                         help="Munn rank (at least 1) when parsing cannot infer it. "
-                             "[default: 2]")
+                             f"[default: {default['rank']}]")
     parser.add_argument("--graph", type=_input_file, default=None, metavar="GRAPH_FILE",
                         help="Graph file for the graph family.")
 
@@ -200,8 +201,8 @@ def close(input_file, budget, verify):
     report.semigroup = stats
     report.line(f"close {input_file}")
     _summary_lines(report, stats)
-    if S.labels is not None and S.order <= MAX_LISTED_ELEMENTS:
-        report.semigroup["elements"] = [str(S.label(i)) for i in S.elements()]
+    if S.order <= MAX_LISTED_ELEMENTS and S.labels is not None:  # a read builds a closure's labels
+        report.semigroup["elements"] = [S.label_str(i) for i in S.elements()]
         report.line("elements:")
         for i in S.elements():
             report.line(f"  {i}: {S.label_str(i)}")

@@ -91,9 +91,12 @@ class PartialBijection:
         return f"PartialBijection({self.ground_size}, {dict(self.pairs)!r})"
 
     def __str__(self) -> str:
-        if not self.pairs:
-            return "[]"
-        return "[" + ",".join(f"{x}->{y}" for x, y in self.pairs) + "]"
+        return format_pairs(self.pairs)
+
+
+def format_pairs(pairs: Iterable[tuple[int, int]]) -> str:
+    """The print format of a graph: "[0->1,2->2]", "[]" when empty."""
+    return "[" + ",".join(f"{x}->{y}" for x, y in pairs) + "]"
 
 
 def all_partial_bijections(ground_size: int) -> Iterator[PartialBijection]:

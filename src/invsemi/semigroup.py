@@ -17,7 +17,7 @@ from operator import and_, attrgetter, eq, itemgetter, methodcaller, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
-from .partial_bijection import PartialBijection
+from .partial_bijection import PartialBijection, format_pairs
 
 DEFAULT_CLOSE_BUDGET = 20_000
 DEFAULT_SUBSET_BUDGET = 200_000  # pairs of props; subsets or triples of the --verify oracles
@@ -43,8 +43,8 @@ class FiniteInverseSemigroup:
     `product` (and `products`, for a column) reads s t off the table,
     or on a `close` result, which keeps none, off the image keys: the
     key of s read through the key of t is the key of s t (see `close`).
-    `mul` of a closure lays its products out as a table on first read,
-    for library callers; no CLI call does.
+    A closure lays out its `mul` table, and builds its `labels`, on first
+    read, for library callers; no CLI call reads `mul`.
 
     The natural order is kept at two sizes: the *E-order*, the order on
     the idempotents E as masks over E, with J_s, the idempotents below
@@ -74,13 +74,13 @@ class FiniteInverseSemigroup:
       compatibility off rows and columns.
     """
 
-    __slots__ = ("_mul", "order", "labels", "inv", "idempotents", "zero", "_closure",
+    __slots__ = ("_mul", "order", "_labels", "inv", "idempotents", "zero", "_closure",
                  "_up_masks", "_cells", "_e_order")
 
     def __init__(self, mul: Sequence[Sequence[int]] | None, labels: Sequence | None = None,
                  *, _inverse: Sequence[int] | None = None, _closure: tuple | None = None):
         """`_inverse` is the inverse map, for a caller that knows it by
-        construction (`close` from the labels, the atom-flip truncations
+        construction (`close` from the keys, the atom-flip truncations
         from their closed form).  A caller that passes it also vouches
         for the table: every row has length m and every entry is one of
         0..m-1 (each such caller proves it in its docstring).  Neither
@@ -88,7 +88,7 @@ class FiniteInverseSemigroup:
         exhaustive scan for generalized inverses, and `inv` is None
         unless each element has exactly one.  `close` passes no table
         but `_closure`: (key index, gathers, operands, k), one gather and
-        one operand per element (see the class docstring)."""
+        one operand per element, and no labels (see `close`)."""
         table = None if _closure else tuple(tuple(row) for row in mul)
         if table is not None and _inverse is None:
             _check_cells(table)
@@ -102,7 +102,7 @@ class FiniteInverseSemigroup:
             _inverse, _ = _inverse_scan(table)
         inv = tuple(_inverse) if _inverse is not None else None
         object.__setattr__(self, "order", m)
-        object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
+        object.__setattr__(self, "_labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "zero", _find_zero(self.product, idempotents, m))
@@ -149,11 +149,18 @@ class FiniteInverseSemigroup:
     def is_group(self) -> bool:
         return self.inv is not None and len(self.idempotents) == 1
 
-    def label(self, s: int):
-        return self.labels[s] if self.labels is not None else s
+    @property
+    def labels(self) -> tuple | None:
+        """The labels, or None; a closure's are built from its operands."""
+        if self._labels is None and self._closure is not None:
+            object.__setattr__(self, "_labels", tuple(
+                PartialBijection(op[-1], _key_pairs(op)) for op in self._closure[2]))
+        return self._labels
 
     def label_str(self, s: int) -> str:
-        return str(self.label(s))
+        if self._closure is not None:
+            return format_pairs(_key_pairs(self._closure[2][s]))
+        return str(self._labels[s] if self._labels is not None else s)
 
     def elements(self) -> range:
         return range(self.order)
@@ -211,7 +218,7 @@ class FiniteInverseSemigroup:
             if self.inv is None:
                 raise ContractViolation("table is not an inverse semigroup; order undefined")
             up = (_up_masks(self._mul, self.inv) if self._closure is None
-                  else _up_masks_from_cells(self.labels, self._ground_cells(), self.order))
+                  else _up_masks_from_cells(self._closure[2], self._ground_cells(), self.order))
             object.__setattr__(self, "_up_masks", up)
         return self._up_masks
 
@@ -227,14 +234,14 @@ class FiniteInverseSemigroup:
             if self._closure is None:  # bit i of J_s is bit s of up(E[i])
                 j_sets = _transpose(map(self._require_up_masks().__getitem__, E), self.order)
             else:
-                j_sets = _j_sets_of_domains(self.labels, self._closure[2], E)
+                j_sets = _j_sets_of_domains(self._closure[2], E)
             object.__setattr__(self, "_e_order", (E, tuple(j_sets[e] for e in E), j_sets))
         return self._e_order
 
     def _ground_cells(self) -> dict[tuple[int, int], int] | None:
         """A closure's ground cells, built on first read; None on a table."""
         if self._cells is None and self._closure is not None:
-            object.__setattr__(self, "_cells", _cells_of(self.labels))
+            object.__setattr__(self, "_cells", _cells_of(self._closure[2]))
         return self._cells
 
     def __len__(self) -> int:
@@ -467,9 +474,9 @@ def close(generators: Sequence[PartialBijection],
     is at a(x).  Expand the elements in index order, right-multiplying
     each by every letter; nothing of the right Cayley graph is kept, as
     the index answers every question about it (see `is_closure_of`).
-    Cost, for m elements and k letters: m k gathers of n + 1 entries and
-    m label constructions (one `PartialBijection`, with its checks, per
-    new element).  No table is built: the result multiplies by its keys.
+    The key of s* is key*[key[x]] = x, as in I_n.  Cost, for m elements
+    and k letters: m k gathers of n + 1 entries, and no table or label:
+    the result multiplies by its keys.
 
     Why the indexing is that of the all-pairs search it replaced
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
@@ -501,9 +508,9 @@ def close(generators: Sequence[PartialBijection],
     for g in closure_letters(generators):
         add(_image_key(n, g.pairs))
     k = len(keys)
-    # bytes.translate gathers through a 256-entry table: a padded key.
-    gather_by, operand = ((attrgetter("translate"), methodcaller("ljust", 256)) if n < 256
-                          else (lambda key: itemgetter(*key), lambda key: key))
+    # bytes.translate gathers through 256 entries: the key, padded with n for _key_pairs
+    gather_by, operand = ((attrgetter("translate"), methodcaller("ljust", 256, bytes([n])))
+                          if n < 256 else (lambda key: itemgetter(*key), lambda key: key))
     gathers = [gather_by(key) for key in keys]
     while len(tables) < len(keys):
         table = operand(keys[len(tables)])
@@ -511,14 +518,8 @@ def close(generators: Sequence[PartialBijection],
             add(gather(table))
         tables.append(table)
     gathers += map(gather_by, keys[k:])
-
-    labels = [PartialBijection(n, {x: y for x, y in enumerate(key) if y != n})
-              for key in keys]
-    # The closure is an inverse subsemigroup of I_n, so the inverse of
-    # each element is the element whose graph is its graph reversed.
-    return FiniteInverseSemigroup(
-        None, labels=labels, _closure=(index, gathers, tables, k),
-        _inverse=[index[_image_key(n, ((y, x) for x, y in f.pairs))] for f in labels])
+    return FiniteInverseSemigroup(None, _closure=(index, gathers, tables, k), _inverse=[
+        index[_image_key(n, zip(key, range(n + 1)))] for key in keys])  # (n, n) is written last
 
 
 def closure_letters(generators: Sequence[PartialBijection]) -> tuple[PartialBijection, ...]:
@@ -548,16 +549,22 @@ def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, .
     return bytes(key) if n < 256 else tuple(key)
 
 
+def _key_pairs(key: bytes | tuple[int, ...]) -> list[tuple[int, int]]:
+    """The graph of an image key or an operand, which ends in its sentinel n."""
+    n = key[-1]
+    return [(x, y) for x, y in enumerate(key[:n]) if y != n]
+
+
 def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     """Check a closure against its labels by direct composition, from
-    its own record alone: the labels L on n points, the key index, the
-    gathers and operands of `S.product`, the letter count k and `inv`.
-    No table.
+    its own record alone: the labels L on n points, read off the
+    operands, the key index, the gathers of `S.product`, the letter
+    count k and `inv`.  No table.
 
     True when, with key(f) the image key of f (see `close`) and the k
     letters first, 1 <= k <= m and: (1) for every s, the index maps
-    key(L[s]) to s, the operand of s begins with it, and the gather of s
-    reads the identity's operand as it; (2) `inv` has m entries and
+    key(L[s]) to s, and the gather of s reads the identity's operand as
+    it; (2) `inv` has m entries and
     L[inv[s]] = L[s]^-1; (3) the letters include each other's inverses;
     (4) for every s and letter a, t = index[key(L[s] L[a])] is an
     element with L[t] = L[s] L[a]; (5) the letters reach every element
@@ -572,8 +579,8 @@ def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     By (1) distinct elements have distinct keys, so s -> L[s] is a
     bijection onto T.  By (3) and (a b)^-1 = b^-1 a^-1, T is an inverse
     subsemigroup of I_n, and by (2) `inv` is its inverse map.
-    `S.product(s, t)` reads the operand of s through the gather of t, by
-    (1) key(L[s]) through key(L[t]), which is key(L[s] L[t]) (see
+    `S.product(s, t)` reads the operand of s, which begins with key(L[s]),
+    through the gather of t, by (1) key(L[t]); that is key(L[s] L[t]) (see
     `close`); by (1) the index maps that key to the element labelled
     L[s] L[t].  So S multiplies as its labels compose: it is isomorphic
     to T, an inverse semigroup, and composition of partial maps needs no
@@ -581,20 +588,15 @@ def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     """
     if S._closure is None:
         return False
-    index, gathers, operands, k = S._closure
+    index, gathers, _, k = S._closure
     labels, m = S.labels, S.order
     n = labels[0].ground_size
     identity = bytes(range(256)) if n < 256 else tuple(range(n + 1))
-    if not 1 <= k <= m or len(S.inv) != m:
-        return False
-    for s, f in enumerate(labels):
-        key = _image_key(n, f.pairs)
-        if index.get(key) != s or operands[s][:n + 1] != key or gathers[s](identity) != key:
-            return False
-    if not all(t in range(m) and labels[t] == f.invert() for f, t in zip(labels, S.inv)):
-        return False
-    letters = labels[:k]
-    if not {f.invert() for f in letters} <= set(letters):
+    keys, letters = [_image_key(n, f.pairs) for f in labels], labels[:k]
+    if (not 1 <= k <= m or len(S.inv) != m or list(map(index.get, keys)) != list(range(m))
+            or [gather(identity) for gather in gathers] != keys
+            or not all(t in range(m) and labels[t] == f.invert() for f, t in zip(labels, S.inv))
+            or not {f.invert() for f in letters} <= set(letters)):
         return False
     reached = set(range(k))
     frontier = list(reached)
@@ -699,20 +701,20 @@ def _up_masks(table, inv) -> tuple[int, ...]:
     return tuple(up)
 
 
-def _cells_of(labels: Sequence[PartialBijection]) -> dict[tuple[int, int], int]:
+def _cells_of(operands) -> dict[tuple[int, int], int]:
     """cell[x, y]: the mask of the elements whose graph holds (x, y)."""
     members: dict[tuple[int, int], list[int]] = {}
-    for s, f in enumerate(labels):
-        for pair in f.pairs:
+    for s, operand in enumerate(operands):
+        for pair in _key_pairs(operand):
             members.setdefault(pair, []).append(s)
     return {pair: _set_to_mask(ss) for pair, ss in members.items()}
 
 
-def _up_masks_from_cells(labels, cells, m: int) -> tuple[int, ...]:
+def _up_masks_from_cells(operands, cells, m: int) -> tuple[int, ...]:
     """up(s) = the AND of the cells of the pairs of s, every element
     when s is empty (proof in `FiniteInverseSemigroup`)."""
     full = (1 << m) - 1
-    return tuple(reduce(and_, map(cells.__getitem__, f.pairs), full) for f in labels)
+    return tuple(reduce(and_, map(cells.__getitem__, _key_pairs(op)), full) for op in operands)
 
 
 def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
@@ -720,10 +722,10 @@ def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
     closure's ground cells, else off the table rows."""
     if S._closure is None:
         return _compatibility_from_rows(S)
-    return _compatibility_from_cells(S.labels, S._ground_cells(), S.order)
+    return _compatibility_from_cells(S._closure[2], S._ground_cells(), S.order)
 
 
-def _compatibility_from_cells(labels, cells, m: int) -> tuple[int, ...]:
+def _compatibility_from_cells(operands, cells, m: int) -> tuple[int, ...]:
     """compat(s) = NOT (the OR of conflict(x, y) over the pairs (x, y)
     of s), where conflict(x, y) = (row(x) | col(y)) & ~cell[x, y], with
     row(x) the elements defined at x and col(y) those with y in their
@@ -747,7 +749,8 @@ def _compatibility_from_cells(labels, cells, m: int) -> tuple[int, ...]:
         cols[y] = cols.get(y, 0) | cell
     conflict = {(x, y): (rows[x] | cols[y]) & ~cell for (x, y), cell in cells.items()}
     full = (1 << m) - 1
-    return tuple(full ^ reduce(or_, map(conflict.__getitem__, f.pairs), 0) for f in labels)
+    return tuple(full ^ reduce(or_, map(conflict.__getitem__, _key_pairs(op)), 0)
+                 for op in operands)
 
 
 def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:
@@ -767,15 +770,15 @@ def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:
     return tuple(int(rows[x][::-1], 2) & int(table[x::m][::-1], 2) for x in S.inv)
 
 
-def _j_sets_of_domains(labels, operands, E: Sequence[int]) -> tuple[int, ...]:
+def _j_sets_of_domains(operands, E: Sequence[int]) -> tuple[int, ...]:
     """J_s of every element s of a closure, as a mask over E: E minus
     the OR of dom_E[x] over the points x that s does not fix, one OR per
     fixed-point set (proof in `FiniteInverseSemigroup`).  The first n
     entries of the operand of s (see `close`) are its images."""
-    points = range(labels[0].ground_size)
+    points = range(operands[0][-1])
     dom_e = [0] * len(points)  # dom_E[x]: the idempotents defined at x
     for i, e in enumerate(E):
-        for x in labels[e].domain:
+        for x, _ in _key_pairs(operands[e]):
             dom_e[x] |= 1 << i
     full = (1 << len(E)) - 1
     by_fixed: dict[bytes, int] = {}

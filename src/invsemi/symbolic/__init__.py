@@ -94,17 +94,17 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-# name -> (its module in this package, the one option it reads, as --<option>)
-FAMILIES = {"atomflip": ("atomflip", "truncation"),
-            "munn": ("munn", "rank"),
-            "graph": ("graphs", "graph")}
+# name -> (its module here, the one option it reads as --<option>, its default or None)
+FAMILIES = {"atomflip": ("atomflip", "truncation", None),
+            "munn": ("munn", "rank", 2),
+            "graph": ("graphs", "graph", None)}
 
 
 def refuse_options(family: str | None, options: dict) -> None:
     """An option given to a call that would ignore it is a ParseError
     naming it; `options` maps each family's option to its value, None
     where not given, and `family` is None for a semigroup file."""
-    for name, (_, option) in FAMILIES.items():
+    for name, (_, option, _) in FAMILIES.items():
         if options[option] is not None and family != name:
             raise ParseError(f"--{option} applies only to {name}")
 
@@ -113,7 +113,7 @@ def evaluate(family: str, text: str, options: dict) -> tuple:
     """(element, report, pool) of the family module's `evaluate`: the
     element that `text` names, its criterion report, and the finite pool
     of elements on which `verify` checks the witness's cover."""
-    module, option = FAMILIES[family]
+    module, option, _ = FAMILIES[family]
     return import_module(f"{__name__}.{module}").evaluate(text, options[option])
 
 

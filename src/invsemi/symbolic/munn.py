@@ -15,14 +15,14 @@ from typing import Iterable, Iterator
 
 from ..criterion import HAUSDORFF_WITNESS
 from ..errors import ContractViolation, ParseError
-from . import Frozen, SymbolicCriterionReport
+from . import FAMILIES, Frozen, SymbolicCriterionReport
 
 FAMILY = "munn"
 
 Word = tuple[int, ...]
 
 _NAMES = ("x", "y", "z")
-DEFAULT_RANK = 2  # the rank of an element unless its word or --rank names a larger one
+DEFAULT_RANK = FAMILIES[FAMILY][2]  # an element's rank unless its word or --rank is larger
 
 
 def reduce_word(letters: Iterable[int]) -> Word:

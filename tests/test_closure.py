@@ -168,26 +168,24 @@ def test_close_composes_at_most_m_times_letters(monkeypatch):
 
 
 def with_record(S, mutation):
-    """S rebuilt from its closure record (index, gathers, operands, k)
-    with one fault put in.  Elements 0 and m - 1 trade places in the
-    labels, the key index, the operands, the gathers or the inverses; the
-    inverse map loses its last entry or gains one; the index sends the
-    key of L[m-1] L[0], an entry of the right Cayley graph that
-    `is_closure_of` reads off the index, to the next element; the last
-    letter goes from k, so that letter is no longer a letter; k passes
-    m, which would make every element a letter; or the label of [0->0]
-    becomes [n-1->n-1], which lies outside S when S acts on points 0
-    and 1 only, with its key, operand and gather, and the index keeps
+    """S rebuilt from its closure record (index, gathers, operands, k),
+    which holds no labels, with one fault put in.  Elements 0 and m - 1
+    trade places in the key index, the operands, the gathers or the
+    inverses; the inverse map loses its last entry or gains one; the
+    index sends the key of L[m-1] L[0], an entry of the right Cayley
+    graph that `is_closure_of` reads off the index, to the next element;
+    the last letter goes from k, so that letter is no longer a letter; k
+    passes m, which would make every element a letter; or the element
+    [0->0] becomes [n-1->n-1], which lies outside S when S acts on
+    points 0 and 1 only, by its operand and gather, and the index keeps
     the old key or loses it."""
     index, gathers, operands, k = S._closure
     index, gathers, operands = dict(index), list(gathers), list(operands)
-    labels, inv, last = list(S.labels), list(S.inv), S.order - 1
-    n = labels[0].ground_size
+    inv, last = list(S.inv), S.order - 1
+    n = operands[0][-1]  # the sentinel that ends every operand
     if mutation == "right entry":
         t = S.product(last, 0)
         index[operands[t][:n + 1]] = (t + 1) % S.order
-    elif mutation == "labels swapped":
-        labels[0], labels[last] = labels[last], labels[0]
     elif mutation == "key":
         index[operands[0][:n + 1]] = last
     elif mutation == "operand":
@@ -205,18 +203,16 @@ def with_record(S, mutation):
     elif mutation == "letter count past m":
         k = S.order + 1
     elif mutation in ("label outside S", "label outside S, old key kept"):
-        e = labels.index(PartialBijection.identity(n, {0}))
-        outside = close([PartialBijection.identity(n, {n - 1})])
-        _, (gather,), (operand,), _ = outside._closure
+        e = S.labels.index(PartialBijection.identity(n, {0}))
+        _, (gather,), (operand,), _ = close([PartialBijection.identity(n, {n - 1})])._closure
         if mutation == "label outside S":
             del index[operands[e][:n + 1]]
-        labels[e], gathers[e], operands[e] = outside.labels[0], gather, operand
+        gathers[e], operands[e] = gather, operand
         index[operand[:n + 1]] = e
-    return FiniteInverseSemigroup(None, labels=labels, _inverse=inv,
-                                  _closure=(index, gathers, operands, k))
+    return FiniteInverseSemigroup(None, _inverse=inv, _closure=(index, gathers, operands, k))
 
 
-MUTATIONS = ["right entry", "labels swapped", "key", "operand", "gather", "inv entry",
+MUTATIONS = ["right entry", "key", "operand", "gather", "inv entry",
              "inv one short", "inv one long", "last letter dropped", "letter count past m",
              "label outside S", "label outside S, old key kept"]
 # I_2 on points 0 and 1 of three, from the swap and [0->1]: the letters are
@@ -259,7 +255,7 @@ def assert_closure_checks_agree(gens, s, a, shift):
     moved = dict(index)
     moved[operands[found[s][a]][:n + 1]] = right[s][a]
     ok = is_closure_of(FiniteInverseSemigroup(
-        None, labels=S.labels, _inverse=S.inv, _closure=(moved, gathers, operands, k)))
+        None, _inverse=S.inv, _closure=(moved, gathers, operands, k)))
     scan = closure_cells_scan(
         FiniteInverseSemigroup(row_fill_table(right, found), labels=S.labels), gens)
     assert ok == (shift % m == 0)

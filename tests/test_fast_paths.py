@@ -493,6 +493,30 @@ def refuse_closure_tables(monkeypatch):
     monkeypatch.setattr(FiniteInverseSemigroup, "mul", property(guarded))
 
 
+def refuse_closure_labels(monkeypatch):
+    """Make the build of a closure's labels, on a read of `S.labels`, raise."""
+    labels = FiniteInverseSemigroup.labels
+
+    def guarded(S):
+        if S._closure is not None:
+            raise AssertionError("a closure built its labels")
+        return labels.fget(S)
+
+    monkeypatch.setattr(FiniteInverseSemigroup, "labels", property(guarded))
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
+@pytest.mark.parametrize("command", [["close"], ["criterion"], ["props", "--budget", "3000"],
+                                     ["germs", "--self"]])
+def test_a_default_closure_command_builds_no_labels(monkeypatch, tmp_path, command, fmt):
+    """On I_4, whose 209 elements are more than `close` lists, a closure
+    prints its elements off their keys and builds no label; `close`
+    asks for the labels only below the listing cap."""
+    refuse_closure_labels(monkeypatch)
+    result = invoke_cli([command[0], str(symmetric_file(tmp_path, 4)), *command[1:], *fmt])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("fmt", [[], ["--format", "structured"]])
 @pytest.mark.parametrize("command", [["close"], ["criterion"], ["germs", "--self"],
                                      ["close", "--verify"], ["props", "--budget", "3000"],
@@ -540,13 +564,15 @@ def test_a_closure_multiplies_by_keys(monkeypatch):
 
 
 def test_closing_i5_keeps_no_table():
-    tracemalloc.start()
-    try:
-        assert close(symmetric_generators(5)).order == 1546
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5_000_000
+    """Nor a label per element, which would take I_6 to 15 MB."""
+    for n, order, bound in ((5, 1546, 5_000_000), (6, 13327, 10_000_000)):
+        tracemalloc.start()
+        try:
+            assert close(symmetric_generators(n)).order == order
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, n
 
 
 def swept_closures():
@@ -575,6 +601,7 @@ def test_the_table_path_is_the_oracle_of_the_key_path():
         verdicts = [hausdorff_criterion(S, s) for s in elements]
         counts = left_translation_counts(S)
         assert S._mul is None  # all of the above read the keys
+        assert [S.label_str(s) for s in elements] == list(map(str, labels))
         T = FiniteInverseSemigroup(S.mul, labels=labels)  # row scans, no keys
         assert T._cells is None
         index = {f: i for i, f in enumerate(labels)}

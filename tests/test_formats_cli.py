@@ -7,7 +7,7 @@ import pytest
 from invsemi import ParseError
 from invsemi.formats import load_action, load_graph, load_semigroup
 from invsemi.semigroup import DEFAULT_CLOSE_BUDGET, DEFAULT_SUBSET_BUDGET
-from invsemi.symbolic import FAMILIES
+from invsemi.symbolic import FAMILIES, munn
 from invsemi.symbolic.atomflip import AtomFlipElement
 
 from conftest import invoke_cli, semigroup_to_dict
@@ -610,6 +610,8 @@ def test_cli_subcommand_help_exits_0(command):
     assert result.stdout.startswith("usage: ") and result.stderr == ""
     words = " ".join(result.stdout.split())  # the --budget help states each default budget
     assert f"default: {DEFAULT_CLOSE_BUDGET:,} elements, {DEFAULT_SUBSET_BUDGET:,} pairs" in words
+    if command in ("criterion", "symbolic"):  # and --rank the family's default rank
+        assert f"infer it. [default: {munn.DEFAULT_RANK}]" in words
 
 
 def test_cli_criterion_usage_errors():

@@ -65,9 +65,11 @@ def loaded_after(*args: str) -> tuple[set[str], set[str]]:
 
 
 def test_cli_import_loads_only_what_close_needs():
-    package, stdlib = loaded_after("--help")
-    assert package == CLI_MODULES
-    assert not HEAVY & stdlib
+    """Nor does the help, which states the default --rank of munn."""
+    for args in (["--help"], ["criterion", "--help"]):
+        package, stdlib = loaded_after(*args)
+        assert package == CLI_MODULES
+        assert not HEAVY & stdlib
 
 
 @pytest.mark.parametrize("args", [[], ["--verify"], ["--format", "structured"]])

@@ -17,6 +17,11 @@ even inside a function, is a fault.
 it, so a subscript of `._closure`, or a tuple unpacked from it, in any
 other module would tie that module to the order of the record's fields.
 
+A closure keeps its image keys and no `PartialBijection` per element:
+in `semigroup.py` only the lazy builder of `labels` and the check
+`is_closure_of` call `PartialBijection(...)`, so `close` builds no
+label per element.
+
 `semigroup.py` is the one module that knows how a semigroup is
 stored: a table, or a closure's image keys.  A semigroup of either kind
 builds its up-masks, ground cells and E-order on first read, off table
@@ -197,6 +202,14 @@ TABLE_READERS = {
 def scoped_reads(source: str, name: str, bare: bool = False) -> list[tuple[str, int]]:
     """(enclosing function by qualified name, line) of each attribute
     `name`, and with `bare` of each bare name `name` too."""
+    return scoped_nodes(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == name
+        or bare and isinstance(node, ast.Name) and node.id == name))
+
+
+def scoped_nodes(source: str, match) -> list[tuple[str, int]]:
+    """(enclosing function by qualified name, line) of each node that
+    `match` accepts."""
     found = []
 
     def visit(node, scope):
@@ -204,8 +217,7 @@ def scoped_reads(source: str, name: str, bare: bool = False) -> list[tuple[str, 
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == name
-                    or bare and isinstance(child, ast.Name) and child.id == name):
+            if match(child):
                 found.append((scope, child.lineno))
             visit(child, scope)
 
@@ -274,7 +286,7 @@ def test_the_scan_finds_a_representation_read():
     assert scoped_reads(source, "_letter_count") == [("validate", 5)]
 
 
-FAMILY_MODULES = {module for module, _ in FAMILIES.values()}
+FAMILY_MODULES = {module for module, *_ in FAMILIES.values()}
 
 
 def _strings(node) -> list[str]:
@@ -373,3 +385,31 @@ def test_the_scan_finds_a_private_read():
               "        return _budget(S.order)\n")  # a name of this module
     assert private_reads(source) == [("_closure", "germs", 5), ("_l_classes", "germs", 4),
                                      ("_letter_count", "", 1)]
+
+
+# the functions of `semigroup.py` that may call `PartialBijection(...)`
+LABEL_BUILDERS = {"FiniteInverseSemigroup.labels", "is_closure_of"}
+
+
+def label_constructions(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call of `PartialBijection`,
+    by its bare name or as a module attribute."""
+    return scoped_nodes(source, lambda node: isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "PartialBijection"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "PartialBijection"))
+
+
+def test_only_the_label_builder_constructs_labels():
+    found = label_constructions((PACKAGE / "semigroup.py").read_text())
+    assert found and {scope for scope, _ in found} <= LABEL_BUILDERS
+
+
+def test_the_scan_finds_a_label_construction():
+    source = ("def close(generators, n):\n"
+              "    labels = [PartialBijection(n, pairs) for pairs in graphs]\n"
+              "    return PartialBijection.identity(n), Sequence[PartialBijection]\n"  # no call
+              "class FiniteInverseSemigroup:\n"
+              "    @property\n"
+              "    def labels(self):\n"
+              "        return partial_bijection.PartialBijection(n, ())\n")
+    assert label_constructions(source) == [("close", 2), ("FiniteInverseSemigroup.labels", 7)]
