@@ -157,7 +157,8 @@ def _semigroup_summary(S: FiniteInverseSemigroup, check: VerificationResult) -> 
 
 
 def _verification(S: FiniteInverseSemigroup, input_file, verify: bool, *,
-                  require: bool = False) -> VerificationResult:
+                  require: bool = False, report: RunReport | None = None,
+                  budget: int | None = None) -> VerificationResult:
     """Whether S is an inverse semigroup: the one place that decides how
     each subcommand checks it.
 
@@ -168,15 +169,24 @@ def _verification(S: FiniteInverseSemigroup, input_file, verify: bool, *,
     file proves nothing about itself, so it always gets
     `verify_inverse_semigroup`.  With `require`, a failed check is a
     ParseError naming the file.
+
+    `close --verify` passes its `report`, whose `verified` is set by the
+    oracle of each kind: a closure's letters against the generators of
+    the file, parsed again; a table's check against `verify_by_scans`
+    under `budget`, with no second parse.
     """
     if S._closure is not None:
         if verify and not is_closure_of(S):
             raise InvariantViolation(f"{input_file}: the closure disagrees with its labels")
+        if verify and report:
+            report.verified = has_letters_of(S, formats.load_generators(input_file))
         return VerificationResult(True)
     check = verify_inverse_semigroup(S)
     if require and not check.ok:
         raise ParseError(f"{input_file}: not an inverse semigroup "
                          f"({check.reason}, certificate {check.certificate})")
+    if verify and report:
+        report.verified = verify_by_scans(S, budget) == check
     return check
 
 
@@ -196,7 +206,7 @@ def close(input_file, budget, verify):
     budget = _budget(budget)
     S = formats.load_semigroup(input_file, budget=budget)
     report = RunReport("close", input_file)
-    check = _verification(S, input_file, verify)
+    check = _verification(S, input_file, verify, report=report, budget=budget)
     stats = _semigroup_summary(S, check)
     report.semigroup = stats
     report.line(f"close {input_file}")
@@ -206,12 +216,6 @@ def close(input_file, budget, verify):
         report.line("elements:")
         for i in S.elements():
             report.line(f"  {i}: {S.label_str(i)}")
-    if verify:
-        generators = formats.load_generators(input_file)
-        if generators is None:  # a table file: the verifier against the exhaustive scans
-            report.verified = verify_by_scans(S, budget) == check
-        else:  # a closure: its letters against the file's generators
-            report.verified = has_letters_of(S, generators)
     return report
 
 

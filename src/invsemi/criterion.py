@@ -237,24 +237,32 @@ def hausdorff_criterion(S: FiniteInverseSemigroup, s: int) -> CriterionVerdict:
     downward closure of F is the union of below(f) over F: every
     idempotent below an idempotent in J_s is in J_s, so the closure
     inside S and the closure inside E agree.
+
+    All of it depends on J_s alone, so it runs once per J_s mask, and
+    elements with equal J_s share one verdict's parts or its failure.
     """
     S._check_index(s)
     E, below, j_sets = S._require_e_order()
     jmask = j_sets[s]
-    bits = list(_bits(jmask))
-    strictly_below = 0
-    for i in bits:
-        strictly_below |= below[i] ^ 1 << i
-    tops = [i for i in bits if not strictly_below >> i & 1]
-    closure = 0
-    for i in tops:
-        closure |= below[i]
-    members, witness = [E[i] for i in bits], tuple([E[i] for i in tops])
-    if closure != jmask:
-        raise InvariantViolation(
-            f"downward closure of maximal elements {witness} is "
-            f"{[E[i] for i in _bits(closure)]}, expected J_s = {members}")
-    return CriterionVerdict(s, frozenset(members), witness, HAUSDORFF_WITNESS)
+    memo = S._j_set_memo()
+    if jmask not in memo:
+        bits = list(_bits(jmask))
+        strictly_below = 0
+        for i in bits:
+            strictly_below |= below[i] ^ 1 << i
+        tops = [i for i in bits if not strictly_below >> i & 1]
+        closure = 0
+        for i in tops:
+            closure |= below[i]
+        members, witness = [E[i] for i in bits], tuple([E[i] for i in tops])
+        fault = (f"downward closure of maximal elements {witness} is "
+                 f"{[E[i] for i in _bits(closure)]}, expected J_s = {members}"
+                 if closure != jmask else None)
+        memo[jmask] = frozenset(members), witness, fault
+    members, witness, fault = memo[jmask]
+    if fault is not None:
+        raise InvariantViolation(fault)
+    return CriterionVerdict(s, members, witness, HAUSDORFF_WITNESS)
 
 
 def covers_by_ideals(S: FiniteInverseSemigroup, s: int, F: Iterable[int]) -> bool:

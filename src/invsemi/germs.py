@@ -60,7 +60,7 @@ class GermGroupoid:
     """
 
     __slots__ = ("action", "reps", "points", "source", "target", "units",
-                 "inverse", "_least", "_index")
+                 "inverse", "_isotropy", "_least", "_index")
 
     def __init__(self, action: FiniteAction):
         S = action.semigroup
@@ -84,6 +84,8 @@ class GermGroupoid:
         object.__setattr__(self, "source", tuple(source))
         object.__setattr__(self, "target", tuple(target))
         object.__setattr__(self, "units", frozenset(source))
+        isotropy = frozenset(c for c, unit in enumerate(source) if unit == target[c])
+        object.__setattr__(self, "_isotropy", isotropy)
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "_least", least)
         object.__setattr__(self, "_index", index)
@@ -120,9 +122,8 @@ class GermGroupoid:
         raise ContractViolation(f"classes {c1} and {c2} are not composable")
 
     def isotropy(self) -> frozenset[int]:
-        """Classes whose source and target units agree."""
-        return frozenset(c for c in range(len(self))
-                         if self.source[c] == self.target[c])
+        """Classes whose source and target units agree (found once, when built)."""
+        return self._isotropy
 
     def is_principal(self) -> bool:
         return self.isotropy() == self.units

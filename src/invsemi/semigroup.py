@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
+from itertools import repeat
 from operator import and_, attrgetter, eq, itemgetter, methodcaller, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,9 +34,10 @@ class FiniteInverseSemigroup:
     be shared freely between threads.
 
     One rule for both kinds: the constructor derives the idempotents,
-    the inverse map and the zero; the up-masks, ground cells, E-order
-    and compatibility masks are built when read (a race builds twice),
-    from table rows or from ground cells.  This module alone reads rows
+    the inverse map and the zero (a closure's off its keys); the
+    up-masks, ground cells, E-order and compatibility masks are built
+    when read (a race builds twice), from table rows or from ground
+    cells.  This module alone reads rows
     and cells, picking by `_closure`; outside it only `cli._verification`
     tests `_closure`, as a closure passes the table checks by
     construction.
@@ -75,7 +77,7 @@ class FiniteInverseSemigroup:
     """
 
     __slots__ = ("_mul", "order", "_labels", "inv", "idempotents", "zero", "_closure",
-                 "_up_masks", "_cells", "_e_order")
+                 "_up_masks", "_cells", "_e_order", "_by_j_set")
 
     def __init__(self, mul: Sequence[Sequence[int]] | None, labels: Sequence | None = None,
                  *, _inverse: Sequence[int] | None = None, _closure: tuple | None = None):
@@ -93,20 +95,23 @@ class FiniteInverseSemigroup:
         if table is not None and _inverse is None:
             _check_cells(table)
         m = len(_closure[2] if table is None else table)
-        object.__setattr__(self, "_mul", table)
-        object.__setattr__(self, "_closure", _closure)
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
-        idempotents = frozenset(e for e in range(m) if self.product(e, e) == e)
+        if table is None:
+            idempotents, zero = _closure_idempotents_and_zero(*_closure[:3])
+        else:
+            idempotents = frozenset(e for e in range(m) if table[e][e] == e)
+            zero = _find_zero(table, idempotents)
         if _inverse is None:
             _inverse, _ = _inverse_scan(table)
-        inv = tuple(_inverse) if _inverse is not None else None
+        object.__setattr__(self, "_mul", table)
+        object.__setattr__(self, "_closure", _closure)
         object.__setattr__(self, "order", m)
         object.__setattr__(self, "_labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "idempotents", idempotents)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "zero", _find_zero(self.product, idempotents, m))
-        for slot in ("_up_masks", "_cells", "_e_order"):  # built when read
+        object.__setattr__(self, "inv", tuple(_inverse) if _inverse is not None else None)
+        object.__setattr__(self, "zero", zero)
+        for slot in ("_up_masks", "_cells", "_e_order", "_by_j_set"):  # built when read
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -237,6 +242,13 @@ class FiniteInverseSemigroup:
                 j_sets = _j_sets_of_domains(self._closure[2], E)
             object.__setattr__(self, "_e_order", (E, tuple(j_sets[e] for e in E), j_sets))
         return self._e_order
+
+    def _j_set_memo(self) -> dict:
+        """The criterion's verdicts by J_s mask, empty on first read and
+        tied to the E-order it was read with; no other reader builds it."""
+        if self._by_j_set is None or self._by_j_set[0] is not self._e_order:
+            object.__setattr__(self, "_by_j_set", (self._require_e_order(), {}))
+        return self._by_j_set[1]
 
     def _ground_cells(self) -> dict[tuple[int, int], int] | None:
         """A closure's ground cells, built on first read; None on a table."""
@@ -474,9 +486,12 @@ def close(generators: Sequence[PartialBijection],
     is at a(x).  Expand the elements in index order, right-multiplying
     each by every letter; nothing of the right Cayley graph is kept, as
     the index answers every question about it (see `is_closure_of`).
-    The key of s* is key*[key[x]] = x, as in I_n.  Cost, for m elements
-    and k letters: m k gathers of n + 1 entries, and no table or label:
-    the result multiplies by its keys.
+    The key of s* is key*[key[x]] = x, as in I_n: with n < 256 one
+    `bytes.maketrans` per key, which sends every point to the sentinel
+    and then each key[x] back to x (a later entry wins, and key[n] = n
+    comes last).  Cost, for m elements and k letters: m k gathers of
+    n + 1 entries, and no table or label: the result multiplies by its
+    keys.
 
     Why the indexing is that of the all-pairs search it replaced
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
@@ -492,34 +507,39 @@ def close(generators: Sequence[PartialBijection],
     if budget is None:
         budget = DEFAULT_CLOSE_BUDGET
 
-    keys: list[bytes | tuple[int, ...]] = []
-    index: dict[bytes | tuple[int, ...], int] = {}
+    def exceeded(found: int) -> BudgetExceeded:
+        return BudgetExceeded(f"close: exceeded element budget {budget} after expanding "
+                              f"{len(tables)} of {found} elements", budget)
+
     tables: list = []  # the operands of the elements expanded so far
-
-    def add(key: bytes | tuple[int, ...]) -> None:
-        if key not in index:
-            if len(keys) >= budget:
-                raise BudgetExceeded(
-                    f"close: exceeded element budget {budget} after expanding "
-                    f"{len(tables)} of {len(keys)} elements", budget)
-            index[key] = len(keys)
-            keys.append(key)
-
-    for g in closure_letters(generators):
-        add(_image_key(n, g.pairs))
+    keys = [_image_key(n, g.pairs) for g in closure_letters(generators)]
+    if len(keys) > budget:
+        raise exceeded(max(budget, 0))
+    index = {key: s for s, key in enumerate(keys)}
     k = len(keys)
     # bytes.translate gathers through 256 entries: the key, padded with n for _key_pairs
     gather_by, operand = ((attrgetter("translate"), methodcaller("ljust", 256, bytes([n])))
                           if n < 256 else (lambda key: itemgetter(*key), lambda key: key))
     gathers = [gather_by(key) for key in keys]
-    while len(tables) < len(keys):
-        table = operand(keys[len(tables)])
+    for key in keys:  # `keys` grows as the search meets new elements
+        table = operand(key)
         for gather in gathers:
-            add(gather(table))
+            product = gather(table)
+            if product not in index:
+                if len(keys) >= budget:
+                    raise exceeded(len(keys))
+                index[product] = len(keys)
+                keys.append(product)
         tables.append(table)
     gathers += map(gather_by, keys[k:])
-    return FiniteInverseSemigroup(None, _closure=(index, gathers, tables, k), _inverse=[
-        index[_image_key(n, zip(key, range(n + 1)))] for key in keys])  # (n, n) is written last
+    if n < 256:  # key*: each point goes to the sentinel, then each y = key[x] back to x
+        points, mirror = bytes(range(n + 1)), bytes([n]) * (n + 1) + bytes(range(n + 1))
+        inverse_keys = map(itemgetter(slice(n + 1)),
+                           map(bytes.maketrans, map(points.__add__, keys), repeat(mirror)))
+    else:  # (n, n) is written last
+        inverse_keys = (_image_key(n, zip(key, range(n + 1))) for key in keys)
+    return FiniteInverseSemigroup(None, _closure=(index, gathers, tables, k),
+                                  _inverse=list(map(index.__getitem__, inverse_keys)))
 
 
 def closure_letters(generators: Sequence[PartialBijection]) -> tuple[PartialBijection, ...]:
@@ -667,8 +687,8 @@ def _check_cells(table: tuple[tuple, ...]) -> None:
                 raise ContractViolation(f"table entry {v} out of range [0, {m})")
 
 
-def _find_zero(product, idempotents, m: int) -> int | None:
-    """The absorbing element, if any.
+def _find_zero(table, idempotents) -> int | None:
+    """The absorbing element of a table, if any.
 
     A zero is idempotent and absorbs every product it enters, so it is
     the product z of all idempotents (in any order); one check of z
@@ -676,10 +696,31 @@ def _find_zero(product, idempotents, m: int) -> int | None:
     """
     z = None
     for e in idempotents:
-        z = e if z is None else product(z, e)
-    if z is None or any(product(z, s) != z or product(s, z) != z for s in range(m)):
+        z = e if z is None else table[z][e]
+    if z is None or any(table[z][s] != z or table[s][z] != z for s in range(len(table))):
         return None
     return z
+
+
+def _closure_idempotents_and_zero(index, gathers, operands) -> tuple[frozenset[int], int | None]:
+    """A closure's idempotents and zero off its record (see `close`), with
+    no product and no index lookup per element.  s is idempotent iff its
+    gather reads its own operand back to its key (s s = s).  A zero is
+    an idempotent that absorbs the others, so it is their product z: the
+    identity on the points where all of them are defined, at each point
+    x the larger of x and the sentinel n.  For idempotent z, s z = z iff
+    z <= s (as z*z = z), which gives z s = z z* s = z; so z is the zero
+    iff s z = z for every s.  `index.get` finds z, so a record whose
+    products leave the index gets no zero, not a KeyError.
+    """
+    n = operands[0][-1]  # the sentinel that ends every operand
+    idempotents = frozenset(s for s, (gather, operand) in enumerate(zip(gathers, operands))
+                            if gather(operand) == operand[:n + 1])
+    z_key = tuple(map(max, zip(*(operands[e][:n + 1] for e in idempotents))))
+    z_key = bytes(z_key) if n < 256 else z_key
+    z = index.get(z_key)
+    absorbs = z is not None and all(map(z_key.__eq__, map(gathers[z], operands)))
+    return idempotents, z if absorbs else None
 
 
 def _up_masks(table, inv) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 Everything here recomputes results by a different route than the
 implementation under test: set-semantics fixpoint closure, all-pairs
 indexed closure, the cell-by-cell table fill and all-cells closure
-check, order scans from the defining identities, brute-force least
+check, a closure's idempotents, zero and inverses by products and
+pairs, order scans from the defining identities, brute-force least
 upper bounds, the exhaustive table scans, finite-cover criterion, the
 criterion and left-translation domains off the m-bit order and the
 E*-unitary check by products (which the order on the idempotents
@@ -31,7 +32,7 @@ from invsemi import (
     all_partial_bijections,
 )
 from invsemi.oracles import completeness_scan  # noqa: F401  (re-exported)
-from invsemi.semigroup import DEFAULT_CLOSE_BUDGET, _bits, _set_to_mask
+from invsemi.semigroup import DEFAULT_CLOSE_BUDGET, _bits, _image_key, _set_to_mask
 from invsemi.symbolic.atomflip import FLIP, SQUARE, ZERO, atom, multiply
 
 
@@ -229,6 +230,33 @@ def zero_scan(mul):
         if all(mul[z][x] == z and mul[x][z] == z for x in range(m)):
             return z
     return None
+
+
+def idempotents_by_squares(S: FiniteInverseSemigroup) -> frozenset[int]:
+    """The idempotents by s s = s, one product per element: the closure
+    constructor's derivation before it read them off the gathers."""
+    return frozenset(s for s in S.elements() if S.product(s, s) == s)
+
+
+def zero_fold(S: FiniteInverseSemigroup) -> int | None:
+    """The zero by the two-sided fold: z, the product of the idempotents
+    (by s s = s), when z s = s z = z for every s; else None."""
+    z = None
+    for e in sorted(idempotents_by_squares(S)):
+        z = e if z is None else S.product(z, e)
+    if z is None or any(S.product(z, s) != z or S.product(s, z) != z for s in S.elements()):
+        return None
+    return z
+
+
+def inverse_by_pairs(S: FiniteInverseSemigroup) -> tuple[int, ...]:
+    """A closure's inverse map by `_image_key` over the reversed pairs of
+    each key, key*[key[x]] = x, with (n, n) written last: the loop that
+    `close` ran per element before `bytes.maketrans`."""
+    index, _, operands, _ = S._closure
+    n = operands[0][-1]
+    return tuple(index[_image_key(n, zip(operand[:n + 1], range(n + 1)))]
+                 for operand in operands)
 
 
 def up_masks_scan(S: FiniteInverseSemigroup):

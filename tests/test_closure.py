@@ -1,6 +1,7 @@
 """`close` against the all-pairs oracle and the cell-by-cell fill: same
 table, same indexing, less work; `is_closure_of` against the all-cells
-check and against faults put into a closure's record."""
+check and against faults put into a closure's record; the idempotents,
+zero and inverses read off the keys against products and pairs."""
 
 import json
 from pathlib import Path
@@ -18,7 +19,8 @@ from invsemi import (
 from invsemi import formats
 from invsemi.semigroup import is_closure_of
 from conftest import invoke_cli
-from oracles import closure_cells_scan, lookup_fill_table, pairwise_close, row_fill_table
+from oracles import (closure_cells_scan, idempotents_by_squares, inverse_by_pairs,
+                     lookup_fill_table, pairwise_close, row_fill_table, zero_fold)
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,10 +177,12 @@ def with_record(S, mutation):
     index sends the key of L[m-1] L[0], an entry of the right Cayley
     graph that `is_closure_of` reads off the index, to the next element;
     the last letter goes from k, so that letter is no longer a letter; k
-    passes m, which would make every element a letter; or the element
+    passes m, which would make every element a letter; the element
     [0->0] becomes [n-1->n-1], which lies outside S when S acts on
     points 0 and 1 only, by its operand and gather, and the index keeps
-    the old key or loses it."""
+    the old key or loses it; or the last element becomes a second
+    [0->1] and its key leaves the index, so that products of S (the
+    zero, or the identity) have no index entry."""
     index, gathers, operands, k = S._closure
     index, gathers, operands = dict(index), list(gathers), list(operands)
     inv, last = list(S.inv), S.order - 1
@@ -209,12 +213,17 @@ def with_record(S, mutation):
             del index[operands[e][:n + 1]]
         gathers[e], operands[e] = gather, operand
         index[operand[:n + 1]] = e
+    elif mutation == "last relabelled [0->1], its key dropped":
+        move = S.labels.index(PartialBijection(n, {0: 1}))
+        del index[operands[last][:n + 1]]
+        gathers[last], operands[last] = gathers[move], operands[move]
     return FiniteInverseSemigroup(None, _inverse=inv, _closure=(index, gathers, operands, k))
 
 
 MUTATIONS = ["right entry", "key", "operand", "gather", "inv entry",
              "inv one short", "inv one long", "last letter dropped", "letter count past m",
-             "label outside S", "label outside S, old key kept"]
+             "label outside S", "label outside S, old key kept",
+             "last relabelled [0->1], its key dropped"]
 # I_2 on points 0 and 1 of three, from the swap and [0->1]: the letters are
 # those two and [1->0], which the others reach, so without its column
 # [0->1] lacks its inverse letter; [2->2] lies outside it
@@ -226,6 +235,18 @@ def test_is_closure_of_rejects_a_mutated_record(mutation):
     S = close(SWAP_AND_MOVE)
     assert S.order == 7 and is_closure_of(S) and is_closure_of(with_record(S, None))
     assert not is_closure_of(with_record(S, mutation))
+
+
+def test_a_record_whose_products_leave_the_index_still_builds():
+    """In the I_2 closure of i2_gens.json the last element is the
+    identity; as a second [0->1] without its key, the identity, a
+    product of letters, has no index entry.  The constructor reads the
+    idempotents and the zero off the keys and looks nothing up that can
+    raise, so the record builds and `is_closure_of` rejects it."""
+    S = formats.load_semigroup(DATA / "i2_gens.json")
+    assert S.label_str(S.order - 1) == "[0->0,1->1]"
+    T = with_record(S, "last relabelled [0->1], its key dropped")
+    assert T.order == S.order and not is_closure_of(T)
 
 
 def test_is_closure_of_accepts_close_and_rejects_a_bad_cell():
@@ -308,3 +329,60 @@ def test_germs_verify_checks_the_closure_of_an_action_file():
     list at hand; --verify checks it from its own record."""
     result = invoke_cli(["germs", str(DATA / "z2_point_action.json"), "--verify"])
     assert result.exit_code == 0, result.output
+
+
+def assert_key_facts_match_the_oracles(S):
+    """The idempotents, the zero and the inverses that a closure reads
+    off its keys, against s s = s, the two-sided zero fold and the
+    inverse keys by reversed pairs."""
+    assert S.idempotents == idempotents_by_squares(S)
+    assert S.zero == zero_fold(S)
+    assert S.inv == inverse_by_pairs(S)
+
+
+def cycle(n):
+    return PartialBijection(n, {x: (x + 1) % n for x in range(n)})
+
+
+KEY_FACTS = {  # name: (generators, whether the closure has a zero)
+    "I_3": (CASES["I_3"], True),
+    "Z_3, a group": ([cycle(3)], False),
+    "the swap and [0->0,1->1] on 3 points": (
+        [PartialBijection(3, {0: 1, 1: 0, 2: 2}), PartialBijection.identity(3, {0, 1})], False),
+    # 255 points is the last ground size with bytes keys; 256 has tuples
+    **{f"{n} points, {name}": (gens, zero) for n in (255, 256) for name, gens, zero in (
+        ("the swap and a partial identity",
+         [PartialBijection(n, {0: 1, 1: 0, **{x: x for x in range(2, n)}}),
+          PartialBijection.identity(n, range(1, n))], True),
+        ("an n-cycle", [cycle(n)], False))},
+}
+
+
+@pytest.mark.parametrize("name", KEY_FACTS)
+def test_key_facts_match_the_oracles(name):
+    gens, has_zero = KEY_FACTS[name]
+    S = close(gens)
+    assert (S.zero is not None) == has_zero
+    assert_key_facts_match_the_oracles(S)
+
+
+@st.composite
+def small_generator_lists(draw):
+    """One to three partial bijections on 1-6 points; half the time
+    permutations only, whose closure is a group and so has no zero
+    unless it is trivial."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        images = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        return [PartialBijection(n, dict(enumerate(image))) for image in images]
+    return draw(st.lists(partial_bijections(n), min_size=1, max_size=3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_generator_lists())
+def test_key_facts_match_the_oracles_random(gens):
+    try:
+        S = close(gens, budget=2000)
+    except BudgetExceeded:
+        return
+    assert_key_facts_match_the_oracles(S)

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from invsemi import (
 from conftest import element_index, invoke_cli, make_chain, semigroup_to_dict
 from invsemi import cli, semigroup
 from invsemi.symbolic import atomflip
-from oracles import join_brute, maximal_elements_scan, union_join
+from oracles import hausdorff_by_up_masks, join_brute, maximal_elements_scan, union_join
+from test_closure import symmetric_generators
 
 DATA = Path(__file__).parent / "data"
 
@@ -249,6 +251,68 @@ def test_downward_closure_check_fires(i3, monkeypatch, tmp_path):
     result = invoke_cli(["criterion", str(f)])
     assert result.exit_code == 4
     assert result.stderr.startswith("invariant failure: downward closure")
+
+
+def random_closures(count, seed):
+    """Seeded closures of one to three random partial bijections on 2-5
+    points, each of at most 400 elements."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 5)
+        gens = [PartialBijection(n, dict(zip(rng.sample(range(n), rng.randint(0, n)),
+                                             rng.sample(range(n), n))))
+                for _ in range(rng.randint(1, 3))]
+        try:
+            yield close(gens, budget=400)
+        except BudgetExceeded:
+            continue
+        count -= 1
+
+
+def test_one_verdict_per_j_set(all_fixtures):
+    """Over the fixtures, I_3-I_5, seeded random closures and F_64: each
+    verdict is the m-bit order's, and elements with equal J_s share one
+    frozenset and one witness tuple."""
+    semigroups = [*all_fixtures.values(), *(close(symmetric_generators(n)) for n in (3, 4, 5)),
+                  *random_closures(20, 20261019), atomflip.truncation(64)]
+    for S in semigroups:
+        j_sets = S._require_e_order()[2]
+        verdicts = [hausdorff_criterion(S, s) for s in S.elements()]
+        assert [v[1:3] for v in verdicts] == [hausdorff_by_up_masks(S, s) for s in S.elements()]
+        first = {}
+        for s, verdict in enumerate(verdicts):
+            shared = first.setdefault(j_sets[s], verdict)
+            assert verdict.j_set is shared.j_set and verdict.witness is shared.witness
+        assert len(S._j_set_memo()) == len(first) == len({id(v.j_set) for v in verdicts})
+
+
+def test_only_the_criterion_fills_the_j_set_memo():
+    S = close(symmetric_generators(4))
+    is_e_star_unitary(S)  # reads the E-order
+    assert S._j_set_memo() == {}
+    verdict = hausdorff_criterion(S, 0)
+    assert S._j_set_memo() == {S._require_e_order()[2][0]: (*verdict[1:3], None)}
+
+
+def test_a_failed_downward_closure_fails_its_whole_class():
+    """Put an idempotent outside J_s below a maximal element f of J_s,
+    for the largest class of I_3 with J_s short of E: the downward
+    closure of the maximal elements passes J_s, and every element of
+    the class fails the check, each time it is asked, not only the
+    first.  The verdict memo built on the sound E-order goes with it."""
+    T = close(symmetric_generators(3))
+    E, below, j_sets = T._require_e_order()
+    full = (1 << len(E)) - 1
+    jmask = max((j for j in j_sets if j != full), key=j_sets.count)
+    members = [t for t in T.elements() if j_sets[t] == jmask]
+    f = E.index(hausdorff_criterion(T, members[0]).witness[0])
+    stray = full & ~jmask & -(full & ~jmask)  # the first idempotent outside J_s
+    corrupted = [*below[:f], below[f] | stray, *below[f + 1:]]
+    object.__setattr__(T, "_e_order", (E, tuple(corrupted), j_sets))
+    assert len(members) >= 2
+    for t in [*reversed(members), *members]:
+        with pytest.raises(InvariantViolation, match="^downward closure of maximal elements"):
+            hausdorff_criterion(T, t)
 
 
 def test_witness_covers_both_ways(all_fixtures):

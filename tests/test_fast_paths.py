@@ -156,6 +156,8 @@ def check_germs(action):
     assert G.reps == tuple(group[0] for group in O.classes)
     assert G.units == O.units
     assert (G.source, G.target, G.inverse) == (O.source, O.target, O.inverse)
+    assert G.isotropy() is G.isotropy()  # found once, when G is built
+    assert G.isotropy() == frozenset(c for c in range(len(G)) if O.source[c] == O.target[c])
     assert all(G.compose(c1, c2) == c12 for (c1, c2), c12 in O.products.items())
     n = len(G)
     for c1 in range(0, n, max(1, n // 40)):

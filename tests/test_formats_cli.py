@@ -386,6 +386,20 @@ def test_close_verify_of_a_table_file_recomputes_the_verifier(monkeypatch, name)
     assert result.stderr == "verification failed: oracle disagreement\n"
 
 
+def test_close_verify_parses_a_table_file_once(monkeypatch):
+    """A table file is parsed once under `close --verify`; a generator
+    file a second time, for the generators its letters are checked
+    against."""
+    from invsemi import formats
+    parsed = []
+    load_json = formats._load_json
+    monkeypatch.setattr(formats, "_load_json", lambda path: parsed.append(path.name)
+                        or load_json(path))
+    for name in ("z2_table.json", "chain2_table.json", "i2_gens.json"):
+        run("close", str(DATA / name), "--verify")
+    assert parsed == ["z2_table.json", "chain2_table.json", "i2_gens.json", "i2_gens.json"]
+
+
 def test_close_verify_of_a_table_file_counts_its_triples(tmp_path):
     """The scans of a 60-element table cost 60^3 = 216,000 triples,
     above the default budget of 200,000."""
