@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import repeat
+from itertools import compress, repeat
 from operator import and_, attrgetter, eq, itemgetter, methodcaller, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -86,14 +86,14 @@ class FiniteInverseSemigroup:
         from their closed form).  A caller that passes it also vouches
         for the table: every row has length m and every entry is one of
         0..m-1 (each such caller proves it in its docstring).  Neither
-        is checked.  Without it the table gets the range check and the
-        exhaustive scan for generalized inverses, and `inv` is None
-        unless each element has exactly one.  `close` passes no table
-        but `_closure`: (key index, gathers, operands, k), one gather and
-        one operand per element, and no labels (see `close`)."""
+        is checked.  Without it one pass over the rows range-checks the
+        table and finds the generalized inverses (`_checked_inverses`),
+        and `inv` is None unless each element has exactly one.  `close`
+        passes no table but `_closure`: (key index, gathers, operands, k),
+        one gather and one operand per element, and no labels (see `close`)."""
         table = None if _closure else tuple(tuple(row) for row in mul)
         if table is not None and _inverse is None:
-            _check_cells(table)
+            _inverse = _checked_inverses(table)
         m = len(_closure[2] if table is None else table)
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
@@ -102,8 +102,6 @@ class FiniteInverseSemigroup:
         else:
             idempotents = frozenset(e for e in range(m) if table[e][e] == e)
             zero = _find_zero(table, idempotents)
-        if _inverse is None:
-            _inverse, _ = _inverse_scan(table)
         object.__setattr__(self, "_mul", table)
         object.__setattr__(self, "_closure", _closure)
         object.__setattr__(self, "order", m)
@@ -299,11 +297,11 @@ def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
     So every element is regular, and a regular semigroup whose
     idempotents commute is inverse (Lawson, Inverse Semigroups, 1998,
     Thm 1.1.3): each element has exactly one inverse.  This costs one
-    O(m) scan per non-idempotent generator and |E|^2 / 2 lookups for
-    the idempotents E.  Only when it fails does every element get its
-    O(m) scan, which names the first element without exactly one
-    inverse.  Reads only `S.mul`: the certificate never depends on
-    what the constructor derived.
+    row scan per non-idempotent generator and one gather of the E x E
+    submatrix for the idempotents E.  Only when it fails does every
+    element get its row scan, which names the first element without
+    exactly one inverse.  Reads only `S.mul`: the certificate never
+    depends on what the constructor derived.
     """
     mul = S.mul
     gens = generating_set(mul)
@@ -312,7 +310,7 @@ def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
     regular = all(mul[g][g] == g or inverse_candidates(mul, g) for g in gens)
     if regular and _idempotents_commute(mul):
         return VerificationResult(True)
-    fault = _inverse_scan(mul)[1]
+    fault = _inverse_fault(mul)
     return VerificationResult(fault is None, fault and "inverse-uniqueness", fault)
 
 
@@ -338,7 +336,7 @@ def generating_set(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
         # Words with a letter g: g or r g for a reached r, then
         # right-multiplied by any generator.
         gens.append(g)
-        frontier = [g, *{mul[r][g] for r in range(m) if reached[r]}]
+        frontier = [g, *set(map(itemgetter(g), compress(mul, reached)))]
         while frontier:
             s = frontier.pop()
             if reached[s]:
@@ -463,7 +461,7 @@ def verify_by_scans(S: FiniteInverseSemigroup, budget: int | None = None) -> Ver
     triple = first_non_associative_triple(mul)
     if triple is not None:
         return VerificationResult(False, "associativity", triple)
-    fault = _inverse_scan(mul)[1]
+    fault = _inverse_fault(mul)
     return VerificationResult(fault is None, fault and "inverse-uniqueness", fault)
 
 
@@ -634,49 +632,72 @@ def is_closure_of(S: FiniteInverseSemigroup) -> bool:
 
 
 def inverse_candidates(mul: Sequence[Sequence[int]], s: int) -> tuple[int, ...]:
-    """All t with s t s = s and t s t = t, by a scan over the table."""
-    return tuple(t for t, st in enumerate(mul[s])
-                 if mul[st][s] == s and mul[mul[t][s]][t] == t)
+    """All t with s t s = s and t s t = t, ascending (see `_candidates`)."""
+    return tuple(sorted(_candidates(mul, s, set(mul[s]))))
 
 
-def _inverse_scan(mul: Sequence[Sequence[int]]) -> tuple[list[int] | None, tuple | None]:
-    """(the inverse map, None) if every element has exactly one
-    generalized inverse, else (None, (s, candidates)) for the first s."""
-    inverse = []
-    for s in range(len(mul)):
-        cands = inverse_candidates(mul, s)
-        if len(cands) != 1:
-            return None, (s, cands)
-        inverse.append(cands[0])
-    return inverse, None
+def _candidates(mul, s: int, values) -> list[int]:
+    """The t with s t s = s and t s t = t, unsorted, given the distinct
+    `values` of row s.  (s t) s = mul[u][s] reads t only through u = s t;
+    for each u that passes, only the t with s t = u get the test
+    (t s) t = t.  Exact on any table whose entries index it."""
+    row, found = mul[s], []
+    for u in values:
+        if mul[u][s] == s:
+            found += [t for t in _bits(_mask_of(row, u)) if mul[mul[t][s]][t] == t]
+    return found
+
+
+def _inverse_fault(mul: Sequence[Sequence[int]]) -> tuple | None:
+    """(s, candidates) for the first s without exactly one generalized inverse, else None."""
+    cands = map(inverse_candidates, repeat(mul), range(len(mul)))
+    return next(((s, c) for s, c in enumerate(cands) if len(c) != 1), None)
+
+
+def _checked_inverses(table: tuple[tuple, ...]) -> list[int] | None:
+    """The inverse map of a table in one pass over its rows, or None
+    unless each element has exactly one generalized inverse.  Each row's
+    values go once into one reused set, for the range check and for the
+    row's `_candidates`.  A row passes with length m, no value below 0
+    and an int sum (a float equal to an int in range hides behind it in
+    the set, not in the sum); `_candidates` reads every value as a row
+    index, so one past m - 1 raises there.  It also reads rows not yet
+    checked, which may raise or wrap on a negative index, so on any
+    failure `_check_cells` raises, naming the first bad row or entry."""
+    m, inverse, values = len(table), [], set()
+    try:
+        for s, row in enumerate(table):
+            values.clear()
+            values.update(row)
+            if len(row) != m or min(values) < 0 or type(sum(row)) is not int:
+                break
+            found = _candidates(table, s, values)
+            inverse.append(found[0] if len(found) == 1 else None)
+        else:
+            return None if None in inverse else inverse
+    except (TypeError, IndexError):  # an unhashable entry, or a bad one read early
+        pass
+    _check_cells(table)
 
 
 def _idempotents_commute(mul) -> bool:
-    """e f == f e for all idempotents e, f (the diagonal fixpoints)."""
+    """e f == f e for all idempotents e, f (the diagonal fixpoints): the
+    E x E submatrix, gathered row by row into one flat list, is
+    symmetric, row i from the diagonal on against column i."""
     idem = [e for e, row in enumerate(mul) if row[e] == e]
-    return all(mul[e][f] == mul[f][e] for i, e in enumerate(idem) for f in idem[:i])
+    k, flat = len(idem), []
+    if k > 1:  # a one-index itemgetter returns a scalar; one idempotent commutes
+        gather = itemgetter(*idem)
+        for e in idem:
+            flat += gather(mul[e])
+    return all(flat[i * k + i:i * k + k] == flat[i * k + i::k] for i in range(k))
 
 
 def _check_cells(table: tuple[tuple, ...]) -> None:
-    """Raise ContractViolation unless every row has length m and every
-    entry is an int in 0..m-1, naming the first bad row or entry.  A
-    bool is an int here, as in Python; `formats` rejects JSON true and
-    false."""
+    """Raise ContractViolation naming the first row whose length is not
+    m or the first entry that is not an int in 0..m-1.  A bool is an int
+    here, as in Python; `formats` rejects JSON true and false."""
     m = len(table)
-    try:
-        # One pass over the cells for the range.  In place, so the
-        # transient is one set of at most the distinct entries.  A float
-        # (or any other number) equal to an int in range hides in that
-        # set behind the int, but it makes the sum of the table a float
-        # (or its own type), and `sum` over small ints is a tight C loop
-        # that costs about a quarter of the set pass.
-        stray = set().union(*table)
-        stray.difference_update(range(m))
-        if (not stray and all(len(row) == m for row in table)
-                and type(sum(map(sum, table))) is int):
-            return
-    except TypeError:  # an unhashable entry, or numbers that do not add
-        pass
     for i, row in enumerate(table):
         if len(row) != m:
             raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
@@ -724,22 +745,20 @@ def _closure_idempotents_and_zero(index, gathers, operands) -> tuple[frozenset[i
 
 
 def _up_masks(table, inv) -> tuple[int, ...]:
-    """Bit t of the s-th mask is set iff s <= t, that is s s* t = s: where
-    s occurs in the row of s s*, found by one C-level pass of `index`
-    calls over that row (the last runs off the end), not a Python loop
-    over all m elements."""
-    up = []
-    for s in range(len(table)):
-        row = table[table[s][inv[s]]]
-        mask, t = 0, -1
-        try:
-            while True:
-                t = row.index(s, t + 1)
-                mask |= 1 << t
-        except ValueError:  # no s past t
-            pass
-        up.append(mask)
-    return tuple(up)
+    """Bit t of the s-th mask is set iff s <= t, that is s s* t = s: the
+    positions of s in the row of s s*, by `_mask_of`."""
+    return tuple(_mask_of(table[table[s][inv[s]]], s) for s in range(len(table)))
+
+
+def _mask_of(row, value) -> int:
+    """The mask of the t with row[t] == value, by C-level `row.index` scans."""
+    mask, t = 0, -1
+    try:
+        while True:
+            t = row.index(value, t + 1)
+            mask |= 1 << t
+    except ValueError:  # no value past t
+        return mask
 
 
 def _cells_of(operands) -> dict[tuple[int, int], int]:

@@ -5,7 +5,8 @@ implementation under test: set-semantics fixpoint closure, all-pairs
 indexed closure, the cell-by-cell table fill and all-cells closure
 check, a closure's idempotents, zero and inverses by products and
 pairs, order scans from the defining identities, brute-force least
-upper bounds, the exhaustive table scans, finite-cover criterion, the
+upper bounds, the exhaustive table scans (with the two-pass range check
+and inverse scan of the table constructor), finite-cover criterion, the
 criterion and left-translation domains off the m-bit order and the
 E*-unitary check by products (which the order on the idempotents
 replaced),
@@ -221,6 +222,64 @@ def inverse_sets_scan(mul):
         frozenset(t for t in range(m)
                   if mul[mul[s][t]][s] == s and mul[mul[t][s]][t] == t)
         for s in range(m))
+
+
+def check_cells_two_pass(table) -> None:
+    """The range check of the table constructor before its one pass:
+    the union of every row and the sum of the table first, and only when
+    they fail, the loop naming the first bad row or entry."""
+    m = len(table)
+    try:
+        stray = set().union(*table)
+        stray.difference_update(range(m))
+        if (not stray and all(len(row) == m for row in table)
+                and type(sum(map(sum, table))) is int):
+            return
+    except TypeError:  # an unhashable entry, or numbers that do not add
+        pass
+    for i, row in enumerate(table):
+        if len(row) != m:
+            raise ContractViolation(f"row {i} has length {len(row)}, expected {m}")
+        for v in row:
+            if not isinstance(v, int):
+                raise ContractViolation(f"table entry {v!r} is not an integer")
+            if not 0 <= v < m:
+                raise ContractViolation(f"table entry {v} out of range [0, {m})")
+
+
+def inverse_candidates_scan(mul, s) -> tuple[int, ...]:
+    """All t with s t s = s and t s t = t, by one test per entry of the row of s."""
+    return tuple(t for t, st in enumerate(mul[s])
+                 if mul[st][s] == s and mul[mul[t][s]][t] == t)
+
+
+def inverse_scan(mul):
+    """(the inverse map, None) if every element has exactly one
+    generalized inverse, else (None, (s, candidates)) for the first s."""
+    inverse = []
+    for s in range(len(mul)):
+        cands = inverse_candidates_scan(mul, s)
+        if len(cands) != 1:
+            return None, (s, cands)
+        inverse.append(cands[0])
+    return inverse, None
+
+
+def derive_two_pass(mul):
+    """(inv, idempotents, zero) of a table by the constructor's old two
+    passes, the range check (`check_cells_two_pass`) and then every
+    element's generalized inverses; raises as that check does."""
+    table = tuple(tuple(row) for row in mul)
+    check_cells_two_pass(table)
+    inverse, _ = inverse_scan(table)
+    return (tuple(inverse) if inverse is not None else None,
+            frozenset(e for e in range(len(table)) if table[e][e] == e), zero_scan(table))
+
+
+def idempotents_commute_scan(mul) -> bool:
+    """e f == f e for every pair of idempotents, one lookup pair each."""
+    idem = [e for e, row in enumerate(mul) if row[e] == e]
+    return all(mul[e][f] == mul[f][e] for i, e in enumerate(idem) for f in idem[:i])
 
 
 def zero_scan(mul):

@@ -30,7 +30,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from invsemi import (
     DOWN,
@@ -61,10 +61,13 @@ from invsemi.symbolic import atomflip
 from oracles import (
     atomflip_truncation_scan,
     completeness_scan,
+    derive_two_pass,
     generated_scan,
     germ_groupoid_scan,
     hausdorff_by_up_masks,
     hausdorff_scan,
+    idempotents_commute_scan,
+    inverse_candidates_scan,
     inverse_sets_scan,
     join_brute,
     left_translation_domains_by_up_masks,
@@ -255,10 +258,10 @@ def test_cli_out_of_memory_is_inconclusive(monkeypatch):
 
 
 def test_closure_never_scans_for_inverses(monkeypatch):
-    def refuse(mul, s):
-        raise AssertionError("exhaustive inverse scan during close")
+    def refuse(table):
+        raise AssertionError("table pass for inverses during close")
 
-    monkeypatch.setattr(semigroup, "inverse_candidates", refuse)
+    monkeypatch.setattr(semigroup, "_checked_inverses", refuse)
     assert close(symmetric_generators(4)).order == 209
     with pytest.raises(AssertionError):
         FiniteInverseSemigroup([[0]])
@@ -862,6 +865,66 @@ def test_verify_matches_scan_on_fixtures(name):
     check_verify(TABLES[name] if name in TABLES else fixture(name).mul)
 
 
+# Planted faults: an entry m (the string "m" stands for it), -1, 1.0,
+# True, "0" or [0], or a row one entry short or one entry long.
+PLANTED = ["m", -1, 1.0, True, "0", [0], "short row", "long row"]
+
+
+@st.composite
+def swept_tables(draw):
+    """Random m x m tables with m from 1 to 8, most of them not
+    associative; three in eight a small closure, truncation or fixed
+    table; then up to two planted faults."""
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        mul = close(draw(small_generator_lists())).mul
+    elif kind == 1:
+        mul = small_fixture(draw(st.sampled_from(SMALL_FIXTURES))).mul
+    elif kind == 2:
+        mul = TABLES[draw(st.sampled_from(sorted(TABLES)))]
+    else:
+        m = draw(st.integers(1, 8))
+        mul = [draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)) for _ in range(m)]
+    rows = [list(row) for row in mul]
+    for fault in draw(st.lists(st.sampled_from(PLANTED), max_size=2)):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "short row":
+            del row[-1:]
+        elif fault == "long row":
+            row.append(0)
+        elif row:
+            row[draw(st.integers(0, len(row) - 1))] = len(rows) if fault == "m" else fault
+    return rows
+
+
+# Row 0 is good, and its candidates read row 1 before row 1 is checked:
+# an entry m there, or a short row, raises IndexError; -1 wraps around.
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(swept_tables())
+@example([[0, 0], [2, 1]])
+@example([[0, 0], [1]])
+@example([[0, 0], [-1, 1]])
+def test_one_table_pass_matches_the_two_pass_oracles(rows):
+    """The constructor raises as the old range check does, or derives
+    what the old scans do; on a good table, `inverse_candidates`, the
+    idempotent commute check and the verifier agree with their scans."""
+    try:
+        expected = derive_two_pass(rows)
+    except ContractViolation as exc:
+        with pytest.raises(ContractViolation) as raised:
+            FiniteInverseSemigroup(rows)
+        assert str(raised.value) == str(exc)
+        return
+    S = FiniteInverseSemigroup(rows)
+    assert (S.inv, S.idempotents, S.zero) == expected
+    mul = S.mul
+    assert [semigroup.inverse_candidates(mul, s) for s in S.elements()] == \
+        [inverse_candidates_scan(mul, s) for s in S.elements()]
+    assert semigroup._idempotents_commute(mul) == idempotents_commute_scan(mul)
+    result = verify_inverse_semigroup(S)
+    assert (result.ok, result.reason, result.certificate) == verify_scan(S)
+
+
 def test_verify_never_scans_triples_on_i4(monkeypatch):
     def refuse(mul):
         raise AssertionError("exhaustive associativity scan")
@@ -885,6 +948,17 @@ def count_inverse_scans(monkeypatch):
 
     monkeypatch.setattr(semigroup, "inverse_candidates", counting)
     return calls
+
+
+def test_building_a_table_calls_no_inverse_candidates(monkeypatch):
+    """The constructor finds inverses in its one pass over the rows;
+    only the verifier calls `inverse_candidates`."""
+    tables = [close(symmetric_generators(4)).mul, atomflip.truncation(64).mul,
+              load_semigroup(DATA / "left_zero.json").mul, [[0]], []]
+    calls = count_inverse_scans(monkeypatch)
+    built = [FiniteInverseSemigroup(table) for table in tables]
+    assert calls == []
+    assert [S.inv is None for S in built] == [False, False, True, False, False]
 
 
 @pytest.mark.parametrize("n", [4, 5])
