@@ -35,12 +35,12 @@ class FiniteInverseSemigroup:
 
     One rule for both kinds: the constructor derives the idempotents,
     the inverse map and the zero (a closure's off its keys); the
-    up-masks, ground cells, E-order and compatibility masks are built
-    when read (a race builds twice), from table rows or from ground
-    cells.  This module alone reads rows
-    and cells, picking by `_closure`; outside it only `cli._verification`
-    tests `_closure`, as a closure passes the table checks by
-    construction.
+    up-masks, ground cells, E-order, compatibility masks and a table's
+    generators (`generators_if_associative`) are built when read (a race
+    builds twice), from table rows or from ground cells.  This module
+    alone reads rows and cells, picking by `_closure`; outside it only
+    `cli._verification` tests `_closure`, as a closure passes the table
+    checks by construction.
 
     `product` (and `products`, for a column) reads s t off the table,
     or on a `close` result, which keeps none, off the image keys: the
@@ -77,7 +77,7 @@ class FiniteInverseSemigroup:
     """
 
     __slots__ = ("_mul", "order", "_labels", "inv", "idempotents", "zero", "_closure",
-                 "_up_masks", "_cells", "_e_order", "_by_j_set")
+                 "_up_masks", "_cells", "_e_order", "_by_j_set", "_generators")
 
     def __init__(self, mul: Sequence[Sequence[int]] | None, labels: Sequence | None = None,
                  *, _inverse: Sequence[int] | None = None, _closure: tuple | None = None):
@@ -109,7 +109,8 @@ class FiniteInverseSemigroup:
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", tuple(_inverse) if _inverse is not None else None)
         object.__setattr__(self, "zero", zero)
-        for slot in ("_up_masks", "_cells", "_e_order", "_by_j_set"):  # built when read
+        for slot in ("_up_masks", "_cells", "_e_order", "_by_j_set",
+                     "_generators"):  # built when read
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -280,38 +281,22 @@ class VerificationResult(NamedTuple):
 def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
     """Check associativity and uniqueness of generalized inverses.
 
-    Associativity is decided by Light's test over `generating_set`
-    (O(k m^2) for k generators); only a table that fails it pays the
-    exhaustive triple scan, which names the first violating triple
-    (a, b, c) in lexicographic order.
+    Associativity is Light's test, through `generators_if_associative`;
+    only a table that fails it pays the exhaustive triple scan, which
+    names the first violating triple (a, b, c) in lexicographic order.
 
-    Inverses are then decided from the generators: the table is an
-    inverse semigroup when every generator g is regular (has some t
-    with g t g = g and t g t = t; an idempotent is its own) and the
-    idempotents commute.  Proof: every element is a product
-    ((g1 g2) ...) gn of generators.  If s and g are regular with
-    inverses s' and g', and idempotents commute, then g' s' is an
-    inverse of s g: the idempotents g g' and s' s commute, so
-    (s g)(g' s')(s g) = s (g g')(s' s) g = s (s' s)(g g') g = s g  and
-    (g' s')(s g)(g' s') = g' (s' s)(g g') s' = g' (g g')(s' s) s' = g' s'.
-    So every element is regular, and a regular semigroup whose
-    idempotents commute is inverse (Lawson, Inverse Semigroups, 1998,
-    Thm 1.1.3): each element has exactly one inverse.  This costs one
-    row scan per non-idempotent generator and one gather of the E x E
-    submatrix for the idempotents E.  Only when it fails does every
+    An associative S is inverse iff each s has exactly one t with s t s = s
+    and t s t = t: `_checked_inverses` decides that row by row when a table
+    loads, and `close` and `atomflip.truncation` prove it when they pass
+    `_inverse`.  So `S.inv` answers; only when it is None does every
     element get its row scan, which names the first element without
-    exactly one inverse.  Reads only `S.mul`: the certificate never
-    depends on what the constructor derived.
+    exactly one inverse.  A closure lays out no table.
     """
-    mul = S.mul
-    gens = generating_set(mul)
-    if not is_associative(mul, gens):
-        return VerificationResult(False, "associativity", first_non_associative_triple(mul))
-    regular = all(mul[g][g] == g or inverse_candidates(mul, g) for g in gens)
-    if regular and _idempotents_commute(mul):
+    if generators_if_associative(S) is None:
+        return VerificationResult(False, "associativity", first_non_associative_triple(S.mul))
+    if S.inv is not None:
         return VerificationResult(True)
-    fault = _inverse_fault(mul)
-    return VerificationResult(fault is None, fault and "inverse-uniqueness", fault)
+    return VerificationResult(False, "inverse-uniqueness", _inverse_fault(S.mul))
 
 
 def generating_set(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -424,11 +409,15 @@ def generators_if_associative(S: FiniteInverseSemigroup) -> Sequence[int] | None
     law closed under products then holds on S if it holds on them.  A
     closure's letters, elements 0..k-1 (see `close`), generate it and
     compose associatively as partial maps; a table's `generating_set`
-    is returned when Light's test (`is_associative`) passes on it."""
+    is returned when Light's test (`is_associative`) passes on it.  The
+    one place that runs Light's test, once per table: the answer is kept
+    on first read in a 1-tuple, so that a failed test (None) is kept too."""
     if S._closure is not None:
         return range(_letter_count(S))
-    gens = generating_set(S.mul)
-    return gens if is_associative(S.mul, gens) else None
+    if S._generators is None:
+        gens = generating_set(S.mul)
+        object.__setattr__(S, "_generators", (gens if is_associative(S.mul, gens) else None,))
+    return S._generators[0]
 
 
 def first_non_associative_triple(mul: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -678,19 +667,6 @@ def _checked_inverses(table: tuple[tuple, ...]) -> list[int] | None:
     except (TypeError, IndexError):  # an unhashable entry, or a bad one read early
         pass
     _check_cells(table)
-
-
-def _idempotents_commute(mul) -> bool:
-    """e f == f e for all idempotents e, f (the diagonal fixpoints): the
-    E x E submatrix, gathered row by row into one flat list, is
-    symmetric, row i from the diagonal on against column i."""
-    idem = [e for e, row in enumerate(mul) if row[e] == e]
-    k, flat = len(idem), []
-    if k > 1:  # a one-index itemgetter returns a scalar; one idempotent commutes
-        gather = itemgetter(*idem)
-        for e in idem:
-            flat += gather(mul[e])
-    return all(flat[i * k + i:i * k + k] == flat[i * k + i::k] for i in range(k))
 
 
 def _check_cells(table: tuple[tuple, ...]) -> None:

@@ -276,12 +276,6 @@ def derive_two_pass(mul):
             frozenset(e for e in range(len(table)) if table[e][e] == e), zero_scan(table))
 
 
-def idempotents_commute_scan(mul) -> bool:
-    """e f == f e for every pair of idempotents, one lookup pair each."""
-    idem = [e for e, row in enumerate(mul) if row[e] == e]
-    return all(mul[e][f] == mul[f][e] for i, e in enumerate(idem) for f in idem[:i])
-
-
 def zero_scan(mul):
     """The first element absorbing every product, or None."""
     m = len(mul)

@@ -66,7 +66,6 @@ from oracles import (
     germ_groupoid_scan,
     hausdorff_by_up_masks,
     hausdorff_scan,
-    idempotents_commute_scan,
     inverse_candidates_scan,
     inverse_sets_scan,
     join_brute,
@@ -906,8 +905,8 @@ def swept_tables(draw):
 @example([[0, 0], [-1, 1]])
 def test_one_table_pass_matches_the_two_pass_oracles(rows):
     """The constructor raises as the old range check does, or derives
-    what the old scans do; on a good table, `inverse_candidates`, the
-    idempotent commute check and the verifier agree with their scans."""
+    what the old scans do; on a good table, `inverse_candidates` and the
+    verifier agree with their scans."""
     try:
         expected = derive_two_pass(rows)
     except ContractViolation as exc:
@@ -920,7 +919,6 @@ def test_one_table_pass_matches_the_two_pass_oracles(rows):
     mul = S.mul
     assert [semigroup.inverse_candidates(mul, s) for s in S.elements()] == \
         [inverse_candidates_scan(mul, s) for s in S.elements()]
-    assert semigroup._idempotents_commute(mul) == idempotents_commute_scan(mul)
     result = verify_inverse_semigroup(S)
     assert (result.ok, result.reason, result.certificate) == verify_scan(S)
 
@@ -962,11 +960,37 @@ def test_building_a_table_calls_no_inverse_candidates(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_verify_scans_only_generators_for_inverses(monkeypatch, n):
+def test_verify_reads_the_inverse_map_of_an_inverse_table(monkeypatch, n):
+    """The inverse map that the constructor built answers for inverses:
+    on I_n as a closure and as a table, no element gets its row scan."""
     S = close(symmetric_generators(n))
+    table = FiniteInverseSemigroup(S.mul)
     calls = count_inverse_scans(monkeypatch)
-    assert verify_inverse_semigroup(S).ok
-    assert 0 < len(calls) <= len(semigroup.generating_set(S.mul))
+    assert verify_inverse_semigroup(S).ok and verify_inverse_semigroup(table).ok
+    assert calls == []
+
+
+def test_verify_builds_no_closure_table(monkeypatch):
+    """A closure passes the verifier by its letters and its inverse map."""
+    S = close(symmetric_generators(5))
+    refuse_closure_tables(monkeypatch)
+    assert verify_inverse_semigroup(S) == (True, None, None)
+
+
+def test_germs_on_a_table_action_file_runs_lights_test_once(monkeypatch, tmp_path):
+    """The action check and the verifier share the table's generators
+    and one run of Light's test."""
+    calls = []
+    light = semigroup.is_associative
+
+    def counting(mul, gens):
+        calls.append(gens)
+        return light(mul, gens)
+
+    monkeypatch.setattr(semigroup, "is_associative", counting)
+    _, left = table_action_files(tmp_path)
+    assert invoke_cli(["germs", str(left)]).exit_code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("table, certificate", [
@@ -981,7 +1005,7 @@ def test_verify_scans_every_element_when_idempotents_do_not_commute(
     result = verify_inverse_semigroup(S)
     assert (result.ok, result.reason, result.certificate) == verify_scan(S)
     assert result.certificate == certificate
-    # every element is idempotent, so only the element-by-element scan ran
+    # the table has no inverse map, so the elements are scanned up to the first fault
     assert calls == list(range(certificate[0] + 1))
 
 

@@ -38,6 +38,10 @@ all m^2 products, so `.mul` is read only by the table code of
 reads `_letter_count`: `close --verify` compares the letters with the
 file's generators through `semigroup.has_letters_of`.
 
+Light's test decides associativity for every law that is checked on
+generators, so it runs once per table: only `generators_if_associative`,
+which keeps its answer, calls `generating_set` or `is_associative`.
+
 `cli.py` decides only what the command line owns: argument parsing,
 the verification policy, report layout and exit codes.  The symbolic
 families are dispatched by the table `symbolic.FAMILIES`, so `cli.py`
@@ -413,3 +417,39 @@ def test_the_scan_finds_a_label_construction():
               "    def labels(self):\n"
               "        return partial_bijection.PartialBijection(n, ())\n")
     assert label_constructions(source) == [("close", 2), ("FiniteInverseSemigroup.labels", 7)]
+
+
+# the one function of the package that may run Light's test
+ASSOCIATIVITY_GATE = "generators_if_associative"
+LIGHT_NAMES = {"generating_set", "is_associative"}
+
+
+def light_calls(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call of a `LIGHT_NAMES` name,
+    by its bare name or as an attribute."""
+    return scoped_nodes(source, lambda node: isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in LIGHT_NAMES
+        or isinstance(node.func, ast.Attribute) and node.func.attr in LIGHT_NAMES))
+
+
+def test_only_the_associativity_gate_runs_lights_test():
+    faults = {str(path.relative_to(PACKAGE)): [call for call in light_calls(path.read_text())
+                                               if call[0] != ASSOCIATIVITY_GATE]
+              for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {path: calls for path, calls in faults.items() if calls} == {}
+    assert {scope for scope, _ in light_calls((PACKAGE / "semigroup.py").read_text())} == \
+        {ASSOCIATIVITY_GATE}
+
+
+def test_the_scan_finds_a_light_call():
+    source = ("def verify_inverse_semigroup(S):\n"
+              "    gens = generating_set(S.mul)\n"
+              "    return is_associative, inverse_generating_set(S)\n"  # no call of the test
+              "class FiniteAction:\n"
+              "    def validate(self):\n"
+              "        return semigroup.is_associative(S.mul, gens)\n"
+              "def generators_if_associative(S):\n"
+              "    return is_associative(S.mul, generating_set(S.mul))\n")
+    assert sorted(light_calls(source)) == [
+        ("FiniteAction.validate", 6), ("generators_if_associative", 8),
+        ("generators_if_associative", 8), ("verify_inverse_semigroup", 2)]
