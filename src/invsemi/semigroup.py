@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from itertools import compress, repeat
-from operator import and_, attrgetter, eq, itemgetter, methodcaller, or_
+from operator import add, and_, eq, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
@@ -89,16 +89,16 @@ class FiniteInverseSemigroup:
         is checked.  Without it one pass over the rows range-checks the
         table and finds the generalized inverses (`_checked_inverses`),
         and `inv` is None unless each element has exactly one.  `close`
-        passes no table but `_closure`: (key index, gathers, operands, k),
-        one gather and one operand per element, and no labels (see `close`)."""
+        passes no table but `_closure`: (key index, keys, gather, tail, k),
+        one key per element, the one the index holds, and no labels."""
         table = None if _closure else tuple(tuple(row) for row in mul)
         if table is not None and _inverse is None:
             _inverse = _checked_inverses(table)
-        m = len(_closure[2] if table is None else table)
+        m = len(_closure[1] if table is None else table)
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
         if table is None:
-            idempotents, zero = _closure_idempotents_and_zero(*_closure[:3])
+            idempotents, zero = _closure_idempotents_and_zero(*_closure[:4])
         else:
             idempotents = frozenset(e for e in range(m) if table[e][e] == e)
             zero = _find_zero(table, idempotents)
@@ -120,25 +120,27 @@ class FiniteInverseSemigroup:
 
     @property
     def mul(self) -> tuple[tuple[int, ...], ...]:
-        """The m x m table; a closure lays out its product columns on first read."""
+        """The m x m table; a closure lays out its rows on first read."""
         if self._mul is None:
-            m = range(self.order)
-            object.__setattr__(self, "_mul", tuple(zip(*(self.products(m, t) for t in m))))
+            index, keys, gather, tail, _ = self._closure
+            object.__setattr__(self, "_mul", tuple(tuple(map(index.__getitem__, map(
+                gather, keys, repeat(key + tail)))) for key in keys))
         return self._mul
 
     def product(self, s: int, t: int) -> int:
         """s t, unchecked (see the class docstring)."""
         if self._closure is None:
             return self._mul[s][t]
-        index, gathers, keys = self._closure[:3]
-        return index[gathers[t](keys[s])]
+        index, keys, gather, tail, _ = self._closure
+        return index[gather(keys[t], keys[s] + tail)]
 
     def products(self, members: Iterable[int], t: int) -> list[int]:
-        """[u t for u in members], unchecked: one gather by the key of t."""
+        """[u t for u in members], unchecked: each key of u, padded, through the key of t."""
         if self._closure is None:
             return [self._mul[u][t] for u in members]
-        index, gathers, keys = self._closure[:3]
-        return list(map(index.__getitem__, map(gathers[t], map(keys.__getitem__, members))))
+        index, keys, gather, tail, _ = self._closure
+        operands = map(add, map(keys.__getitem__, members), repeat(tail))
+        return list(map(index.__getitem__, map(gather, repeat(keys[t]), operands)))
 
     def inverse(self, s: int) -> int:
         self._check_index(s)
@@ -155,15 +157,15 @@ class FiniteInverseSemigroup:
 
     @property
     def labels(self) -> tuple | None:
-        """The labels, or None; a closure's are built from its operands."""
+        """The labels, or None; a closure's are built from its keys."""
         if self._labels is None and self._closure is not None:
             object.__setattr__(self, "_labels", tuple(
-                PartialBijection(op[-1], _key_pairs(op)) for op in self._closure[2]))
+                PartialBijection(key[-1], _key_pairs(key)) for key in self._closure[1]))
         return self._labels
 
     def label_str(self, s: int) -> str:
         if self._closure is not None:
-            return format_pairs(_key_pairs(self._closure[2][s]))
+            return format_pairs(_key_pairs(self._closure[1][s]))
         return str(self._labels[s] if self._labels is not None else s)
 
     def elements(self) -> range:
@@ -222,7 +224,7 @@ class FiniteInverseSemigroup:
             if self.inv is None:
                 raise ContractViolation("table is not an inverse semigroup; order undefined")
             up = (_up_masks(self._mul, self.inv) if self._closure is None
-                  else _up_masks_from_cells(self._closure[2], self._ground_cells(), self.order))
+                  else _up_masks_from_cells(self._closure[1], self._ground_cells(), self.order))
             object.__setattr__(self, "_up_masks", up)
         return self._up_masks
 
@@ -238,7 +240,7 @@ class FiniteInverseSemigroup:
             if self._closure is None:  # bit i of J_s is bit s of up(E[i])
                 j_sets = _transpose(map(self._require_up_masks().__getitem__, E), self.order)
             else:
-                j_sets = _j_sets_of_domains(self._closure[2], E)
+                j_sets = _j_sets_of_domains(self._closure[1], E)
             object.__setattr__(self, "_e_order", (E, tuple(j_sets[e] for e in E), j_sets))
         return self._e_order
 
@@ -252,7 +254,7 @@ class FiniteInverseSemigroup:
     def _ground_cells(self) -> dict[tuple[int, int], int] | None:
         """A closure's ground cells, built on first read; None on a table."""
         if self._cells is None and self._closure is not None:
-            object.__setattr__(self, "_cells", _cells_of(self._closure[2]))
+            object.__setattr__(self, "_cells", _cells_of(self._closure[1]))
         return self._cells
 
     def __len__(self) -> int:
@@ -470,15 +472,16 @@ def close(generators: Sequence[PartialBijection],
     The key of s a (a first, then s) is the key of s read through the
     key of a, one C-level gather: x goes to s(a(x)), and the sentinel
     to itself, so s a is undefined at x exactly where a is, or where s
-    is at a(x).  Expand the elements in index order, right-multiplying
-    each by every letter; nothing of the right Cayley graph is kept, as
-    the index answers every question about it (see `is_closure_of`).
+    is at a(x); the key of s is padded as it is read (`_gather_and_tail`).
+    Expand the elements in index order, right-multiplying each by every
+    letter; nothing of the right Cayley graph is kept, as the index
+    answers every question about it (see `is_closure_of`).
     The key of s* is key*[key[x]] = x, as in I_n: with n < 256 one
     `bytes.maketrans` per key, which sends every point to the sentinel
     and then each key[x] back to x (a later entry wins, and key[n] = n
     comes last).  Cost, for m elements and k letters: m k gathers of
-    n + 1 entries, and no table or label: the result multiplies by its
-    keys.
+    n + 1 entries, and no table, label or padded key: the result keeps
+    the keys that its index holds, and multiplies by them.
 
     Why the indexing is that of the all-pairs search it replaced
     (`pairwise_close` in the test oracles): a prefix or a suffix of a
@@ -494,38 +497,29 @@ def close(generators: Sequence[PartialBijection],
     if budget is None:
         budget = DEFAULT_CLOSE_BUDGET
 
-    def exceeded(found: int) -> BudgetExceeded:
+    def exceeded(expanded: int, found: int) -> BudgetExceeded:
         return BudgetExceeded(f"close: exceeded element budget {budget} after expanding "
-                              f"{len(tables)} of {found} elements", budget)
+                              f"{expanded} of {found} elements", budget)
 
-    tables: list = []  # the operands of the elements expanded so far
     keys = [_image_key(n, g.pairs) for g in closure_letters(generators)]
     if len(keys) > budget:
-        raise exceeded(max(budget, 0))
+        raise exceeded(0, max(budget, 0))
     index = {key: s for s, key in enumerate(keys)}
-    k = len(keys)
-    # bytes.translate gathers through 256 entries: the key, padded with n for _key_pairs
-    gather_by, operand = ((attrgetter("translate"), methodcaller("ljust", 256, bytes([n])))
-                          if n < 256 else (lambda key: itemgetter(*key), lambda key: key))
-    gathers = [gather_by(key) for key in keys]
-    for key in keys:  # `keys` grows as the search meets new elements
-        table = operand(key)
-        for gather in gathers:
-            product = gather(table)
+    letters, (gather, tail) = keys[:], _gather_and_tail(n)
+    for expanded, key in enumerate(keys):  # `keys` grows as the search meets new elements
+        for product in map(gather, letters, repeat(key + tail)):
             if product not in index:
                 if len(keys) >= budget:
-                    raise exceeded(len(keys))
+                    raise exceeded(expanded, len(keys))
                 index[product] = len(keys)
                 keys.append(product)
-        tables.append(table)
-    gathers += map(gather_by, keys[k:])
     if n < 256:  # key*: each point goes to the sentinel, then each y = key[x] back to x
         points, mirror = bytes(range(n + 1)), bytes([n]) * (n + 1) + bytes(range(n + 1))
         inverse_keys = map(itemgetter(slice(n + 1)),
                            map(bytes.maketrans, map(points.__add__, keys), repeat(mirror)))
     else:  # (n, n) is written last
         inverse_keys = (_image_key(n, zip(key, range(n + 1))) for key in keys)
-    return FiniteInverseSemigroup(None, _closure=(index, gathers, tables, k),
+    return FiniteInverseSemigroup(None, _closure=(index, keys, gather, tail, len(letters)),
                                   _inverse=list(map(index.__getitem__, inverse_keys)))
 
 
@@ -543,7 +537,7 @@ def has_letters_of(S: FiniteInverseSemigroup, generators: Sequence[PartialBiject
 
 def _letter_count(S: FiniteInverseSemigroup) -> int:
     """k, for a closure whose letters are its elements 0..k-1 (see `close`)."""
-    return S._closure[3]
+    return S._closure[4]
 
 
 def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, ...]:
@@ -556,22 +550,32 @@ def _image_key(n: int, pairs: Iterable[tuple[int, int]]) -> bytes | tuple[int, .
     return bytes(key) if n < 256 else tuple(key)
 
 
+def _gather_and_tail(n: int) -> tuple:
+    """gather(key of a, key of s + tail) is the key of s a: `bytes.translate`
+    reads 256 entries, so a bytes key is padded by n (see `close`)."""
+    return (bytes.translate, bytes([n]) * (255 - n)) if n < 256 else (_gather_tuples, ())
+
+
+def _gather_tuples(key: tuple[int, ...], operand: tuple[int, ...]) -> tuple[int, ...]:
+    return itemgetter(*key)(operand)  # bytes.translate for tuples
+
+
 def _key_pairs(key: bytes | tuple[int, ...]) -> list[tuple[int, int]]:
-    """The graph of an image key or an operand, which ends in its sentinel n."""
+    """The graph of an image key, which ends in its sentinel n."""
     n = key[-1]
     return [(x, y) for x, y in enumerate(key[:n]) if y != n]
 
 
 def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     """Check a closure against its labels by direct composition, from
-    its own record alone: the labels L on n points, read off the
-    operands, the key index, the gathers of `S.product`, the letter
-    count k and `inv`.  No table.
+    its own record alone: the labels L on n points, read off the keys,
+    the key index, the gather and tail of `S.product`, the letter count
+    k and `inv`.  No table.
 
     True when, with key(f) the image key of f (see `close`) and the k
-    letters first, 1 <= k <= m and: (1) for every s, the index maps
-    key(L[s]) to s, and the gather of s reads the identity's operand as
-    it; (2) `inv` has m entries and
+    letters first, 1 <= k <= m, (gather, tail) is `_gather_and_tail(n)`
+    and: (1) for every s, key(L[s]) is the record's key of s, which the
+    index maps to s; (2) `inv` has m entries and
     L[inv[s]] = L[s]^-1; (3) the letters include each other's inverses;
     (4) for every s and letter a, t = index[key(L[s] L[a])] is an
     element with L[t] = L[s] L[a]; (5) the letters reach every element
@@ -586,22 +590,20 @@ def is_closure_of(S: FiniteInverseSemigroup) -> bool:
     By (1) distinct elements have distinct keys, so s -> L[s] is a
     bijection onto T.  By (3) and (a b)^-1 = b^-1 a^-1, T is an inverse
     subsemigroup of I_n, and by (2) `inv` is its inverse map.
-    `S.product(s, t)` reads the operand of s, which begins with key(L[s]),
-    through the gather of t, by (1) key(L[t]); that is key(L[s] L[t]) (see
-    `close`); by (1) the index maps that key to the element labelled
+    `S.product(s, t)` gathers the key of s, padded, through that of t,
+    by (1) key(L[s]) and key(L[t]): with the pair of `close` that gives
+    key(L[s] L[t]), which by (1) the index maps to the element labelled
     L[s] L[t].  So S multiplies as its labels compose: it is isomorphic
     to T, an inverse semigroup, and composition of partial maps needs no
     associativity test (Lawson, Inverse Semigroups, 1998, Thm 1.1.3).
     """
     if S._closure is None:
         return False
-    index, gathers, _, k = S._closure
-    labels, m = S.labels, S.order
-    n = labels[0].ground_size
-    identity = bytes(range(256)) if n < 256 else tuple(range(n + 1))
+    index, record_keys, gather, tail, k = S._closure
+    labels, m, n = S.labels, S.order, record_keys[0][-1]
     keys, letters = [_image_key(n, f.pairs) for f in labels], labels[:k]
-    if (not 1 <= k <= m or len(S.inv) != m or list(map(index.get, keys)) != list(range(m))
-            or [gather(identity) for gather in gathers] != keys
+    if (not 1 <= k <= m or (gather, tail) != _gather_and_tail(n) or len(S.inv) != m
+            or keys != record_keys or list(map(index.get, keys)) != list(range(m))
             or not all(t in range(m) and labels[t] == f.invert() for f, t in zip(labels, S.inv))
             or not {f.invert() for f in letters} <= set(letters)):
         return False
@@ -699,24 +701,21 @@ def _find_zero(table, idempotents) -> int | None:
     return z
 
 
-def _closure_idempotents_and_zero(index, gathers, operands) -> tuple[frozenset[int], int | None]:
+def _closure_idempotents_and_zero(index, keys, gather, tail) -> tuple[frozenset[int], int | None]:
     """A closure's idempotents and zero off its record (see `close`), with
-    no product and no index lookup per element.  s is idempotent iff its
-    gather reads its own operand back to its key (s s = s).  A zero is
-    an idempotent that absorbs the others, so it is their product z: the
-    identity on the points where all of them are defined, at each point
-    x the larger of x and the sentinel n.  For idempotent z, s z = z iff
-    z <= s (as z*z = z), which gives z s = z z* s = z; so z is the zero
-    iff s z = z for every s.  `index.get` finds z, so a record whose
-    products leave the index gets no zero, not a KeyError.
+    no index lookup per element: s is idempotent iff its padded key
+    read through its key is its key (s s = s).  A zero is an idempotent
+    that absorbs the others, so it is their product z: the identity on
+    the points where all of them are defined, at each point x the larger
+    of x and the sentinel n.  For idempotent z, s z = z iff z <= s (as
+    z*z = z), which gives z s = z z* s = z; so z is the zero iff s z = z
+    for every s.  `index.get` finds z, so a record whose products leave
+    the index gets no zero, not a KeyError.
     """
-    n = operands[0][-1]  # the sentinel that ends every operand
-    idempotents = frozenset(s for s, (gather, operand) in enumerate(zip(gathers, operands))
-                            if gather(operand) == operand[:n + 1])
-    z_key = tuple(map(max, zip(*(operands[e][:n + 1] for e in idempotents))))
-    z_key = bytes(z_key) if n < 256 else z_key
+    idempotents = frozenset(s for s, key in enumerate(keys) if gather(key, key + tail) == key)
+    z_key = type(keys[0])(map(max, zip(*map(keys.__getitem__, idempotents))))
     z = index.get(z_key)
-    absorbs = z is not None and all(map(z_key.__eq__, map(gathers[z], operands)))
+    absorbs = z is not None and all(gather(z_key, key + tail) == z_key for key in keys)
     return idempotents, z if absorbs else None
 
 
@@ -737,20 +736,20 @@ def _mask_of(row, value) -> int:
         return mask
 
 
-def _cells_of(operands) -> dict[tuple[int, int], int]:
+def _cells_of(keys) -> dict[tuple[int, int], int]:
     """cell[x, y]: the mask of the elements whose graph holds (x, y)."""
     members: dict[tuple[int, int], list[int]] = {}
-    for s, operand in enumerate(operands):
-        for pair in _key_pairs(operand):
+    for s, key in enumerate(keys):
+        for pair in _key_pairs(key):
             members.setdefault(pair, []).append(s)
     return {pair: _set_to_mask(ss) for pair, ss in members.items()}
 
 
-def _up_masks_from_cells(operands, cells, m: int) -> tuple[int, ...]:
+def _up_masks_from_cells(keys, cells, m: int) -> tuple[int, ...]:
     """up(s) = the AND of the cells of the pairs of s, every element
     when s is empty (proof in `FiniteInverseSemigroup`)."""
     full = (1 << m) - 1
-    return tuple(reduce(and_, map(cells.__getitem__, _key_pairs(op)), full) for op in operands)
+    return tuple(reduce(and_, map(cells.__getitem__, _key_pairs(key)), full) for key in keys)
 
 
 def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
@@ -758,10 +757,10 @@ def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
     closure's ground cells, else off the table rows."""
     if S._closure is None:
         return _compatibility_from_rows(S)
-    return _compatibility_from_cells(S._closure[2], S._ground_cells(), S.order)
+    return _compatibility_from_cells(S._closure[1], S._ground_cells(), S.order)
 
 
-def _compatibility_from_cells(operands, cells, m: int) -> tuple[int, ...]:
+def _compatibility_from_cells(keys, cells, m: int) -> tuple[int, ...]:
     """compat(s) = NOT (the OR of conflict(x, y) over the pairs (x, y)
     of s), where conflict(x, y) = (row(x) | col(y)) & ~cell[x, y], with
     row(x) the elements defined at x and col(y) those with y in their
@@ -785,8 +784,8 @@ def _compatibility_from_cells(operands, cells, m: int) -> tuple[int, ...]:
         cols[y] = cols.get(y, 0) | cell
     conflict = {(x, y): (rows[x] | cols[y]) & ~cell for (x, y), cell in cells.items()}
     full = (1 << m) - 1
-    return tuple(full ^ reduce(or_, map(conflict.__getitem__, _key_pairs(op)), 0)
-                 for op in operands)
+    return tuple(full ^ reduce(or_, map(conflict.__getitem__, _key_pairs(key)), 0)
+                 for key in keys)
 
 
 def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:
@@ -806,21 +805,21 @@ def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:
     return tuple(int(rows[x][::-1], 2) & int(table[x::m][::-1], 2) for x in S.inv)
 
 
-def _j_sets_of_domains(operands, E: Sequence[int]) -> tuple[int, ...]:
+def _j_sets_of_domains(keys, E: Sequence[int]) -> tuple[int, ...]:
     """J_s of every element s of a closure, as a mask over E: E minus
     the OR of dom_E[x] over the points x that s does not fix, one OR per
     fixed-point set (proof in `FiniteInverseSemigroup`).  The first n
-    entries of the operand of s (see `close`) are its images."""
-    points = range(operands[0][-1])
+    entries of the key of s (see `close`) are its images."""
+    points = range(keys[0][-1])
     dom_e = [0] * len(points)  # dom_E[x]: the idempotents defined at x
     for i, e in enumerate(E):
-        for x, _ in _key_pairs(operands[e]):
+        for x, _ in _key_pairs(keys[e]):
             dom_e[x] |= 1 << i
     full = (1 << len(E)) - 1
     by_fixed: dict[bytes, int] = {}
     j_sets = []
-    for operand in operands:
-        fixed = bytes(map(eq, operand, points))
+    for key in keys:
+        fixed = bytes(map(eq, key, points))
         j = by_fixed.get(fixed)
         if j is None:
             moved = (dom_e[x] for x in points if not fixed[x])

@@ -287,7 +287,7 @@ def zero_scan(mul):
 
 def idempotents_by_squares(S: FiniteInverseSemigroup) -> frozenset[int]:
     """The idempotents by s s = s, one product per element: the closure
-    constructor's derivation before it read them off the gathers."""
+    constructor's derivation before it read them off the keys."""
     return frozenset(s for s in S.elements() if S.product(s, s) == s)
 
 
@@ -306,10 +306,9 @@ def inverse_by_pairs(S: FiniteInverseSemigroup) -> tuple[int, ...]:
     """A closure's inverse map by `_image_key` over the reversed pairs of
     each key, key*[key[x]] = x, with (n, n) written last: the loop that
     `close` ran per element before `bytes.maketrans`."""
-    index, _, operands, _ = S._closure
-    n = operands[0][-1]
-    return tuple(index[_image_key(n, zip(operand[:n + 1], range(n + 1)))]
-                 for operand in operands)
+    index, keys = S._closure[:2]
+    n = keys[0][-1]
+    return tuple(index[_image_key(n, zip(key, range(n + 1)))] for key in keys)
 
 
 def up_masks_scan(S: FiniteInverseSemigroup):

@@ -4,6 +4,7 @@ check and against faults put into a closure's record; the idempotents,
 zero and inverses read off the keys against products and pairs."""
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from invsemi import (
     close,
 )
 from invsemi import formats
-from invsemi.semigroup import is_closure_of
+from invsemi.semigroup import _image_key, is_closure_of
 from conftest import invoke_cli
 from oracles import (closure_cells_scan, idempotents_by_squares, inverse_by_pairs,
                      lookup_fill_table, pairwise_close, row_fill_table, zero_fold)
@@ -170,32 +171,36 @@ def test_close_composes_at_most_m_times_letters(monkeypatch):
 
 
 def with_record(S, mutation):
-    """S rebuilt from its closure record (index, gathers, operands, k),
-    which holds no labels, with one fault put in.  Elements 0 and m - 1
-    trade places in the key index, the operands, the gathers or the
-    inverses; the inverse map loses its last entry or gains one; the
-    index sends the key of L[m-1] L[0], an entry of the right Cayley
+    """S rebuilt from its closure record (index, keys, gather, tail, k),
+    which holds no labels, with one fault put in.  Element 0 takes the
+    key of m - 1 in the key index ("key") or in the key list, where it
+    is read as the left operand of its products ("operand"); the
+    padding tail that the gather reads through takes a wrong sentinel
+    ("gather"), which no product reads but `is_closure_of` refuses, as
+    the pair is not that of `close`; elements 0 and m - 1 trade places
+    in the inverses; the inverse map loses its last entry or gains one;
+    the index sends the key of L[m-1] L[0], an entry of the right Cayley
     graph that `is_closure_of` reads off the index, to the next element;
     the last letter goes from k, so that letter is no longer a letter; k
     passes m, which would make every element a letter; the element
     [0->0] becomes [n-1->n-1], which lies outside S when S acts on
-    points 0 and 1 only, by its operand and gather, and the index keeps
-    the old key or loses it; or the last element becomes a second
-    [0->1] and its key leaves the index, so that products of S (the
-    zero, or the identity) have no index entry."""
-    index, gathers, operands, k = S._closure
-    index, gathers, operands = dict(index), list(gathers), list(operands)
+    points 0 and 1 only, by its key, and the index keeps the old key or
+    loses it; or the last element becomes a second [0->1] and its key
+    leaves the index, so that products of S (the zero, or the identity)
+    have no index entry."""
+    index, keys, gather, tail, k = S._closure
+    index, keys = dict(index), list(keys)
     inv, last = list(S.inv), S.order - 1
-    n = operands[0][-1]  # the sentinel that ends every operand
+    n = keys[0][-1]  # the sentinel that ends every key
     if mutation == "right entry":
         t = S.product(last, 0)
-        index[operands[t][:n + 1]] = (t + 1) % S.order
+        index[keys[t]] = (t + 1) % S.order
     elif mutation == "key":
-        index[operands[0][:n + 1]] = last
+        index[keys[0]] = last
     elif mutation == "operand":
-        operands[0] = operands[last]
+        keys[0] = keys[last]
     elif mutation == "gather":
-        gathers[0] = gathers[last]
+        tail = bytes([n + 1]) * len(tail)
     elif mutation == "inv entry":
         inv[0] = inv[last]
     elif mutation == "inv one short":
@@ -208,16 +213,14 @@ def with_record(S, mutation):
         k = S.order + 1
     elif mutation in ("label outside S", "label outside S, old key kept"):
         e = S.labels.index(PartialBijection.identity(n, {0}))
-        _, (gather,), (operand,), _ = close([PartialBijection.identity(n, {n - 1})])._closure
         if mutation == "label outside S":
-            del index[operands[e][:n + 1]]
-        gathers[e], operands[e] = gather, operand
-        index[operand[:n + 1]] = e
+            del index[keys[e]]
+        keys[e] = _image_key(n, [(n - 1, n - 1)])
+        index[keys[e]] = e
     elif mutation == "last relabelled [0->1], its key dropped":
-        move = S.labels.index(PartialBijection(n, {0: 1}))
-        del index[operands[last][:n + 1]]
-        gathers[last], operands[last] = gathers[move], operands[move]
-    return FiniteInverseSemigroup(None, _inverse=inv, _closure=(index, gathers, operands, k))
+        del index[keys[last]]
+        keys[last] = keys[S.labels.index(PartialBijection(n, {0: 1}))]
+    return FiniteInverseSemigroup(None, _inverse=inv, _closure=(index, keys, gather, tail, k))
 
 
 MUTATIONS = ["right entry", "key", "operand", "gather", "inv entry",
@@ -268,15 +271,15 @@ def assert_closure_checks_agree(gens, s, a, shift):
     agree exactly; another row is read by the table only where a word
     runs through it, and a moved entry elsewhere leaves the table right."""
     S = close(gens)
-    index, gathers, operands, k = S._closure
-    m, n = S.order, S.labels[0].ground_size
+    index, keys, *rest = S._closure
+    m, k = S.order, rest[-1]
     found = [[S.product(t, b) for b in range(k)] for t in range(m)]
     right = [row[:] for row in found]
     right[s][a] = (right[s][a] + shift) % m
     moved = dict(index)
-    moved[operands[found[s][a]][:n + 1]] = right[s][a]
+    moved[keys[found[s][a]]] = right[s][a]
     ok = is_closure_of(FiniteInverseSemigroup(
-        None, _inverse=S.inv, _closure=(moved, gathers, operands, k)))
+        None, _inverse=S.inv, _closure=(moved, keys, *rest)))
     scan = closure_cells_scan(
         FiniteInverseSemigroup(row_fill_table(right, found), labels=S.labels), gens)
     assert ok == (shift % m == 0)
@@ -334,10 +337,19 @@ def test_germs_verify_checks_the_closure_of_an_action_file():
 def assert_key_facts_match_the_oracles(S):
     """The idempotents, the zero and the inverses that a closure reads
     off its keys, against s s = s, the two-sided zero fold and the
-    inverse keys by reversed pairs."""
+    inverse keys by reversed pairs; its table, laid out by rows, against
+    the composition of its labels, and each column of `products`
+    against `product`.  A label composes as the tuple of its images,
+    -1 where undefined and last, so that f after g is f read at g."""
     assert S.idempotents == idempotents_by_squares(S)
     assert S.zero == zero_fold(S)
     assert S.inv == inverse_by_pairs(S)
+    n, m = S.labels[0].ground_size, S.elements()
+    images = [(*map(dict(f.pairs).get, range(n), repeat(-1)), -1) for f in S.labels]
+    where = {image: s for s, image in enumerate(images)}
+    assert S.mul == tuple(tuple(where[tuple(map(f.__getitem__, g))] for g in images)
+                          for f in images)
+    assert all(S.products(m, t) == [S.product(s, t) for s in m] for t in m)
 
 
 def cycle(n):
@@ -349,8 +361,8 @@ KEY_FACTS = {  # name: (generators, whether the closure has a zero)
     "Z_3, a group": ([cycle(3)], False),
     "the swap and [0->0,1->1] on 3 points": (
         [PartialBijection(3, {0: 1, 1: 0, 2: 2}), PartialBijection.identity(3, {0, 1})], False),
-    # 255 points is the last ground size with bytes keys; 256 has tuples
-    **{f"{n} points, {name}": (gens, zero) for n in (255, 256) for name, gens, zero in (
+    # 254 points pads bytes keys by one byte, 255 by none; 256 has tuples
+    **{f"{n} points, {name}": (gens, zero) for n in (254, 255, 256) for name, gens, zero in (
         ("the swap and a partial identity",
          [PartialBijection(n, {0: 1, 1: 0, **{x: x for x in range(2, n)}}),
           PartialBijection.identity(n, range(1, n))], True),

@@ -358,8 +358,8 @@ def test_criterion_verify_sees_a_j_set_short_of_one_idempotent(monkeypatch):
     itself, so only the check of the verdict against `S.j_set` fails."""
     j_sets_of_domains = semigroup._j_sets_of_domains
 
-    def short_of_one(operands, E):
-        j_sets = list(j_sets_of_domains(operands, E))
+    def short_of_one(keys, E):
+        j_sets = list(j_sets_of_domains(keys, E))
         identity = max(range(len(j_sets)), key=lambda s: j_sets[s].bit_count())
         j_sets[identity] &= ~(1 << E.index(identity))
         return tuple(j_sets)

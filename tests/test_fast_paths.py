@@ -568,8 +568,10 @@ def test_a_closure_multiplies_by_keys(monkeypatch):
 
 
 def test_closing_i5_keeps_no_table():
-    """Nor a label per element, which would take I_6 to 15 MB."""
-    for n, order, bound in ((5, 1546, 5_000_000), (6, 13327, 10_000_000)):
+    """Nor a label per element, which would take I_6 to 15 MB, nor a
+    padded copy of each key, which would take I_5 to 0.8 MB and I_6 to
+    6.8 MB: the keys, which the index holds, peak near 0.2 and 1.8 MB."""
+    for n, order, bound in ((5, 1546, 500_000), (6, 13327, 3_000_000)):
         tracemalloc.start()
         try:
             assert close(symmetric_generators(n)).order == order

@@ -163,7 +163,7 @@ def test_only_semigroup_reads_the_closure_record():
 
 def test_the_scan_finds_a_closure_layout_read():
     source = ("k = S._closure[3]\n"
-              "index, gathers, operands, k = S._closure\n"
+              "index, keys, gather, tail, k = S._closure\n"
               "if S._closure is not None:\n"  # no layout
               "    record = S._closure\n"
               "    first = S._closures[0]\n")
