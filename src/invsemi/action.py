@@ -7,7 +7,8 @@ clopen, so every `FiniteAction` is a clopen action by construction.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from operator import getitem
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
 from .semigroup import FiniteInverseSemigroup, _bits, generators_if_associative
@@ -77,16 +78,17 @@ class FiniteAction:
             rows[s][x] = y
         return tuple(map(tuple, rows))
 
-    def images(self, members: Sequence[int], x: int) -> list[int]:
-        """[u.x for u in members], unchecked: x must lie in each D_{u*u}."""
+    def pair_images(self, us: Sequence[int], xs: Iterable[int]) -> list[int]:
+        """[u.x for u, x in zip(us, xs)], unchecked: each x must lie in D_{u*u}."""
         if self._rows is None:
-            return self.semigroup.products(members, x)
-        return [row[x] for row in map(self._rows.__getitem__, members)]
+            return self.semigroup.pair_products(us, xs)
+        return list(map(getitem, map(self._rows.__getitem__, us), xs))
 
     @property
     def table(self) -> dict[tuple[int, int], int]:
         """Every image as {(s, x): s.x}, in (s, x) order; built when read."""
-        return {(s, x): self.images((s,), x)[0] for s, x in self.germ_pairs()}
+        pairs = self.germ_pairs()
+        return dict(zip(pairs, self.pair_images([s for s, _ in pairs], [x for _, x in pairs])))
 
     def domain(self, s: int) -> frozenset[int]:
         """D_{s*s}, where the action of s is defined."""
@@ -103,7 +105,7 @@ class FiniteAction:
     def act(self, s: int, x: int) -> int:
         if not (0 <= s < self.semigroup.order and x in self.domain(s)):
             raise ContractViolation(f"action of element {s} undefined at point {x}")
-        return self.images((s,), x)[0]
+        return self.pair_images((s,), (x,))[0]
 
     def germ_pairs(self) -> list[tuple[int, int]]:
         """The pair space {(s, x) : x in D_{s*s}} in (s, x) order."""

@@ -10,8 +10,11 @@ operations compute each definition independently anyway.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add, eq, mul
 from typing import NamedTuple
 
 from .action import FiniteAction, left_translation_action
@@ -53,55 +56,71 @@ class GermGroupoid:
       holds u.x has x in D_{u*fu}, so e_x <= u*fu and uu* <= f.
     - [v, u.x][u, x] = [vu, x], with (vu)*(vu) = u* uu* u = e_x.
 
-    Nothing is stored per pair or per composable pair: the cost is
-    O(points + elements + classes), `class_of(s, x)` finds a pair's
-    class by (s e_x, x), and `compose` multiplies two classes through
-    their representatives.
+    A class (u, x) is coded by one int, (low(u) P + x) m + u, with
+    low(u) = min up(u), P points and m elements; as x < P and u < m, the
+    codes sort as (low(u), x, u), so a class id is its code's position
+    after one sort.  Built: the codes, the units and the isotropy (the
+    codes with u.x = x).  Laid out on first read: the structure maps and
+    the code -> id index of `class_of`.
     """
 
-    __slots__ = ("action", "reps", "points", "source", "target", "units",
-                 "inverse", "_isotropy", "_least", "_index")
-
     def __init__(self, action: FiniteAction):
-        S = action.semigroup
-        inv, up = S.inv, S._require_up_masks()
-        least = _least_idempotents(action)
-        l_classes = _l_classes(S)
-        low = [(mask & -mask).bit_length() - 1 for mask in up]  # min up(u)
-        # (least member, x, u, u.x); x lies in D_{u*u}, as u*u = e_x
-        keys = sorted((low[u], x, u, y) for x, e in least.items()
-                      for u, y in zip(l_classes[e], action.images(l_classes[e], x)))
-        index = {(u, x): cid for cid, (_, x, u, _) in enumerate(keys)}
-        source, target, inverse = [], [], []
-        for _, x, u, y in keys:
-            source.append(index[(least[x], x)])
-            target.append(index[(least[y], y)])  # e_{u.x} = uu*
-            inverse.append(index[(inv[u], y)])
-
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "reps", tuple((s, x) for s, x, _, _ in keys))
-        object.__setattr__(self, "points", tuple(x for _, x, _, _ in keys))
-        object.__setattr__(self, "source", tuple(source))
-        object.__setattr__(self, "target", tuple(target))
-        object.__setattr__(self, "units", frozenset(source))
-        isotropy = frozenset(c for c, unit in enumerate(source) if unit == target[c])
-        object.__setattr__(self, "_isotropy", isotropy)
-        object.__setattr__(self, "inverse", tuple(inverse))
-        object.__setattr__(self, "_least", least)
-        object.__setattr__(self, "_index", index)
+        S, P, least = action.semigroup, action.space_size, _least_idempotents(action)
+        m = S.order
+        # high[u] = low(u) P m + u, so the code of (u, x) is high[u] + x m
+        high = [((mask & -mask).bit_length() - 1) * P * m + u
+                for u, mask in enumerate(S._require_up_masks())]
+        us, xs, ys = _germ_pairs(action, least)
+        codes = list(map(add, map(high.__getitem__, us), map(mul, xs, repeat(m))))
+        fixed = [c for c, x, y in zip(codes, xs, ys) if x == y]  # the isotropy: u.x = x
+        codes.sort()
+        unit_at = dict(zip(least, map(bisect_left, repeat(codes),
+                                      (high[e] + x * m for x, e in least.items()))))
+        self.__dict__.update(action=action, units=frozenset(unit_at.values()),
+                             _isotropy=frozenset(map(bisect_left, repeat(codes), fixed)),
+                             _codes=codes, _high=high, _least=least, _unit_at=unit_at)
 
     def __setattr__(self, name, value):
         raise AttributeError("GermGroupoid is immutable")
 
     def __len__(self) -> int:
-        return len(self.reps)
+        return len(self._codes)
+
+    @cached_property
+    def reps(self) -> tuple[tuple[int, int], ...]:
+        """(min up(u), x) for each class (u, x): its least pair, off its code."""
+        m, P = self.action.semigroup.order, self.action.space_size
+        return tuple(divmod(code // m, P) for code in self._codes)
+
+    @cached_property
+    def _maps(self) -> tuple[tuple[int, ...], ...]:
+        """(points, source, target, inverse): x and the ids of (e_x, x),
+        (uu*, u.x) and (u*, u.x) for each class (u, x), off its code and
+        the image u.x."""
+        S, high, unit_at = self.action.semigroup, self._high, self._unit_at
+        us = [code % S.order for code in self._codes]
+        points = tuple(x for _, x in self.reps)
+        ys = self.action.pair_images(us, points)
+        return (points, tuple(map(unit_at.__getitem__, points)),
+                tuple(map(unit_at.__getitem__, ys)),  # e_{u.x} = uu*
+                tuple(self._index[high[S.inv[u]] + y * S.order] for u, y in zip(us, ys)))
+
+    points = property(lambda self: self._maps[0])
+    source = property(lambda self: self._maps[1])
+    target = property(lambda self: self._maps[2])
+    inverse = property(lambda self: self._maps[3])
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return dict(zip(self._codes, range(len(self))))
 
     def class_of(self, s: int, x: int) -> int:
         """The class id of the pair (s, x); x must lie in D_{s*s}."""
         S = self.action.semigroup
         S._check_index(s)
         try:
-            return self._index[(S.product(s, self._least[x]), x)]
+            u = S.product(s, self._least[x])
+            return self._index[self._high[u] + x * S.order]
         except KeyError:
             raise ContractViolation(f"({s}, {x}) is not a germ pair") from None
 
@@ -117,7 +136,7 @@ class GermGroupoid:
         if 0 <= c1 < n and 0 <= c2 < n:
             s, y = self.reps[c1]
             t, x = self.reps[c2]
-            if self.action.images((t,), x) == [y]:
+            if self.action.pair_images((t,), (x,)) == [y]:
                 return self.class_of(self.action.semigroup.product(s, t), x)
         raise ContractViolation(f"classes {c1} and {c2} are not composable")
 
@@ -141,7 +160,8 @@ class GermGroupoid:
     def is_essentially_principal(self) -> bool:
         """Units with trivial isotropy group are dense; at discrete scale
         dense means all of them."""
-        spoiled = {self.source[c] for c in self.isotropy() - self.units}
+        m, P = self.action.semigroup.order, self.action.space_size  # source: the unit at x
+        spoiled = {self._unit_at[self._codes[c] // m % P] for c in self.isotropy() - self.units}
         return self.units - spoiled == self.units
 
 
@@ -157,16 +177,11 @@ def germ_counts(action: FiniteAction) -> tuple[int, int, int]:
     target (uu*, u.x) = (e_{u.x}, u.x) is its source, iff u.x = x.  Units
     are isotropy, so the groupoid is principal iff the counts agree; on a
     finite discrete space so are effective and essentially principal.
-    One image column per point x.
+    One image per pair (`_germ_pairs`).
     """
     least = _least_idempotents(action)
-    l_classes = _l_classes(action.semigroup)
-    germs = isotropy = 0
-    for x, e in least.items():
-        members = l_classes[e]
-        germs += len(members)
-        isotropy += action.images(members, x).count(x)
-    return germs, len(least), isotropy
+    _, xs, ys = _germ_pairs(action, least)
+    return len(xs), len(least), sum(map(eq, xs, ys))
 
 
 def left_translation_counts(S: FiniteInverseSemigroup) -> tuple[int, int, int]:
@@ -188,6 +203,16 @@ def _l_classes(S: FiniteInverseSemigroup) -> dict[int, list[int]]:
     for u in S.elements():
         l_classes.setdefault(S.product(S.inv[u], u), []).append(u)
     return l_classes
+
+
+def _germ_pairs(action: FiniteAction, least: dict[int, int]) -> tuple[list[int], ...]:
+    """The pairs (u, x), u in L_{e_x}, as lists us and xs, and their
+    images u.x by `pair_images`, which pads each key of a closure once."""
+    l_classes, us, xs = _l_classes(action.semigroup), [], []
+    for x, e in least.items():
+        us += l_classes[e]
+        xs += repeat(x, len(l_classes[e]))
+    return us, xs, action.pair_images(us, xs)
 
 
 def _least_idempotents(action: FiniteAction) -> dict[int, int]:

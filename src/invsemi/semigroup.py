@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from itertools import compress, repeat
-from operator import add, and_, eq, itemgetter, or_
+from operator import add, and_, eq, getitem, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
@@ -42,9 +42,9 @@ class FiniteInverseSemigroup:
     `cli._verification` tests `_closure`, as a closure passes the table
     checks by construction.
 
-    `product` (and `products`, for a column) reads s t off the table,
-    or on a `close` result, which keeps none, off the image keys: the
-    key of s read through the key of t is the key of s t (see `close`).
+    `product` (`products` and `pair_products` for many) reads s t off the
+    table, or on a `close` result, which keeps none, off the image keys:
+    the key of s read through the key of t is the key of s t (see `close`).
     A closure lays out its `mul` table, and builds its `labels`, on first
     read, for library callers; no CLI call reads `mul`.
 
@@ -142,6 +142,15 @@ class FiniteInverseSemigroup:
         operands = map(add, map(keys.__getitem__, members), repeat(tail))
         return list(map(index.__getitem__, map(gather, repeat(keys[t]), operands)))
 
+    def pair_products(self, us: Sequence[int], ts: Iterable[int]) -> list[int]:
+        """[u t for u, t in zip(us, ts)], unchecked; a closure pads each u's key once."""
+        if self._closure is None:
+            return list(map(getitem, map(self._mul.__getitem__, us), ts))
+        index, keys, gather, tail, _ = self._closure
+        padded = {u: keys[u] + tail for u in dict.fromkeys(us)}
+        operands = map(padded.__getitem__, us)
+        return list(map(index.__getitem__, map(gather, map(keys.__getitem__, ts), operands)))
+
     def inverse(self, s: int) -> int:
         self._check_index(s)
         if self.inv is None:
@@ -223,8 +232,9 @@ class FiniteInverseSemigroup:
         if self._up_masks is None:
             if self.inv is None:
                 raise ContractViolation("table is not an inverse semigroup; order undefined")
+            graphs = self._closure and list(map(_key_pairs, self._closure[1]))  # read once
             up = (_up_masks(self._mul, self.inv) if self._closure is None
-                  else _up_masks_from_cells(self._closure[1], self._ground_cells(), self.order))
+                  else _up_masks_from_cells(graphs, self._ground_cells(graphs), self.order))
             object.__setattr__(self, "_up_masks", up)
         return self._up_masks
 
@@ -251,10 +261,12 @@ class FiniteInverseSemigroup:
             object.__setattr__(self, "_by_j_set", (self._require_e_order(), {}))
         return self._by_j_set[1]
 
-    def _ground_cells(self) -> dict[tuple[int, int], int] | None:
-        """A closure's ground cells, built on first read; None on a table."""
+    def _ground_cells(self, graphs=None) -> dict[tuple[int, int], int] | None:
+        """A closure's ground cells, built on first read (off `graphs`, the
+        pairs of each key, when the caller has them); None on a table."""
         if self._cells is None and self._closure is not None:
-            object.__setattr__(self, "_cells", _cells_of(self._closure[1]))
+            graphs = graphs or map(_key_pairs, self._closure[1])
+            object.__setattr__(self, "_cells", _cells_of(graphs))
         return self._cells
 
     def __len__(self) -> int:
@@ -736,20 +748,20 @@ def _mask_of(row, value) -> int:
         return mask
 
 
-def _cells_of(keys) -> dict[tuple[int, int], int]:
+def _cells_of(graphs) -> dict[tuple[int, int], int]:
     """cell[x, y]: the mask of the elements whose graph holds (x, y)."""
     members: dict[tuple[int, int], list[int]] = {}
-    for s, key in enumerate(keys):
-        for pair in _key_pairs(key):
+    for s, pairs in enumerate(graphs):
+        for pair in pairs:
             members.setdefault(pair, []).append(s)
     return {pair: _set_to_mask(ss) for pair, ss in members.items()}
 
 
-def _up_masks_from_cells(keys, cells, m: int) -> tuple[int, ...]:
+def _up_masks_from_cells(graphs, cells, m: int) -> tuple[int, ...]:
     """up(s) = the AND of the cells of the pairs of s, every element
     when s is empty (proof in `FiniteInverseSemigroup`)."""
     full = (1 << m) - 1
-    return tuple(reduce(and_, map(cells.__getitem__, _key_pairs(key)), full) for key in keys)
+    return tuple(reduce(and_, map(cells.__getitem__, pairs), full) for pairs in graphs)
 
 
 def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:

@@ -242,6 +242,46 @@ def test_germs_store_nothing_per_pair(monkeypatch):
         assert result.exit_code == 0, result.output
 
 
+def test_germ_counts_and_flags_lay_out_no_map(monkeypatch):
+    """The size, units, isotropy and the three flags are read off the
+    sorted class codes: the structure maps and the code index of
+    `class_of` are laid out on first read, and these reads make none."""
+    def refuse(self):
+        raise AssertionError("laid out a structure map or the code index")
+
+    S = close(symmetric_generators(4))
+    point_action = load_action(DATA / "z2_point_action.json")  # isotropy beyond the units
+    for builder in ("reps", "_maps"):
+        monkeypatch.setattr(germs.GermGroupoid, builder, property(refuse))
+    monkeypatch.setattr(germs.GermGroupoid, "_index", property(refuse))
+    for action in (left_translation_action(S), point_action):
+        G = build_germs(action)
+        counts = (len(G), len(G.units), len(G.isotropy()))
+        assert counts == germ_counts(action)
+        flags = (G.is_principal(), G.is_effective(), G.is_essentially_principal())
+        assert flags == (counts[1] == counts[2],) * 3
+        for read in (lambda: G.reps, lambda: G.target, lambda: G.class_of(0, 0)):
+            with pytest.raises(AssertionError, match="laid out"):
+                read()
+    assert germ_counts(point_action) == (2, 1, 2)
+
+
+def test_germ_maps_do_not_depend_on_the_order_of_reads():
+    """A groupoid whose maps are read before any `class_of` answers as
+    one whose `class_of` runs first, and both as the union-find scan."""
+    S = close(symmetric_generators(4))
+    for action in (left_translation_action(S), natural_action(S),
+                   load_action(DATA / "z2_point_action.json")):
+        O = germ_groupoid_scan(action)
+        maps_first, index_first = build_germs(action), build_germs(action)
+        maps = (maps_first.source, maps_first.target, maps_first.inverse)
+        ids = {pair: index_first.class_of(*pair) for pair in O.class_of}
+        assert ids == {pair: maps_first.class_of(*pair) for pair in O.class_of} == O.class_of
+        assert maps == (index_first.source, index_first.target, index_first.inverse)
+        assert maps == (O.source, O.target, O.inverse)
+        assert maps_first.reps == index_first.reps == tuple(group[0] for group in O.classes)
+
+
 def test_cli_out_of_memory_is_inconclusive(monkeypatch):
     def exhaust(action):
         raise MemoryError
