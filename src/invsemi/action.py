@@ -157,8 +157,9 @@ def _homomorphic_at(rows, S: FiniteInverseSemigroup, s: int) -> bool:
     closure builds no table.
 
     If S is associative, checking this for s in a generating set is
-    enough: the set H of such s is closed under products, since for
-    a, b in H, phi((a b) t) = phi(a (b t)) = phi(a) phi(b t)
+    enough (see `generators_if_associative`): the s at which it holds
+    are closed under products, since for two of them a and b,
+    phi((a b) t) = phi(a (b t)) = phi(a) phi(b t)
     = phi(a) phi(b) phi(t) = phi(a b) phi(t).
     """
     f = rows[s]

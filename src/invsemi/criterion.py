@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
 from .semigroup import (DEFAULT_SUBSET_BUDGET, DOWN, FiniteInverseSemigroup, _bits,
-                        _compatibility_masks, _set_to_mask, inverse_generating_set)
+                        _compatibility_masks, _set_to_mask, generators_if_associative)
 
 HAUSDORFF_WITNESS = "HAUSDORFF_WITNESS"
 REFUTED = "REFUTED"
@@ -113,7 +113,7 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
       (i)   every compatible pair has a join;
       (ii)  every c compatible with a and b is compatible with a v b;
       (iii) g(a v b) = ga v gb and (a v b)g = ag v bg for every g in
-            `inverse_generating_set`, by a row and a column of products.
+            `generators_if_associative`, by a row and a column of products.
     (i) and (ii) run over all pairs before (iii), so a missing join is
     found before any translate is taken.  Budget counts the pairs
     examined by (i) and (ii); exceeding it raises BudgetExceeded, since
@@ -124,8 +124,8 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     (and likewise on the right).  A chain, whose generating set is
     every element, therefore takes no translate at all.
 
-    This is the scan over every nonempty pairwise-compatible subset,
-    which lives on as `oracles.completeness_scan`:
+    This decides as the scan over every nonempty pairwise-compatible
+    subset, which lives on as `oracles.completeness_scan`:
     - Elements below a common bound w are compatible (x*y = x*x w*w y*y
       and x y* = w x*x y*y w* are idempotent; Lawson, Inverse
       Semigroups, 1998, §1.4).  So if {a, b, c} has a join, it lies
@@ -137,9 +137,11 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     - Compatibility survives multiplication (s a ~ s b when a ~ b), so
       the g with g(a v b) = ga v gb for all pairs are closed under
       products: (gh)(a v b) = g(ha v hb) = gha v ghb.  (iii) over
-      generators thus holds for every s, and the same induction turns
+      generators thus holds for every s (see
+      `generators_if_associative`), and the same induction turns
       s((vA') v a) = s(vA') v sa into s(vA) = v(sA); likewise on the
-      right.
+      right.  A table that fails Light's test has no such generators:
+      when (iii) has a pair to check, that raises ContractViolation.
     """
     if budget is None:
         budget = DEFAULT_SUBSET_BUDGET
@@ -174,7 +176,10 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
         return x if x == y else joins.get((x, y) if x < y else (y, x))
 
     spans = [(a, b, v) for (a, b), v in joins.items() if v != a and v != b]
-    gens = inverse_generating_set(S) if spans else ()
+    gens = generators_if_associative(S) if spans else ()
+    if gens is None:
+        raise ContractViolation("completeness: S must be an inverse semigroup, "
+                                "but its table fails Light's test of associativity")
     translates = [(g, [S.product(g, x) for x in range(m)], S.products(range(m), g))
                   for g in gens]
     for a, b, v in spans:

@@ -11,7 +11,6 @@ operations compute each definition independently anyway.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import cached_property, reduce
 from itertools import repeat
 from operator import add, eq, mul
@@ -189,12 +188,11 @@ def left_translation_counts(S: FiniteInverseSemigroup) -> tuple[int, int, int]:
     without the action: (sum over x of |L_{xx*}|, m, m).
 
     Every x lies in the domain of xx* = e_x, and isotropy is trivial
-    (both proved in `left_translation_action`).  As u -> u* maps L_e
-    onto R_e = {x : xx* = e}, the sum is that of |R_e|^2 over the
-    idempotents e: m products.  S must be inverse.
+    (both proved in `left_translation_action`).  The x with xx* = e are
+    R_e, which u -> u* maps onto L_e, so the sum is that of |L_e|^2 over
+    the idempotents e: m products (`_l_classes`).  S must be inverse.
     """
-    r_classes = Counter(S.product(x, S.inv[x]) for x in S.elements())
-    return sum(size * size for size in r_classes.values()), S.order, S.order
+    return sum(len(members) ** 2 for members in _l_classes(S).values()), S.order, S.order
 
 
 def _l_classes(S: FiniteInverseSemigroup) -> dict[int, list[int]]:

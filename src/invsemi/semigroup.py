@@ -11,7 +11,6 @@ inverse semigroup, with a certificate on failure.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import reduce
 from itertools import compress, repeat
 from operator import add, and_, eq, getitem, itemgetter, or_
@@ -51,10 +50,9 @@ class FiniteInverseSemigroup:
     The natural order is kept at two sizes: the *E-order*, the order on
     the idempotents E as masks over E, with J_s, the idempotents below
     s, for every s (see `_require_e_order`), which the criterion, the
-    left-translation domains, `inverse_generating_set` and
-    `is_e_star_unitary` read; and the m-bit up-masks, bit t of the s-th
-    set iff s <= t, which `leq`, `up_set`, joins, `props` and germ
-    groupoids read.
+    left-translation domains and `is_e_star_unitary` read; and the
+    m-bit up-masks, bit t of the s-th set iff s <= t, which `leq`,
+    `up_set`, joins, `props` and germ groupoids read.
     - *Domains and ground cells* on a closure.  S is an inverse
       subsemigroup of I_n with the products and the inverse of I_n, so
       its order is that of I_n, where t s*s is t restricted to the
@@ -98,7 +96,7 @@ class FiniteInverseSemigroup:
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
         if table is None:
-            idempotents, zero = _closure_idempotents_and_zero(*_closure[:4])
+            idempotents, zero = _closure_idempotents_and_zero(*_closure)
         else:
             idempotents = frozenset(e for e in range(m) if table[e][e] == e)
             zero = _find_zero(table, idempotents)
@@ -346,46 +344,16 @@ def generating_set(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sorted(gens))
 
 
-def inverse_generating_set(S: FiniteInverseSemigroup) -> tuple[int, ...]:
-    """`generating_set(S.mul)` of an inverse semigroup S, by its order
-    and its products instead of a table.
-
-    The sort key: sS = ss*S, as ss*S = s(s*S) lies in sS and sS = ss*sS
-    in ss*S.  For an idempotent e, u lies in eS iff e u = u (u = e x
-    gives e u = e x), iff e u u* = u u* (multiply by u* or by u), that
-    is u u* <= e.  So |sS| counts the u whose range idempotent u u* lies
-    below ss*, read off the E-order.  Reaching by product columns
-    reaches the same set after each pick as `generating_set` does by
-    rows.
-    """
-    m, inv = S.order, S.inv
-    ranges = [S.product(u, inv[u]) for u in range(m)]
-    count, (E, below, _) = Counter(ranges), S._require_e_order()
-    size = {e: sum(count[E[j]] for j in _bits(below[i])) for i, e in enumerate(E)}
-    gens: list[int] = []
-    reached: set[int] = set()
-    for g in sorted(range(m), key=lambda s: -size[ranges[s]]):
-        if g in reached:
-            continue
-        gens.append(g)
-        level = {g, *S.products(reached, g)} - reached
-        while level:
-            reached |= level
-            level = {t for h in gens for t in S.products(level, h)} - reached
-    return tuple(sorted(gens))
-
-
 def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
     """Light's test: (x a) y = x (a y) for every a in `gens`, all x, y.
 
-    Correct when `gens` generates the table (as `generating_set`
-    returns).  The set B of elements a with (x a) y = x (a y) for all
-    x, y is closed under products: for a, b in B and c = a b,
+    Correct when `gens` generates the table (see
+    `generators_if_associative`), as the a with (x a) y = x (a y) for
+    all x, y are closed under products: for such a, b and c = a b,
     (x c) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((a b) y)
-    = x (c y), using a, b in B at each step.  B holds the generators,
-    so B is everything they reach.  Per pair (a, x) the check is one
-    C-level row comparison: the row of x a against the row of x read
-    through the row of a.
+    = x (c y), by the law at a or at b at each step.  Per pair (a, x)
+    the check is one C-level row comparison: the row of x a against the
+    row of x read through the row of a.
 
     Rows that agree on Z = aS ∪ {a} give the same check, because both
     sides read row x only there: x a at position a, and x (a y) at
@@ -419,11 +387,18 @@ def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
 
 
 def generators_if_associative(S: FiniteInverseSemigroup) -> Sequence[int] | None:
-    """Generators of S when S is known to be associative, else None: a
-    law closed under products then holds on S if it holds on them.  A
-    closure's letters, elements 0..k-1 (see `close`), generate it and
-    compose associatively as partial maps; a table's `generating_set`
-    is returned when Light's test (`is_associative`) passes on it.  The
+    """Generators of S when S is known to be associative, else None.
+
+    The one generating set of every law checked on generators: Light's
+    test (`is_associative`), the homomorphism law of an action
+    (`action._homomorphic_at`) and the translates of `props`
+    (`criterion.is_complete_and_distributive`, step (iii), and
+    `oracles.completeness_scan`).  Each proves that the elements at
+    which its law holds are closed under products; as every element is
+    a product of generators, the law then holds on S if it holds on
+    them.  A closure's letters, elements 0..k-1 (see `close`), generate
+    it and compose associatively as partial maps; a table's
+    `generating_set` is returned when Light's test passes on it.  The
     one place that runs Light's test, once per table: the answer is kept
     on first read in a 1-tuple, so that a failed test (None) is kept too."""
     if S._closure is not None:
@@ -713,7 +688,8 @@ def _find_zero(table, idempotents) -> int | None:
     return z
 
 
-def _closure_idempotents_and_zero(index, keys, gather, tail) -> tuple[frozenset[int], int | None]:
+def _closure_idempotents_and_zero(index, keys, gather, tail,
+                                  k: int) -> tuple[frozenset[int], int | None]:
     """A closure's idempotents and zero off its record (see `close`), with
     no index lookup per element: s is idempotent iff its padded key
     read through its key is its key (s s = s).  A zero is an idempotent
@@ -721,13 +697,14 @@ def _closure_idempotents_and_zero(index, keys, gather, tail) -> tuple[frozenset[
     the points where all of them are defined, at each point x the larger
     of x and the sentinel n.  For idempotent z, s z = z iff z <= s (as
     z*z = z), which gives z s = z z* s = z; so z is the zero iff s z = z
-    for every s.  `index.get` finds z, so a record whose products leave
-    the index gets no zero, not a KeyError.
+    for every s, which the k letters decide: if a z = z and b z = z,
+    then (a b) z = a (b z) = z.  `index.get` finds z, so a record whose
+    products leave the index gets no zero, not a KeyError.
     """
     idempotents = frozenset(s for s, key in enumerate(keys) if gather(key, key + tail) == key)
     z_key = type(keys[0])(map(max, zip(*map(keys.__getitem__, idempotents))))
     z = index.get(z_key)
-    absorbs = z is not None and all(gather(z_key, key + tail) == z_key for key in keys)
+    absorbs = z is not None and all(gather(z_key, key + tail) == z_key for key in keys[:k])
     return idempotents, z if absorbs else None
 
 

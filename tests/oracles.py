@@ -13,8 +13,9 @@ replaced),
 union-find germ classes, all-triples associativity, Light's test over
 every row and all-pairs homomorphism checks and the
 multiply-every-pair atom-flip truncation that the package replaced by
-structural computations, the clique scan for completeness (kept in
-`invsemi.oracles`, where `props --verify` uses it), bounded
+structural computations, the clique scan for completeness, which
+translates each clique by the generators that the pair check reads
+(kept in `invsemi.oracles`, where `props --verify` uses it), bounded
 word-rewriting for free inverse monoids, and evaluation of words under
 homomorphisms into small symmetric inverse monoids.
 """

@@ -1142,18 +1142,6 @@ def test_generating_set_sizes():
     assert len(semigroup.generating_set(close(symmetric_generators(4)).mul)) == 3
 
 
-def test_the_order_gives_the_generating_set_of_the_table():
-    """`inverse_generating_set` sorts by |sS| from the order and reaches
-    by products, and picks the generators that `generating_set` picks
-    from the table: on I_1-I_5, on seeded random closures (one on 300
-    points) and on the verified table fixtures."""
-    closures = [*swept_closures(), *map(fixture, CLOSURES), close(symmetric_generators(5))]
-    tables = [*(load_semigroup(DATA / f"{name}.json") for name in ("z2_table", "chain2_table")),
-              chain(12), *map(fixture, TRUNCATIONS)]
-    for S in closures + tables:
-        assert semigroup.inverse_generating_set(S) == semigroup.generating_set(S.mul), S
-
-
 def validate_message(action):
     try:
         action.validate()
@@ -1352,9 +1340,42 @@ def test_completeness_matches_scan_on_chains(n):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(generator_lists())
 def test_completeness_matches_scan_on_random_closures(gens):
+    """A closure translates by its letters and its table by the
+    generators of Light's test; both decide alike, on the same pairs
+    and the same subsets."""
     S = close(gens)
     assume(S.order <= 60)  # the clique scan is exponential in the clique size
-    check_completeness(S)
+    T = FiniteInverseSemigroup(S.mul)
+    for decide in (check_completeness, completeness_scan):
+        by_letters, by_table = decide(S), decide(T)
+        assert (by_letters.ok, by_letters.subsets_checked) == \
+            (by_table.ok, by_table.subsets_checked)
+
+
+def test_the_clique_scan_reads_no_product_column(monkeypatch):
+    """The scan translates each clique by the generators, one product at
+    a time: on I_3 it passes all 1507 subsets, and on
+    translate_fail_gens.json it names the translate that the pair check
+    names."""
+    S, fail = fixture("I_3"), load_semigroup(DATA / "translate_fail_gens.json")
+    monkeypatch.setattr(FiniteInverseSemigroup, "products",
+                        lambda *args: pytest.fail("read a product column"))
+    assert completeness_scan(S) == CompletenessResult(True, None, 1507)
+    assert completeness_scan(fail).certificate == ("left", 2, (0, 1))
+
+
+def test_completeness_of_a_table_that_fails_lights_test_is_refused():
+    """I_2 with [0->1,1->0][0->0] sent to the swap instead of [0->1]:
+    every element keeps one generalized inverse, but the table is not
+    associative, so there are no generators to translate by."""
+    S = close([PartialBijection(2, {0: 1, 1: 0}), PartialBijection(2, {0: 0})])
+    mul = [list(row) for row in S.mul]
+    mul[0][1] = 0
+    T = FiniteInverseSemigroup(mul)
+    assert T.inv is not None and verify_inverse_semigroup(T).reason == "associativity"
+    for decide in (is_complete_and_distributive, completeness_scan):
+        with pytest.raises(ContractViolation, match="fails Light's test"):
+            decide(T)
 
 
 def test_completeness_pair_budget_boundary_on_i3():
@@ -1405,7 +1426,8 @@ def test_completeness_takes_no_translate_on_a_long_chain(monkeypatch):
     # would cost about 2 * 400 translates per pair; comparable pairs
     # need none, and a chain has only comparable pairs.
     from invsemi import criterion
-    monkeypatch.setattr(criterion, "inverse_generating_set", lambda S: pytest.fail("translated"))
+    monkeypatch.setattr(criterion, "generators_if_associative",
+                        lambda S: pytest.fail("translated"))
     pairs = 400 * 399 // 2
     result = is_complete_and_distributive(chain(400), budget=pairs)
     assert result.ok and result.subsets_checked == pairs

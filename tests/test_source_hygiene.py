@@ -41,6 +41,12 @@ file's generators through `semigroup.has_letters_of`.
 Light's test decides associativity for every law that is checked on
 generators, so it runs once per table: only `generators_if_associative`,
 which keeps its answer, calls `generating_set` or `is_associative`.
+Every law checked on generators reads that one set: Light's test
+(`verify_inverse_semigroup`), the homomorphism law
+(`FiniteAction.validate`), the translates of `props`
+(`is_complete_and_distributive`) and the clique scan of `props --verify`
+(`completeness_scan`) are the package's only callers of
+`generators_if_associative`, so no law finds generators of its own.
 
 `cli.py` decides only what the command line owns: argument parsing,
 the verification policy, report layout and exit codes.  The symbolic
@@ -419,37 +425,50 @@ def test_the_scan_finds_a_label_construction():
     assert label_constructions(source) == [("close", 2), ("FiniteInverseSemigroup.labels", 7)]
 
 
-# the one function of the package that may run Light's test
+# the one function of the package that may run Light's test, and the
+# laws checked on generators, which read the one set it keeps
 ASSOCIATIVITY_GATE = "generators_if_associative"
 LIGHT_NAMES = {"generating_set", "is_associative"}
+GENERATOR_READERS = {"verify_inverse_semigroup", "FiniteAction.validate",
+                     "is_complete_and_distributive", "completeness_scan"}
 
 
-def light_calls(source: str) -> list[tuple[str, int]]:
-    """(enclosing function, line) of each call of a `LIGHT_NAMES` name,
-    by its bare name or as an attribute."""
+def calls_of(source: str, names: set[str]) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call of a name in `names`, by
+    its bare name or as an attribute."""
     return scoped_nodes(source, lambda node: isinstance(node, ast.Call) and (
-        isinstance(node.func, ast.Name) and node.func.id in LIGHT_NAMES
-        or isinstance(node.func, ast.Attribute) and node.func.attr in LIGHT_NAMES))
+        isinstance(node.func, ast.Name) and node.func.id in names
+        or isinstance(node.func, ast.Attribute) and node.func.attr in names))
 
 
 def test_only_the_associativity_gate_runs_lights_test():
-    faults = {str(path.relative_to(PACKAGE)): [call for call in light_calls(path.read_text())
+    faults = {str(path.relative_to(PACKAGE)): [call for call in calls_of(path.read_text(),
+                                                                         LIGHT_NAMES)
                                                if call[0] != ASSOCIATIVITY_GATE]
               for path in sorted(PACKAGE.rglob("*.py"))}
     assert {path: calls for path, calls in faults.items() if calls} == {}
-    assert {scope for scope, _ in light_calls((PACKAGE / "semigroup.py").read_text())} == \
-        {ASSOCIATIVITY_GATE}
+    assert {scope for scope, _ in calls_of((PACKAGE / "semigroup.py").read_text(),
+                                           LIGHT_NAMES)} == {ASSOCIATIVITY_GATE}
+
+
+def test_every_law_on_generators_reads_the_one_set():
+    readers = {scope for path in sorted(PACKAGE.rglob("*.py"))
+               for scope, _ in calls_of(path.read_text(), {ASSOCIATIVITY_GATE})}
+    assert readers == GENERATOR_READERS
 
 
 def test_the_scan_finds_a_light_call():
     source = ("def verify_inverse_semigroup(S):\n"
               "    gens = generating_set(S.mul)\n"
-              "    return is_associative, inverse_generating_set(S)\n"  # no call of the test
+              "    return is_associative, generators_if_associative\n"  # no call
               "class FiniteAction:\n"
               "    def validate(self):\n"
               "        return semigroup.is_associative(S.mul, gens)\n"
               "def generators_if_associative(S):\n"
-              "    return is_associative(S.mul, generating_set(S.mul))\n")
-    assert sorted(light_calls(source)) == [
+              "    return is_associative(S.mul, generating_set(S.mul))\n"
+              "def completeness_scan(S):\n"
+              "    gens = semigroup.generators_if_associative(S)\n")
+    assert sorted(calls_of(source, LIGHT_NAMES)) == [
         ("FiniteAction.validate", 6), ("generators_if_associative", 8),
         ("generators_if_associative", 8), ("verify_inverse_semigroup", 2)]
+    assert calls_of(source, {ASSOCIATIVITY_GATE}) == [("completeness_scan", 10)]
