@@ -70,12 +70,18 @@ class FiniteInverseSemigroup:
         operations on m-bit masks.  Compatibility reads the same cells.
     - *Table rows* otherwise (table files, the atom-flip truncations,
       any table passed in): up(s) is read off the row of s s*, as s <= t
-      iff s s* t = s, the E-order off the up-masks of E, and
-      compatibility off rows and columns.
+      iff s s* t = s, and compatibility off rows and columns.  For an
+      idempotent e that row is the row of e, which the inverse pass of
+      a table read already: `_checked_inverses` keeps up(e), so the
+      E-order of a table with that pass is read off the kept masks,
+      with no scan, and the m-bit up-masks scan only the other rows.  A
+      table passed with `_inverse` keeps nothing, and builds its masks
+      when read.
     """
 
     __slots__ = ("_mul", "order", "_labels", "inv", "idempotents", "zero", "_closure",
-                 "_up_masks", "_cells", "_e_order", "_by_j_set", "_generators")
+                 "_up_masks", "_e_up_masks", "_row_counts", "_cells", "_e_order",
+                 "_by_j_set", "_generators")
 
     def __init__(self, mul: Sequence[Sequence[int]] | None, labels: Sequence | None = None,
                  *, _inverse: Sequence[int] | None = None, _closure: tuple | None = None):
@@ -90,8 +96,9 @@ class FiniteInverseSemigroup:
         passes no table but `_closure`: (key index, keys, gather, tail, k),
         one key per element, the one the index holds, and no labels."""
         table = None if _closure else tuple(tuple(row) for row in mul)
+        e_up_masks = row_counts = None
         if table is not None and _inverse is None:
-            _inverse = _checked_inverses(table)
+            _inverse, e_up_masks, row_counts = _checked_inverses(table)
         m = len(_closure[1] if table is None else table)
         if labels is not None and len(labels) != m:
             raise ContractViolation(f"{len(labels)} labels for {m} elements")
@@ -107,6 +114,8 @@ class FiniteInverseSemigroup:
         object.__setattr__(self, "idempotents", idempotents)
         object.__setattr__(self, "inv", tuple(_inverse) if _inverse is not None else None)
         object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "_e_up_masks", e_up_masks)
+        object.__setattr__(self, "_row_counts", row_counts)
         for slot in ("_up_masks", "_cells", "_e_order", "_by_j_set",
                      "_generators"):  # built when read
             object.__setattr__(self, slot, None)
@@ -231,7 +240,7 @@ class FiniteInverseSemigroup:
             if self.inv is None:
                 raise ContractViolation("table is not an inverse semigroup; order undefined")
             graphs = self._closure and list(map(_key_pairs, self._closure[1]))  # read once
-            up = (_up_masks(self._mul, self.inv) if self._closure is None
+            up = (_up_masks(self._mul, self.inv, self._e_up_masks or {}) if self._closure is None
                   else _up_masks_from_cells(graphs, self._ground_cells(graphs), self.order))
             object.__setattr__(self, "_up_masks", up)
         return self._up_masks
@@ -242,11 +251,13 @@ class FiniteInverseSemigroup:
         J_s, the idempotents below s (for an idempotent e, e <= s iff
         s e*e = s e = e), for every s, and below[i] is J_s of s = E[i].
         Built on first use: on a closure from the domains of its
-        idempotents, on a table from its up-masks."""
+        idempotents, on a table from the up-masks of E, those that the
+        inverse pass kept when it ran (see the class docstring)."""
         if self._e_order is None:
             E = tuple(sorted(self.idempotents))
             if self._closure is None:  # bit i of J_s is bit s of up(E[i])
-                j_sets = _transpose(map(self._require_up_masks().__getitem__, E), self.order)
+                up = self._e_up_masks or self._require_up_masks()
+                j_sets = _transpose(map(up.__getitem__, E), self.order)
             else:
                 j_sets = _j_sets_of_domains(self._closure[1], E)
             object.__setattr__(self, "_e_order", (E, tuple(j_sets[e] for e in E), j_sets))
@@ -311,23 +322,26 @@ def verify_inverse_semigroup(S: FiniteInverseSemigroup) -> VerificationResult:
     return VerificationResult(False, "inverse-uniqueness", _inverse_fault(S.mul))
 
 
-def generating_set(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def generating_set(mul: Sequence[Sequence[int]],
+                   counts: Sequence[int] | None = None) -> tuple[int, ...]:
     """A set of elements whose products reach every element; sorted.
 
     Greedy: take the elements in decreasing order of |sS| (distinct
-    entries in the row), ties by index, and make each one a generator
-    unless the generators so far already reach it.  Reached means built
-    as ((g1 g2) g3) ... gk by the table, so the set closes by right
-    multiplication alone and needs no associativity.  Elements with a
-    large right ideal go first because their products tend to cover
-    much of the table: the 209-element table of I_4 gets 5 generators
-    (33 in plain index order), the atom-flip truncation F_n gets n + 1
-    (n >= 2), the fewest it can have.
+    entries in the row: `counts[s]`, counted here unless the caller has
+    them from the inverse pass), ties by index, and make each one a
+    generator unless the generators so far already reach it.  Reached
+    means built as ((g1 g2) g3) ... gk by the table, so the set closes
+    by right multiplication alone and needs no associativity.  Elements
+    with a large right ideal go first because their products tend to
+    cover much of the table: the 209-element table of I_4 gets 5
+    generators (33 in plain index order), the atom-flip truncation F_n
+    gets n + 1 (n >= 2), the fewest it can have.
     """
     m = len(mul)
     gens: list[int] = []
     reached = [False] * m
-    for g in sorted(range(m), key=lambda s: -len(set(mul[s]))):
+    counts = counts or [len(set(row)) for row in mul]
+    for g in sorted(range(m), key=counts.__getitem__, reverse=True):  # stable: ties by index
         if reached[g]:
             continue
         # Words with a letter g: g or r g for a reached r, then
@@ -344,8 +358,10 @@ def generating_set(mul: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(sorted(gens))
 
 
-def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
-    """Light's test: (x a) y = x (a y) for every a in `gens`, all x, y.
+def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int],
+                   zero: int | None = None) -> bool:
+    """Light's test: (x a) y = x (a y) for every a in `gens`, all x, y;
+    `zero`, when given, is an absorbing element of the table.
 
     Correct when `gens` generates the table (see
     `generators_if_associative`), as the a with (x a) y = x (a y) for
@@ -357,16 +373,25 @@ def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
 
     Rows that agree on Z = aS ∪ {a} give the same check, because both
     sides read row x only there: x a at position a, and x (a y) at
-    position a y, which lies in aS.  So one row per key, the entries of
-    row x at Z, is enough.  Keying costs about m |Z| lookups and saves
-    the (m - keys) m of the skipped comparisons, with keys <= m; when
-    every key is distinct (keys = |Z|, as for I_n and random closures)
-    it pays only if m |Z| <= (m - |Z|) m, that is 2 |Z| <= m.  Only
-    then are the rows keyed.  An atom of the atom-flip truncation F_n
-    has Z = {zero, atom} and two keys, so F_n costs about 2 m^2 lookups
-    instead of m^3.  With about |Z| keys a generator costs
-    O(min(m, 2 |Z|) m), and never more than 3 m^2 / 2 lookups.  Rows
-    are compared as tuples, so other rows are converted once, here.
+    position a y, which lies in aS.  The zero z leaves Z: its column is
+    constant (x z = z, as `_find_zero` checks), so rows that agree off z
+    agree at z too.  So one row per key, the entries of row x at Z, is
+    enough.  Keying costs about m |Z| lookups and saves the
+    (m - keys) m of the skipped comparisons, with keys <= m; when every
+    key is distinct (keys = |Z|, as for I_n and random closures) it
+    pays only if m |Z| <= (m - |Z|) m, that is 2 |Z| <= m.  Only then
+    are the rows keyed.  With about |Z| keys a generator costs
+    O(min(m, 2 |Z|) m), and never more than 3 m^2 / 2 lookups.
+
+    At a = z, Z is empty and the law holds outright:
+    (x z) y = z = x (z y).  With one column left, that of a (aS within
+    {a, z}, as for an atom of the atom-flip truncation F_n), the first
+    row with each value v = x a in the column stands for its key, and
+    the values a and z need none.  As a y is a or z, x (a y) is x a = v
+    or x z = z: for v = a both sides are a y, and for v = z both are z.
+    That is m lookups and, for an atom, no row comparison, so F_n costs
+    O(m^2) instead of m^3.  Rows are compared as tuples, so other rows
+    are converted once, here.
     """
     if not all(isinstance(row, tuple) for row in mul):
         mul = tuple(map(tuple, mul))
@@ -375,10 +400,17 @@ def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> bool:
         # itemgetter of one index returns a scalar; [[0]] is associative
         return True
     for a in gens:
-        through_a = itemgetter(*mul[a])
         zone = {a, *mul[a]}
+        zone.discard(zero)
+        if not zone:  # a is the zero
+            continue
+        through_a = itemgetter(*mul[a])
         rows = mul
-        if 2 * len(zone) <= m:
+        if len(zone) == 1:  # the column of a
+            column = list(map(itemgetter(a), mul))
+            values = set(column) - {a, zero}
+            rows = map(mul.__getitem__, map(column.index, values))
+        elif 2 * len(zone) <= m:
             rows = dict(zip(map(itemgetter(*zone), mul), mul)).values()
         for row in rows:
             if mul[row[a]] != through_a(row):
@@ -404,8 +436,9 @@ def generators_if_associative(S: FiniteInverseSemigroup) -> Sequence[int] | None
     if S._closure is not None:
         return range(_letter_count(S))
     if S._generators is None:
-        gens = generating_set(S.mul)
-        object.__setattr__(S, "_generators", (gens if is_associative(S.mul, gens) else None,))
+        gens = generating_set(S.mul, S._row_counts)
+        associative = is_associative(S.mul, gens, S.zero)
+        object.__setattr__(S, "_generators", (gens if associative else None,))
     return S._generators[0]
 
 
@@ -611,18 +644,23 @@ def is_closure_of(S: FiniteInverseSemigroup) -> bool:
 
 def inverse_candidates(mul: Sequence[Sequence[int]], s: int) -> tuple[int, ...]:
     """All t with s t s = s and t s t = t, ascending (see `_candidates`)."""
-    return tuple(sorted(_candidates(mul, s, set(mul[s]))))
+    return tuple(sorted(_candidates(mul, s, set(mul[s]), {})))
 
 
-def _candidates(mul, s: int, values) -> list[int]:
+def _candidates(mul, s: int, values, kept: dict[int, int]) -> list[int]:
     """The t with s t s = s and t s t = t, unsorted, given the distinct
     `values` of row s.  (s t) s = mul[u][s] reads t only through u = s t;
     for each u that passes, only the t with s t = u get the test
-    (t s) t = t.  Exact on any table whose entries index it."""
+    (t s) t = t.  Exact on any table whose entries index it.  u = s
+    passes iff s s = s, and its t are then {t : s t = s}: that mask
+    goes into `kept` (see `_checked_inverses`)."""
     row, found = mul[s], []
     for u in values:
         if mul[u][s] == s:
-            found += [t for t in _bits(_mask_of(row, u)) if mul[mul[t][s]][t] == t]
+            mask = _mask_of(row, u)
+            if u == s:
+                kept[s] = mask
+            found += [t for t in _bits(mask) if mul[mul[t][s]][t] == t]
     return found
 
 
@@ -632,27 +670,36 @@ def _inverse_fault(mul: Sequence[Sequence[int]]) -> tuple | None:
     return next(((s, c) for s, c in enumerate(cands) if len(c) != 1), None)
 
 
-def _checked_inverses(table: tuple[tuple, ...]) -> list[int] | None:
-    """The inverse map of a table in one pass over its rows, or None
-    unless each element has exactly one generalized inverse.  Each row's
-    values go once into one reused set, for the range check and for the
-    row's `_candidates`.  A row passes with length m, no value below 0
-    and an int sum (a float equal to an int in range hides behind it in
-    the set, not in the sum); `_candidates` reads every value as a row
-    index, so one past m - 1 raises there.  It also reads rows not yet
-    checked, which may raise or wrap on a negative index, so on any
-    failure `_check_cells` raises, naming the first bad row or entry."""
-    m, inverse, values = len(table), [], set()
+def _checked_inverses(table: tuple[tuple, ...]) -> tuple:
+    """(inverse map, up(e) by idempotent e, distinct values per row) of
+    a table in one pass over its rows; the first two are None unless
+    each element has exactly one generalized inverse.  Each row's
+    values go once into one reused set, for the range check, the count
+    and the row's `_candidates`.  A row passes with length m, no value
+    below 0 and an int sum (a float equal to an int in range hides
+    behind it in the set, not in the sum); `_candidates` reads every
+    value as a row index, so one past m - 1 raises there.  It also reads
+    rows not yet checked, which may raise or wrap on a negative index,
+    so on any failure `_check_cells` raises, naming the first bad row or
+    entry.
+
+    `_candidates` leaves {t : e t = e} in `kept` for each idempotent e:
+    its up-mask when the map exists, as then inv[e] = e (e e e = e makes
+    e a generalized inverse of itself, and it is the only one), so the
+    row of e e* is that of e (see `_up_masks`).  That needs no
+    associativity.  |E| masks of m bits: about 130 KB on F_1024."""
+    m, inverse, values, kept, counts = len(table), [], set(), {}, []
     try:
         for s, row in enumerate(table):
             values.clear()
             values.update(row)
             if len(row) != m or min(values) < 0 or type(sum(row)) is not int:
                 break
-            found = _candidates(table, s, values)
+            found = _candidates(table, s, values, kept)
             inverse.append(found[0] if len(found) == 1 else None)
+            counts.append(len(values))
         else:
-            return None if None in inverse else inverse
+            return (None, None, counts) if None in inverse else (inverse, kept, counts)
     except (TypeError, IndexError):  # an unhashable entry, or a bad one read early
         pass
     _check_cells(table)
@@ -708,10 +755,12 @@ def _closure_idempotents_and_zero(index, keys, gather, tail,
     return idempotents, z if absorbs else None
 
 
-def _up_masks(table, inv) -> tuple[int, ...]:
+def _up_masks(table, inv, kept: dict[int, int]) -> tuple[int, ...]:
     """Bit t of the s-th mask is set iff s <= t, that is s s* t = s: the
-    positions of s in the row of s s*, by `_mask_of`."""
-    return tuple(_mask_of(table[table[s][inv[s]]], s) for s in range(len(table)))
+    positions of s in the row of s s*, by `_mask_of`, unless `kept`
+    (up(e) by idempotent e, from the inverse pass) holds up(s)."""
+    return tuple(kept[s] if s in kept else _mask_of(table[table[s][inv[s]]], s)
+                 for s in range(len(table)))
 
 
 def _mask_of(row, value) -> int:

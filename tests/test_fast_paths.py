@@ -19,7 +19,10 @@ the m-bit order and the per-point count, and `criterion` and
 E*-unitary check off the same order is swept against the product scan,
 and `germs --self` runs with the left-translation action patched to
 raise.  Table loads, truncations and the table commands that read no
-order run with the up-mask builders patched to raise.
+order run with the up-mask builders patched to raise.  The up-masks and
+row counts that a table's inverse pass keeps are swept against the row
+scans on the table fixtures, chains, I_3, I_4, F_0-F_64 and random
+tables, and Light's test, given the zero, against its oracle.
 """
 
 import functools
@@ -81,7 +84,8 @@ from oracles import (
     verify_scan,
     zero_scan,
 )
-from conftest import check_germ_counts, invoke_cli, product_or_none, semigroup_to_dict
+from conftest import (check_germ_counts, invoke_cli, make_chain, product_or_none,
+                      semigroup_to_dict)
 from test_consistency_sweep import random_pb
 from test_closure import (SWAP, generator_lists, letters_of, partial_bijections,
                           symmetric_generators)
@@ -128,7 +132,7 @@ def check_ground_cells(S):
     table = FiniteInverseSemigroup(S.mul, _inverse=S.inv)
     assert S._ground_cells() is not None and table._ground_cells() is None
     up = S._require_up_masks()
-    assert up == semigroup._up_masks(S.mul, S.inv) == table._require_up_masks()
+    assert up == semigroup._up_masks(S.mul, S.inv, {}) == table._require_up_masks()
     assert up == up_masks_scan(S)
     down = [semigroup._mask_to_set(mask) for mask in semigroup._transpose(up, S.order)]
     assert [S.up_set({s}, DOWN) for s in S.elements()] == \
@@ -379,21 +383,26 @@ def test_a_table_builds_its_order_only_when_read(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("command", ["criterion", "props"])
 def test_a_table_builds_its_up_masks_once(monkeypatch, tmp_path, command):
+    """`criterion` on a table file reads its E-order off the up(e) that
+    the inverse pass kept, and builds no m-bit mask; `props` builds the
+    m-bit masks once, reading the kept up(e) of every idempotent."""
     built = []
     up_masks = semigroup._up_masks
 
-    def counting(table, inv):
-        built.append(len(table))
-        return up_masks(table, inv)
+    def counting(table, inv, kept):
+        built.append((len(table), sorted(kept)))
+        return up_masks(table, inv, kept)
 
     table_action_files(tmp_path)
     monkeypatch.setattr(semigroup, "_up_masks", counting)
-    for path, m in ((DATA / "z2_table.json", 2), (DATA / "chain2_table.json", 2),
-                    (tmp_path / "i3_table.json", 34)):
+    for path in (DATA / "z2_table.json", DATA / "chain2_table.json",
+                 tmp_path / "i3_table.json"):
+        S = load_semigroup(path)
         built.clear()
         result = invoke_cli([command, str(path)])
         assert result.exit_code == 0, result.output
-        assert built == [m]
+        assert built == ([] if command == "criterion" else
+                         [(S.order, sorted(S.idempotents))])
 
 
 def refuse_closure_order(monkeypatch):
@@ -978,6 +987,66 @@ def test_verify_never_scans_triples_on_i4(monkeypatch):
         verify_inverse_semigroup(FiniteInverseSemigroup(corrupted(S.mul, 208, 208, 0)))
 
 
+def check_kept_by_the_inverse_pass(S):
+    """A table that ran the inverse pass keeps len(set(row)) of every
+    row, and, when it has an inverse map, up(e) of every idempotent e as
+    the scan of `_up_masks` finds it; its E-order, read off those masks,
+    is that of a copy that scans its rows.  With no inverse map it keeps
+    no mask, and its E-order raises ContractViolation."""
+    mul = S.mul
+    assert S._row_counts == [len(set(row)) for row in mul]
+    assert semigroup.generating_set(mul, S._row_counts) == semigroup.generating_set(mul)
+    if S.inv is None:
+        assert S._e_up_masks is None
+        with pytest.raises(ContractViolation):
+            S._require_e_order()
+        return
+    scan = semigroup._up_masks(mul, S.inv, {})
+    assert list(S._e_up_masks.items()) == [(e, scan[e]) for e in sorted(S.idempotents)]
+    copy = FiniteInverseSemigroup(mul, _inverse=S.inv)
+    assert (copy._e_up_masks, copy._row_counts) == (None, None)
+    assert S._require_e_order() == copy._require_e_order()
+    assert S._require_up_masks() == scan == copy._require_up_masks()
+
+
+KEPT_TABLES = {
+    **{path.stem: lambda path=path: load_semigroup(path) for path in sorted(DATA.glob("*.json"))
+       if json.loads(path.read_text()).get("kind") == "table"},
+    **{f"chain_{n}": functools.partial(make_chain, n) for n in range(1, 9)},
+    "I_3": lambda: FiniteInverseSemigroup(close(CLOSURES["I_3"]).mul),
+    "I_4": lambda: FiniteInverseSemigroup(close(symmetric_generators(4)).mul),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_TABLES))
+def test_the_inverse_pass_keeps_the_idempotent_up_masks(name):
+    check_kept_by_the_inverse_pass(KEPT_TABLES[name]())
+
+
+def test_the_inverse_pass_keeps_the_up_masks_of_the_truncations():
+    for n in range(65):
+        S = FiniteInverseSemigroup(atomflip.truncation(n).mul)
+        check_kept_by_the_inverse_pass(S)
+        assert S._require_up_masks() == up_masks_scan(S)
+
+
+@st.composite
+def corrupted_fixtures(draw):
+    mul = small_fixture(draw(st.sampled_from(SMALL_FIXTURES))).mul
+    m = len(mul)
+    return corrupted(mul, *(draw(st.integers(0, m - 1)) for _ in range(3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(magma_tables(), small_generator_lists().map(lambda gens: close(gens).mul),
+                 corrupted_fixtures()))
+def test_the_inverse_pass_keeps_the_up_masks_of_random_tables(mul):
+    """Random magmas (most with no inverse map), random closures, and
+    small fixtures with one cell changed (some with an inverse map and
+    not associative)."""
+    check_kept_by_the_inverse_pass(FiniteInverseSemigroup(mul))
+
+
 def count_inverse_scans(monkeypatch):
     calls = []
     scan = semigroup.inverse_candidates
@@ -1025,9 +1094,9 @@ def test_germs_on_a_table_action_file_runs_lights_test_once(monkeypatch, tmp_pat
     calls = []
     light = semigroup.is_associative
 
-    def counting(mul, gens):
+    def counting(mul, gens, zero):
         calls.append(gens)
-        return light(mul, gens)
+        return light(mul, gens, zero)
 
     monkeypatch.setattr(semigroup, "is_associative", counting)
     _, left = table_action_files(tmp_path)
@@ -1054,11 +1123,15 @@ def test_verify_scans_every_element_when_idempotents_do_not_commute(
 def per_generator_light(mul, gens):
     """Light's test and its oracle, generator by generator, on the
     table with tuple rows, as `FiniteInverseSemigroup` stores it, and
-    with list rows."""
+    with list rows, with no zero and with the zero that the
+    constructor finds, as `generators_if_associative` passes it."""
     rows = tuple(map(tuple, mul))
+    zero = FiniteInverseSemigroup(rows).zero
     expected = [light_scan(rows, [a]) for a in gens]
     for table in (rows, [list(row) for row in mul]):
-        assert [semigroup.is_associative(table, [a]) for a in gens] == expected
+        for z in {None, zero}:
+            assert [semigroup.is_associative(table, [a], z) for a in gens] == expected
+    return zero
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -1092,7 +1165,34 @@ def test_light_matches_scan_on_corrupted_closures(gens, data):
     per_generator_light(mul, semigroup.generating_set(mul))
 
 
-def row_comparisons(mul, a):
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_light_matches_scan_with_an_absorbing_element(data):
+    # An absorbing z = m adjoined to a random magma on 0..m-1, whose
+    # entries lie below k or are z: small k leaves aS within {a, z}, so
+    # the zero's column goes and often only the column of a is left.
+    m = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, m))
+    entry = st.integers(0, k - 1) | st.just(m)
+    mul = [[*data.draw(st.lists(entry, min_size=m, max_size=m)), m] for _ in range(m)]
+    mul.append([m] * (m + 1))
+    assert per_generator_light(mul, range(m + 1)) == m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.data())
+def test_light_keeps_a_broken_zero_column(n, data):
+    """A cell of the zero's column changed: the table has no zero, and
+    its column stays in every key."""
+    m = n + 3
+    i, value = data.draw(st.integers(1, m - 1)), data.draw(st.integers(1, m - 1))
+    mul = corrupted(atomflip.truncation(n).mul, i, 0, value)
+    assert per_generator_light(mul, semigroup.generating_set(mul)) is None
+    S = FiniteInverseSemigroup(mul)
+    assert tuple(verify_inverse_semigroup(S)) == verify_scan(S)
+
+
+def row_comparisons(mul, a, zero=None):
     """Light's test at the one generator a, counting the full-row
     comparisons it makes."""
     count = []
@@ -1102,17 +1202,21 @@ def row_comparisons(mul, a):
             count.append(1)
             return tuple.__ne__(self, other)
 
-    assert semigroup.is_associative([Row(row) for row in mul], [a])
+    assert semigroup.is_associative([Row(row) for row in mul], [a], zero)
     return len(count)
 
 
 def test_light_keys_atoms_and_scans_units():
     # F_n: an atom a has aS ∪ {a} = {zero, a} and two keys, so at most
-    # 2 rows each; FLIP permutes the table, so every row is compared.
+    # 2 rows each; with the zero given, only the column of a is left,
+    # and its values, zero and a, need no comparison.  FLIP permutes
+    # the table, so every row is compared.
     mul = atomflip.truncation(256).mul
     gens = semigroup.generating_set(mul)
     assert len(gens) == 257
-    assert all(row_comparisons(mul, a) <= (2 if a >= 3 else len(mul)) for a in gens)
+    for zero, per_atom in ((None, 2), (0, 0)):
+        assert all(row_comparisons(mul, a, zero) <= (per_atom if a >= 3 else len(mul))
+                   for a in gens)
     S = close(symmetric_generators(4))
     units = [g for g in semigroup.generating_set(S.mul) if len(set(S.mul[g])) == S.order]
     assert units and all(row_comparisons(S.mul, g) == S.order for g in units)
