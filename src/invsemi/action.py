@@ -7,8 +7,11 @@ clopen, so every `FiniteAction` is a clopen action by construction.
 
 from __future__ import annotations
 
-from operator import getitem
-from typing import Iterable, Mapping, Sequence
+from collections import deque
+from functools import reduce
+from itertools import repeat
+from operator import eq, getitem, itemgetter
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ContractViolation
 from .semigroup import FiniteInverseSemigroup, _bits, generators_if_associative
@@ -18,20 +21,21 @@ class FiniteAction:
     """An inverse semigroup acting by partial bijections on {0, ..., n-1}.
 
     `domain_of` maps each idempotent index to its domain.  The images
-    come in as `table`, a map from (element, point) to the image point
-    defined exactly on {(s, x) : x in D_{s*s}}; the constructor checks
-    that once and lays the table out as one row of n + 1 images per
-    element, -1 outside D_{s*s} and last, so that `validate` composes
-    rows as they are stored.  The `table` attribute rebuilds the map
-    when read.  Call `validate()` to confirm the data really is an
-    action (homomorphism plus per-element bijectivity).
+    come in as `table`: a map from (element, point) to the image point
+    defined exactly on {(s, x) : x in D_{s*s}}, or the `action` lists of
+    an action file, [[s, [[x, s.x], ...]], ...].  The constructor checks
+    them once and lays them out as one row of n + 1 images per element,
+    -1 outside D_{s*s} and last, so that `validate` composes rows as
+    they are stored.  The `table` attribute rebuilds the map when read.
+    Call `validate()` to confirm the data really is an action
+    (homomorphism plus per-element bijectivity).
     """
 
     __slots__ = ("semigroup", "space_size", "domain_of", "_rows", "_idempotents_at")
 
     def __init__(self, semigroup: FiniteInverseSemigroup, space_size: int,
                  domain_of: Mapping[int, frozenset[int]],
-                 table: Mapping[tuple[int, int], int] | None, *,
+                 table: Mapping[tuple[int, int], int] | Sequence | None, *,
                  _translation: bool = False):
         """With `_translation` (from `left_translation_action`) S acts on
         itself, s.x = s x, by its own products; `table` is then not
@@ -64,19 +68,50 @@ class FiniteAction:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAction is immutable")
 
-    def _lay(self, table: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
-        """The pair table as rows of n + 1 images, once its keys are exactly
-        the pairs: -1 where undefined and last, so `_compose` keeps -1."""
+    def _domains(self) -> list[frozenset[int]]:
+        """D_{s*s} of every element s, in index order."""
         S = self.semigroup
-        defined = set(table)
-        expected = {(s, x) for s in S.elements() for x in self.domain(s)}
-        if defined != expected:
-            stray = sorted(defined ^ expected)[:5]
-            raise ContractViolation(f"action table domain mismatch near {stray}")
-        rows = [[-1] * (self.space_size + 1) for _ in S.elements()]
-        for (s, x), y in table.items():
-            rows[s][x] = y
-        return tuple(map(tuple, rows))
+        return list(map(self.domain_of.__getitem__, S.pair_products(S.inv, S.elements())))
+
+    def _lay(self, table) -> tuple[tuple[int, ...], ...]:
+        """The images as rows of n + 1 entries, -1 where undefined and
+        last, so `_homomorphic_at` keeps -1.
+
+        A pair map must be defined exactly on the pairs.  The lists of an
+        action file are checked row by row by C-level means, with no
+        pair map and no set of every pair: each element is listed at most
+        once, and those not listed have empty D_{s*s}; its [x, y] lists
+        make a dict with one key per list, its keys are D_{s*s} and every
+        key and value is of type int (so not a bool, nor a float equal to
+        an int).  Then the pair map that `formats.load_action` builds of
+        the lists is defined exactly on the pairs and gives these rows.
+        Lists that fail raise ContractViolation without naming the fault;
+        `load_action` then builds that pair map to name it."""
+        n, domains = self.space_size, self._domains()
+        if isinstance(table, Mapping):
+            defined = set(table)
+            expected = {(s, x) for s, dom in enumerate(domains) for x in dom}
+            if defined != expected:
+                stray = sorted(defined ^ expected)[:5]
+                raise ContractViolation(f"action table domain mismatch near {stray}")
+            return tuple(_row(n, dom, map(table.__getitem__, zip(repeat(s), dom)))
+                         for s, dom in enumerate(domains))
+        rows: list = [None] * len(domains)
+        try:
+            for s, pairs in table:
+                images = dict(pairs)
+                if (type(s) is not int or not 0 <= s < len(rows) or rows[s] is not None
+                        or len(images) != len(pairs) or images.keys() != domains[s]
+                        or not {*map(type, images), *map(type, images.values())} <= {int}):
+                    break
+                rows[s] = _row(n, images, images.values())
+            else:
+                if not any(row is None and dom for row, dom in zip(rows, domains)):
+                    return tuple(_row(n, (), ()) if row is None else row for row in rows)
+        except (TypeError, ValueError):  # an entry that is no pair, or unhashable
+            pass
+        raise ContractViolation(
+            "action lists must give each element its images on D_s*s once, as integers")
 
     def pair_images(self, us: Sequence[int], xs: Iterable[int]) -> list[int]:
         """[u.x for u, x in zip(us, xs)], unchecked: each x must lie in D_{u*u}."""
@@ -116,14 +151,39 @@ class FiniteAction:
         """Idempotents whose domain contains x, sorted."""
         return self._idempotents_at.get(x, ())
 
-    def validate(self) -> None:
-        """Raise ContractViolation unless the data defines an action."""
+    def least_idempotents(self) -> dict[int, int]:
+        """{x: e_x} over the points that lie in some domain, e_x the least
+        idempotent whose domain holds x (see `germs.GermGroupoid`).  Under
+        left translation e_x = xx* (see `left_translation_action`): m
+        products.  Otherwise e_x is the product of the idempotents at x,
+        and must hold x itself."""
         S = self.semigroup
-        # left translation stores no rows: they are laid out from its products
-        rows = self._lay(self.table) if self._rows is None else self._rows
-        for s in S.elements():
-            dom, cod, row = self.domain(s), self.codomain(s), rows[s]
-            image = {row[x] for x in dom}
+        if self._rows is None:
+            return dict(enumerate(_ranges(S)))
+        least = {}
+        for x in range(self.space_size):
+            if at := self.idempotents_at(x):
+                e = least[x] = reduce(S.product, at)
+                if x not in self.domain_of[e]:
+                    raise ContractViolation(
+                        f"point {x} lies in the domains of {list(at)} but not of their "
+                        f"product {e}; the domains do not come from an action")
+        return least
+
+    def validate(self) -> None:
+        """Raise ContractViolation unless the data defines an action.
+
+        Every row is read by C-level gathers (`_gather`).  A left
+        translation stores no rows, so they are laid out here, from the
+        products of S."""
+        S, n = self.semigroup, self.space_size
+        domains, rows = self._domains(), self._rows
+        if rows is None:
+            rows = tuple(_row(n, dom, S.pair_products([s] * len(dom), dom))
+                         for s, dom in enumerate(domains))
+        codomains = map(self.domain_of.__getitem__, _ranges(S))  # D_{ss*}
+        for s, (dom, cod) in enumerate(zip(domains, codomains)):
+            image = set(_gather(rows[s], dom))
             if len(image) != len(dom) or not image <= cod:
                 raise ContractViolation(
                     f"element {s} does not act as a bijection D_s*s -> D_ss*")
@@ -131,30 +191,40 @@ class FiniteAction:
                 raise ContractViolation(
                     f"element {s} does not act onto D_ss*")
         for e in S.idempotents:
-            row = rows[e]
-            for x in self.domain_of[e]:
-                if row[x] != x:
-                    raise ContractViolation(
-                        f"idempotent {e} must act as the identity on its domain")
+            dom = self.domain_of[e]
+            if _gather(rows[e], dom) != tuple(dom):
+                raise ContractViolation(
+                    f"idempotent {e} must act as the identity on its domain")
         # Generators suffice when S is associative (see `_homomorphic_at`);
         # otherwise, or on a fault, the scan over all pairs names the first.
         gens = generators_if_associative(S)
-        if gens is not None and all(_homomorphic_at(rows, S, s) for s in gens):
+        if gens is not None and all(all(_homomorphic_at(rows, S, s)) for s in gens):
             return
         for s in S.elements():
-            for t in S.elements():
-                if rows[S.product(s, t)] != _compose(rows[s], rows[t]):
-                    raise ContractViolation(f"action is not a homomorphism at ({s}, {t})")
+            law = _homomorphic_at(rows, S, s)
+            if not all(law):
+                raise ContractViolation(
+                    f"action is not a homomorphism at ({s}, {law.index(False)})")
 
 
-def _compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """The partial map f after g, as rows padded by `FiniteAction._lay`."""
-    return tuple(map(f.__getitem__, g))
+def _row(n: int, xs: Iterable[int], ys: Iterable[int]) -> tuple[int, ...]:
+    """n + 1 images: ys at xs, -1 elsewhere and last, by one C-level scatter."""
+    row = [-1] * (n + 1)
+    deque(map(row.__setitem__, xs, ys), 0)
+    return tuple(row)
 
 
-def _homomorphic_at(rows, S: FiniteInverseSemigroup, s: int) -> bool:
-    """phi(s t) = phi(s) phi(t) for every t, by `S.product`, so a
-    closure builds no table.
+def _gather(row: Sequence[int], idx: Collection[int]) -> tuple[int, ...]:
+    """The entries of `row` at `idx`, in the order `idx` iterates, by one
+    C-level gather: `itemgetter` of one index returns the entry itself,
+    and of none raises."""
+    return itemgetter(*idx)(row) if len(idx) > 1 else tuple(map(row.__getitem__, idx))
+
+
+def _homomorphic_at(rows, S: FiniteInverseSemigroup, s: int) -> list[bool]:
+    """Whether phi(s t) = phi(s) phi(t), for each t in index order: each
+    row of phi(t) read through the row of s by `_gather`, against the
+    row of s t by `S.pair_products`, so a closure builds no table.
 
     If S is associative, checking this for s in a generating set is
     enough (see `generators_if_associative`): the s at which it holds
@@ -163,7 +233,13 @@ def _homomorphic_at(rows, S: FiniteInverseSemigroup, s: int) -> bool:
     = phi(a) phi(b) phi(t) = phi(a b) phi(t).
     """
     f = rows[s]
-    return all(rows[S.product(s, t)] == _compose(f, g) for t, g in enumerate(rows))
+    products = S.pair_products([s] * S.order, S.elements())
+    return list(map(eq, map(rows.__getitem__, products), map(_gather, repeat(f), rows)))
+
+
+def _ranges(S: FiniteInverseSemigroup) -> list[int]:
+    """xx* of every element x, by one `pair_products` call."""
+    return S.pair_products(S.elements(), S.inv)
 
 
 def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
@@ -188,8 +264,8 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
     if S.inv is None:
         raise ContractViolation("actions need a genuine inverse semigroup")
     by_range: dict[int, list[int]] = {}
-    for x in S.elements():
-        by_range.setdefault(S.product(x, S.inv[x]), []).append(x)
+    for x, e in enumerate(_ranges(S)):
+        by_range.setdefault(e, []).append(x)
     E, below, _ = S._require_e_order()
     domains = {}
     for i, e in enumerate(E):

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, InvariantViolation
 from .semigroup import (DEFAULT_SUBSET_BUDGET, DOWN, FiniteInverseSemigroup, _bits,
-                        _compatibility_masks, _set_to_mask, generators_if_associative)
+                        _set_to_mask, _up_and_compatibility_masks, generators_if_associative)
 
 HAUSDORFF_WITNESS = "HAUSDORFF_WITNESS"
 REFUTED = "REFUTED"
@@ -146,8 +146,7 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     if budget is None:
         budget = DEFAULT_SUBSET_BUDGET
     m = S.order
-    up = S._require_up_masks()
-    comp = _compatibility_masks(S)
+    up, comp = _up_and_compatibility_masks(S)
     joins: dict[tuple[int, int], int] = {}
     checked = 0
     for a in range(m):

@@ -168,33 +168,32 @@ def load_action(path: str | Path, budget: int | None = None) -> FiniteAction:
         raise ParseError(f"{path}: 'semigroup' must be a path string")
     if type(space_size) is not int:
         raise ParseError(f"{path}: 'space_size' must be an integer, got {space_size!r}")
-    sg_path = Path(sg_ref)
-    if not sg_path.is_absolute():
-        sg_path = path.parent / sg_path
-    S = load_semigroup(sg_path, budget=budget)
+    S = load_semigroup(path.parent / sg_ref, budget=budget)
     try:
         domains = {}
         for e, pts in raw_domains:
             if _integer(e, "idempotent") in domains:
                 raise ParseError(f"{path}: duplicate domain entry for idempotent {e}")
             domains[e] = frozenset(_integer(x, "point") for x in pts)
-        table = {}
-        for s, pairs in raw_action:
-            _integer(s, "element")
-            for x, y in pairs:
-                key = (s, _integer(x, "point"))
-                if key in table:
-                    raise ParseError(f"{path}: duplicate action entry for {key}")
-                table[key] = _integer(y, "point")
+        try:
+            action = FiniteAction(S, space_size, domains, raw_action)
+        except ContractViolation:  # the pair map names the first fault
+            table = {}
+            for s, pairs in raw_action:
+                _integer(s, "element")
+                for x, y in pairs:
+                    key = (s, _integer(x, "point"))
+                    if key in table:
+                        raise ParseError(f"{path}: duplicate action entry for {key}")
+                    table[key] = _integer(y, "point")
+            action = FiniteAction(S, space_size, domains, table)
+        action.validate()
     except ParseError:
         raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed domains/action: {exc}") from None
-    try:
-        action = FiniteAction(S, space_size, domains, table)
-        action.validate()
     except ContractViolation as exc:
         raise ParseError(f"{path}: invalid action: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed domains/action: {exc}") from None
     return action
 
 

@@ -11,7 +11,7 @@ operations compute each definition independently anyway.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from operator import add, eq, mul
 from typing import NamedTuple
@@ -64,7 +64,7 @@ class GermGroupoid:
     """
 
     def __init__(self, action: FiniteAction):
-        S, P, least = action.semigroup, action.space_size, _least_idempotents(action)
+        S, P, least = action.semigroup, action.space_size, action.least_idempotents()
         m = S.order
         # high[u] = low(u) P m + u, so the code of (u, x) is high[u] + x m
         high = [((mask & -mask).bit_length() - 1) * P * m + u
@@ -178,7 +178,7 @@ def germ_counts(action: FiniteAction) -> tuple[int, int, int]:
     finite discrete space so are effective and essentially principal.
     One image per pair (`_germ_pairs`).
     """
-    least = _least_idempotents(action)
+    least = action.least_idempotents()
     _, xs, ys = _germ_pairs(action, least)
     return len(xs), len(least), sum(map(eq, xs, ys))
 
@@ -211,20 +211,6 @@ def _germ_pairs(action: FiniteAction, least: dict[int, int]) -> tuple[list[int],
         us += l_classes[e]
         xs += repeat(x, len(l_classes[e]))
     return us, xs, action.pair_images(us, xs)
-
-
-def _least_idempotents(action: FiniteAction) -> dict[int, int]:
-    """{x: e_x} over the points that lie in some domain, e_x the least
-    idempotent whose domain holds x (see GermGroupoid)."""
-    least = {}
-    for x in range(action.space_size):
-        if at := action.idempotents_at(x):
-            e = least[x] = reduce(action.semigroup.product, at)
-            if x not in action.domain_of[e]:
-                raise ContractViolation(
-                    f"point {x} lies in the domains of {list(at)} but not of their "
-                    f"product {e}; the domains do not come from an action")
-    return least
 
 
 def germ_equiv_oracle(action: FiniteAction, s: int, t: int, x: int) -> bool:

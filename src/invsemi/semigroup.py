@@ -234,12 +234,13 @@ class FiniteInverseSemigroup:
         if not (0 <= s < self.order):
             raise ContractViolation(f"element index {s} out of range [0, {self.order})")
 
-    def _require_up_masks(self) -> tuple[int, ...]:
-        """The m-bit up-masks, built on first read off rows or cells."""
+    def _require_up_masks(self, graphs=None) -> tuple[int, ...]:
+        """The m-bit up-masks, built on first read off rows or cells (off
+        `graphs`, the pairs of each key, when the caller has them)."""
         if self._up_masks is None:
             if self.inv is None:
                 raise ContractViolation("table is not an inverse semigroup; order undefined")
-            graphs = self._closure and list(map(_key_pairs, self._closure[1]))  # read once
+            graphs = self._closure and (graphs or list(map(_key_pairs, self._closure[1])))
             up = (_up_masks(self._mul, self.inv, self._e_up_masks or {}) if self._closure is None
                   else _up_masks_from_cells(graphs, self._ground_cells(graphs), self.order))
             object.__setattr__(self, "_up_masks", up)
@@ -359,9 +360,10 @@ def generating_set(mul: Sequence[Sequence[int]],
 
 
 def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int],
-                   zero: int | None = None) -> bool:
+                   zero: int | None = None, counts: Sequence[int] | None = None) -> bool:
     """Light's test: (x a) y = x (a y) for every a in `gens`, all x, y;
-    `zero`, when given, is an absorbing element of the table.
+    `zero`, when given, is an absorbing element of the table, and
+    `counts` the number of distinct values in each row.
 
     Correct when `gens` generates the table (see
     `generators_if_associative`), as the a with (x a) y = x (a y) for
@@ -392,6 +394,12 @@ def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int],
     That is m lookups and, for an atom, no row comparison, so F_n costs
     O(m^2) instead of m^3.  Rows are compared as tuples, so other rows
     are converted once, here.
+
+    Only keying reads Z itself; the branch needs its size.  The zero z
+    lies in row a (a z = z), so |Z| is the count of row a, less one if
+    z is given, plus one if a is not in row a: one C-level scan, which
+    on an atom of F_n stops within the first three entries, instead of
+    a set of the whole row.
     """
     if not all(isinstance(row, tuple) for row in mul):
         mul = tuple(map(tuple, mul))
@@ -400,17 +408,20 @@ def is_associative(mul: Sequence[Sequence[int]], gens: Iterable[int],
         # itemgetter of one index returns a scalar; [[0]] is associative
         return True
     for a in gens:
-        zone = {a, *mul[a]}
-        zone.discard(zero)
-        if not zone:  # a is the zero
+        row_a = mul[a]
+        count = len(set(row_a)) if counts is None else counts[a]
+        size = count - (zero is not None) + (a not in row_a)  # |Z|
+        if not size:  # a is the zero
             continue
-        through_a = itemgetter(*mul[a])
+        through_a = itemgetter(*row_a)
         rows = mul
-        if len(zone) == 1:  # the column of a
+        if size == 1:  # the column of a
             column = list(map(itemgetter(a), mul))
             values = set(column) - {a, zero}
             rows = map(mul.__getitem__, map(column.index, values))
-        elif 2 * len(zone) <= m:
+        elif 2 * size <= m:
+            zone = {a, *row_a}
+            zone.discard(zero)
             rows = dict(zip(map(itemgetter(*zone), mul), mul)).values()
         for row in rows:
             if mul[row[a]] != through_a(row):
@@ -437,7 +448,7 @@ def generators_if_associative(S: FiniteInverseSemigroup) -> Sequence[int] | None
         return range(_letter_count(S))
     if S._generators is None:
         gens = generating_set(S.mul, S._row_counts)
-        associative = is_associative(S.mul, gens, S.zero)
+        associative = is_associative(S.mul, gens, S.zero, S._row_counts)
         object.__setattr__(S, "_generators", (gens if associative else None,))
     return S._generators[0]
 
@@ -790,15 +801,19 @@ def _up_masks_from_cells(graphs, cells, m: int) -> tuple[int, ...]:
     return tuple(reduce(and_, map(cells.__getitem__, pairs), full) for pairs in graphs)
 
 
-def _compatibility_masks(S: FiniteInverseSemigroup) -> tuple[int, ...]:
-    """Bit t of the s-th mask is set iff s and t are compatible: off a
-    closure's ground cells, else off the table rows."""
+def _up_and_compatibility_masks(
+        S: FiniteInverseSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The up-masks, and the masks in which bit t of the s-th mask is set
+    iff s and t are compatible: off a closure's ground cells, reading
+    each key's pairs once for both, else off the table rows."""
     if S._closure is None:
-        return _compatibility_from_rows(S)
-    return _compatibility_from_cells(S._closure[1], S._ground_cells(), S.order)
+        return S._require_up_masks(), _compatibility_from_rows(S)
+    graphs = list(map(_key_pairs, S._closure[1]))
+    cells = S._ground_cells(graphs)
+    return S._require_up_masks(graphs), _compatibility_from_cells(graphs, cells, S.order)
 
 
-def _compatibility_from_cells(keys, cells, m: int) -> tuple[int, ...]:
+def _compatibility_from_cells(graphs, cells, m: int) -> tuple[int, ...]:
     """compat(s) = NOT (the OR of conflict(x, y) over the pairs (x, y)
     of s), where conflict(x, y) = (row(x) | col(y)) & ~cell[x, y], with
     row(x) the elements defined at x and col(y) those with y in their
@@ -822,8 +837,7 @@ def _compatibility_from_cells(keys, cells, m: int) -> tuple[int, ...]:
         cols[y] = cols.get(y, 0) | cell
     conflict = {(x, y): (rows[x] | cols[y]) & ~cell for (x, y), cell in cells.items()}
     full = (1 << m) - 1
-    return tuple(full ^ reduce(or_, map(conflict.__getitem__, _key_pairs(key)), 0)
-                 for key in keys)
+    return tuple(full ^ reduce(or_, map(conflict.__getitem__, pairs), 0) for pairs in graphs)
 
 
 def _compatibility_from_rows(S: FiniteInverseSemigroup) -> tuple[int, ...]:

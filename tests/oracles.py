@@ -11,7 +11,8 @@ criterion and left-translation domains off the m-bit order and the
 E*-unitary check by products (which the order on the idempotents
 replaced),
 union-find germ classes, all-triples associativity, Light's test over
-every row and all-pairs homomorphism checks and the
+every row and all-pairs homomorphism checks, the action-file loader
+that builds the (s, x) map of every pair, and the
 multiply-every-pair atom-flip truncation that the package replaced by
 structural computations, the clique scan for completeness, which
 translates each clique by the generators that the pair check reads
@@ -24,15 +25,19 @@ from __future__ import annotations
 
 from itertools import product
 from operator import itemgetter
+from pathlib import Path
 from types import SimpleNamespace
 
 from invsemi import (
     BudgetExceeded,
     ContractViolation,
+    FiniteAction,
     FiniteInverseSemigroup,
+    ParseError,
     PartialBijection,
     all_partial_bijections,
 )
+from invsemi.formats import _check_version, _integer, _load_json, load_semigroup
 from invsemi.oracles import completeness_scan  # noqa: F401  (re-exported)
 from invsemi.semigroup import DEFAULT_CLOSE_BUDGET, _bits, _image_key, _set_to_mask
 from invsemi.symbolic.atomflip import FLIP, SQUARE, ZERO, atom, multiply
@@ -606,6 +611,56 @@ def validate_scan(action) -> None:
             if composite != direct:
                 raise ContractViolation(
                     f"action is not a homomorphism at ({s}, {t})")
+
+
+def load_action_by_pairs(path, check=validate_scan) -> tuple[tuple[int, ...], ...]:
+    """The image rows of an action file by the (s, x) map of every pair,
+    as `formats.load_action` read the file before it laid rows out from
+    the lists: the map is built entry by entry, naming the first
+    malformed or duplicate entry, the constructor compares its keys with
+    the set of every pair, and `check` validates the action.  Each row
+    has n + 1 entries, -1 outside D_{s*s} and last.  Raises the
+    loader's ParseError."""
+    path = Path(path)
+    data, _ = _load_json(path)
+    _check_version(data, path)
+    try:
+        sg_ref, space_size = data["semigroup"], data["space_size"]
+        raw_domains, raw_action = data["domains"], data["action"]
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing field {exc}") from None
+    if not isinstance(sg_ref, str):
+        raise ParseError(f"{path}: 'semigroup' must be a path string")
+    if type(space_size) is not int:
+        raise ParseError(f"{path}: 'space_size' must be an integer, got {space_size!r}")
+    sg_path = Path(sg_ref)
+    S = load_semigroup(sg_path if sg_path.is_absolute() else path.parent / sg_path)
+    try:
+        domains = {}
+        for e, pts in raw_domains:
+            if _integer(e, "idempotent") in domains:
+                raise ParseError(f"{path}: duplicate domain entry for idempotent {e}")
+            domains[e] = frozenset(_integer(x, "point") for x in pts)
+        table = {}
+        for s, pairs in raw_action:
+            _integer(s, "element")
+            for x, y in pairs:
+                key = (s, _integer(x, "point"))
+                if key in table:
+                    raise ParseError(f"{path}: duplicate action entry for {key}")
+                table[key] = _integer(y, "point")
+    except ParseError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed domains/action: {exc}") from None
+    try:
+        check(FiniteAction(S, space_size, domains, table))
+    except ContractViolation as exc:
+        raise ParseError(f"{path}: invalid action: {exc}") from None
+    rows = [[-1] * (space_size + 1) for _ in S.elements()]
+    for (s, x), y in table.items():
+        rows[s][x] = y
+    return tuple(map(tuple, rows))
 
 
 def generated_scan(mul, gens) -> frozenset[int]:

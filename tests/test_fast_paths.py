@@ -30,6 +30,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -137,7 +138,8 @@ def check_ground_cells(S):
     down = [semigroup._mask_to_set(mask) for mask in semigroup._transpose(up, S.order)]
     assert [S.up_set({s}, DOWN) for s in S.elements()] == \
         [table.up_set({s}, DOWN) for s in S.elements()] == down
-    assert semigroup._compatibility_masks(S) == semigroup._compatibility_masks(table)
+    assert semigroup._up_and_compatibility_masks(S) == \
+        semigroup._up_and_compatibility_masks(table)
 
 
 def check_criterion(S, subsets=()):
@@ -188,9 +190,23 @@ def test_ground_cells_match_row_scans(n):
 
 def test_ground_cell_compatibility_matches_the_pair_test():
     S = close(symmetric_generators(4))
-    comp = semigroup._compatibility_masks(S)
+    comp = semigroup._up_and_compatibility_masks(S)[1]
     assert all(comp[s] >> t & 1 == compatible(S, s, t)
                for s in S.elements() for t in S.elements())
+
+
+def test_a_closure_reads_its_pairs_once_for_order_and_compatibility(monkeypatch):
+    reads = []
+    key_pairs = semigroup._key_pairs
+
+    def counting(key):
+        reads.append(key)
+        return key_pairs(key)
+
+    monkeypatch.setattr(semigroup, "_key_pairs", counting)
+    S = close(symmetric_generators(4))
+    assert is_complete_and_distributive(S).ok
+    assert len(reads) == S.order
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -323,7 +339,7 @@ def test_only_a_closure_orders_by_ground_cells(monkeypatch):
     assert is_complete_and_distributive(S).ok
     for table in (load_semigroup(DATA / "z2_table.json"), atomflip.truncation(4),
                   FiniteInverseSemigroup(S.mul, labels=S.labels)):
-        for read in (table._require_up_masks, lambda: semigroup._compatibility_masks(table),
+        for read in (table._require_up_masks, lambda: semigroup._up_and_compatibility_masks(table),
                      lambda: is_complete_and_distributive(table)):
             with pytest.raises(AssertionError):
                 read()
@@ -1094,9 +1110,9 @@ def test_germs_on_a_table_action_file_runs_lights_test_once(monkeypatch, tmp_pat
     calls = []
     light = semigroup.is_associative
 
-    def counting(mul, gens, zero):
+    def counting(mul, gens, zero, counts):
         calls.append(gens)
-        return light(mul, gens, zero)
+        return light(mul, gens, zero, counts)
 
     monkeypatch.setattr(semigroup, "is_associative", counting)
     _, left = table_action_files(tmp_path)
@@ -1124,13 +1140,15 @@ def per_generator_light(mul, gens):
     """Light's test and its oracle, generator by generator, on the
     table with tuple rows, as `FiniteInverseSemigroup` stores it, and
     with list rows, with no zero and with the zero that the
-    constructor finds, as `generators_if_associative` passes it."""
+    constructor finds, with and without the row counts, as
+    `generators_if_associative` passes them."""
     rows = tuple(map(tuple, mul))
     zero = FiniteInverseSemigroup(rows).zero
     expected = [light_scan(rows, [a]) for a in gens]
+    counts = [len(set(row)) for row in rows]
     for table in (rows, [list(row) for row in mul]):
-        for z in {None, zero}:
-            assert [semigroup.is_associative(table, [a], z) for a in gens] == expected
+        for z, c in product({None, zero}, (None, counts)):
+            assert [semigroup.is_associative(table, [a], z, c) for a in gens] == expected
     return zero
 
 
@@ -1295,6 +1313,21 @@ def test_validate_matches_scan_with_one_entry_corrupted(name, natural, data):
     assert validate_message(broken) == scan_message(broken)
 
 
+@pytest.mark.parametrize("name", [*SMALL_FIXTURES, "I_4"])
+def test_left_translation_reads_its_least_idempotents_off_the_ranges(monkeypatch, name):
+    """e_x = xx* under left translation: the fold of the idempotents at
+    each point gives the same map, and the translation takes no product
+    for it."""
+    S = close(symmetric_generators(4)) if name == "I_4" else small_fixture(name)
+    for U in (S, FiniteInverseSemigroup(S.mul, labels=S.labels)):
+        action = left_translation_action(U)
+        fold = {x: functools.reduce(U.product, action.idempotents_at(x))
+                for x in range(action.space_size) if action.idempotents_at(x)}
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteInverseSemigroup, "product", None)
+            assert action.least_idempotents() == fold
+
+
 @pytest.mark.parametrize("name", ["I_2", "I_3", "F_4"])
 def test_validate_names_the_first_non_homomorphic_pair(name):
     S = small_fixture(name)
@@ -1323,7 +1356,7 @@ def test_validate_checks_every_pair_on_a_non_associative_table():
     assert not semigroup.is_associative(S.mul, semigroup.generating_set(S.mul))
     action = FiniteAction(S, 1, {0: {0}, 1: set()}, {(0, 0): 0})
     # the law holds at every generator, so only the all-pairs loop sees the fault
-    assert all(action_mod._homomorphic_at(action._rows, S, s)
+    assert all(all(action_mod._homomorphic_at(action._rows, S, s))
                for s in semigroup.generating_set(S.mul))
     assert validate_message(action) == scan_message(action) \
         == "action is not a homomorphism at (2, 1)"
@@ -1331,22 +1364,22 @@ def test_validate_checks_every_pair_on_a_non_associative_table():
 
 def test_validate_checks_only_generators_on_i4(monkeypatch):
     calls = []
-    compose = action_mod._compose
+    law = action_mod._homomorphic_at
 
-    def counting(f, g):
-        calls.append(1)
-        return compose(f, g)
+    def counting(rows, S, s):
+        calls.append(s)
+        return law(rows, S, s)
 
     S = close(symmetric_generators(4))
     T = FiniteInverseSemigroup(S.mul, labels=S.labels)  # S as a table file gives it
-    monkeypatch.setattr(action_mod, "_compose", counting)
-    # a closure is generated by its letters; a table by `generating_set`
-    for U, gens in ((S, letters_of(symmetric_generators(4))),
+    monkeypatch.setattr(action_mod, "_homomorphic_at", counting)
+    # a closure is generated by its letters, elements 0..k-1; a table by `generating_set`
+    for U, gens in ((S, range(len(letters_of(symmetric_generators(4))))),
                     (T, semigroup.generating_set(T.mul))):
         calls.clear()
         left_translation_action(U).validate()
         natural_action(U).validate()
-        assert len(calls) <= 2 * len(gens) * U.order
+        assert calls == [*gens] * 2
 
 
 @pytest.mark.parametrize("n", [*range(65), 2048])

@@ -29,8 +29,8 @@ rows or off ground cells; a table file keeps the up-masks of its
 idempotents from its inverse pass.  So only `semigroup.py` reads the
 slots `_cells`, `_up_masks` and `_e_up_masks` or calls `_ground_cells()`;
 any other module asks through the `_require_*` readers and
-`_compatibility_masks`.  A test of `S._cells is None` elsewhere would be
-a second dispatch point.
+`_up_and_compatibility_masks`.  A test of `S._cells is None` elsewhere
+would be a second dispatch point.
 
 A closure multiplies by its image keys, and reading its `mul` lays out
 all m^2 products, so `.mul` is read only by the table code of
@@ -39,6 +39,11 @@ all m^2 products, so `.mul` is read only by the table code of
 `_closure` (a closure passes its checks by construction), and nothing
 reads `_letter_count`: `close --verify` compares the letters with the
 file's generators through `semigroup.has_letters_of`.
+
+An action stores its images as one row per element, laid out from a
+pair map or from the lists of an action file, and a left translation
+stores none: so only `action.py` reads `FiniteAction._rows`, and every
+other module reads images through `pair_images`, `act` or `table`.
 
 Light's test decides associativity for every law that is checked on
 generators, so it runs once per table: only `generators_if_associative`,
@@ -195,7 +200,7 @@ def test_only_semigroup_reads_the_order_slots():
 
 
 def test_the_scan_finds_an_order_slot_read():
-    source = ("def _compatibility_masks(S):\n"  # keyed on the cells: a second dispatch
+    source = ("def _up_and_compatibility_masks(S):\n"  # keyed on the cells: a second dispatch
               "    if S._cells is None:\n"
               "        return _compatibility_from_rows(S)\n"
               "    return _compatibility_from_cells(S.labels, S._cells, S.order)\n"
@@ -264,6 +269,29 @@ def test_the_scan_finds_a_mul_read():
               "table = S.mul\n")
     assert mul_reads(source) == [("germ_equiv_oracle", 2), ("FiniteAction.validate.inner", 7),
                                  ("", 9)]
+
+
+def action_rows_reads(source: str) -> list[tuple[str, int]]:
+    return scoped_reads(source, "_rows")
+
+
+def test_only_action_reads_the_rows_of_an_action():
+    faults = {str(path.relative_to(PACKAGE)): action_rows_reads(path.read_text())
+              for path in sorted(PACKAGE.rglob("*.py")) if path.name != "action.py"}
+    assert {path: reads for path, reads in faults.items() if reads} == {}
+    assert action_rows_reads((PACKAGE / "action.py").read_text())
+
+
+def test_the_scan_finds_a_rows_read():
+    source = ("def germ_counts(action):\n"
+              "    if action._rows is None:\n"
+              "        return action.table\n"
+              "    _rows, rows = action._rows, action.rows\n"  # a bare name is no read
+              "class GermGroupoid:\n"
+              "    def reps(self):\n"
+              "        return self.action._rows[0]\n")
+    assert action_rows_reads(source) == [("germ_counts", 2), ("germ_counts", 4),
+                                         ("GermGroupoid.reps", 7)]
 
 
 # name -> (module, function): the one reader of the name outside
