@@ -328,7 +328,8 @@ def criterion(input_file, family, element_expr, budget, verify, **options):
         if verify:  # the ideal-cover oracle, then the verdict against J_s by products
             verified = (verified and crit.ideal_cover_agrees_with_order_cover(S, s, budget=budget)
                         and verdict.j_set == S.j_set(s)
-                        and verdict.j_set.issuperset(verdict.witness))
+                        and verdict.j_set.issuperset(verdict.witness)
+                        and crit.covers_by_ideals(S, s, verdict.witness))
     report.criterion = rows
     if verify:
         report.verified = verified

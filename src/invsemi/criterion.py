@@ -179,7 +179,7 @@ def is_complete_and_distributive(S: FiniteInverseSemigroup,
     if gens is None:
         raise ContractViolation("completeness: S must be an inverse semigroup, "
                                 "but its table fails Light's test of associativity")
-    translates = [(g, [S.product(g, x) for x in range(m)], S.products(range(m), g))
+    translates = [(g, [S.product(g, x) for x in range(m)], S.pair_products(range(m), [g] * m))
                   for g in gens]
     for a, b, v in spans:
         for g, row_g, column_g in translates:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, count, repeat
 from operator import add, eq, mul
 from typing import NamedTuple
 
@@ -233,31 +233,36 @@ def verify_germ_classes(action: FiniteAction, G: GermGroupoid) -> bool:
     class never holds two pairs that are not ~.  (2) For each idempotent
     e at x, pairs with equal s e share a class, so ~ pairs never lie in
     two classes.  Last, every class must hold a pair.  Both checks read
-    s e off one product column per idempotent e at x: with k_x pairs at
-    x, that is k_x |idempotents at x| products and comparisons per
+    the column of s e for each idempotent e at x off one `pair_products`
+    call per point: (2) compares two C-level set sizes per column, and
+    (1) passes each column over only the pairs that no earlier column
+    matched with their representative.  With k_x pairs at x, that is
+    k_x |idempotents at x| products, and at most as many comparisons, per
     point, not C(k_x, 2) witness searches.
     """
-    S = action.semigroup
+    S, seen = action.semigroup, set()
     l_classes = _l_classes(S)
-    seen = set()
     for x in range(action.space_size):
         at = action.idempotents_at(x)
         members = [s for e in at for s in l_classes[e]]  # the pairs (s, x)
         classes = [G.class_of(s, x) for s in members]
-        columns = [S.products(members, e) for e in at]
-        position = {s: i for i, s in enumerate(members)}
-        for i, c in enumerate(classes):
-            if not 0 <= c < len(G):
+        if min(classes, default=0) < 0 or max(classes, default=-1) >= len(G):
+            return False
+        # the position among the pairs at x of each pair's class representative
+        reps = list(map(dict(zip(zip(members, repeat(x)), count())).get,
+                        map(G.reps.__getitem__, classes)))
+        if None in reps:
+            return False
+        k = len(members)
+        products = S.pair_products(members * len(at),
+                                   chain.from_iterable(map(repeat, at, repeat(k))))
+        pending = range(k)  # (1): the pairs with no e so far where s e = r e, r their rep
+        for column in zip(*[iter(products)] * k):  # s e for one e, s over the pairs
+            if len(set(zip(column, classes))) != len(set(column)):  # (2)
                 return False
-            r, y = G.reps[c]
-            j = position.get(r)
-            if y != x or j is None or not any(col[i] == col[j] for col in columns):
-                return False
-        for column in columns:
-            class_of: dict[int, int] = {}
-            for se, c in zip(column, classes):
-                if class_of.setdefault(se, c) != c:
-                    return False
+            pending = [i for i in pending if column[i] != column[reps[i]]]
+        if pending:
+            return False
         seen.update(classes)
     return len(seen) == len(G)
 

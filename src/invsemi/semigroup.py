@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import compress, repeat
-from operator import add, and_, eq, getitem, itemgetter, or_
+from operator import and_, eq, getitem, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ContractViolation
@@ -41,9 +41,9 @@ class FiniteInverseSemigroup:
     `cli._verification` tests `_closure`, as a closure passes the table
     checks by construction.
 
-    `product` (`products` and `pair_products` for many) reads s t off the
-    table, or on a `close` result, which keeps none, off the image keys:
-    the key of s read through the key of t is the key of s t (see `close`).
+    `product` (`pair_products` for many) reads s t off the table, or on
+    a `close` result, which keeps none, off the image keys: the key of s
+    read through the key of t is the key of s t (see `close`).
     A closure lays out its `mul` table, and builds its `labels`, on first
     read, for library callers; no CLI call reads `mul`.
 
@@ -140,14 +140,6 @@ class FiniteInverseSemigroup:
             return self._mul[s][t]
         index, keys, gather, tail, _ = self._closure
         return index[gather(keys[t], keys[s] + tail)]
-
-    def products(self, members: Iterable[int], t: int) -> list[int]:
-        """[u t for u in members], unchecked: each key of u, padded, through the key of t."""
-        if self._closure is None:
-            return [self._mul[u][t] for u in members]
-        index, keys, gather, tail, _ = self._closure
-        operands = map(add, map(keys.__getitem__, members), repeat(tail))
-        return list(map(index.__getitem__, map(gather, repeat(keys[t]), operands)))
 
     def pair_products(self, us: Sequence[int], ts: Iterable[int]) -> list[int]:
         """[u t for u, t in zip(us, ts)], unchecked; a closure pads each u's key once."""

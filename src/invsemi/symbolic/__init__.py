@@ -122,8 +122,8 @@ def verify(element, rep: SymbolicCriterionReport, pool) -> bool:
     made it.  An antichain's sample members are idempotents in J_s,
     distinct from the one element that all their pairwise products
     equal (the zero).  A witness lies in J_s and covers J_s downward on
-    the pool: every idempotent e of the pool with s e = e has e = f e
-    for some witness member f."""
+    the pool, and on s, s s, s s* and s* s: every idempotent e among
+    them with s e = e has e = f e for some witness member f."""
     if rep.antichain is not None:
         members = [rep.antichain.member(i) for i in range(1, 9)]
         zero = members[0] * members[1]
@@ -132,7 +132,8 @@ def verify(element, rep: SymbolicCriterionReport, pool) -> bool:
                         for b in members[i + 1:]))
     if rep.witness is None or not all(element * f == f == f * f for f in rep.witness):
         return False
-    cover = set(rep.witness)  # e in it covers itself: e = e e
+    cover, star = set(rep.witness), element.inverse()  # e in cover covers itself: e = e e
     return all(e in cover or any(f * e == e for f in rep.witness)
-               for e in pool if element * e == e == e * e)
+               for e in (*pool, element, element * element, element * star, star * element)
+               if element * e == e == e * e)
 

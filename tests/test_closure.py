@@ -338,7 +338,7 @@ def assert_key_facts_match_the_oracles(S):
     """The idempotents, the zero and the inverses that a closure reads
     off its keys, against s s = s, the two-sided zero fold and the
     inverse keys by reversed pairs; its table, laid out by rows, against
-    the composition of its labels, and each column of `products`
+    the composition of its labels, and each column of `pair_products`
     against `product`.  A label composes as the tuple of its images,
     -1 where undefined and last, so that f after g is f read at g."""
     assert S.idempotents == idempotents_by_squares(S)
@@ -349,7 +349,7 @@ def assert_key_facts_match_the_oracles(S):
     where = {image: s for s, image in enumerate(images)}
     assert S.mul == tuple(tuple(where[tuple(map(f.__getitem__, g))] for g in images)
                           for f in images)
-    assert all(S.products(m, t) == [S.product(s, t) for s in m] for t in m)
+    assert all(S.pair_products(m, [t] * len(m)) == [S.product(s, t) for s in m] for t in m)
 
 
 def cycle(n):

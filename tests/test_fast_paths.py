@@ -668,7 +668,7 @@ def test_the_table_path_is_the_oracle_of_the_key_path():
     for S in swept_closures():
         m, labels, elements = S.order, S.labels, S.elements()
         rows = [[S.product(s, t) for t in elements] for s in elements]
-        columns = [S.products(elements, t) for t in elements]
+        columns = [S.pair_products(elements, [t] * m) for t in elements]
         verdicts = [hausdorff_criterion(S, s) for s in elements]
         counts = left_translation_counts(S)
         assert S._mul is None  # all of the above read the keys
@@ -1468,6 +1468,21 @@ def test_completeness_matches_scan_on_fixtures(name):
     assert result.ok == (name.startswith("I") or name in ("F_0", "F_1"))
 
 
+@pytest.mark.parametrize("gens, order, certificate, pairs", [
+    ([[[3, 1]], [[0, 3], [1, 0], [2, 1], [3, 2]]], 21, ("join", (0, 2, 17)), 1),
+    ([[[0, 1], [1, 3], [2, 2], [3, 0]], [[0, 1], [1, 3], [2, 0], [3, 2]], [[1, 0], [3, 1]]],
+     113, ("right", 2, (2, 30)), 1216),
+], ids=["triple", "right"])
+def test_completeness_certificates_match_scan_on_closures(gens, order, certificate, pairs):
+    """Two seeded random closures on 4 points reach the certificates that
+    no fixture does: a triple with no join, from step (ii), and a right
+    translate, from step (iii).  The closure and its table agree."""
+    S = close([PartialBijection(4, dict(g)) for g in gens])
+    assert S.order == order
+    for T in (S, FiniteInverseSemigroup(S.mul)):
+        assert check_completeness(T) == (False, certificate, pairs)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_completeness_matches_scan_on_chains(n):
     result = check_completeness(chain(n))
@@ -1495,7 +1510,7 @@ def test_the_clique_scan_reads_no_product_column(monkeypatch):
     translate_fail_gens.json it names the translate that the pair check
     names."""
     S, fail = fixture("I_3"), load_semigroup(DATA / "translate_fail_gens.json")
-    monkeypatch.setattr(FiniteInverseSemigroup, "products",
+    monkeypatch.setattr(FiniteInverseSemigroup, "pair_products",
                         lambda *args: pytest.fail("read a product column"))
     assert completeness_scan(S) == CompletenessResult(True, None, 1507)
     assert completeness_scan(fail).certificate == ("left", 2, (0, 1))

@@ -450,6 +450,52 @@ def test_cli_symbolic_verify_is_independent(monkeypatch):
     run("symbolic", "atomflip", "flip", "--truncation", "4", "--verify", expect=4)
 
 
+@pytest.mark.parametrize("cut", [
+    lambda witness: (),             # emptied
+    lambda witness: witness[:-1],   # one maximal member dropped
+])
+def test_cli_criterion_verify_checks_that_the_witness_covers(monkeypatch, tmp_path, cut):
+    """A witness inside J_s that does not cover it fails --verify, by the
+    ideal-cover form: on I_2 each witness is one element, and on the
+    table of F_4 the witness of the flip is its four atoms."""
+    from invsemi import criterion as crit_mod
+
+    honest = crit_mod.hausdorff_criterion
+
+    def cut_witness(S, s):
+        verdict = honest(S, s)
+        return verdict._replace(witness=cut(verdict.witness))
+
+    for path in (DATA / "i2_gens.json", _atomflip_table_file(tmp_path, 4)):
+        run("criterion", str(path), "--verify")
+        with monkeypatch.context() as m:
+            m.setattr(crit_mod, "hausdorff_criterion", cut_witness)
+            result = invoke_cli(["criterion", str(path), "--verify"])
+        assert result.exit_code == 4
+        assert result.stderr == "verification failed: oracle disagreement\n"
+
+
+@pytest.mark.parametrize("family, element", [
+    ("munn", "x x^-1"), ("munn", "x y y^-1 x^-1"),
+    ("graph", "e1"), ("graph", "p=e1,q=e2.e3"), ("graph", "p=e1,q=e1"),
+    ("atomflip", "atom:3"), ("atomflip", "square"),
+])
+def test_cli_symbolic_verify_rejects_an_emptied_witness(monkeypatch, family, element):
+    """With no pool (munn, graph, atomflip without --truncation), --verify
+    still checks the cover on s, s s, s s* and s* s: each element here
+    has one of them in J_s, so an emptied witness fails."""
+    from importlib import import_module
+
+    module = import_module(f"invsemi.symbolic.{FAMILIES[family][0]}")
+    honest = module.criterion
+    run("symbolic", family, element, "--verify")
+    monkeypatch.setattr(module, "criterion",
+                        lambda *args, **kw: honest(*args, **kw)._replace(witness=()))
+    result = invoke_cli(["symbolic", family, element, "--verify"])
+    assert result.exit_code == 4
+    assert result.stderr == "verification failed: oracle disagreement\n"
+
+
 @pytest.mark.parametrize("member", [
     AtomFlipElement("atom", 1),  # repeated, so not pairwise orthogonal
     AtomFlipElement("flip"),     # not an idempotent
@@ -554,6 +600,32 @@ def test_germs_verify_catches_a_copied_representative(moved):
             return len(G) if moved and (t, y) == (s, x) else G.class_of(t, y)
 
     assert not verify_germ_classes(action, Copied())
+
+
+def test_germs_verify_catches_two_classes_merged_at_one_point():
+    """Class d is folded into class c at the same point, and the later
+    classes are renumbered, so every class still holds a pair and pairs
+    with equal s e still share a class: only the check that each pair is
+    ~ its class's representative sees the fault."""
+    from invsemi import build_germs, left_translation_action
+    from invsemi.germs import verify_germ_classes
+
+    action = left_translation_action(load_semigroup(DATA / "i2_gens.json"))
+    G = build_germs(action)
+    c, d = next((c, d) for c in range(len(G)) for d in range(c + 1, len(G))
+                if G.reps[c][1] == G.reps[d][1])
+
+    class Merged:
+        reps = G.reps[:d] + G.reps[d + 1:]
+
+        def __len__(self):
+            return len(self.reps)
+
+        def class_of(self, t, y):
+            k = G.class_of(t, y)
+            return c if k == d else k - (k > d)
+
+    assert not verify_germ_classes(action, Merged())
 
 
 @pytest.mark.parametrize("name, space_size, action, stray", [

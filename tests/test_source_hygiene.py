@@ -34,8 +34,9 @@ would be a second dispatch point.
 
 A closure multiplies by its image keys, and reading its `mul` lays out
 all m^2 products, so `.mul` is read only by the table code of
-`semigroup.py`.  Every other reader goes through `product` or
-`products`.  Outside `semigroup.py`, only `cli._verification` tests
+`semigroup.py`.  Every other reader goes through `product` for one pair
+or `pair_products` for many; no module defines or calls a `products`
+of one column.  Outside `semigroup.py`, only `cli._verification` tests
 `_closure` (a closure passes its checks by construction), and nothing
 reads `_letter_count`: `close --verify` compares the letters with the
 file's generators through `semigroup.has_letters_of`.
@@ -54,6 +55,11 @@ Every law checked on generators reads that one set: Light's test
 (`is_complete_and_distributive`) and the clique scan of `props --verify`
 (`completeness_scan`) are the package's only callers of
 `generators_if_associative`, so no law finds generators of its own.
+
+`germs.verify_germ_classes` is the one check of the germ relation, so
+it reads the groupoid G only through `class_of`, `reps` and `len`, and
+no underscore-prefixed attribute of G: the check stays independent of
+the class codes and the index that built G.
 
 `cli.py` decides only what the command line owns: argument parsing,
 the verification policy, report layout and exit codes.  The symbolic
@@ -503,3 +509,51 @@ def test_the_scan_finds_a_light_call():
         ("FiniteAction.validate", 6), ("generators_if_associative", 8),
         ("generators_if_associative", 8), ("verify_inverse_semigroup", 2)]
     assert calls_of(source, {ASSOCIATIVITY_GATE}) == [("completeness_scan", 10)]
+
+
+def products_uses(source: str) -> list[int]:
+    """Lines of each definition or call of `products`, by its bare name
+    or as an attribute."""
+    defs = [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "products"]
+    return sorted(defs + [line for _, line in calls_of(source, {"products"})])
+
+
+def test_no_module_defines_or_calls_products():
+    faults = {str(path.relative_to(PACKAGE)): products_uses(path.read_text())
+              for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {path: lines for path, lines in faults.items() if lines} == {}
+
+
+def test_the_scan_finds_a_products_use():
+    source = ("class FiniteInverseSemigroup:\n"
+              "    def products(self, members, t):\n"
+              "        return self.pair_products(members, [t] * len(members))\n"
+              "columns = [S.products(members, e) for e in at]\n"
+              "products = S.pair_products(us, ts)\n"  # a name, not a call
+              "total = products(us)\n")
+    assert products_uses(source) == [2, 4, 6]
+
+
+def private_reads_of(source: str, function: str, parameter: str) -> list[tuple[str, int]]:
+    """(attribute, line) of each underscore-prefixed attribute that the
+    function `function` reads off its parameter `parameter`."""
+    body = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sorted((node.attr, node.lineno) for node in ast.walk(body)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id == parameter)
+
+
+def test_the_germ_class_check_reads_no_private_attribute_of_the_groupoid():
+    source = (PACKAGE / "germs.py").read_text()
+    assert private_reads_of(source, "verify_germ_classes", "G") == []
+
+
+def test_the_scan_finds_a_private_read_of_the_groupoid():
+    source = ("def verify_germ_classes(action, G):\n"
+              "    index, reps = G._index, G.reps.__getitem__\n"  # an attribute of G.reps
+              "    return len(G) == len(action._least) and G.__len__() and G._codes\n")
+    assert private_reads_of(source, "verify_germ_classes", "G") == [
+        ("__len__", 3), ("_codes", 3), ("_index", 2)]
