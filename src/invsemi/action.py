@@ -26,24 +26,32 @@ class FiniteAction:
     an action file, [[s, [[x, s.x], ...]], ...].  The constructor checks
     them once and lays them out as one row of n + 1 images per element,
     -1 outside D_{s*s} and last, so that `validate` composes rows as
-    they are stored.  The `table` attribute rebuilds the map when read.
+    they are stored.  The `table` attribute rebuilds the map when read,
+    and the point index of `idempotents_at` is laid out on first read.
     Call `validate()` to confirm the data really is an action
     (homomorphism plus per-element bijectivity).
     """
 
-    __slots__ = ("semigroup", "space_size", "domain_of", "_rows", "_idempotents_at")
+    __slots__ = ("semigroup", "space_size", "_domain_of", "_rows", "_idempotents_at")
 
     def __init__(self, semigroup: FiniteInverseSemigroup, space_size: int,
-                 domain_of: Mapping[int, frozenset[int]],
+                 domain_of: Mapping[int, frozenset[int]] | None,
                  table: Mapping[tuple[int, int], int] | Sequence | None, *,
                  _translation: bool = False):
         """With `_translation` (from `left_translation_action`) S acts on
-        itself, s.x = s x, by its own products; `table` is then not
-        read."""
+        itself, s.x = s x, by its own products; `domain_of` and `table`
+        are then not read, and the domains are laid out on first read."""
         if semigroup.inv is None:
             raise ContractViolation("actions need a genuine inverse semigroup")
         if space_size < 0:
             raise ContractViolation("space_size must be non-negative")
+        object.__setattr__(self, "semigroup", semigroup)
+        object.__setattr__(self, "space_size", space_size)
+        object.__setattr__(self, "_idempotents_at", None)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_domain_of", None)
+        if _translation:
+            return
         if set(domain_of) != set(semigroup.idempotents):
             raise ContractViolation(
                 "domain_of must assign a domain to every idempotent, exactly")
@@ -54,19 +62,19 @@ class FiniteAction:
                 if not (0 <= x < space_size):
                     raise ContractViolation(f"domain point {x} outside space of size {space_size}")
             doms[e] = pts
-        at: dict[int, list[int]] = {}
-        for e in sorted(doms):
-            for x in doms[e]:
-                at.setdefault(x, []).append(e)
-        object.__setattr__(self, "semigroup", semigroup)
-        object.__setattr__(self, "space_size", space_size)
-        object.__setattr__(self, "domain_of", doms)
-        object.__setattr__(self, "_rows", None if _translation else self._lay(table))
-        object.__setattr__(self, "_idempotents_at",
-                           {x: tuple(es) for x, es in at.items()})
+        object.__setattr__(self, "_domain_of", doms)
+        object.__setattr__(self, "_rows", self._lay(table))
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteAction is immutable")
+
+    @property
+    def domain_of(self) -> dict[int, frozenset[int]]:
+        """D_e of each idempotent e; a left translation lays them out on
+        first read (see `left_translation_action`)."""
+        if self._domain_of is None:
+            object.__setattr__(self, "_domain_of", _translation_domains(self.semigroup))
+        return self._domain_of
 
     def _domains(self) -> list[frozenset[int]]:
         """D_{s*s} of every element s, in index order."""
@@ -113,6 +121,11 @@ class FiniteAction:
         raise ContractViolation(
             "action lists must give each element its images on D_s*s once, as integers")
 
+    @property
+    def is_left_translation(self) -> bool:
+        """Whether S acts on itself by products (`left_translation_action`)."""
+        return self._rows is None
+
     def pair_images(self, us: Sequence[int], xs: Iterable[int]) -> list[int]:
         """[u.x for u, x in zip(us, xs)], unchecked: each x must lie in D_{u*u}."""
         if self._rows is None:
@@ -148,7 +161,14 @@ class FiniteAction:
                 for x in sorted(self.domain(s))]
 
     def idempotents_at(self, x: int) -> tuple[int, ...]:
-        """Idempotents whose domain contains x, sorted."""
+        """Idempotents whose domain contains x, sorted; the index of every
+        point is laid out on first read."""
+        if self._idempotents_at is None:
+            at: dict[int, list[int]] = {}
+            for e, dom in sorted(self.domain_of.items()):
+                for y in dom:
+                    at.setdefault(y, []).append(e)
+            object.__setattr__(self, "_idempotents_at", {y: tuple(es) for y, es in at.items()})
         return self._idempotents_at.get(x, ())
 
     def least_idempotents(self) -> dict[int, int]:
@@ -252,17 +272,21 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
     iff xx* <= e, so e_x = xx* (see `GermGroupoid`): the germs number
     the sum over x of |L_{xx*}|, 126,526 on I_5.  Isotropy is trivial:
     u x = x with u*u = xx* gives u = u xx* = (u x) x* = xx*, a unit.
-    The images are the products of S: nothing is stored per pair.
-
-    The domains come from the order, not from the rows: x lies in eS
-    iff xx* <= e, so the elements are grouped by xx* once, and D_e
-    gathers the groups of the idempotents below e.  That is m products
-    and one mask of the E-order (the order on the idempotents, see
-    `FiniteInverseSemigroup`) per idempotent, instead of hashing a row
-    of m entries per idempotent.
+    The images are the products of S: nothing is stored per pair.  As
+    this proves the domains right, nothing checks them, and they are
+    laid out only when read (`_translation_domains`); the germ groupoid
+    and its counts read none, and the groupoid no image.
     """
-    if S.inv is None:
-        raise ContractViolation("actions need a genuine inverse semigroup")
+    return FiniteAction(S, S.order, None, None, _translation=True)
+
+
+def _translation_domains(S: FiniteInverseSemigroup) -> dict[int, frozenset[int]]:
+    """D_e = eS of each idempotent e, from the order, not from the rows:
+    x lies in eS iff xx* <= e, so the elements are grouped by xx* once,
+    and D_e gathers the groups of the idempotents below e.  That is m
+    products and one mask of the E-order (the order on the idempotents,
+    see `FiniteInverseSemigroup`) per idempotent, instead of hashing a
+    row of m entries per idempotent."""
     by_range: dict[int, list[int]] = {}
     for x, e in enumerate(_ranges(S)):
         by_range.setdefault(e, []).append(x)
@@ -273,4 +297,4 @@ def left_translation_action(S: FiniteInverseSemigroup) -> FiniteAction:
         for j in _bits(below[i]):
             members += by_range.get(E[j], ())
         domains[e] = frozenset(members)
-    return FiniteAction(S, S.order, domains, None, _translation=True)
+    return domains

@@ -134,12 +134,12 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         sys.exit(EXIT_INVARIANT)
     if timing:
         print(f"elapsed_ms={(time.perf_counter() - started) * 1000:.1f}", file=sys.stderr)
+    if report.verified is False:  # like every exit 3 or 4, with no stdout
+        print("verification failed: oracle disagreement", file=sys.stderr)
+        sys.exit(EXIT_INVARIANT)
     sys.stdout.write(report.render_structured() if fmt == "structured"
                      else report.render_text())
     sys.stdout.flush()
-    if report.verified is False:
-        print("verification failed: oracle disagreement", file=sys.stderr)
-        sys.exit(EXIT_INVARIANT)
     sys.exit(EXIT_OK)
 
 
@@ -257,7 +257,7 @@ def props(input_file, budget, verify):
 
 def germs(input_file, self_action, budget, verify):
     """Germ groupoid counts of an action (action file, or --self)."""
-    from . import action as action_mod, germs as germs_mod
+    from . import germs as germs_mod
     budget = _budget(budget)
     if self_action:
         S = formats.load_semigroup(input_file, budget=budget)
@@ -289,13 +289,16 @@ def germs(input_file, self_action, budget, verify):
                 f"essentially_principal={_yn(g['essentially_principal'])}")
     if verify:
         if self_action:
+            from . import action as action_mod
             action = action_mod.left_translation_action(S)
         G = germs_mod.build_germs(action)
         report.verified = (
             counts == (len(G), len(G.units), len(G.isotropy()))
             and (principal,) * 3 == (G.is_principal(), G.is_effective(),
                                      G.is_essentially_principal())
-            and germs_mod.verify_germ_classes(action, G))
+            and germs_mod.verify_germ_classes(action, G)
+            # G takes a translation's isotropy from its proof: count it off the images
+            and (not self_action or counts == germs_mod.germ_counts(action)))
     return report
 
 
@@ -319,17 +322,22 @@ def criterion(input_file, family, element_expr, budget, verify, **options):
     report.line(f"criterion {input_file}")
     rows = []
     verified = True
+    oracles: dict = {}  # by J_s, and by (J_s, witness): all that each oracle reads
     for s in S.elements():
         verdict, label = crit.hausdorff_criterion(S, s), S.label_str(s)
         rows.append({"element": s, "label": label, "j_set": sorted(verdict.j_set),
                      "witness": list(verdict.witness), "verdict": verdict.verdict})
         report.line(f"  s={s} ({label}): {verdict.verdict} "
                     f"witness={list(verdict.witness)} |J_s|={len(verdict.j_set)}")
-        if verify:  # the ideal-cover oracle, then the verdict against J_s by products
-            verified = (verified and crit.ideal_cover_agrees_with_order_cover(S, s, budget=budget)
-                        and verdict.j_set == S.j_set(s)
-                        and verdict.j_set.issuperset(verdict.witness)
-                        and crit.covers_by_ideals(S, s, verdict.witness))
+        if verify and verified:  # the ideal-cover oracle, then the verdict against J_s by products
+            jset = S.j_set(s)
+            key = (jset, verdict.witness)
+            if jset not in oracles:
+                oracles[jset] = crit.ideal_cover_agrees_with_order_cover(S, s, budget=budget)
+            verified = oracles[jset] and verdict.j_set == jset and jset.issuperset(verdict.witness)
+            if verified and key not in oracles:
+                oracles[key] = crit.covers_by_ideals(S, s, verdict.witness)
+            verified = verified and oracles[key]
     report.criterion = rows
     if verify:
         report.verified = verified

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, eq, mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .action import FiniteAction, left_translation_action
 from .errors import ContractViolation
 from .semigroup import FiniteInverseSemigroup
+
+if TYPE_CHECKING:
+    from .action import FiniteAction
 
 
 class Germ(NamedTuple):
@@ -59,8 +61,9 @@ class GermGroupoid:
     low(u) = min up(u), P points and m elements; as x < P and u < m, the
     codes sort as (low(u), x, u), so a class id is its code's position
     after one sort.  Built: the codes, the units and the isotropy (the
-    codes with u.x = x).  Laid out on first read: the structure maps and
-    the code -> id index of `class_of`.
+    codes with u.x = x; under left translation the units, proved in
+    `left_translation_action`, so no image is read).  Laid out on first
+    read: the structure maps and the code -> id index of `class_of`.
     """
 
     def __init__(self, action: FiniteAction):
@@ -69,14 +72,16 @@ class GermGroupoid:
         # high[u] = low(u) P m + u, so the code of (u, x) is high[u] + x m
         high = [((mask & -mask).bit_length() - 1) * P * m + u
                 for u, mask in enumerate(S._require_up_masks())]
-        us, xs, ys = _germ_pairs(action, least)
+        us, xs = _germ_pairs(action, least)
         codes = list(map(add, map(high.__getitem__, us), map(mul, xs, repeat(m))))
-        fixed = [c for c, x, y in zip(codes, xs, ys) if x == y]  # the isotropy: u.x = x
+        fixed = (None if action.is_left_translation  # the isotropy: u.x = x
+                 else list(compress(codes, map(eq, xs, action.pair_images(us, xs)))))
         codes.sort()
         unit_at = dict(zip(least, map(bisect_left, repeat(codes),
                                       (high[e] + x * m for x, e in least.items()))))
-        self.__dict__.update(action=action, units=frozenset(unit_at.values()),
-                             _isotropy=frozenset(map(bisect_left, repeat(codes), fixed)),
+        units = frozenset(unit_at.values())
+        self.__dict__.update(action=action, units=units, _isotropy=units if fixed is None
+                             else frozenset(map(bisect_left, repeat(codes), fixed)),
                              _codes=codes, _high=high, _least=least, _unit_at=unit_at)
 
     def __setattr__(self, name, value):
@@ -179,8 +184,8 @@ def germ_counts(action: FiniteAction) -> tuple[int, int, int]:
     One image per pair (`_germ_pairs`).
     """
     least = action.least_idempotents()
-    _, xs, ys = _germ_pairs(action, least)
-    return len(xs), len(least), sum(map(eq, xs, ys))
+    us, xs = _germ_pairs(action, least)
+    return len(xs), len(least), sum(map(eq, xs, action.pair_images(us, xs)))
 
 
 def left_translation_counts(S: FiniteInverseSemigroup) -> tuple[int, int, int]:
@@ -196,21 +201,21 @@ def left_translation_counts(S: FiniteInverseSemigroup) -> tuple[int, int, int]:
 
 
 def _l_classes(S: FiniteInverseSemigroup) -> dict[int, list[int]]:
-    """The L-classes L_e = {u : u*u = e} of S, keyed by e, in index order."""
+    """The L-classes L_e = {u : u*u = e} of S, keyed by e, in index
+    order, off one `pair_products` call."""
     l_classes: dict[int, list[int]] = {}
-    for u in S.elements():
-        l_classes.setdefault(S.product(S.inv[u], u), []).append(u)
+    for u, e in enumerate(S.pair_products(S.inv, S.elements())):
+        l_classes.setdefault(e, []).append(u)
     return l_classes
 
 
-def _germ_pairs(action: FiniteAction, least: dict[int, int]) -> tuple[list[int], ...]:
-    """The pairs (u, x), u in L_{e_x}, as lists us and xs, and their
-    images u.x by `pair_images`, which pads each key of a closure once."""
+def _germ_pairs(action: FiniteAction, least: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The pairs (u, x), u in L_{e_x}, as lists us and xs."""
     l_classes, us, xs = _l_classes(action.semigroup), [], []
     for x, e in least.items():
         us += l_classes[e]
         xs += repeat(x, len(l_classes[e]))
-    return us, xs, action.pair_images(us, xs)
+    return us, xs
 
 
 def germ_equiv_oracle(action: FiniteAction, s: int, t: int, x: int) -> bool:
@@ -299,6 +304,7 @@ def check_fixed_point_germ_laws(action: FiniteAction) -> tuple[bool, tuple | Non
 
 def check_fixed_points_are_ideal_union(S: FiniteInverseSemigroup) -> bool:
     """Under left translation, F_s must equal the union of e S, e in J_s."""
+    from .action import left_translation_action
     action = left_translation_action(S)
     for s in S.elements():
         f_s, _ = fixed_sets(action, s)

@@ -12,7 +12,7 @@ inverse semigroup, with a certificate on failure.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import and_, eq, getitem, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
@@ -65,9 +65,12 @@ class FiniteInverseSemigroup:
         depends on the fixed points of s only, so it is computed once
         per fixed-point set.
       - Up-masks: `_cells[x, y]` is the mask of the elements whose graph
-        holds the pair (x, y), and up(s) is the AND of the cells of the
-        pairs of s (every element when s is the empty map): O(rank(s))
-        operations on m-bit masks.  Compatibility reads the same cells.
+        holds the pair (x, y), and up(s) is the AND over the points x
+        of cell[x, s(x)], every element where s is undefined at x.
+        Column x of the keys (entry s is the image of x under s, see
+        `_columns`) gives the cells at x and, through a table of them
+        indexed by image, that factor of every up(s), by C-level passes.
+        Compatibility reads the same cells, and the pairs of each key.
     - *Table rows* otherwise (table files, the atom-flip truncations,
       any table passed in): up(s) is read off the row of s s*, as s <= t
       iff s s* t = s, and compatibility off rows and columns.  For an
@@ -226,15 +229,17 @@ class FiniteInverseSemigroup:
         if not (0 <= s < self.order):
             raise ContractViolation(f"element index {s} out of range [0, {self.order})")
 
-    def _require_up_masks(self, graphs=None) -> tuple[int, ...]:
-        """The m-bit up-masks, built on first read off rows or cells (off
-        `graphs`, the pairs of each key, when the caller has them)."""
+    def _require_up_masks(self) -> tuple[int, ...]:
+        """The m-bit up-masks, built on first read off rows, or off the
+        key columns and ground cells."""
         if self._up_masks is None:
             if self.inv is None:
                 raise ContractViolation("table is not an inverse semigroup; order undefined")
-            graphs = self._closure and (graphs or list(map(_key_pairs, self._closure[1])))
-            up = (_up_masks(self._mul, self.inv, self._e_up_masks or {}) if self._closure is None
-                  else _up_masks_from_cells(graphs, self._ground_cells(graphs), self.order))
+            if self._closure is None:
+                up = _up_masks(self._mul, self.inv, self._e_up_masks or {})
+            else:
+                columns = _columns(self._closure[1])
+                up = _up_masks_of_columns(columns, self._ground_cells(columns), self.order)
             object.__setattr__(self, "_up_masks", up)
         return self._up_masks
 
@@ -263,12 +268,12 @@ class FiniteInverseSemigroup:
             object.__setattr__(self, "_by_j_set", (self._require_e_order(), {}))
         return self._by_j_set[1]
 
-    def _ground_cells(self, graphs=None) -> dict[tuple[int, int], int] | None:
-        """A closure's ground cells, built on first read (off `graphs`, the
-        pairs of each key, when the caller has them); None on a table."""
+    def _ground_cells(self, columns=None) -> dict[tuple[int, int], int] | None:
+        """A closure's ground cells, built on first read (off `columns`,
+        the key columns, when the caller has them); None on a table."""
         if self._cells is None and self._closure is not None:
-            graphs = graphs or map(_key_pairs, self._closure[1])
-            object.__setattr__(self, "_cells", _cells_of(graphs))
+            columns = columns if columns is not None else _columns(self._closure[1])
+            object.__setattr__(self, "_cells", _cells_of_columns(columns))
         return self._cells
 
     def __len__(self) -> int:
@@ -777,32 +782,47 @@ def _mask_of(row, value) -> int:
         return mask
 
 
-def _cells_of(graphs) -> dict[tuple[int, int], int]:
-    """cell[x, y]: the mask of the elements whose graph holds (x, y)."""
-    members: dict[tuple[int, int], list[int]] = {}
-    for s, pairs in enumerate(graphs):
-        for pair in pairs:
-            members.setdefault(pair, []).append(s)
-    return {pair: _set_to_mask(ss) for pair, ss in members.items()}
+def _columns(keys) -> list:
+    """Column x of the image keys (see `close`) for each point x < n:
+    entry s is key_s[x].  The keys are laid end to end once, as one
+    tuple, and each column is a strided slice."""
+    n, flat = keys[0][-1], tuple(chain.from_iterable(keys))
+    return [flat[x::n + 1] for x in range(n)]
 
 
-def _up_masks_from_cells(graphs, cells, m: int) -> tuple[int, ...]:
-    """up(s) = the AND of the cells of the pairs of s, every element
-    when s is empty (proof in `FiniteInverseSemigroup`)."""
-    full = (1 << m) - 1
-    return tuple(reduce(and_, map(cells.__getitem__, pairs), full) for pairs in graphs)
+def _cells_of_columns(columns: Sequence) -> dict[tuple[int, int], int]:
+    """cell[x, y], the mask of the elements whose graph holds (x, y), for
+    each image y in column x, by `_mask_of`."""
+    n = len(columns)
+    return {(x, y): _mask_of(column, y)
+            for x, column in enumerate(columns) for y in set(column) - {n}}
+
+
+def _up_masks_of_columns(columns: Sequence, cells, m: int) -> tuple[int, ...]:
+    """up(s) = the AND over the points x of cell[x, s(x)], every element
+    where s is undefined at x (proof in `FiniteInverseSemigroup`).  The
+    table of column x holds its cells by image, and all ones at the
+    sentinel n; a point at which no element is defined gets none.  One
+    lazy C-level lookup per table, zipped and ANDed per element, so no
+    list of masks but the result is held and no C recursion grows with
+    the points."""
+    n, full = len(columns), (1 << m) - 1
+    tables: dict[int, dict[int, int]] = {}
+    for (x, y), cell in cells.items():
+        tables.setdefault(x, {n: full})[y] = cell
+    lookups = [map(table.__getitem__, columns[x]) for x, table in tables.items()]
+    return tuple(map(reduce, repeat(and_), zip(repeat(full, m), *lookups)))
 
 
 def _up_and_compatibility_masks(
         S: FiniteInverseSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The up-masks, and the masks in which bit t of the s-th mask is set
-    iff s and t are compatible: off a closure's ground cells, reading
-    each key's pairs once for both, else off the table rows."""
+    iff s and t are compatible: off a closure's ground cells and the
+    pairs of each key, else off the table rows."""
     if S._closure is None:
         return S._require_up_masks(), _compatibility_from_rows(S)
-    graphs = list(map(_key_pairs, S._closure[1]))
-    cells = S._ground_cells(graphs)
-    return S._require_up_masks(graphs), _compatibility_from_cells(graphs, cells, S.order)
+    return S._require_up_masks(), _compatibility_from_cells(  # the up-masks build the cells
+        map(_key_pairs, S._closure[1]), S._ground_cells(), S.order)
 
 
 def _compatibility_from_cells(graphs, cells, m: int) -> tuple[int, ...]:

@@ -9,7 +9,9 @@ upper bounds, the exhaustive table scans (with the two-pass range check
 and inverse scan of the table constructor), finite-cover criterion, the
 criterion and left-translation domains off the m-bit order and the
 E*-unitary check by products (which the order on the idempotents
-replaced),
+replaced), a closure's ground cells and up-masks element by element
+(which the key columns replaced), the left-translation domains
+by right ideals,
 union-find germ classes, all-triples associativity, Light's test over
 every row and all-pairs homomorphism checks, the action-file loader
 that builds the (s, x) map of every pair, and the
@@ -23,8 +25,9 @@ homomorphisms into small symmetric inverse monoids.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
-from operator import itemgetter
+from operator import and_, itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -364,6 +367,33 @@ def hausdorff_by_up_masks(S: FiniteInverseSemigroup, s: int):
     members = [e for e in sorted(S.idempotents) if up[e] >> s & 1]
     jmask = _set_to_mask(members)
     return frozenset(members), tuple(e for e in members if up[e] & jmask == 1 << e)
+
+
+def ground_cells_by_pairs(S: FiniteInverseSemigroup) -> dict[tuple[int, int], int]:
+    """cell[x, y] of a closure, the mask of the elements whose graph
+    holds (x, y), element by element off the pairs of its labels (the
+    builder that the key columns replaced)."""
+    members: dict[tuple[int, int], list[int]] = {}
+    for s, label in enumerate(S.labels):
+        for pair in label.pairs:
+            members.setdefault(pair, []).append(s)
+    return {pair: _set_to_mask(ss) for pair, ss in members.items()}
+
+
+def up_masks_by_cells(S: FiniteInverseSemigroup) -> tuple[int, ...]:
+    """up(s) of a closure as the AND of the cells of the pairs of s, every
+    element when s is the empty map, one element at a time."""
+    cells, full = ground_cells_by_pairs(S), (1 << S.order) - 1
+    return tuple(reduce(and_, map(cells.__getitem__, label.pairs), full) for label in S.labels)
+
+
+def left_translation_domains_by_ideals(S: FiniteInverseSemigroup):
+    """D_e = eS of the left-translation action, by products, and the
+    idempotents at each point x, those e with e x = x."""
+    domains = {e: S.right_ideal(e) for e in S.idempotents}
+    at = {x: tuple(e for e in sorted(S.idempotents) if S.product(e, x) == x)
+          for x in S.elements()}
+    return domains, at
 
 
 def left_translation_domains_by_up_masks(S: FiniteInverseSemigroup):

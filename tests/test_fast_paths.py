@@ -22,7 +22,11 @@ raise.  Table loads, truncations and the table commands that read no
 order run with the up-mask builders patched to raise.  The up-masks and
 row counts that a table's inverse pass keeps are swept against the row
 scans on the table fixtures, chains, I_3, I_4, F_0-F_64 and random
-tables, and Light's test, given the zero, against its oracle.
+tables, and Light's test, given the zero, against its oracle.  A
+closure's ground cells and up-masks, built off the columns of
+its keys, are swept against the element-by-element builders on bytes
+and tuple keys, and a left translation's domains, laid out when read,
+against the right ideals.
 """
 
 import functools
@@ -68,11 +72,13 @@ from oracles import (
     derive_two_pass,
     generated_scan,
     germ_groupoid_scan,
+    ground_cells_by_pairs,
     hausdorff_by_up_masks,
     hausdorff_scan,
     inverse_candidates_scan,
     inverse_sets_scan,
     join_brute,
+    left_translation_domains_by_ideals,
     left_translation_domains_by_up_masks,
     left_translation_table_scan,
     light_scan,
@@ -80,6 +86,7 @@ from oracles import (
     lower_set_scan,
     natural_table_scan,
     unitary_scan,
+    up_masks_by_cells,
     up_masks_scan,
     validate_scan,
     verify_scan,
@@ -196,17 +203,60 @@ def test_ground_cell_compatibility_matches_the_pair_test():
 
 
 def test_a_closure_reads_its_pairs_once_for_order_and_compatibility(monkeypatch):
-    reads = []
-    key_pairs = semigroup._key_pairs
-
-    def counting(key):
-        reads.append(key)
-        return key_pairs(key)
-
-    monkeypatch.setattr(semigroup, "_key_pairs", counting)
+    """`props` on a closure lays out the key columns once, for the ground
+    cells and the up-masks; compatibility alone reads each key's pairs,
+    once."""
+    reads, columns = [], []
+    key_pairs, key_columns = semigroup._key_pairs, semigroup._columns
+    monkeypatch.setattr(semigroup, "_key_pairs", lambda key: reads.append(key) or key_pairs(key))
+    monkeypatch.setattr(semigroup, "_columns",
+                        lambda keys: columns.append(keys) or key_columns(keys))
     S = close(symmetric_generators(4))
+    S._require_up_masks()
+    assert (len(columns), reads) == (1, [])
     assert is_complete_and_distributive(S).ok
-    assert len(reads) == S.order
+    assert (len(columns), len(reads)) == (1, S.order)
+
+
+def closure_order_cases():
+    """Closures on bytes keys and on tuple keys (the 300-point closure of
+    `swept_closures`, and one on 2,000 points that moves 7 of them), on
+    0, 1 and 2 points, with the empty map, I_2-I_5 and the seeded random
+    closures of `swept_closures`."""
+    yield from swept_closures()
+    yield close([PartialBijection(2000, {0: 1, 1: 2, 2: 0, 5: 7}),
+                 PartialBijection(2000, {0: 0, 1: 1, 1999: 3})])
+    yield from (close([PartialBijection(2)]), close([PartialBijection(2, {0: 1})]))
+    yield from (close(CLOSURES[f"I_{n}"] if n < 4 else symmetric_generators(n))
+                for n in range(2, 6))
+
+
+def test_the_key_columns_give_the_cells_and_up_masks():
+    """The ground cells and up-masks built off the key columns equal the
+    element-by-element builders they replaced, on bytes keys and on the
+    same keys as tuples."""
+    seen = Counter()
+    for S in closure_order_cases():
+        keys, n = S._closure[1], S._closure[1][0][-1]
+        assert S._ground_cells() == ground_cells_by_pairs(S)
+        assert S._require_up_masks() == up_masks_by_cells(S)
+        if type(keys[0]) is bytes:
+            columns = semigroup._columns([tuple(key) for key in keys])
+            cells = semigroup._cells_of_columns(columns)
+            assert cells == S._ground_cells()
+            assert semigroup._up_masks_of_columns(columns, cells, S.order) == S._require_up_masks()
+        seen[type(keys[0]), min(n, 3)] += 1
+        seen["empty map"] += any(key[:n] == type(key)([n]) * n for key in keys)
+    assert {(bytes, n) for n in range(4)} | {(tuple, 3)} <= set(seen), seen
+    assert seen["empty map"] >= 10
+
+
+def test_the_up_masks_of_a_closure_on_many_points():
+    """An element defined at each of 100,000 points: the up-mask pass
+    reads one lookup per point and element without nesting a C-level
+    call per point, which overflowed the stack at this size."""
+    S = close([PartialBijection(100_000, {x: x ^ 1 for x in range(100_000)})])
+    assert S._require_up_masks() == up_masks_by_cells(S) == (1, 2)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -240,6 +290,38 @@ def test_fast_paths_match_scans_on_random_closures(gens, data):
     l_sizes = Counter(S.mul[S.inv[u]][u] for u in S.elements())
     assert len(G) == sum(l_sizes[S.mul[x][S.inv[x]]] for x in S.elements())
     assert G.isotropy() == G.units
+
+
+def test_a_left_translation_lays_out_its_domains_when_read(monkeypatch):
+    """A left translation's domains and point index, laid out on first
+    read, equal the right ideals eS and the idempotents e with e x = x;
+    its table, `validate` and the check of its germ classes work as on
+    an action given its domains.  The germ groupoid and its counts read
+    neither, and the groupoid reads no image: its isotropy, the units,
+    is that of the same action given its table, read off the images."""
+    def refuse(*args):
+        raise AssertionError("laid out the left-translation domains or read an image")
+
+    for S in (*map(fixture, FIXTURES), *swept_closures()):
+        with monkeypatch.context() as m:
+            m.setattr(action_mod, "_translation_domains", refuse)
+            action = left_translation_action(S)
+            assert germ_counts(action) == left_translation_counts(S)
+            m.setattr(FiniteAction, "pair_images", refuse)
+            G = build_germs(action)
+            assert left_translation_counts(S) == (len(G), len(G.units), len(G.isotropy()))
+        domains, at = left_translation_domains_by_ideals(S)
+        lazy = left_translation_action(S)
+        assert list(map(lazy.idempotents_at, S.elements())) == list(map(at.get, S.elements()))
+        assert lazy.domain_of == domains
+        assert lazy.table == left_translation_table_scan(S)
+        eager = FiniteAction(S, S.order, domains, lazy.table)
+        eager.validate()
+        lazy.validate()
+        H = build_germs(eager)
+        assert (H.reps, H.units, H.isotropy()) == (G.reps, G.units, G.isotropy())
+        assert germs.verify_germ_classes(lazy, G)
+        assert germs.verify_germ_classes(eager, H)
 
 
 def test_germs_store_nothing_per_pair(monkeypatch):
@@ -352,7 +434,7 @@ def refuse_up_masks(monkeypatch):
         raise AssertionError("built the m-bit up-masks")
 
     monkeypatch.setattr(semigroup, "_up_masks", refuse)
-    monkeypatch.setattr(semigroup, "_up_masks_from_cells", refuse)
+    monkeypatch.setattr(semigroup, "_up_masks_of_columns", refuse)
 
 
 def table_action_files(tmp_path):
@@ -427,8 +509,8 @@ def refuse_closure_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("a closure built its m-bit order")
 
-    monkeypatch.setattr(semigroup, "_cells_of", refuse)
-    monkeypatch.setattr(semigroup, "_up_masks_from_cells", refuse)
+    monkeypatch.setattr(semigroup, "_cells_of_columns", refuse)
+    monkeypatch.setattr(semigroup, "_up_masks_of_columns", refuse)
 
 
 def symmetric_file(tmp_path, n):

@@ -472,7 +472,50 @@ def test_cli_criterion_verify_checks_that_the_witness_covers(monkeypatch, tmp_pa
             m.setattr(crit_mod, "hausdorff_criterion", cut_witness)
             result = invoke_cli(["criterion", str(path), "--verify"])
         assert result.exit_code == 4
+        assert result.stdout == ""
         assert result.stderr == "verification failed: oracle disagreement\n"
+
+
+def test_cli_criterion_verify_runs_each_oracle_once_per_j_set(monkeypatch, tmp_path):
+    """`criterion --verify` recomputes every element's J_s by products,
+    runs the ideal-cover oracle once per distinct J_s and the witness
+    cover once per distinct (J_s, witness), and prints the report of an
+    unwatched run; a witness cut on one element still fails, though an
+    earlier element has its J_s; under a budget the first element whose
+    2^|J_s| subsets pass it still stops the run, with the same message."""
+    from invsemi import criterion as crit_mod
+
+    i3 = tmp_path / "i3.json"
+    i3.write_text(json.dumps({"version": 1, "kind": "generators", "ground_size": 3,
+                              "generators": [g.pairs for g in symmetric_generators(3)]}))
+    agrees, covers = crit_mod.ideal_cover_agrees_with_order_cover, crit_mod.covers_by_ideals
+    for path in (DATA / "i2_gens.json", i3, _atomflip_table_file(tmp_path, 4)):
+        S, calls = load_semigroup(path), []
+        verdicts = [crit_mod.hausdorff_criterion(S, s) for s in S.elements()]
+        expected = run("criterion", str(path), "--verify")
+        with monkeypatch.context() as m:
+            m.setattr(crit_mod, "ideal_cover_agrees_with_order_cover", lambda S, s, budget:
+                      calls.append(("agrees", S.j_set(s))) or agrees(S, s, budget))
+            m.setattr(crit_mod, "covers_by_ideals", lambda S, s, F:
+                      calls.append(("covers", S.j_set(s), F)) or covers(S, s, F))
+            assert run("criterion", str(path), "--verify") == expected
+        assert len(calls) == len(set(calls)) == len({v.j_set for v in verdicts}) + len(
+            {(v.j_set, v.witness) for v in verdicts})
+    # a witness cut on one element only, whose J_s an earlier element shares
+    S = load_semigroup(i3)
+    j_sets = [S.j_set(s) for s in S.elements()]
+    last = max(s for s in S.elements() if j_sets.index(j_sets[s]) < s and j_sets[s])
+    honest = crit_mod.hausdorff_criterion
+    with monkeypatch.context() as m:
+        m.setattr(crit_mod, "hausdorff_criterion", lambda S, s: honest(S, s)._replace(
+            witness=() if s == last else honest(S, s).witness))
+        result = invoke_cli(["criterion", str(i3), "--verify"])
+    assert (result.exit_code, result.stdout) == (4, "")
+    first = next(s for s in S.elements() if 2 ** len(S.j_set(s)) > 100)
+    result = invoke_cli(["criterion", str(i3), "--verify", "--budget", "100"])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == (f"inconclusive: subset search over 2^{len(S.j_set(first))} "
+                             "exceeds budget 100\n")
 
 
 @pytest.mark.parametrize("family, element", [
@@ -532,6 +575,21 @@ def test_cli_germs_verify_checks_the_counts(monkeypatch, delta):
             shown = run("germs", *args)
             run("germs", *args, "--verify", expect=4)
         assert shown != run("germs", *args)
+
+
+def test_cli_germs_self_verify_counts_the_isotropy_off_the_images(monkeypatch):
+    """The groupoid takes a left translation's isotropy, its units, from
+    the proof in `left_translation_action`; `germs --self --verify`
+    still counts it off one image per germ pair, so images that fix
+    every pair fail it."""
+    from invsemi.action import FiniteAction
+
+    args = ["germs", str(DATA / "i2_gens.json"), "--self", "--verify"]
+    run(*args)
+    monkeypatch.setattr(FiniteAction, "pair_images", lambda self, us, xs: list(xs))
+    result = invoke_cli(args)
+    assert (result.exit_code, result.stdout) == (4, "")
+    assert result.stderr == "verification failed: oracle disagreement\n"
 
 
 I3_GENS = {"version": 1, "kind": "generators", "ground_size": 3,

@@ -83,7 +83,8 @@ def test_close_loads_no_criterion_germ_or_family_code(args):
     (["criterion", str(DATA / "i2_gens.json")], {"criterion"}),
     (["props", str(DATA / "i2_gens.json")], {"criterion"}),
     (["props", str(DATA / "i2_gens.json"), "--verify"], {"criterion", "oracles"}),
-    (["germs", str(DATA / "i2_gens.json"), "--self"], {"germs", "action"}),
+    (["germs", str(DATA / "i2_gens.json"), "--self"], {"germs"}),
+    (["germs", str(DATA / "i2_gens.json"), "--self", "--verify"], {"germs", "action"}),
     (["germs", str(DATA / "z2_point_action.json")], {"germs", "action"}),
     (["symbolic", "atomflip", "flip"], {"criterion", "symbolic.atomflip"}),
     (["symbolic", "munn", "x y x^-1"], {"criterion", "symbolic.munn"}),
